@@ -3,18 +3,19 @@
 Two small algebras used throughout the loci computations:
 
 * quaternary forms (homogeneous polynomials in z_0..z_3) stored as coefficient
-  tuples in graded lexicographic monomial order, with coefficient extraction
-  by evaluation at the integer principal-lattice nodes followed by an exact
-  linear solve;
+  tuples in graded lexicographic monomial order; they are built directly from
+  their linear factors (exact products and linear substitution), and only a
+  form known by its values alone is fitted by interpolation;
 * binary forms (homogeneous polynomials in a curve parameter (t_0 : t_1))
   with exact arithmetic and gcd.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +37,12 @@ def monomials(degree: int, nvars: int = 4) -> tuple[tuple[int, ...], ...]:
             e[i] += 1
         exps.add(tuple(e))
     return tuple(sorted(exps, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def monomial_index(degree: int, nvars: int = 4) -> dict[tuple[int, ...], int]:
+    """Position of each degree-d exponent tuple in the graded lex order."""
+    return {m: i for i, m in enumerate(monomials(degree, nvars))}
 
 
 def mono_eval(exp: Sequence[int], point: Sequence) -> Fraction:
@@ -60,14 +67,16 @@ def _node_matrix_inverse(degree: int, nvars: int = 4) -> tuple[tuple[Fraction, .
     return tuple(tuple(row) for row in inv)
 
 
-def interpolation_nodes(degree: int, nvars: int = 4) -> tuple[tuple[int, ...], ...]:
-    return monomials(degree, nvars)
-
-
 def fit_form(evaluate: Callable[[Sequence[int]], Fraction], degree: int,
              nvars: int = 4) -> tuple[Fraction, ...]:
-    """Coefficients (graded lex) of the degree-d form with the given values."""
-    values = [Fraction(evaluate(node)) for node in interpolation_nodes(degree, nvars)]
+    """Coefficients (graded lex) of the degree-d form with the given values.
+
+    For forms known only by their values, such as a determinant with
+    polynomial entries: the form is evaluated at the lattice nodes and the
+    interpolation system is solved exactly. A form with known factors is
+    built from them instead (``Form.__mul__``, ``Form.compose_linear``).
+    """
+    values = [Fraction(evaluate(node)) for node in monomials(degree, nvars)]
     inv = _node_matrix_inverse(degree, nvars)
     return tuple(sum((row[j] * values[j] for j in range(len(values))), Fraction(0))
                  for row in inv)
@@ -85,10 +94,6 @@ class Form:
         if len(self.coeffs) != len(monomials(self.degree, self.nvars)):
             raise InvalidInput("coefficient vector has the wrong length")
 
-    @classmethod
-    def from_values(cls, evaluate: Callable, degree: int, nvars: int = 4) -> "Form":
-        return cls(degree, fit_form(evaluate, degree, nvars), nvars)
-
     def __call__(self, point: Sequence) -> Fraction:
         return sum((c * mono_eval(m, point)
                     for c, m in zip(self.coeffs, monomials(self.degree, self.nvars)) if c != 0),
@@ -98,9 +103,33 @@ class Form:
         return all(c == 0 for c in self.coeffs)
 
     def compose_linear(self, m: Sequence[Sequence]) -> "Form":
-        """The form z -> self(M z); exact, by re-interpolation."""
-        return Form.from_values(
-            lambda node: self(linalg.mat_vec(m, node)), self.degree, self.nvars)
+        """The form z -> self(M z), by direct substitution: the sum over the
+        monomials z^e of c_e * prod_i (M_i . z)^(e_i), M_i the rows of M."""
+        if self.degree == 0:
+            return self
+        rows = [Form(1, tuple(Fraction(v) for v in row), self.nvars) for row in m]
+        total = [Fraction(0)] * len(self.coeffs)
+        for c, exp in zip(self.coeffs, monomials(self.degree, self.nvars)):
+            if c == 0:
+                continue
+            term = reduce(operator.mul, (rows[i] for i, e in enumerate(exp) for _ in range(e)))
+            total = [t + c * v for t, v in zip(total, term.coeffs)]
+        return Form(self.degree, tuple(total), self.nvars)
+
+    def __mul__(self, other: "Form") -> "Form":
+        """The exact product of two forms in the same variables."""
+        if self.nvars != other.nvars:
+            raise InvalidInput("cannot multiply forms in different numbers of variables")
+        index = monomial_index(self.degree + other.degree, self.nvars)
+        out = [0] * len(index)
+        other_terms = [(d, f) for d, f in zip(other.coeffs, monomials(other.degree, other.nvars))
+                       if d != 0]
+        for c, e in zip(self.coeffs, monomials(self.degree, self.nvars)):
+            if c == 0:
+                continue
+            for d, f in other_terms:
+                out[index[tuple(a + b for a, b in zip(e, f))]] += c * d
+        return Form(self.degree + other.degree, tuple(Fraction(v) for v in out), self.nvars)
 
     def __add__(self, other: "Form") -> "Form":
         if (self.degree, self.nvars) != (other.degree, other.nvars):
@@ -122,18 +151,6 @@ class Form:
             return self
         return Form(self.degree,
                     tuple(Fraction(c) for c in canonical_coords(self.coeffs)), self.nvars)
-
-
-def linear_product(u: Sequence, v: Sequence) -> Form:
-    """The quadratic form (u . z)(v . z) from two linear forms on P^3."""
-    u = [Fraction(x) for x in u]
-    v = [Fraction(x) for x in v]
-    coeffs = []
-    for exp in monomials(2, len(u)):
-        idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        i, j = idx
-        coeffs.append(u[i] * v[i] if i == j else u[i] * v[j] + u[j] * v[i])
-    return Form(2, tuple(coeffs), len(u))
 
 
 def quad_from_sym(sym: Sequence[Sequence]) -> Form:

@@ -18,14 +18,16 @@ configuration, which is what makes these usable for camera-center loci.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
 from . import linalg
 from .errors import DegenerateInput, InvalidInput
-from .forms import Form
+from .forms import Form, fit_form
 from .projective import (Configuration, ProjectivePoint, bracket,
                          normalizing_transform)
 
@@ -149,10 +151,25 @@ def _bracket_product(p: Configuration, triples, one_based: bool = True) -> Fract
     return total
 
 
+def _cofactors(x: Configuration, triple) -> tuple[int, ...]:
+    """The integer vector c with c . a = [x_i x_j x_k a] for every a.
+
+    c_m is the signed 3 x 3 minor of the rows x_i, x_j, x_k with column m
+    deleted (Laplace expansion of the 4 x 4 bracket along its last row).
+    """
+    p, q, r = (x[i - 1].coords for i in triple)
+    out = []
+    for m in range(4):
+        (a, b, c), (d, e, f), (g, h, i) = ([v for k, v in enumerate(row) if k != m]
+                                           for row in (p, q, r))
+        minor = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        out.append(minor if m % 2 else -minor)
+    return tuple(out)
+
+
 def _lifted_bracket(x: Configuration, a, triple) -> Fraction:
-    rows = [x[i - 1].coords for i in triple]
-    rows.append(a.coords if isinstance(a, ProjectivePoint) else tuple(a))
-    return linalg.det(rows)
+    coords = a.coords if isinstance(a, ProjectivePoint) else a
+    return Fraction(sum(c * v for c, v in zip(_cofactors(x, triple), coords)))
 
 
 def _lifted_product(x: Configuration, a, triples) -> Fraction:
@@ -218,16 +235,18 @@ def lifted_quadrics(x: Configuration) -> tuple[list[Form], Form]:
     points; five quadrics through six general points admit exactly one
     linear relation, which is what the quadric-pair construction extracts.
 
-    Coefficients are extracted by evaluating at the fixed lattice nodes and
-    solving the interpolation system exactly.
+    Every lifted bracket [x_i x_j x_k z] is the linear form with the integer
+    cofactor vector of (x_i, x_j, x_k), so q_0..q_4 are products of two
+    linear forms and q_5 is the difference of two products of four.
     """
     if x.n != 6 or x.ambient_dim != 3:
         raise InvalidInput("lifted_quadrics needs six points in P^3")
-    quads = [Form.from_values(lambda z, t=t: _lifted_product(x, z, t), 2)
-             for t in T6_TRIPLES]
-    quartic = Form.from_values(
-        lambda z: _lifted_product(x, z, T5_PLUS) - _lifted_product(x, z, T5_MINUS), 4)
-    return quads, quartic
+
+    def product(triples) -> Form:
+        return reduce(operator.mul, (Form(1, _cofactors(x, t)) for t in triples))
+
+    quads = [product(t) for t in T6_TRIPLES]
+    return quads, product(T5_PLUS) - product(T5_MINUS)
 
 
 def fano(p: Configuration, perm: Sequence[int]) -> Fraction:
@@ -257,22 +276,14 @@ def fano15(p: Configuration) -> InvariantVector:
     return InvariantVector("N7", tuple(fano(p, perm) for perm in EVEN_FANO_PERMS))
 
 
-def _fano_lifted_one(x: Configuration, a, perm) -> Fraction:
-    total = Fraction(1)
-    for line in FANO_LINES:
-        total *= _lifted_bracket(x, a, tuple(perm[i - 1] for i in line))
-        if total == 0:
-            return Fraction(0)
-    return total
-
-
 def fano15_lifted(x: Configuration, a) -> InvariantVector:
     """The even Fano values with [ijk] -> [x_i x_j x_k a], for seven points
     in P^3; proportional to ``fano15(project(X, a))`` for admissible a."""
     if x.n != 7 or x.ambient_dim != 3:
         raise InvalidInput("fano15_lifted needs seven points in P^3")
     return InvariantVector("N7", tuple(
-        _fano_lifted_one(x, a, perm) for perm in EVEN_FANO_PERMS))
+        _lifted_product(x, a, [tuple(perm[i - 1] for i in line) for line in FANO_LINES])
+        for perm in EVEN_FANO_PERMS))
 
 
 def fano_sum_odd(p: Configuration) -> Fraction:
@@ -328,7 +339,7 @@ def weddle_quartic(z: Configuration) -> WeddleQuartic:
                 for i in range(4)]
         return linalg.det(rows)
 
-    framed = Form.from_values(framed_value, 4)
+    framed = Form(4, fit_form(framed_value, 4))
     form = framed.compose_linear(t).primitive()
     if form.is_zero():
         raise DegenerateInput("six points do not determine a Weddle quartic")

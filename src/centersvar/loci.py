@@ -30,7 +30,7 @@ from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InadmissibleCenter, Inconsistent, InvalidInput,
                      NoRationalImage)
 from .forms import (BinaryForm, Form, binary_gcd, binary_divide_exact,
-                    binary_linear_root, linear_product, linear_root,
+                    binary_linear_root, linear_root,
                     monomials, mono_eval, quad_from_sym, sym_from_quad)
 from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
@@ -199,11 +199,9 @@ def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> Tw
         mi = [Fraction(0)] * 4
         mi[i] = Fraction(alpha[i]) * alpha[p]
         mi[p] = -Fraction(alpha[i]) * alpha[p]
-        lin_l[i], lin_m[i] = li, mi
-    quadrics_std = []
-    for i, j in combinations(rest, 2):
-        q = linear_product(lin_l[i], lin_m[j]) - linear_product(lin_l[j], lin_m[i])
-        quadrics_std.append(q)
+        lin_l[i], lin_m[i] = Form(1, tuple(li)), Form(1, tuple(mi))
+    quadrics_std = [lin_l[i] * lin_m[j] - lin_l[j] * lin_m[i]
+                    for i, j in combinations(rest, 2)]
     quadrics = tuple(q.compose_linear(v).primitive() for q in quadrics_std)
     for yi in y.points:
         if any(q(yi.coords) != 0 for q in quadrics):
@@ -402,11 +400,19 @@ def _subset_scores(x: Configuration, y: Configuration, a: ProjectivePoint) -> li
     return scores
 
 
+def _cubic(cubics: dict[int, TwistedCubic], x: Configuration, y: Configuration,
+           a: ProjectivePoint, k: int) -> TwistedCubic:
+    """The leave-k-out cubic, built on first use and kept in ``cubics``."""
+    if k not in cubics:
+        cubics[k] = cubic_locus_n5(x.drop(k), y.drop(k), a)
+    return cubics[k]
+
+
 def _map_attempt(x: Configuration, y: Configuration, a: ProjectivePoint,
-                 k: int, l: int) -> ProjectivePoint:
-    t_k = cubic_locus_n5(x.drop(k), y.drop(k), a)
+                 k: int, l: int, cubics: dict[int, TwistedCubic]) -> ProjectivePoint:
+    t_k = _cubic(cubics, x, y, a, k)
     param = cubic_param_n5(t_k)
-    t_l = cubic_locus_n5(x.drop(l), y.drop(l), a)
+    t_l = _cubic(cubics, x, y, a, l)
     sextics = [restrict_to_param(q, param) for q in t_l.quadrics]
     if all(s.is_zero() for s in sextics):
         raise DegenerateCurve("the two leave-one-out cubics coincide")
@@ -434,7 +440,8 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
     gcd -- after deflating the four shared base points -- leaves the single
     residual intersection point b. The result is verified on the companion
     quadric, on all six cubics, and against the full weighted proportionality
-    of the lifted six-point invariants.
+    of the lifted six-point invariants. Each leave-one-out cubic is built at
+    most once per call.
     """
     if a in x.points:
         raise InadmissibleCenter(
@@ -448,16 +455,17 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
     preferred = [(order[0], order[1])] if len(order) >= 2 else []
     fallback = [(k, l) for k, l in permutations(range(6), 2)]
     failure: Exception | None = None
+    cubics: dict[int, TwistedCubic] = {}
     for k, l in preferred + fallback:
         if (k, l) in tried:
             continue
         tried.append((k, l))
         try:
-            b = _map_attempt(x, y, a, k, l)
+            b = _map_attempt(x, y, a, k, l, cubics)
         except (DegenerateInput, DegenerateCurve, NoRationalImage, InadmissibleCenter) as exc:
             failure = exc
             continue
-        _verify_matched_pair(x, y, a, b, s_alpha)
+        _verify_matched_pair(x, y, a, b, s_alpha, cubics)
         return b
     if isinstance(failure, NoRationalImage):
         raise failure
@@ -466,12 +474,12 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
 
 
 def _verify_matched_pair(x: Configuration, y: Configuration, a: ProjectivePoint,
-                         b: ProjectivePoint, s_alpha: QuadricSurface) -> None:
+                         b: ProjectivePoint, s_alpha: QuadricSurface,
+                         cubics: dict[int, TwistedCubic]) -> None:
     if s_alpha(b) != 0:
         raise Inconsistent("matched center is not on the companion quadric")
     for m in range(6):
-        cubic = cubic_locus_n5(x.drop(m), y.drop(m), a)
-        if not cubic.contains(b):
+        if not _cubic(cubics, x, y, a, m).contains(b):
             raise Inconsistent("matched center misses one of the six cubics")
     if not t6_lifted(x, a).proportional(t6_lifted(y, b)):
         raise Inconsistent("lifted invariants of the matched pair disagree")

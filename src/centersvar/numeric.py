@@ -22,14 +22,35 @@ import numpy as np
 
 from . import linalg
 from .errors import Inconsistent, NotFinite
-from .forms import Form, monomials, sym_from_quad
+from .forms import Form, monomial_index, monomials, sym_from_quad
 from .projective import ProjectivePoint
 
 _RANK_RTOL = 1e-8
 
 
+def _pow2_exponent(form: Form) -> int:
+    """An e with the largest |coefficient| * 2**-e between 1/2 and 2."""
+    return max((c.numerator.bit_length() - c.denominator.bit_length()
+                for c in form.coeffs if c != 0), default=0)
+
+
+def _scaled_float(c: Fraction, e: int) -> float:
+    """float(c * 2**-e), without forming float(c), which may overflow."""
+    if e >= 0:
+        return c.numerator / (c.denominator << e)
+    return (c.numerator << -e) / c.denominator
+
+
 def form_floats(form: Form) -> np.ndarray:
-    return np.array([float(c) for c in form.coeffs], dtype=float)
+    """Coefficients scaled by the exact power of two 2**-_pow2_exponent(form)."""
+    e = _pow2_exponent(form)
+    return np.array([_scaled_float(c, e) for c in form.coeffs], dtype=float)
+
+
+def sym_floats(form: Form) -> np.ndarray:
+    """Symmetric matrix of a quadric, scaled by the same power of two as form_floats."""
+    e = _pow2_exponent(form)
+    return np.array([[_scaled_float(c, e) for c in row] for row in sym_from_quad(form)])
 
 
 @dataclass(frozen=True)
@@ -73,15 +94,11 @@ def projective_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)))
 
 
-def _mono_index(degree: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(monomials(degree))}
-
-
 def _multiplication_rows(coeff_rows: np.ndarray, target_degree: int) -> np.ndarray:
     """Products (quadric x monomial of degree target-2) in the degree basis."""
     monos2 = monomials(2)
     mult = monomials(target_degree - 2)
-    index = _mono_index(target_degree)
+    index = monomial_index(target_degree)
     out = np.zeros((len(coeff_rows) * len(mult), len(index)))
     r = 0
     for row in coeff_rows:
@@ -150,8 +167,8 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     if corank5 == 0:
         return []
 
-    index4 = _mono_index(4)
-    index5 = _mono_index(5)
+    index4 = monomial_index(4)
+    index5 = monomial_index(5)
     picks = []
     for k in range(4):
         rows = np.zeros((len(index4), len(index5)))
@@ -171,8 +188,7 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     _, vecs = np.linalg.eig(b)
 
     idx_pow = [index4[tuple(4 if i == j else 0 for i in range(4))] for j in range(4)]
-    syms = [np.array([[float(x) for x in row] for row in sym_from_quad(f)])
-            / scales[i] for i, f in enumerate(forms)]
+    syms = [sym_floats(f) / scales[i] for i, f in enumerate(forms)]
 
     candidates = []
     for col in range(vecs.shape[1]):
@@ -212,8 +228,10 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray,
 
     The largest coordinate is frozen to 1 and a well-conditioned triple of
     forms drives a square Newton iteration over Fractions; each step roughly
-    squares the number of correct digits. Returns affine coordinates (the
-    frozen one included) or None for non-real input.
+    squares the number of correct digits. The float pivot choice works on
+    forms scaled by exact powers of two, so large coefficients cannot
+    overflow. Returns affine coordinates (the frozen one included) or None
+    for non-real input.
     """
     p = np.asarray(point, dtype=complex)
     if np.max(np.abs(p.imag)) > 1e-6 * np.max(np.abs(p)):
@@ -223,7 +241,7 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray,
     unknowns = [k for k in range(4) if k != j]
 
     syms_exact = [sym_from_quad(f) for f in forms]
-    syms_float = [np.array([[float(x) for x in row] for row in s]) for s in syms_exact]
+    syms_float = [sym_floats(f) for f in forms]
     best, best_det = None, 0.0
     jac_rows = [2.0 * (s @ real) for s in syms_float]
     for combo in combinations(range(len(forms)), 3):
@@ -251,19 +269,24 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray,
 
 
 def certify_rational(forms: Sequence[Form], point: "NumericPoint",
-                     max_denominator: int = 10 ** 12) -> ProjectivePoint | None:
+                     max_denominator: int = 10 ** 30) -> ProjectivePoint | None:
     """Try to recognize a numeric zero as an exact rational point.
 
     Denominator-bounded reconstruction of the polished coordinates followed
     by exact substitution into every form; only a point that satisfies all
-    of them exactly is returned.
+    of them exactly is returned. The bounds climb by factors of 10^4, so
+    that some bound is both at least the true denominator q and small enough
+    that the polishing error cannot favour another fraction (error below
+    about 1 / (q * bound)); the default last bound, 10^30, is half of the 60
+    digits exact_newton_polish keeps.
     """
     if not point.is_real:
         return None
     polished = exact_newton_polish(forms, point.array())
     if polished is None:
         return None
-    for bound in (10 ** 4, 10 ** 8, max_denominator):
+    bounds = [10 ** k for k in range(4, 30, 4) if 10 ** k < max_denominator]
+    for bound in bounds + [max_denominator]:
         snapped = [c.limit_denominator(bound) for c in polished]
         if all(x == 0 for x in snapped):
             continue

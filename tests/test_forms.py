@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from centersvar import linalg
 from centersvar.errors import InvalidInput
 from centersvar.forms import (BinaryForm, Form, binary_divide_exact,
-                              binary_gcd, binary_linear_root, linear_product,
+                              binary_gcd, binary_linear_root, fit_form,
                               linear_root, monomials, quad_from_sym,
                               sym_from_quad)
 
@@ -23,26 +24,40 @@ class TestQuaternaryForms:
         rng = random.Random(1)
         for degree in (2, 4):
             f = rand_form(rng, degree)
-            g = Form.from_values(lambda node: f(node), degree)
-            assert g.coeffs == f.coeffs
+            assert fit_form(f, degree) == f.coeffs
 
     def test_compose_linear(self):
         rng = random.Random(2)
-        f = rand_form(rng, 2)
-        m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
-        g = f.compose_linear(m)
-        for _ in range(10):
-            z = [rng.randint(-7, 7) for _ in range(4)]
-            mz = [sum(m[i][j] * z[j] for j in range(4)) for i in range(4)]
-            assert g(z) == f(mz)
+        for degree in (2, 4):
+            f = rand_form(rng, degree)
+            m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
+            g = f.compose_linear(m)
+            assert g.coeffs == fit_form(lambda z: f(linalg.mat_vec(m, z)), degree)
+            for _ in range(10):
+                z = [rng.randint(-7, 7) for _ in range(4)]
+                mz = [sum(m[i][j] * z[j] for j in range(4)) for i in range(4)]
+                assert g(z) == f(mz)
 
     def test_linear_product(self):
         u, v = [1, 2, 3, 4], [5, -1, 0, 2]
-        f = linear_product(u, v)
+        f = Form(1, tuple(u)) * Form(1, tuple(v))
+        assert f.degree == 2
         for z in [(1, 0, 0, 0), (1, 1, 1, 1), (2, -3, 5, 7)]:
             uz = sum(a * b for a, b in zip(u, z))
             vz = sum(a * b for a, b in zip(v, z))
             assert f(z) == uz * vz
+
+    def test_product_matches_pointwise_evaluation(self):
+        rng = random.Random(4)
+        for da, db in [(1, 1), (1, 3), (2, 2), (0, 2)]:
+            f, g = rand_form(rng, da), rand_form(rng, db)
+            h = f * g
+            assert h.degree == da + db
+            for _ in range(10):
+                z = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+                assert h(z) == f(z) * g(z)
+        with pytest.raises(InvalidInput):
+            Form(1, (1, 0, 0), 3) * Form(1, (1, 0, 0, 0))
 
     def test_sym_round_trip(self):
         rng = random.Random(3)

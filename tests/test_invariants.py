@@ -6,7 +6,9 @@ import pytest
 
 from centersvar import linalg
 from centersvar.errors import DegenerateInput
+from centersvar.forms import fit_form
 from centersvar.invariants import (EVEN_FANO_PERMS, ODD_FANO_PERMS,
+                                   T5_MINUS, T5_PLUS, T6_TRIPLES,
                                    InvariantVector, fano, fano15,
                                    fano15_lifted, fano_sum_odd, g5, g5_lifted,
                                    igusa_F, lifted_quadrics, morley, t6,
@@ -130,10 +132,30 @@ class TestLiftedQuadrics:
         assert lifted.proportional(projected)
 
     def test_symbolic_matches_evaluation(self):
-        z = (3, 1, -2, 9)
-        v = t6_lifted(self.x, pp(*z))
-        assert tuple(q(z) for q in self.quads) == v.values[:5]
-        assert self.quartic(z) == v.values[5]
+        rng = random.Random(42)
+        for z in [(3, 1, -2, 9)] + [tuple(rng.randint(-99, 99) or 1 for _ in range(4))
+                                     for _ in range(5)]:
+            v = t6_lifted(self.x, z)
+            assert tuple(q(z) for q in self.quads) == v.values[:5]
+            assert self.quartic(z) == v.values[5]
+
+    @pytest.mark.parametrize("bound", [9, 1000])
+    def test_forms_match_interpolation(self, bound):
+        # reference: interpolate the lifted products, each bracket a 4 x 4 det
+        def lifted(x, z, triples):
+            out = Fraction(1)
+            for t in triples:
+                out *= linalg.det([x[i - 1].coords for i in t] + [list(z)])
+            return out
+
+        rng = random.Random(bound)
+        for _ in range(3):
+            x = rand_config(rng, 6, dim=3, bound=bound)
+            quads, quartic = lifted_quadrics(x)
+            for q, t in zip(quads, T6_TRIPLES):
+                assert q.coeffs == fit_form(lambda z: lifted(x, z, t), 2)
+            assert quartic.coeffs == fit_form(
+                lambda z: lifted(x, z, T5_PLUS) - lifted(x, z, T5_MINUS), 4)
 
 
 class TestFano:

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import centersvar
 from centersvar import io as cio
 from centersvar.cli import decide_equivalence, main
 from centersvar.errors import Inconclusive
@@ -203,10 +205,12 @@ class TestCentersCommand:
         xfile = tmp_path / "x.json"
         write_config(xfile, STD5)
         out = tmp_path / "r.json"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(centersvar.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "centersvar.cli", "centers", "-i", str(xfile),
              "-j", str(xfile), "--center", "43,-50,6,-5", "-o", str(out)],
-            capture_output=True, text=True, env={"CENTERSVAR_SEED": "7", "PATH": "/usr/bin:/bin"})
+            capture_output=True, text=True,
+            env={"CENTERSVAR_SEED": "7", "PATH": "/usr/bin:/bin", "PYTHONPATH": src})
         assert proc.returncode == 0
         assert json.loads(out.read_text())["config"]["seed"] == 7
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from centersvar.datagen import generate_reconstruction
-from centersvar.errors import InadmissibleCenter, NoRationalImage
+from centersvar.errors import (DegenerateCurve, DegenerateInput,
+                               InadmissibleCenter, NoRationalImage)
 from centersvar.invariants import t6_lifted
 from centersvar.loci import (map_a_to_b_n6, map_b_to_a_n6, quadric_pair_n6,
                              sample_surface_point)
@@ -25,7 +26,6 @@ class TestQuadricPair:
     def test_equal_configurations_degenerate(self):
         # for X = Y the two relations coincide and the weighted combination
         # vanishes identically: the diagonal (a, a) is unconstrained
-        from centersvar.errors import DegenerateInput
         rng = random.Random(2)
         x = rand_config(rng, 6)
         with pytest.raises(DegenerateInput):
@@ -115,13 +115,15 @@ class TestCenterMap:
         from centersvar.loci import _map_attempt
         b_ref = map_a_to_b_n6(rec.x, rec.y, rec.a_true)
         found = 0
+        cubics = {}
         for k in range(6):
             for l in range(6):
                 if k == l:
                     continue
                 try:
-                    b = _map_attempt(rec.x, rec.y, rec.a_true, k, l)
-                except Exception:
+                    b = _map_attempt(rec.x, rec.y, rec.a_true, k, l, cubics)
+                except (DegenerateInput, DegenerateCurve, NoRationalImage,
+                        InadmissibleCenter):
                     continue
                 assert b == b_ref
                 found += 1

@@ -1,13 +1,15 @@
 import random
+import warnings
 
 import numpy as np
+import pytest
 
 from centersvar.datagen import generate_reconstruction
 from centersvar.loci import (candidates_n7, centers_n_ge8, fano15_complex,
                              pair_candidates_n7, quadric_net,
                              weddle_curve_point)
 from centersvar.numeric import projective_distance
-from centersvar.projective import Configuration
+from centersvar.projective import Configuration, pp
 
 
 def rand_config(rng, n):
@@ -16,6 +18,38 @@ def rand_config(rng, n):
 
 def floats(point):
     return np.array([float(c) for c in point.coords])
+
+
+@pytest.mark.parametrize("bound", [10 ** 3, 10 ** 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_certifies_true_centers_at_large_coordinates(seed, bound):
+    # the true centers have 48-68-bit coordinates here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = generate_reconstruction(7, seed=seed, coord_bound=bound)
+        cand = candidates_n7(rec.x, rec.y)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert rec.a_true in [p.exact for p in cand.a_candidates]
+    assert rec.b_true in [p.exact for p in cand.b_candidates]
+
+
+def test_certifies_at_an_intermediate_denominator_bound():
+    # 48-bit centers; the polished b is accurate to about 1e-44 only, so the
+    # denominator bound 10^12 is below its denominator and 10^30 lets another
+    # fraction come closer: only an intermediate bound certifies it
+    x = Configuration([(209035, 278236, 705499, 252497), (31900, -1474531, 445591, -13997),
+                       (170593, 385248, 486417, 259722), (2088532, 1746179, -1161849, 142003),
+                       (858865, -354049, -2015373, -447710), (356581, 212695, -536972, -185098),
+                       (470749, 819329, 803696, 634183)])
+    y = Configuration([(149346, 62642, 88903, 286672), (839231, -486223, -509422, 347962),
+                       (424399, 341682, 188489, 128276), (1697669, -1161600, -1578189, 877409),
+                       (109347, -1737134, -1560763, 771982), (223533, 1695048, 1156594, -998491),
+                       (1329338, 1057262, 483628, 250593)])
+    a = pp(132204235157746, 103823749478173, 172483532955506, 40798132632662)
+    b = pp(39269765319732, 223054029881585, 128746690443929, -190778232898101)
+    cand = candidates_n7(x, y)
+    assert a in [p.exact for p in cand.a_candidates]
+    assert b in [p.exact for p in cand.b_candidates]
 
 
 class TestCandidates:
