@@ -48,7 +48,7 @@ class DegenerateCurve(ToolkitError):
 
 
 class NoRationalImage(ToolkitError):
-    """The six-cubic intersection has no rational residual point."""
+    """A first center has no unique rational matched center."""
 
     code = "NoRationalImage"
     exit_code = 2

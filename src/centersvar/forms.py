@@ -255,26 +255,23 @@ class BinaryForm:
         return lo, hi, core
 
 
-def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
+def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
     num = list(num)
-    out = [Fraction(0)] * max(0, len(num) - len(den) + 1)
     lead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
         q = num[k + len(den) - 1] / lead
-        out[k] = q
         if q != 0:
             for j, d in enumerate(den):
                 num[k + j] -= q * d
     rem = num[: len(den) - 1] or [Fraction(0)]
     while len(rem) > 1 and rem[-1] == 0:
         rem.pop()
-    return out or [Fraction(0)], rem
+    return rem
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while any(c != 0 for c in b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
+        a, b = b, _poly_rem(a, b)
     lead = a[-1]
     return [c / lead for c in a] if lead != 0 else a
 
@@ -293,24 +290,6 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
         core_gcd = core if core_gcd is None else _poly_gcd(core_gcd, core)
     assert core_gcd is not None and lo is not None and hi is not None
     return BinaryForm([Fraction(0)] * lo + core_gcd + [Fraction(0)] * hi)
-
-
-def binary_divide_exact(num: BinaryForm, den: BinaryForm) -> BinaryForm:
-    """Exact quotient num / den; raises if the division leaves a remainder."""
-    nlo, nhi, ncore = num._split()
-    dlo, dhi, dcore = den._split()
-    if dlo > nlo or dhi > nhi:
-        raise InvalidInput("binary form division is not exact")
-    q, r = _poly_divmod(ncore, dcore)
-    if any(c != 0 for c in r):
-        raise InvalidInput("binary form division is not exact")
-    out = [Fraction(0)] * (nlo - dlo) + q + [Fraction(0)] * (nhi - dhi)
-    return BinaryForm(out)
-
-
-def binary_linear_root(t0, t1) -> BinaryForm:
-    """The linear form t_1 T_0 - t_0 T_1, vanishing exactly at (t_0 : t_1)."""
-    return BinaryForm([-Fraction(t0), Fraction(t1)])
 
 
 def linear_root(f: BinaryForm) -> tuple[Fraction, Fraction]:

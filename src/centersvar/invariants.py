@@ -18,10 +18,8 @@ configuration, which is what makes these usable for camera-center loci.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -227,26 +225,20 @@ def t6_lifted(x: Configuration, z) -> InvariantVector:
     return InvariantVector("N6", head + (t5,))
 
 
-def lifted_quadrics(x: Configuration) -> tuple[list[Form], Form]:
-    """Symbolic lifted forms of t6 on six points of P^3.
+def lifted_quadrics(x: Configuration) -> list[Form]:
+    """Symbolic lifted forms of the five quadratic t6 generators on six
+    points of P^3, in the graded lex coefficient convention.
 
-    Returns (five quadratic forms q_0..q_4, one quartic form q_5) in the
-    graded lex coefficient convention. Each quadric vanishes on all six
-    points; five quadrics through six general points admit exactly one
-    linear relation, which is what the quadric-pair construction extracts.
-
-    Every lifted bracket [x_i x_j x_k z] is the linear form with the integer
-    cofactor vector of (x_i, x_j, x_k), so q_0..q_4 are products of two
-    linear forms and q_5 is the difference of two products of four.
+    Each quadric vanishes on all six points; five quadrics through six
+    general points admit exactly one linear relation, which is what the
+    quadric-pair construction extracts. Every lifted bracket
+    [x_i x_j x_k z] is the linear form with the integer cofactor vector of
+    (x_i, x_j, x_k), so each quadric is a product of two linear forms. The
+    quartic t_5 is evaluated pointwise by ``t6_lifted``.
     """
     if x.n != 6 or x.ambient_dim != 3:
         raise InvalidInput("lifted_quadrics needs six points in P^3")
-
-    def product(triples) -> Form:
-        return reduce(operator.mul, (Form(1, _cofactors(x, t)) for t in triples))
-
-    quads = [product(t) for t in T6_TRIPLES]
-    return quads, product(T5_PLUS) - product(T5_MINUS)
+    return [Form(1, _cofactors(x, s)) * Form(1, _cofactors(x, t)) for s, t in T6_TRIPLES]
 
 
 def fano(p: Configuration, perm: Sequence[int]) -> Fraction:

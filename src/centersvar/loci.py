@@ -7,9 +7,11 @@ projectively equivalent images is
 * a fibration by twisted cubics for n = 5 (fixing a, the b-locus is the
   unique twisted cubic through the five world points and a),
 * a surface for n = 6: each center is confined to a quadric and the two
-  quadrics are in exact birational correspondence,
+  quadrics are in exact birational correspondence; b is the center of the
+  camera that linear resection finds from the correspondences
+  y_i -> project(x_i, a),
 * three isolated pairs for n = 7,
-* generically empty for n >= 8.
+* generically empty for n >= 8 (a pair must hold for all n points).
 
 Everything through n = 6 is exact over the rationals; n = 7 uses the numeric
 quadric-system kernel with exact certification of rational candidates.
@@ -29,9 +31,8 @@ from . import linalg
 from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InadmissibleCenter, Inconsistent, InvalidInput,
                      NoRationalImage)
-from .forms import (BinaryForm, Form, binary_gcd, binary_divide_exact,
-                    binary_linear_root, linear_root,
-                    monomials, mono_eval, quad_from_sym, sym_from_quad)
+from .forms import (BinaryForm, Form, binary_gcd, linear_root, monomials,
+                    mono_eval, quad_from_sym, sym_from_quad)
 from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
@@ -346,8 +347,8 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[QuadricSurface,
     """
     if x.n != 6 or y.n != 6 or x.ambient_dim != 3 or y.ambient_dim != 3:
         raise InvalidInput("quadric_pair_n6 needs six points in P^3 on both sides")
-    qx, _ = lifted_quadrics(x)
-    qy, _ = lifted_quadrics(y)
+    qx = lifted_quadrics(x)
+    qy = lifted_quadrics(y)
     relations = {}
     for tag, quads in (("x", qx), ("y", qy)):
         mat = [[quads[i].coeffs[r] for i in range(5)] for r in range(10)]
@@ -380,109 +381,58 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[QuadricSurface,
     return QuadricSurface.from_form(s_beta), QuadricSurface.from_form(s_alpha)
 
 
-def _subset_scores(x: Configuration, y: Configuration, a: ProjectivePoint) -> list[tuple[float, int]]:
-    """Float genericity score per leave-one-out index, larger is better."""
-    scores = []
-    for k in range(6):
-        xs, ys = x.drop(k), y.drop(k)
-        if not center_admissible(xs, a, 5, "Moduli"):
-            scores.append((0.0, k))
-            continue
-        worst = float("inf")
-        for cfg in (xs, ys):
-            rows = np.array([p.coords for p in cfg.points], dtype=float)
-            rows /= np.linalg.norm(rows, axis=1)[:, None]
-            for combo in combinations(range(5), 4):
-                d = abs(np.linalg.det(rows[list(combo)]))
-                worst = min(worst, d)
-        scores.append((worst, k))
-    scores.sort(key=lambda s: (-s[0], s[1]))
-    return scores
+def _resect(y: Configuration, q: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
+    """The camera P with P y_i proportional to q_i for every i (linear DLT).
 
-
-def _cubic(cubics: dict[int, TwistedCubic], x: Configuration, y: Configuration,
-           a: ProjectivePoint, k: int) -> TwistedCubic:
-    """The leave-k-out cubic, built on first use and kept in ``cubics``."""
-    if k not in cubics:
-        cubics[k] = cubic_locus_n5(x.drop(k), y.drop(k), a)
-    return cubics[k]
-
-
-def _map_attempt(x: Configuration, y: Configuration, a: ProjectivePoint,
-                 k: int, l: int, cubics: dict[int, TwistedCubic]) -> ProjectivePoint:
-    t_k = _cubic(cubics, x, y, a, k)
-    param = cubic_param_n5(t_k)
-    t_l = _cubic(cubics, x, y, a, l)
-    sextics = [restrict_to_param(q, param) for q in t_l.quadrics]
-    if all(s.is_zero() for s in sextics):
-        raise DegenerateCurve("the two leave-one-out cubics coincide")
-    g = binary_gcd([s for s in sextics if not s.is_zero()])
-    for j in range(6):
-        if j in (k, l):
-            continue
-        tj = param_of_point(param, y[j])
-        g = binary_divide_exact(g, binary_linear_root(*tj))
-    if g.degree != 1:
-        raise NoRationalImage(f"residual factor has degree {g.degree}, expected 1")
-    t_b = linear_root(g)
-    coords = [p(*t_b) for p in param]
-    if all(c == 0 for c in coords):
-        raise NoRationalImage("residual parameter does not give a point")
-    return ProjectivePoint(coords)
+    Each correspondence gives the three rows of the cross product
+    (P y_i) x q_i = 0 in the twelve entries of P. Raises NoRationalImage
+    unless the solution is a single camera of rank 3.
+    """
+    rows = []
+    for yi, qi in zip(y.points, q):
+        for r, s in ((1, 2), (2, 0), (0, 1)):
+            row = [0] * 12
+            for c in range(4):
+                row[4 * r + c] = qi[s] * yi[c]
+                row[4 * s + c] = -qi[r] * yi[c]
+            rows.append(row)
+    kernel = linalg.kernel_basis(rows)
+    if len(kernel) != 1:
+        raise NoRationalImage(f"the resection has a {len(kernel)}-dimensional solution space")
+    camera = [kernel[0][4 * r: 4 * r + 4] for r in range(3)]
+    if linalg.rank(camera) != 3:
+        raise NoRationalImage("the resected camera has rank below 3")
+    return camera
 
 
 def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
                   pair: tuple[QuadricSurface, QuadricSurface] | None = None) -> ProjectivePoint:
     """The unique second center matching a first center on its quadric.
 
-    Two leave-one-out twisted cubics are intersected exactly: one is
-    parametrized, the other's quadrics restrict to binary sextics, and their
-    gcd -- after deflating the four shared base points -- leaves the single
-    residual intersection point b. The result is verified on the companion
-    quadric, on all six cubics, and against the full weighted proportionality
-    of the lifted six-point invariants. Each leave-one-out cubic is built at
-    most once per call.
+    The images are projectively equivalent exactly when some camera P sends
+    every y_i to a multiple of q_i = project(x_i, a); P is found by exact
+    linear resection and b is its center. The result is verified point by
+    point, on the companion quadric, and against the full weighted
+    proportionality of the lifted six-point invariants.
     """
     if a in x.points:
-        raise InadmissibleCenter(
-            "the six cubics only meet in the limit for a center at a world point")
+        raise InadmissibleCenter("the center map is undefined at a world point")
     s_beta, s_alpha = pair if pair is not None else quadric_pair_n6(x, y)
     if s_beta(a) != 0:
         raise NoRationalImage("center is not exactly on its quadric surface")
-    scores = _subset_scores(x, y, a)
-    order = [k for s, k in scores if s > 0.0]
-    tried: list[tuple[int, int]] = []
-    preferred = [(order[0], order[1])] if len(order) >= 2 else []
-    fallback = [(k, l) for k, l in permutations(range(6), 2)]
-    failure: Exception | None = None
-    cubics: dict[int, TwistedCubic] = {}
-    for k, l in preferred + fallback:
-        if (k, l) in tried:
-            continue
-        tried.append((k, l))
-        try:
-            b = _map_attempt(x, y, a, k, l, cubics)
-        except (DegenerateInput, DegenerateCurve, NoRationalImage, InadmissibleCenter) as exc:
-            failure = exc
-            continue
-        _verify_matched_pair(x, y, a, b, s_alpha, cubics)
-        return b
-    if isinstance(failure, NoRationalImage):
-        raise failure
-    raise NoRationalImage("all leave-one-out cubic pairs failed",
-                          last_error=str(failure))
-
-
-def _verify_matched_pair(x: Configuration, y: Configuration, a: ProjectivePoint,
-                         b: ProjectivePoint, s_alpha: QuadricSurface,
-                         cubics: dict[int, TwistedCubic]) -> None:
+    q = [project(xi, a) for xi in x]
+    camera = _resect(y, q)
+    b = ProjectivePoint(linalg.kernel_basis(camera)[0])
+    if b in y.points:
+        raise NoRationalImage("the matched center is a world point")
+    # b is not a world point, so every image P y_i is a nonzero vector
+    if any(apply_matrix(camera, yi) != qi for yi, qi in zip(y.points, q)):
+        raise Inconsistent("the resected camera misses a correspondence")
     if s_alpha(b) != 0:
         raise Inconsistent("matched center is not on the companion quadric")
-    for m in range(6):
-        if not _cubic(cubics, x, y, a, m).contains(b):
-            raise Inconsistent("matched center misses one of the six cubics")
     if not t6_lifted(x, a).proportional(t6_lifted(y, b)):
         raise Inconsistent("lifted invariants of the matched pair disagree")
+    return b
 
 
 def map_b_to_a_n6(x: Configuration, y: Configuration, b: ProjectivePoint) -> ProjectivePoint:
@@ -642,7 +592,8 @@ def centers_n_ge8(x: Configuration, y: Configuration, tol: float = 1e-9,
                   seed: int = 0, match_tol: float = 1e-7) -> EmptinessCertificate:
     """Centers-variety for n >= 8 points: intersect the three-pair sets of the
     two windows {1..7} and {2..8}. Generically the intersection is empty; a
-    pair surviving both windows is reported with both certificates."""
+    pair surviving both windows is kept only if it holds for all n points,
+    and is reported with both certificates."""
     n = x.n
     if n < 8 or y.n != n:
         raise InvalidInput("centers_n_ge8 needs at least eight points")
@@ -658,9 +609,34 @@ def centers_n_ge8(x: Configuration, y: Configuration, tol: float = 1e-9,
         for p2 in results[1]:
             da = projective_distance(p1.a.coords, p2.a.coords)
             db = projective_distance(p1.b.coords, p2.b.coords)
-            if max(da, db) < match_tol:
+            if max(da, db) < match_tol and _holds_for_all_points(x, y, p1, match_tol):
                 surviving.append((p1, p2))
     return EmptinessCertificate(tuple(results[0]), tuple(results[1]), tuple(surviving))
+
+
+def _holds_for_all_points(x: Configuration, y: Configuration, pair: MatchedPair,
+                          match_tol: float) -> bool:
+    """Whether a window pair makes the images of all n points equivalent.
+
+    Exact centers are checked exactly (projection, then homography_fit);
+    otherwise the lifted Fano vectors must match on every 7-window.
+    """
+    a, b = pair.a.exact, pair.b.exact
+    if a is not None and b is not None:
+        if a in x.points or b in y.points:
+            return False
+        try:
+            return homography_fit(Configuration([project(p, a) for p in x]),
+                                  Configuration([project(p, b) for p in y])) is not None
+        except DegenerateInput:
+            pass
+    for i in range(x.n - 6):
+        xs = Configuration(x.points[i: i + 7])
+        ys = Configuration(y.points[i: i + 7])
+        if projective_distance(fano15_complex(xs, pair.a.coords),
+                               fano15_complex(ys, pair.b.coords)) >= match_tol:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 
 from centersvar import linalg
 from centersvar.errors import InvalidInput
-from centersvar.forms import (BinaryForm, Form, binary_divide_exact,
-                              binary_gcd, binary_linear_root, fit_form,
+from centersvar.forms import (BinaryForm, Form, binary_gcd, fit_form,
                               linear_root, monomials, quad_from_sym,
                               sym_from_quad)
 
@@ -80,7 +79,7 @@ class TestBinaryForms:
             assert h(t0, t1) == f(t0, t1) * g(t0, t1)
 
     def test_gcd_with_roots_at_zero_and_infinity(self):
-        lin = binary_linear_root(2, 3)  # vanishes at (2 : 3)
+        lin = BinaryForm([-2, 3])  # 3 t0 - 2 t1, vanishing at (2 : 3)
         t0 = BinaryForm([0, 1])
         t1 = BinaryForm([1, 0])
         f = t0 * t1 * lin
@@ -89,16 +88,8 @@ class TestBinaryForms:
         assert gcd.degree == 2
         assert gcd(0, 1) == 0 and gcd(2, 3) == 0 and gcd(1, 0) != 0
 
-    def test_divide_exact(self):
-        lin = binary_linear_root(-1, 4)
-        f = BinaryForm([3, 1, -2, 5]) * lin
-        q = binary_divide_exact(f, lin)
-        assert q.coeffs == (3, 1, -2, 5)
-        with pytest.raises(InvalidInput):
-            binary_divide_exact(BinaryForm([1, 1]), BinaryForm([1, 2, 1]))
-
     def test_linear_root(self):
-        f = binary_linear_root(7, -3)
+        f = BinaryForm([-7, -3])  # -3 t0 - 7 t1, vanishing at (7 : -3)
         t = linear_root(f)
         assert f(*t) == 0
         assert linear_root(BinaryForm([5, 0])) == (1, 0)

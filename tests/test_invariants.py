@@ -8,8 +8,7 @@ from centersvar import linalg
 from centersvar.errors import DegenerateInput
 from centersvar.forms import fit_form
 from centersvar.invariants import (EVEN_FANO_PERMS, ODD_FANO_PERMS,
-                                   T5_MINUS, T5_PLUS, T6_TRIPLES,
-                                   InvariantVector, fano, fano15,
+                                   T6_TRIPLES, InvariantVector, fano, fano15,
                                    fano15_lifted, fano_sum_odd, g5, g5_lifted,
                                    igusa_F, lifted_quadrics, morley, t6,
                                    t6_lifted, weddle_quartic)
@@ -114,7 +113,7 @@ class TestLiftedQuadrics:
     def setup_method(self):
         rng = random.Random(41)
         self.x = rand_config(rng, 6, dim=3)
-        self.quads, self.quartic = lifted_quadrics(self.x)
+        self.quads = lifted_quadrics(self.x)
 
     def test_world_points_on_all_quadrics(self):
         for q in self.quads:
@@ -137,7 +136,6 @@ class TestLiftedQuadrics:
                                      for _ in range(5)]:
             v = t6_lifted(self.x, z)
             assert tuple(q(z) for q in self.quads) == v.values[:5]
-            assert self.quartic(z) == v.values[5]
 
     @pytest.mark.parametrize("bound", [9, 1000])
     def test_forms_match_interpolation(self, bound):
@@ -151,11 +149,8 @@ class TestLiftedQuadrics:
         rng = random.Random(bound)
         for _ in range(3):
             x = rand_config(rng, 6, dim=3, bound=bound)
-            quads, quartic = lifted_quadrics(x)
-            for q, t in zip(quads, T6_TRIPLES):
+            for q, t in zip(lifted_quadrics(x), T6_TRIPLES):
                 assert q.coeffs == fit_form(lambda z: lifted(x, z, t), 2)
-            assert quartic.coeffs == fit_form(
-                lambda z: lifted(x, z, T5_PLUS) - lifted(x, z, T5_MINUS), 4)
 
 
 class TestFano:

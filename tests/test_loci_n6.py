@@ -3,12 +3,12 @@ import random
 import pytest
 
 from centersvar.datagen import generate_reconstruction
-from centersvar.errors import (DegenerateCurve, DegenerateInput,
-                               InadmissibleCenter, NoRationalImage)
+from centersvar.errors import (DegenerateInput, InadmissibleCenter,
+                               NoRationalImage)
 from centersvar.invariants import t6_lifted
-from centersvar.loci import (map_a_to_b_n6, map_b_to_a_n6, quadric_pair_n6,
-                             sample_surface_point)
-from centersvar.projective import Configuration, pp
+from centersvar.loci import (cubic_locus_n5, map_a_to_b_n6, map_b_to_a_n6,
+                             quadric_pair_n6, sample_surface_point)
+from centersvar.projective import Configuration, homography_fit, pp, project
 
 
 def rand_config(rng, n):
@@ -108,23 +108,26 @@ class TestCenterMap:
                 break
         assert checked == 10
 
-    def test_fiber_is_a_single_point(self):
-        # two different leave-one-out strategies agree, so the matched center
-        # does not depend on the internal subset choice
-        rec = generate_reconstruction(6, seed=9)
-        from centersvar.loci import _map_attempt
-        b_ref = map_a_to_b_n6(rec.x, rec.y, rec.a_true)
-        found = 0
-        cubics = {}
-        for k in range(6):
-            for l in range(6):
-                if k == l:
-                    continue
+    def test_matched_center_lies_on_all_six_cubics(self):
+        # reference: the matched b is on every leave-one-out cubic, the
+        # images of all six points are equivalent, and the map inverts
+        for seed in range(6):
+            rec = generate_reconstruction(6, seed=seed)
+            pair = quadric_pair_n6(rec.x, rec.y)
+            done = 0
+            for attempt in range(20):
                 try:
-                    b = _map_attempt(rec.x, rec.y, rec.a_true, k, l, cubics)
-                except (DegenerateInput, DegenerateCurve, NoRationalImage,
-                        InadmissibleCenter):
+                    a = sample_surface_point(pair[0], rec.x[0], seed=attempt,
+                                             avoid=list(rec.x.points))
+                    b = map_a_to_b_n6(rec.x, rec.y, a, pair=pair)
+                except (NoRationalImage, InadmissibleCenter):
                     continue
-                assert b == b_ref
-                found += 1
-        assert found >= 5
+                for k in range(6):
+                    assert cubic_locus_n5(rec.x.drop(k), rec.y.drop(k), a).contains(b)
+                assert homography_fit(Configuration([project(p, a) for p in rec.x]),
+                                      Configuration([project(p, b) for p in rec.y])) is not None
+                assert map_b_to_a_n6(rec.x, rec.y, b) == a
+                done += 1
+                if done == 3:
+                    break
+            assert done == 3

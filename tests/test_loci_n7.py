@@ -1,14 +1,17 @@
+import json
 import random
 import warnings
 
 import numpy as np
 import pytest
 
+from centersvar import io as cio
+from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
-from centersvar.loci import (candidates_n7, centers_n_ge8, fano15_complex,
-                             pair_candidates_n7, quadric_net,
-                             weddle_curve_point)
-from centersvar.numeric import projective_distance
+from centersvar.loci import (MatchedPair, _holds_for_all_points, candidates_n7,
+                             centers_n_ge8, fano15_complex, pair_candidates_n7,
+                             quadric_net, weddle_curve_point)
+from centersvar.numeric import NumericPoint, projective_distance
 from centersvar.projective import Configuration, pp
 
 
@@ -154,6 +157,31 @@ class TestEightPlus:
         at = floats(rec.a_true)
         assert projective_distance(p1.a.coords, at) < 1e-7
         assert projective_distance(p2.a.coords, at) < 1e-7
+
+    def test_ninth_point_pair_is_checked(self, tmp_path):
+        # both windows see only the first eight points, which share a
+        # reconstruction; the ninth pair breaks it, so nothing may survive
+        rec = generate_reconstruction(8, seed=0)
+        x = Configuration(list(rec.x.points) + [pp(3, -7, 2, 5)])
+        y = Configuration(list(rec.y.points) + [pp(1, 4, -6, 9)])
+        files = []
+        for name, cfg in (("x.json", x), ("y.json", y)):
+            files.append(str(tmp_path / name))
+            cio.atomic_write_json(files[-1], cio.configuration_to_json(cfg))
+        out = tmp_path / "c9.json"
+        assert main(["centers", "-i", files[0], "-j", files[1], "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["variant"] == "EmptyN8"
+        assert report["surviving"] == [] and report["empty"] is True
+
+    def test_inexact_pair_is_checked_on_every_window(self):
+        rec = generate_reconstruction(8, seed=0)
+        pair = MatchedPair(NumericPoint.from_vector(floats(rec.a_true), 0.0),
+                           NumericPoint.from_vector(floats(rec.b_true), 0.0), 0.0)
+        assert _holds_for_all_points(rec.x, rec.y, pair, 1e-7)
+        x = Configuration(list(rec.x.points) + [pp(3, -7, 2, 5)])
+        y = Configuration(list(rec.y.points) + [pp(1, 4, -6, 9)])
+        assert not _holds_for_all_points(x, y, pair, 1e-7)
 
     def test_shared_seven_prefix_only_is_empty(self):
         # first seven points share a reconstruction, the eighth pair does not
