@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import combinations
@@ -362,8 +363,8 @@ def main(argv: list[str] | None = None) -> int:
             raise InvalidInput(f"{args.command} needs --center")
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()
-        if hasattr(args, "tol") and args.tol is not None and args.tol <= 0:
-            raise InvalidInput("--tol must be positive")
+        if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
+            raise InvalidInput("--tol must be a positive finite number")
         doc = args.func(args)
     except ToolkitError as exc:
         err = {"error": {"code": exc.code, "message": str(exc)}}

@@ -240,10 +240,6 @@ DEGENERATE_KINDS = (
 )
 
 
-def _random_plane_config(rng: random.Random, n: int, bound: int = 9) -> Configuration:
-    return Configuration([_random_point(rng, 2, bound) for _ in range(n)])
-
-
 def _random_space_five(rng: random.Random, bound: int = 9) -> Configuration:
     while True:
         c = Configuration([_random_point(rng, 3, bound) for _ in range(5)])

@@ -179,10 +179,6 @@ def sym_from_quad(q: Form) -> list[list[Fraction]]:
     return sym
 
 
-def span_rank(forms: Iterable[Form]) -> int:
-    return linalg.rank([f.coeffs for f in forms])
-
-
 def same_span(forms_a: Sequence[Form], forms_b: Sequence[Form]) -> bool:
     """Exact mutual containment of the two coefficient spans."""
     ra = linalg.rank([f.coeffs for f in forms_a])
@@ -237,13 +233,6 @@ class BinaryForm:
     def scaled(self, s) -> "BinaryForm":
         s = Fraction(s)
         return BinaryForm(c * s for c in self.coeffs)
-
-    def normalized(self) -> "BinaryForm":
-        """Leading (highest t_0-power) nonzero coefficient scaled to 1."""
-        lead = next((c for c in reversed(self.coeffs) if c != 0), None)
-        if lead is None:
-            return self
-        return self.scaled(Fraction(1) / lead)
 
     def _split(self) -> tuple[int, int, list[Fraction]]:
         """Factor t_0^low * t_1^high * core, core with nonzero ends."""

@@ -1,17 +1,63 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists whose entries are ``int`` or ``fractions.Fraction``;
-all routines are exact. Sizes in this package never exceed a few dozen rows,
-so plain Gaussian elimination with rational pivots is the right tool.
+all routines are exact. ``det``, ``rref``, ``rank``, ``kernel_basis``,
+``solve`` and ``inverse`` rest on one fraction-free Gauss–Jordan pass
+(Bareiss 1968, Math. Comp. 22) over integers: each row is scaled to integers
+by the lcm of its denominators, and every later entry is a minor of that
+integer matrix, so each division by the previous pivot is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Row = Sequence
 Matrix = Sequence[Row]
+
+
+def _eliminate(a: Matrix) -> tuple[list[list[int]], list[int], int, int, int]:
+    """Fraction-free Gauss–Jordan elimination of an int/Fraction matrix.
+
+    Returns (m, pivots, d, sign, scale). With S the integer matrix whose row i
+    is row i of ``a`` times its lcm of denominators, ``scale`` the product of
+    those lcms and ``sign`` the parity of the row swaps, ``m`` is d·RREF(a):
+    every pivot entry equals d, the leading principal minor of S (rows in
+    pivot order) on the pivot columns. For square, nonsingular ``a``,
+    det(a) = sign·d / scale.
+    """
+    m, scale = [], 1
+    for row in a:
+        s = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivots: list[int] = []
+    prev, sign, r = 1, 1, 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        for k in range(r, n_rows):
+            if m[k][c]:
+                break
+        else:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            sign = -sign
+        pivot_row, p = m[r], m[r][c]
+        for i in range(n_rows):
+            if i != r:
+                f = m[i][c]
+                # Exact: the result is a minor of the integer matrix (Sylvester).
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return m, pivots, prev, sign, scale
 
 
 def det(rows: Matrix) -> Fraction:
@@ -19,24 +65,8 @@ def det(rows: Matrix) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n == 1:
-        return Fraction(rows[0][0])
-    if n == 2:
-        return Fraction(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    # Laplace expansion along the first row, reusing the 3x3 fast path for n=4.
-    total = Fraction(0)
-    for j, entry in enumerate(rows[0]):
-        if entry == 0:
-            continue
-        minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
-        term = entry * det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    _, pivots, d, sign, scale = _eliminate(rows)
+    return Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
@@ -61,31 +91,12 @@ def transpose(a: Matrix) -> list[list[Fraction]]:
 
 def rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in a]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+    m, pivots, d, _, _ = _eliminate(a)
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(_eliminate(a)[1])
 
 
 def kernel_basis(a: Matrix) -> list[list[Fraction]]:
@@ -106,8 +117,7 @@ def kernel_basis(a: Matrix) -> list[list[Fraction]]:
 def solve(a: Matrix, b: Row) -> list[Fraction] | None:
     """Unique solution of A x = b for square A, or None if A is singular."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    m, pivots = rref(aug)
+    m, pivots = rref([list(row) + [b[i]] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         return None
     return [m[i][n] for i in range(n)]
@@ -116,11 +126,7 @@ def solve(a: Matrix, b: Row) -> list[Fraction] | None:
 def inverse(a: Matrix) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    m, pivots = rref(aug)
+    m, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in m]
-
-

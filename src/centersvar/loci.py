@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InadmissibleCenter, Inconsistent, InvalidInput,
-                     NoRationalImage)
+                     NoRationalImage, ToolkitError)
 from .forms import (BinaryForm, Form, binary_gcd, linear_root, monomials,
                     mono_eval, quad_from_sym, sym_from_quad)
 from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
@@ -702,7 +702,7 @@ def _sample_generic_centers(x: Configuration, y: Configuration, seed: int
         try:
             p = Configuration([project(xi, a) for xi in x])
             q = Configuration([project(yi, b) for yi in y])
-        except Exception:
+        except ToolkitError:
             continue
         if _general_position_image(p) and _general_position_image(q):
             return a, b

@@ -299,3 +299,12 @@ class TestMainEntry:
         xfile = tmp_path / "x.json"
         write_config(xfile, STD5)
         assert main(["classify", "-i", str(xfile)]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_nonpositive_tol_is_invalid(self, tmp_path, capsys, tol):
+        xfile = tmp_path / "x.json"
+        write_config(xfile, STD5)
+        code = main(["centers", "-i", str(xfile), "-j", str(xfile),
+                     "--center", "43,-50,6,-5", f"--tol={tol}"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
