@@ -363,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
             raise InvalidInput(f"{args.command} needs --center")
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()
+        if hasattr(args, "seed") and args.seed < 0:
+            raise InvalidInput("the seed (--seed or CENTERSVAR_SEED) must be non-negative")
         if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
             raise InvalidInput("--tol must be a positive finite number")
         doc = args.func(args)

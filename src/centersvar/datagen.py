@@ -26,8 +26,8 @@ from . import linalg
 from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import fano15, fano15_lifted, g5_lifted, t6_lifted
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
-                         apply_matrix, center_admissible, homography_fit,
-                         normalizing_transform, on_line, project,
+                         apply_matrix, bracket, center_admissible, collinear,
+                         homography_fit, normalizing_transform, on_line, project,
                          stability_class)
 
 
@@ -69,7 +69,7 @@ def _distinct(c: Configuration) -> bool:
 
 def _all_quadruples_independent(c: Configuration) -> bool:
     for combo in combinations(range(c.n), 4):
-        if linalg.det([c[i].coords for i in combo]) == 0:
+        if bracket([c[i] for i in combo]) == 0:
             return False
     return True
 
@@ -202,7 +202,7 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10,
         for _ in range(n):
             for _ in range(50):
                 z = ProjectivePoint(_random_point(rng, 4, coord_bound))
-                if linalg.rank([aprime.coords, bprime.coords, z.coords]) == 3:
+                if not collinear(aprime, bprime, z):
                     zs.append(z)
                     break
             else:

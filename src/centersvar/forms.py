@@ -5,17 +5,20 @@ Two small algebras used throughout the loci computations:
 * quaternary forms (homogeneous polynomials in z_0..z_3) stored as coefficient
   tuples in graded lexicographic monomial order; they are built directly from
   their linear factors (exact products and linear substitution), and only a
-  form known by its values alone is fitted by interpolation;
+  form known by its values alone is fitted by interpolation; a form is
+  evaluated in integers, with its coefficients and the point's coordinates
+  each brought to a common denominator (one Fraction per value);
 * binary forms (homogeneous polynomials in a curve parameter (t_0 : t_1))
   with exact arithmetic and gcd.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
@@ -45,12 +48,30 @@ def monomial_index(degree: int, nvars: int = 4) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials(degree, nvars))}
 
 
-def mono_eval(exp: Sequence[int], point: Sequence) -> Fraction:
-    v = Fraction(1)
-    for x, e in zip(point, exp):
+def _exact(point: Sequence) -> list:
+    """The coordinates with ints and Fractions kept as they are and anything
+    else (a float, say) converted exactly to a Fraction."""
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+
+
+def _power_product(exp: Sequence[int], coords: Sequence):
+    """prod_i coords[i] ** exp[i]: an int at int coordinates."""
+    v = 1
+    for x, e in zip(coords, exp):
         if e:
-            v *= Fraction(x) ** e
+            v *= x ** e
     return v
+
+
+def mono_eval(exp: Sequence[int], point: Sequence) -> Fraction:
+    return Fraction(_power_product(exp, _exact(point)))
+
+
+def scaled_float(c: Fraction, e: int) -> float:
+    """float(c * 2**-e), without forming float(c), which may overflow."""
+    if e >= 0:
+        return c.numerator / (c.denominator << e)
+    return (c.numerator << -e) / c.denominator
 
 
 @lru_cache(maxsize=None)
@@ -94,10 +115,40 @@ class Form:
         if len(self.coeffs) != len(monomials(self.degree, self.nvars)):
             raise InvalidInput("coefficient vector has the wrong length")
 
+    @cached_property
+    def _integer_terms(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """(d, ((d * c, exponent), ...)) over the nonzero coefficients c, with d
+        their common denominator, so that the form is (integer form) / d."""
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        return d, tuple((c.numerator * (d // c.denominator), m)
+                        for c, m in zip(self.coeffs, monomials(self.degree, self.nvars)) if c != 0)
+
     def __call__(self, point: Sequence) -> Fraction:
-        return sum((c * mono_eval(m, point)
-                    for c, m in zip(self.coeffs, monomials(self.degree, self.nvars)) if c != 0),
-                   Fraction(0))
+        """The exact value, computed in integers: with the point written as
+        (integers) / den, the form is homogeneous, so its value is the
+        integer form at those integers over d * den**degree."""
+        d, terms = self._integer_terms
+        coords = _exact(point)
+        den = math.lcm(*(x.denominator for x in coords))
+        ints = [x.numerator * (den // x.denominator) for x in coords]
+        return Fraction(sum(c * _power_product(m, ints) for c, m in terms), d * den ** self.degree)
+
+    @cached_property
+    def sym(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The symmetric matrix of a quadric (sym_from_quad), built once per form."""
+        return tuple(tuple(row) for row in sym_from_quad(self))
+
+    @cached_property
+    def scale_exponent(self) -> int:
+        """An e with the largest |coefficient| * 2**-e between 1/2 and 2."""
+        return max((c.numerator.bit_length() - c.denominator.bit_length()
+                    for c in self.coeffs if c != 0), default=0)
+
+    @cached_property
+    def scaled_sym(self) -> tuple[tuple[float, ...], ...]:
+        """sym scaled by 2**-scale_exponent in floats, built once per form."""
+        e = self.scale_exponent
+        return tuple(tuple(scaled_float(c, e) for c in row) for row in self.sym)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

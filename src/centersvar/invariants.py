@@ -26,7 +26,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DegenerateInput, InvalidInput
 from .forms import Form, fit_form
-from .projective import (Configuration, ProjectivePoint, bracket,
+from .projective import (Configuration, ProjectivePoint, bracket, cofactors,
                          normalizing_transform)
 
 # Bracket index triples (1-based), exactly as printed in the classical tables.
@@ -150,19 +150,8 @@ def _bracket_product(p: Configuration, triples, one_based: bool = True) -> Fract
 
 
 def _cofactors(x: Configuration, triple) -> tuple[int, ...]:
-    """The integer vector c with c . a = [x_i x_j x_k a] for every a.
-
-    c_m is the signed 3 x 3 minor of the rows x_i, x_j, x_k with column m
-    deleted (Laplace expansion of the 4 x 4 bracket along its last row).
-    """
-    p, q, r = (x[i - 1].coords for i in triple)
-    out = []
-    for m in range(4):
-        (a, b, c), (d, e, f), (g, h, i) = ([v for k, v in enumerate(row) if k != m]
-                                           for row in (p, q, r))
-        minor = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        out.append(minor if m % 2 else -minor)
-    return tuple(out)
+    """The integer vector c with c . a = [x_i x_j x_k a] for every a."""
+    return cofactors(*(x[i - 1].coords for i in triple))
 
 
 def _lifted_bracket(x: Configuration, a, triple) -> Fraction:

@@ -32,7 +32,7 @@ from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InadmissibleCenter, Inconsistent, InvalidInput,
                      NoRationalImage, ToolkitError)
 from .forms import (BinaryForm, Form, binary_gcd, linear_root, monomials,
-                    mono_eval, quad_from_sym, sym_from_quad)
+                    mono_eval, quad_from_sym)
 from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
@@ -43,9 +43,11 @@ from .projective import (Configuration, ProjectivePoint, apply_matrix,
 
 @dataclass(frozen=True)
 class QuadricSurface:
-    """A quadric surface in P^3, stored as a symmetric matrix up to scale."""
+    """A quadric surface in P^3, stored as a symmetric matrix S up to scale
+    together with its quadratic form z^T S z."""
 
     sym: tuple[tuple[Fraction, ...], ...]
+    form: Form
 
     def __init__(self, sym: Sequence[Sequence]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in sym)
@@ -54,19 +56,20 @@ class QuadricSurface:
         if any(rows[i][j] != rows[j][i] for i in range(4) for j in range(4)):
             raise InvalidInput("quadric surface matrix must be symmetric")
         object.__setattr__(self, "sym", rows)
+        object.__setattr__(self, "form", quad_from_sym(rows))
 
     @classmethod
     def from_form(cls, form: Form) -> "QuadricSurface":
-        return cls(sym_from_quad(form))
-
-    def form(self) -> Form:
-        return quad_from_sym(self.sym)
+        """The surface of a quadratic form in four variables, keeping that form."""
+        if form.degree != 2 or form.nvars != 4:
+            raise InvalidInput("quadric surface needs a quadratic form in four variables")
+        surface = object.__new__(cls)
+        object.__setattr__(surface, "sym", form.sym)
+        object.__setattr__(surface, "form", form)
+        return surface
 
     def __call__(self, z) -> Fraction:
-        coords = z.coords if isinstance(z, ProjectivePoint) else z
-        v = [Fraction(c) for c in coords]
-        return sum((v[i] * self.sym[i][j] * v[j] for i in range(4) for j in range(4)),
-                   Fraction(0))
+        return self.form(z.coords if isinstance(z, ProjectivePoint) else z)
 
     def contains(self, z) -> bool:
         return self(z) == 0
@@ -497,8 +500,8 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
     a_quads, b_quads = [], []
     for k in range(7):
         s_beta, s_alpha = quadric_pair_n6(x.drop(k), y.drop(k))
-        a_quads.append(s_beta.form().primitive())
-        b_quads.append(s_alpha.form().primitive())
+        a_quads.append(s_beta.form)
+        b_quads.append(s_alpha.form)
     a_pts = solve_quadric_system(a_quads, expected=expected, tol=tol, seed=seed)
     b_pts = solve_quadric_system(b_quads, expected=expected, tol=tol, seed=seed + 1)
     a_pts = [_with_certificate(p, a_quads) for p in a_pts]
@@ -515,18 +518,25 @@ def _with_certificate(p: NumericPoint, quads: Sequence[Form]) -> NumericPoint:
     return refined
 
 
+# the (0-based) points of each Fano line under each even permutation
+_FANO_ROWS = np.array([[[perm[i - 1] - 1 for i in line] for line in FANO_LINES]
+                       for perm in EVEN_FANO_PERMS])
+
+
 def fano15_complex(x: Configuration, a: Sequence[complex]) -> np.ndarray:
     """Floating-point lifted Fano vector for a (possibly complex) center."""
     rows = np.array([p.coords for p in x.points], dtype=float)
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     av = np.asarray(a, dtype=complex)
     av = av / np.linalg.norm(av)
+    stack = np.empty((len(EVEN_FANO_PERMS), len(FANO_LINES), 4, 4), dtype=complex)
+    stack[:, :, :3] = rows[_FANO_ROWS]
+    stack[:, :, 3] = av
     values = []
-    for perm in EVEN_FANO_PERMS:
+    for dets in np.linalg.det(stack):
         prod = 1.0 + 0.0j
-        for line in FANO_LINES:
-            m = np.vstack([rows[[perm[i - 1] - 1 for i in line]], av[None, :]])
-            prod *= np.linalg.det(m)
+        for d in dets:
+            prod *= d
         values.append(prod)
     return np.array(values)
 

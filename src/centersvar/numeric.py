@@ -4,17 +4,26 @@ The solver works at the level of linear algebra: it assembles the degree-5
 multiplication matrix of the system (rows = quadric times degree-3 monomial),
 reads the solution count off the corank, and recovers the points as joint
 eigenvectors of multiplication operators restricted to the nullspace. A
-degree-6 corank comparison rejects loci that have not stabilized, the
-signature of a positive-dimensional component. Candidates are polished by
-Gauss-Newton on all input forms and deduplicated projectively.
+multiplication matrix is filled in one scatter from a per-degree table of the
+columns that (multiplier monomial) x (quadric monomial) lands in. A degree-6
+corank comparison, read from the singular values alone, rejects loci that
+have not stabilized, the signature of a positive-dimensional component.
+Candidates are polished by Gauss-Newton on all input forms and deduplicated
+projectively.
+
+Certification reuses the exact and the scaled float symmetric matrices that
+each Form builds once, so the solver and every certified point of a system
+share them.
 
 Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -22,35 +31,21 @@ import numpy as np
 
 from . import linalg
 from .errors import Inconsistent, NotFinite
-from .forms import Form, monomial_index, monomials, sym_from_quad
+from .forms import Form, monomial_index, monomials, scaled_float
 from .projective import ProjectivePoint
 
 _RANK_RTOL = 1e-8
 
 
-def _pow2_exponent(form: Form) -> int:
-    """An e with the largest |coefficient| * 2**-e between 1/2 and 2."""
-    return max((c.numerator.bit_length() - c.denominator.bit_length()
-                for c in form.coeffs if c != 0), default=0)
-
-
-def _scaled_float(c: Fraction, e: int) -> float:
-    """float(c * 2**-e), without forming float(c), which may overflow."""
-    if e >= 0:
-        return c.numerator / (c.denominator << e)
-    return (c.numerator << -e) / c.denominator
-
-
 def form_floats(form: Form) -> np.ndarray:
-    """Coefficients scaled by the exact power of two 2**-_pow2_exponent(form)."""
-    e = _pow2_exponent(form)
-    return np.array([_scaled_float(c, e) for c in form.coeffs], dtype=float)
+    """Coefficients scaled by the exact power of two 2**-form.scale_exponent."""
+    e = form.scale_exponent
+    return np.array([scaled_float(c, e) for c in form.coeffs], dtype=float)
 
 
 def sym_floats(form: Form) -> np.ndarray:
     """Symmetric matrix of a quadric, scaled by the same power of two as form_floats."""
-    e = _pow2_exponent(form)
-    return np.array([[_scaled_float(c, e) for c in row] for row in sym_from_quad(form)])
+    return np.array(form.scaled_sym)
 
 
 @dataclass(frozen=True)
@@ -94,29 +89,53 @@ def projective_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)))
 
 
+@lru_cache(maxsize=None)
+def _product_columns(target_degree: int) -> np.ndarray:
+    """Entry [i, j]: the degree-target column of multiplier monomial i times
+    quadric monomial j (graded lex on both sides)."""
+    index = monomial_index(target_degree)
+    return np.array([[index[tuple(a + b for a, b in zip(m, mu))] for m in monomials(2)]
+                     for mu in monomials(target_degree - 2)])
+
+
 def _multiplication_rows(coeff_rows: np.ndarray, target_degree: int) -> np.ndarray:
     """Products (quadric x monomial of degree target-2) in the degree basis."""
-    monos2 = monomials(2)
-    mult = monomials(target_degree - 2)
-    index = monomial_index(target_degree)
-    out = np.zeros((len(coeff_rows) * len(mult), len(index)))
-    r = 0
-    for row in coeff_rows:
-        for mu in mult:
-            for c, m in zip(row, monos2):
-                if c != 0.0:
-                    e = tuple(a + b for a, b in zip(m, mu))
-                    out[r, index[e]] += c
-            r += 1
-    return out
+    cols = _product_columns(target_degree)
+    out = np.zeros((len(coeff_rows), len(cols), len(monomials(target_degree))))
+    out[:, np.arange(len(cols))[:, None], cols] = coeff_rows[:, None, :]
+    return out.reshape(-1, out.shape[2])
 
 
-def _numeric_rank(m: np.ndarray) -> tuple[int, np.ndarray]:
-    u, s, vh = np.linalg.svd(m)
+def _rank(s: np.ndarray) -> int:
+    """Numeric rank from singular values in decreasing order."""
     if s.size == 0 or s[0] == 0.0:
-        return 0, vh.conj().T
-    r = int(np.sum(s > s[0] * _RANK_RTOL))
+        return 0
+    return int(np.sum(s > s[0] * _RANK_RTOL))
+
+
+def _numeric_null_space(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank and null-space basis of a matrix with at least as many rows as
+    columns, whose thin SVD then has the full square V^H."""
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    r = _rank(s)
     return r, vh.conj().T[:, r:]
+
+
+@lru_cache(maxsize=None)
+def _shift_selectors() -> tuple[np.ndarray, ...]:
+    """For k = 0..3, the 0/1 matrix taking degree-5 coordinates to the
+    degree-4 coordinates of z_k times each degree-4 monomial."""
+    index4 = monomial_index(4)
+    index5 = monomial_index(5)
+    picks = []
+    for k in range(4):
+        rows = np.zeros((len(index4), len(index5)))
+        for m4, i in index4.items():
+            e = list(m4)
+            e[k] += 1
+            rows[i, index5[tuple(e)]] = 1.0
+        picks.append(rows)
+    return tuple(picks)
 
 
 def _gauss_newton(syms: list[np.ndarray], point: np.ndarray, iters: int = 12) -> np.ndarray:
@@ -155,10 +174,11 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
         raise NotFinite("zero form in the system")
     coeffs = coeffs / scales[:, None]
 
-    # corank at degree 5 counts the solutions once it agrees with degree 6
-    rank5, null5 = _numeric_rank(_multiplication_rows(coeffs, 5))
+    # corank at degree 5 counts the solutions once it agrees with degree 6;
+    # three or more forms give at least as many rows as columns at both degrees
+    rank5, null5 = _numeric_null_space(_multiplication_rows(coeffs, 5))
     corank5 = len(monomials(5)) - rank5
-    rank6, _ = _numeric_rank(_multiplication_rows(coeffs, 6))
+    rank6 = _rank(np.linalg.svd(_multiplication_rows(coeffs, 6), compute_uv=False))
     corank6 = len(monomials(6)) - rank6
     if corank5 != corank6:
         raise NotFinite(
@@ -168,16 +188,7 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
         return []
 
     index4 = monomial_index(4)
-    index5 = monomial_index(5)
-    picks = []
-    for k in range(4):
-        rows = np.zeros((len(index4), len(index5)))
-        for m4, i in index4.items():
-            e = list(m4)
-            e[k] += 1
-            rows[i, index5[tuple(e)]] = 1.0
-        picks.append(rows)
-    shifts = [rows @ null5 for rows in picks]  # 35 x corank each
+    shifts = [rows @ null5 for rows in _shift_selectors()]  # 35 x corank each
 
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(4)
@@ -222,13 +233,29 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     return survivors
 
 
+def _pivot_triple(jac: np.ndarray) -> tuple[int, int, int] | None:
+    """The first triple of rows of jac (k x 3) whose determinant, relative to
+    the product of the three row norms, is largest; None if that is below 1e-12.
+    All triples go through one stacked det."""
+    if len(jac) < 3:
+        return None
+    triples = np.array(list(combinations(range(len(jac)), 3)))
+    norms = np.array([np.linalg.norm(r) or 1.0 for r in jac])[triples]
+    d = np.abs(np.linalg.det(jac[triples])) / (norms[:, 0] * norms[:, 1] * norms[:, 2])
+    best = int(np.argmax(d))
+    if not d[best] >= 1e-12:
+        return None
+    return tuple(int(i) for i in triples[best])
+
+
 def exact_newton_polish(forms: Sequence[Form], point: np.ndarray,
                         iters: int = 2) -> list[Fraction] | None:
     """Sharpen a real approximate zero with exact-arithmetic Newton steps.
 
     The largest coordinate is frozen to 1 and a well-conditioned triple of
-    forms drives a square Newton iteration over Fractions; each step roughly
-    squares the number of correct digits. The float pivot choice works on
+    forms drives a square Newton iteration over the rationals, each step
+    solved exactly on the integer numerators of the iterate; each step
+    roughly squares the number of correct digits. The float pivot choice works on
     forms scaled by exact powers of two, so large coefficients cannot
     overflow. Returns affine coordinates (the frozen one included) or None
     for non-real input.
@@ -240,31 +267,25 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray,
     j = int(np.argmax(np.abs(real)))
     unknowns = [k for k in range(4) if k != j]
 
-    syms_exact = [sym_from_quad(f) for f in forms]
-    syms_float = [sym_floats(f) for f in forms]
-    best, best_det = None, 0.0
-    jac_rows = [2.0 * (s @ real) for s in syms_float]
-    for combo in combinations(range(len(forms)), 3):
-        sub = np.array([[jac_rows[i][k] for k in unknowns] for i in combo])
-        scale = np.prod([np.linalg.norm(r) or 1.0 for r in sub])
-        d = abs(np.linalg.det(sub)) / scale
-        if d > best_det:
-            best, best_det = combo, d
-    if best is None or best_det < 1e-12:
+    jac_float = np.array([2.0 * (sym_floats(f) @ real) for f in forms])
+    best = _pivot_triple(jac_float[:, unknowns])
+    if best is None:
         return None
+    hessians = [[[2 * v for v in row] for row in forms[i].sym] for i in best]
 
     x = [Fraction(v).limit_denominator(10 ** 17) for v in (real / real[j])]
     x[j] = Fraction(1)
     for _ in range(iters):
-        jac = [[2 * sum(syms_exact[i][k][m] * x[m] for m in range(4)) for k in unknowns]
-               for i in best]
-        vals = [sum(x[r] * syms_exact[i][r][c] * x[c] for r in range(4) for c in range(4))
-                for i in best]
-        step = linalg.solve(jac, [-v for v in vals])
-        if step is None:
+        # with x = ints / den, the Jacobian at x is J(ints) / den and each value
+        # f(x) is f(ints) / den**2, so the step solves J(ints) (den * step) = -f(ints)
+        den = math.lcm(*(c.denominator for c in x))
+        ints = [c.numerator * (den // c.denominator) for c in x]
+        jac = [[sum(h[k][m] * ints[m] for m in range(4)) for k in unknowns] for h in hessians]
+        scaled_step = linalg.solve(jac, [-forms[i](ints) for i in best])
+        if scaled_step is None:
             return None
         for pos, k in enumerate(unknowns):
-            x[k] = (x[k] + step[pos]).limit_denominator(10 ** 60)
+            x[k] = (x[k] + scaled_step[pos] / den).limit_denominator(10 ** 60)
     return x
 
 

@@ -125,15 +125,43 @@ class StabilityClass(Enum):
     UNSTABLE = "Unstable"
 
 
+def _det3(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a 3 x 3 matrix, expanded along its first row in 2 x 2 minors."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def cofactors(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> tuple[int, ...]:
+    """The vector c with c . z = det(p, q, r, z) for every z in four coordinates.
+
+    c_m is the signed 3 x 3 minor of the rows p, q, r with column m deleted
+    (Laplace expansion of the 4 x 4 determinant along its last row); each
+    minor expands along r in the 2 x 2 minors m_ij of p and q.
+    """
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    r0, r1, r2, r3 = r
+    m01, m02, m03 = p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p0 * q3 - p3 * q0
+    m12, m13, m23 = p1 * q2 - p2 * q1, p1 * q3 - p3 * q1, p2 * q3 - p3 * q2
+    return (-(r1 * m23 - r2 * m13 + r3 * m12), r0 * m23 - r2 * m03 + r3 * m02,
+            -(r0 * m13 - r1 * m03 + r3 * m01), r0 * m12 - r1 * m02 + r2 * m01)
+
+
 def bracket(points: Sequence[ProjectivePoint]) -> int:
     """Determinant of the canonical coordinate rows of k points in P^{k-1}.
 
     The basic SL-invariant; multilinear and alternating in its arguments.
+    Plane and space brackets expand in integer minors.
     """
     k = len(points)
     if any(p.dim != k - 1 for p in points):
         raise InvalidInput(f"bracket of {k} points needs ambient dimension {k - 1}")
-    return int(linalg.det([p.coords for p in points]))
+    rows = [p.coords for p in points]
+    if k == 3:
+        return _det3(rows)
+    if k == 4:
+        return sum(c * v for c, v in zip(cofactors(*rows[:3]), rows[3]))
+    return int(linalg.det(rows))
 
 
 def apply_matrix(m: Sequence[Sequence], x: ProjectivePoint) -> ProjectivePoint:
@@ -259,9 +287,11 @@ def homography_fit(p: Configuration, q: Configuration) -> list[list[Fraction]] |
 
 
 def collinear(a: ProjectivePoint, b: ProjectivePoint, c: ProjectivePoint) -> bool:
-    """True iff the three points lie on a common line (any ambient P^d)."""
-    rows = [a.coords, b.coords, c.coords]
-    return linalg.rank(rows) <= 2
+    """True iff the three points lie on a common line (any ambient P^d): every
+    3 x 3 minor of their coordinate rows vanishes."""
+    rows = (a.coords, b.coords, c.coords)
+    return all(_det3([[row[m] for m in cols] for row in rows]) == 0
+               for cols in combinations(range(len(a.coords)), 3))
 
 
 def on_line(x: ProjectivePoint, p: ProjectivePoint, q: ProjectivePoint) -> bool:

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centersvar import linalg
 from centersvar.errors import InvalidInput
 from centersvar.forms import (BinaryForm, Form, binary_gcd, fit_form,
-                              linear_root, monomials, quad_from_sym,
+                              linear_root, mono_eval, monomials, quad_from_sym,
                               sym_from_quad)
+from centersvar.loci import QuadricSurface
+from centersvar.projective import ProjectivePoint
 
 
 def rand_form(rng, degree):
@@ -67,6 +71,73 @@ class TestQuaternaryForms:
         f = Form(2, tuple(Fraction(k, 6) for k in (-2, 4, 0, 0, 0, 0, 0, 0, 0, 8)))
         p = f.primitive()
         assert p.coeffs[0] == 1 and p.coeffs[1] == -2 and p.coeffs[9] == -4
+
+
+def reference_monomial(exp, point):
+    """The monomial at the point, every coordinate and product a Fraction."""
+    v = Fraction(1)
+    for x, e in zip(point, exp):
+        v *= Fraction(x) ** e
+    return v
+
+
+def reference_value(form, point):
+    return sum((c * reference_monomial(m, point)
+                for c, m in zip(form.coeffs, monomials(form.degree))), Fraction(0))
+
+
+BIG = st.integers(-10 ** 30, 10 ** 30)
+COORD = st.one_of(st.integers(-9, 9), BIG, st.sampled_from([10 ** 30, -10 ** 30]),
+                  st.builds(Fraction, BIG, st.integers(1, 10 ** 12)))
+COEFF = st.one_of(st.integers(-50, 50).map(Fraction),
+                  st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)))
+
+
+class TestExactEvaluation:
+    @given(st.integers(0, 3).flatmap(
+               lambda d: st.tuples(st.just(d), st.lists(COEFF, min_size=len(monomials(d)),
+                                                        max_size=len(monomials(d))))),
+           st.lists(COORD, min_size=4, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_form_matches_fraction_evaluation(self, shape, point):
+        degree, coeffs = shape
+        f = Form(degree, tuple(coeffs))
+        value = f(point)
+        assert isinstance(value, Fraction)
+        assert value == reference_value(f, point)
+        for m in monomials(degree):
+            assert isinstance(mono_eval(m, point), Fraction)
+            assert mono_eval(m, point) == reference_monomial(m, point)
+
+    @given(st.lists(COEFF, min_size=10, max_size=10), st.lists(COORD, min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_quadric_surface_matches_fraction_evaluation(self, coeffs, point):
+        f = Form(2, tuple(coeffs))
+        expected = reference_value(f, point)
+        for s in (QuadricSurface.from_form(f), QuadricSurface(sym_from_quad(f))):
+            assert s.form == f
+            value = s(point)
+            assert isinstance(value, Fraction) and value == expected
+            sym_value = sum(Fraction(point[i]) * s.sym[i][j] * Fraction(point[j])
+                            for i in range(4) for j in range(4))
+            assert value == sym_value
+        if any(point):
+            pt = ProjectivePoint(point)
+            assert QuadricSurface.from_form(f)(pt) == reference_value(f, pt.coords)
+
+    def test_float_coordinates_convert_exactly(self):
+        f = Form(2, tuple(Fraction(k - 4, 3) for k in range(10)))
+        point = [0.1, 2, Fraction(-5, 7), 1e300]
+        exact = [Fraction(0.1), 2, Fraction(-5, 7), Fraction(1e300)]
+        assert f(point) == reference_value(f, exact)
+        assert f([0.1, 0, 0, 0]) != f([Fraction(1, 10), 0, 0, 0])
+        assert QuadricSurface.from_form(f)(point) == reference_value(f, exact)
+
+    def test_from_form_needs_a_quaternary_quadric(self):
+        with pytest.raises(InvalidInput):
+            QuadricSurface.from_form(Form(1, (1, 0, 0, 0)))
+        with pytest.raises(InvalidInput):
+            QuadricSurface.from_form(Form(2, tuple(Fraction(1) for _ in range(6)), 3))
 
 
 class TestBinaryForms:

@@ -10,6 +10,7 @@ import pytest
 import centersvar
 from centersvar import io as cio
 from centersvar.cli import decide_equivalence, main
+from centersvar.datagen import generate_reconstruction
 from centersvar.errors import Inconclusive
 from centersvar.projective import Configuration, ProjectivePoint, pp
 
@@ -308,3 +309,27 @@ class TestMainEntry:
                      "--center", "43,-50,6,-5", f"--tol={tol}"])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+
+    @pytest.fixture
+    def seven_point_files(self, tmp_path):
+        xfile, yfile = tmp_path / "x.json", tmp_path / "y.json"
+        rec = generate_reconstruction(7, seed=1)
+        write_config(xfile, rec.x)
+        write_config(yfile, rec.y)
+        return str(xfile), str(yfile)
+
+    def test_negative_seed_is_invalid(self, seven_point_files, capsys):
+        xfile, yfile = seven_point_files
+        assert main(["centers", "-i", xfile, "-j", yfile, "--seed", "-1"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+        assert main(["generate", "--n", "7", "--seed", "-3"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+
+    def test_negative_seed_from_the_environment_is_invalid(self, seven_point_files, capsys,
+                                                           monkeypatch):
+        xfile, yfile = seven_point_files
+        monkeypatch.setenv("CENTERSVAR_SEED", "-5")
+        assert main(["centers", "-i", xfile, "-j", yfile]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+        monkeypatch.setenv("CENTERSVAR_SEED", "0")
+        assert main(["centers", "-i", xfile, "-j", yfile, "-o", xfile + ".out"]) == 0

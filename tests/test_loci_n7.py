@@ -8,6 +8,7 @@ import pytest
 from centersvar import io as cio
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
+from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES
 from centersvar.loci import (MatchedPair, _holds_for_all_points, candidates_n7,
                              centers_n_ge8, fano15_complex, pair_candidates_n7,
                              quadric_net, weddle_curve_point)
@@ -53,6 +54,33 @@ def test_certifies_at_an_intermediate_denominator_bound():
     cand = candidates_n7(x, y)
     assert a in [p.exact for p in cand.a_candidates]
     assert b in [p.exact for p in cand.b_candidates]
+
+
+def reference_fano15_complex(x, a):
+    """fano15_complex with one 4 x 4 det at a time."""
+    rows = np.array([p.coords for p in x.points], dtype=float)
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    av = np.asarray(a, dtype=complex)
+    av = av / np.linalg.norm(av)
+    values = []
+    for perm in EVEN_FANO_PERMS:
+        prod = 1.0 + 0.0j
+        for line in FANO_LINES:
+            m = np.vstack([rows[[perm[i - 1] - 1 for i in line]], av[None, :]])
+            prod *= np.linalg.det(m)
+        values.append(prod)
+    return np.array(values)
+
+
+def test_stacked_fano_vector_matches_the_per_matrix_loop_bit_for_bit():
+    rng = random.Random(11)
+    nrng = np.random.default_rng(11)
+    for trial in range(20):
+        x = rand_config(rng, 7) if trial % 2 else generate_reconstruction(7, seed=trial).x
+        a = nrng.standard_normal(4) + (1j * nrng.standard_normal(4) if trial % 3 else 0.0)
+        got, want = fano15_complex(x, a), reference_fano15_complex(x, a)
+        assert got.dtype == want.dtype and got.shape == want.shape == (15,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCandidates:

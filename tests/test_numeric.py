@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from centersvar.errors import Inconsistent, NotFinite
-from centersvar.forms import Form, monomials
-from centersvar.numeric import (certify_rational, projective_distance,
+from centersvar.forms import Form, monomial_index, monomials
+from centersvar.numeric import (_multiplication_rows, _pivot_triple,
+                                certify_rational, projective_distance,
                                 solve_quadric_system)
 
 MONOS = monomials(2)
@@ -45,6 +47,14 @@ class TestSolver:
         with pytest.raises(NotFinite):
             solve_quadric_system(line, tol=1e-9, seed=0)
 
+    def test_degree_six_corank_from_singular_values_rejects_the_line(self):
+        line = [mono_form({(1, 0, 1, 0): 1, (0, 1, 0, 1): -1}),
+                mono_form({(1, 0, 0, 1): 1}),
+                mono_form({(0, 1, 1, 0): 1})]
+        with pytest.raises(NotFinite) as caught:
+            solve_quadric_system(line, tol=1e-9, seed=0)
+        assert caught.value.details == {"corank5": 12, "corank6": 14}
+
     def test_deterministic_and_permutation_invariant(self):
         forms = diagonal_system()
         first = solve_quadric_system(forms, tol=1e-9, seed=3)
@@ -66,6 +76,62 @@ class TestSolver:
         forms = [mono_form({tuple(2 if k == i else 0 for k in range(4)): 1})
                  for i in range(4)]
         assert solve_quadric_system(forms, tol=1e-9, seed=0) == []
+
+
+def reference_multiplication_rows(coeff_rows, target_degree):
+    """The quadric x monomial products, one coefficient at a time."""
+    mult = monomials(target_degree - 2)
+    index = monomial_index(target_degree)
+    out = np.zeros((len(coeff_rows) * len(mult), len(index)))
+    r = 0
+    for row in coeff_rows:
+        for mu in mult:
+            for c, m in zip(row, monomials(2)):
+                if c != 0.0:
+                    out[r, index[tuple(a + b for a, b in zip(m, mu))]] += c
+            r += 1
+    return out
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+@pytest.mark.parametrize("nforms", [3, 7])
+def test_multiplication_rows_match_the_reference_loop(degree, nforms):
+    rng = np.random.default_rng(10 * degree + nforms)
+    coeffs = rng.standard_normal((nforms, 10))
+    coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+    coeffs[1] = 0.0
+    rows = _multiplication_rows(coeffs, degree)
+    assert rows.shape == (nforms * len(monomials(degree - 2)), len(monomials(degree)))
+    assert np.array_equal(rows, reference_multiplication_rows(coeffs, degree))
+
+
+def reference_pivot_triple(jac):
+    """The pivot choice as one det per triple."""
+    best, best_det = None, 0.0
+    for combo in combinations(range(len(jac)), 3):
+        sub = np.array([jac[i] for i in combo])
+        scale = np.prod([np.linalg.norm(r) or 1.0 for r in sub])
+        d = abs(np.linalg.det(sub)) / scale
+        if d > best_det:
+            best, best_det = combo, d
+    if best is None or best_det < 1e-12:
+        return None
+    return best
+
+
+def test_stacked_pivot_choice_matches_the_loop():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        k = int(rng.integers(3, 9))
+        jac = rng.standard_normal((k, 3)) * 10.0 ** rng.integers(-4, 5, size=(k, 1))
+        if trial % 3 == 0:
+            jac[int(rng.integers(k))] = 0.0
+        if trial % 4 == 0:
+            jac[1] = jac[0]  # ties between triples
+        if trial % 7 == 0:
+            jac[:, 2] = jac[:, 0] - 2.0 * jac[:, 1]  # every triple singular
+        assert _pivot_triple(jac) == reference_pivot_triple(jac)
+    assert _pivot_triple(np.eye(3)[:2]) is None
 
 
 class TestCertification:

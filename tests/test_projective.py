@@ -10,8 +10,8 @@ from centersvar.errors import CenterHit, DegenerateInput, InvalidInput
 from centersvar.projective import (Configuration, ProjectivePoint,
                                    StabilityClass, apply_matrix, bracket,
                                    canonical_camera, center_admissible,
-                                   gale_transform, homography_fit, on_line,
-                                   pp, project, stability_class)
+                                   collinear, gale_transform, homography_fit,
+                                   on_line, pp, project, stability_class)
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
 
@@ -74,6 +74,32 @@ class TestBracket:
         combo = [c1 * a + c2 * b for a, b in zip(rows[0], rows[1])]
         assert det([combo, rows[1], rows[2]]) == \
             c1 * det(rows) + c2 * det([rows[1], rows[1], rows[2]])
+
+
+    @given(st.integers(2, 5).flatmap(lambda k: st.lists(
+        st.lists(st.integers(-10 ** 30, 10 ** 30) | st.integers(-3, 3), min_size=k, max_size=k)
+        .filter(any), min_size=k, max_size=k)))
+    @settings(max_examples=150, deadline=None)
+    def test_minor_expansion_matches_elimination(self, rows):
+        pts = [ProjectivePoint(r) for r in rows]
+        assert bracket(pts) == linalg.det([p.coords for p in pts])
+
+
+class TestCollinear:
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-10 ** 30, 10 ** 30) | st.integers(-3, 3),
+                 min_size=d + 1, max_size=d + 1).filter(any), min_size=2, max_size=2)),
+        st.integers(-5, 5), st.integers(-5, 5), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rank(self, rows, s, t, on_the_line):
+        p, q = rows
+        r = [s * u + t * v for u, v in zip(p, q)] if on_the_line else [u + 1 for u in q]
+        if not any(r):
+            return
+        a, b, c = (ProjectivePoint(v) for v in (p, q, r))
+        assert collinear(a, b, c) == (linalg.rank([a.coords, b.coords, c.coords]) <= 2)
+        if on_the_line:
+            assert collinear(a, b, c)
 
 
 class TestProject:
