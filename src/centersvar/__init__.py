@@ -2,8 +2,9 @@
 
 Two projective cameras viewing two different world configurations can
 produce the same image up to a plane homography; this package decides when
-that happens and computes the locus of such center pairs exactly for up to
-six points, and numerically with exact certification for seven.
+that happens and computes the locus of such center pairs: exactly for up to
+six points, numerically with exact certification for seven, and for eight
+or more by an exact emptiness test that verifies any surviving pair.
 """
 
 from .projective import (CameraMatrix, Configuration, ProjectivePoint,

@@ -16,20 +16,18 @@ import json
 import math
 import os
 import sys
-from itertools import combinations
 from typing import Any
 
 from . import io as cio
 from .datagen import DEGENERATE_KINDS, generate_degenerate, generate_reconstruction
-from .errors import Inconclusive, InvalidInput, ToolkitError
+from .errors import InadmissibleCenter, InvalidInput, ToolkitError
 from .forms import Form
 from .invariants import InvariantVector, fano15, g5, t6
 from .loci import (CubicFibrationN5, EmptyN8, EverythingN4, MatchedPair,
                    SurfacePairN6, ThreePairsN7, centers_variety,
                    classify_degeneration_n5)
 from .numeric import NumericPoint
-from .projective import (Configuration, StabilityClass, collinear,
-                         homography_fit, project, stability_class)
+from .projective import Configuration, decide_equivalence, project
 
 
 def _seed_default() -> int:
@@ -40,10 +38,6 @@ def _seed_default() -> int:
         return int(env)
     except ValueError:
         raise InvalidInput("CENTERSVAR_SEED must be an integer")
-
-
-def _matrix_json(m) -> list[list[str]]:
-    return cio.matrix_to_json(m)
 
 
 def _numeric_point_json(p: NumericPoint) -> dict[str, Any]:
@@ -78,60 +72,6 @@ def _invariant_json(v: InvariantVector) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# equivalence decision
-
-
-def _general_quadruple(c: Configuration) -> tuple[int, ...] | None:
-    for combo in combinations(range(c.n), 4):
-        pts = [c[i] for i in combo]
-        if all(not collinear(pts[i], pts[j], pts[k])
-               for i, j, k in combinations(range(4), 3)):
-            return combo
-    return None
-
-
-def decide_equivalence(p: Configuration, q: Configuration) -> dict[str, Any]:
-    """Exact equivalence verdict for two labelled plane configurations.
-
-    Prefers the witness-homography route, which is decisive whenever some
-    four corresponding points are in general position; stable five- and
-    six-point configurations can also be separated by their invariants.
-    Seven-point invariant agreement alone is never accepted as a proof of
-    equivalence (configurations on conics share the all-ones direction).
-    """
-    if p.n != q.n:
-        raise InvalidInput("configurations must have the same number of points")
-    n = p.n
-    if n >= 4:
-        combo = _general_quadruple(p)
-        if combo is not None:
-            rest = [i for i in range(n) if i not in combo]
-            order = list(combo) + rest
-            pr = Configuration([p[i] for i in order])
-            qr = Configuration([q[i] for i in order])
-            qpts = [q[i] for i in combo]
-            q_general = all(not collinear(qpts[i], qpts[j], qpts[k])
-                            for i, j, k in combinations(range(4), 3))
-            if not q_general:
-                return {"equivalent": False, "certainty": "ExactWitness", "witness": None}
-            h = homography_fit(pr, qr)
-            return {"equivalent": h is not None, "certainty": "ExactWitness",
-                    "witness": _matrix_json(h) if h is not None else None}
-        if _general_quadruple(q) is not None:
-            return {"equivalent": False, "certainty": "ExactWitness", "witness": None}
-    if n in (5, 6, 7):
-        kind = {5: g5, 6: t6, 7: fano15}[n]
-        va, vb = kind(p), kind(q)
-        if not va.proportional(vb):
-            return {"equivalent": False, "certainty": "InvariantSeparation", "witness": None}
-        stable = (stability_class(p) == StabilityClass.STABLE
-                  and stability_class(q) == StabilityClass.STABLE)
-        if n in (5, 6) and stable:
-            return {"equivalent": True, "certainty": "InvariantSeparation", "witness": None}
-    raise Inconclusive("neither a witness nor invariant separation is available")
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -139,7 +79,6 @@ def cmd_project(args) -> dict[str, Any]:
     world = cio.load_configuration(args.input)
     center = cio.load_point(args.center)
     if center in world.points:
-        from .errors import InadmissibleCenter
         raise InadmissibleCenter("center coincides with a world point")
     image = Configuration([project(x, center) for x in world])
     doc = cio.configuration_to_json(image)
@@ -164,7 +103,9 @@ def cmd_invariants(args) -> dict[str, Any]:
 def cmd_equiv(args) -> dict[str, Any]:
     p = cio.load_configuration(args.input)
     q = cio.load_configuration(args.second)
-    doc = decide_equivalence(p, q)
+    verdict = decide_equivalence(p, q)
+    doc = {"equivalent": verdict.equivalent, "certainty": verdict.certainty,
+           "witness": cio.matrix_to_json(verdict.witness) if verdict.witness is not None else None}
     doc["config"] = {"command": "equiv", "input": args.input, "second": args.second}
     return doc
 
@@ -173,7 +114,7 @@ def _centers_payload(result) -> dict[str, Any]:
     if isinstance(result, EverythingN4):
         return {"variant": "EverythingN4",
                 "a": cio.point_to_json(result.a), "b": cio.point_to_json(result.b),
-                "witness": _matrix_json(result.witness)}
+                "witness": cio.matrix_to_json(result.witness)}
     if isinstance(result, CubicFibrationN5):
         cubic = {
             "monomial_order": "graded-lex(z0,z1,z2,z3)",
@@ -189,8 +130,8 @@ def _centers_payload(result) -> dict[str, Any]:
                 "cubic": cubic}
     if isinstance(result, SurfacePairN6):
         return {"variant": "SurfacePairN6",
-                "S_beta": {"sym": _matrix_json(result.s_beta.sym)},
-                "S_alpha": {"sym": _matrix_json(result.s_alpha.sym)},
+                "S_beta": {"sym": cio.matrix_to_json(result.s_beta.sym)},
+                "S_alpha": {"sym": cio.matrix_to_json(result.s_alpha.sym)},
                 "sampled_pairs": [{"a": cio.point_to_json(a), "b": cio.point_to_json(b)}
                                   for a, b in result.sampled_pairs],
                 "given_center": (cio.point_to_json(result.given_center)
@@ -207,6 +148,7 @@ def _centers_payload(result) -> dict[str, Any]:
     return {"variant": "EmptyN8",
             "window_1_pairs": [_pair_json(m) for m in cert.window_1],
             "window_2_pairs": [_pair_json(m) for m in cert.window_2],
+            "span_rank": cert.span_rank,
             "surviving": [{"window_1": _pair_json(p1), "window_2": _pair_json(p2)}
                           for p1, p2 in cert.surviving],
             "empty": not cert.surviving}
@@ -250,8 +192,8 @@ def cmd_generate(args) -> dict[str, Any]:
         "ground_truth": {
             "a": cio.point_to_json(rec.a_true),
             "b": cio.point_to_json(rec.b_true),
-            "Aprime": _matrix_json(rec.aprime),
-            "Bprime": _matrix_json(rec.bprime),
+            "Aprime": cio.matrix_to_json(rec.aprime),
+            "Bprime": cio.matrix_to_json(rec.bprime),
             "Z": cio.configuration_to_json(rec.z),
         },
     }

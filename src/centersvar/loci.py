@@ -11,15 +11,16 @@ projectively equivalent images is
   camera that linear resection finds from the correspondences
   y_i -> project(x_i, a),
 * three isolated pairs for n = 7,
-* generically empty for n >= 8 (a pair must hold for all n points).
+* generically empty for n >= 8 (a common zero of the windows' quadrics,
+  resected over all n points).
 
-Everything through n = 6 is exact over the rationals; n = 7 uses the numeric
-quadric-system kernel with exact certification of rational candidates.
+Everything through n = 6 and every n >= 8 verdict is exact over the rationals;
+n = 7 uses the numeric quadric-system kernel with exact certification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -29,16 +30,17 @@ import numpy as np
 
 from . import linalg
 from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
-                     InadmissibleCenter, Inconsistent, InvalidInput,
-                     NoRationalImage, ToolkitError)
-from .forms import (BinaryForm, Form, binary_gcd, linear_root, monomials,
-                    mono_eval, quad_from_sym)
+                     InadmissibleCenter, Inconclusive, Inconsistent,
+                     InvalidInput, NoRationalImage, ToolkitError)
+from .forms import (BinaryForm, Form, binary_gcd, linear_root, monomial_index,
+                    monomials, mono_eval, quad_from_sym)
 from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, apply_matrix,
-                         center_admissible, collinear, homography_fit,
-                         normalizing_transform, on_line, project)
+                         canonical_coords, center_admissible, homography_fit,
+                         no_three_collinear, normalizing_transform, on_line,
+                         project)
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,7 @@ class DegenerationTag(Enum):
 
 
 def _general_position_image(p: Configuration) -> bool:
-    pts = p.points
-    if len(set(pts)) != len(pts):
-        return False
-    if len(pts) >= 3:
-        for i, j, k in combinations(range(len(pts)), 3):
-            if collinear(pts[i], pts[j], pts[k]):
-                return False
-    return True
+    return len(set(p.points)) == p.n and no_three_collinear(p.points)
 
 
 def _frame_fill(points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
@@ -359,38 +354,39 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[QuadricSurface,
         if len(kernel) != 1:
             raise DegenerateInput(f"quadric relation on the {tag} side is not unique")
         relations[tag] = kernel[0]
-    alpha, beta = relations["x"], relations["y"]
-    s_beta: Form | None = None
-    for coeff, q in zip(beta, qx):
-        term = q.scaled(coeff)
-        s_beta = term if s_beta is None else s_beta + term
-    s_alpha: Form | None = None
-    for coeff, q in zip(alpha, qy):
-        term = q.scaled(coeff)
-        s_alpha = term if s_alpha is None else s_alpha + term
-    assert s_beta is not None and s_alpha is not None
+    s_beta = _weighted_sum(relations["y"], qx)
+    s_alpha = _weighted_sum(relations["x"], qy)
     if s_beta.is_zero() or s_alpha.is_zero():
         # happens exactly when the two relations coincide, e.g. for
         # projectively equivalent configurations, where the center locus is
         # not confined to a quadric at all
         raise DegenerateInput("the weighted quadric combination vanishes identically")
-    s_beta, s_alpha = s_beta.primitive(), s_alpha.primitive()
-    for pt in x.points:
-        if s_beta(pt.coords) != 0:
-            raise Inconsistent("S_beta does not contain its world points")
-    for pt in y.points:
-        if s_alpha(pt.coords) != 0:
-            raise Inconsistent("S_alpha does not contain its world points")
+    if any(s_beta(pt.coords) for pt in x.points):
+        raise Inconsistent("S_beta does not contain its world points")
+    if any(s_alpha(pt.coords) for pt in y.points):
+        raise Inconsistent("S_alpha does not contain its world points")
     return QuadricSurface.from_form(s_beta), QuadricSurface.from_form(s_alpha)
 
 
-def _resect(y: Configuration, q: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
-    """The camera P with P y_i proportional to q_i for every i (linear DLT).
+def _weighted_sum(weights: Sequence[Fraction], forms: Sequence[Form]) -> Form:
+    """The primitive form of sum_i w_i f_i. The result is defined up to scale,
+    so the weights are made primitive integers first; the sum stays exact."""
+    w = canonical_coords(weights)
+    total = Form(forms[0].degree, tuple(sum(wi * c for wi, c in zip(w, col))
+                                        for col in zip(*(f.coeffs for f in forms))))
+    return total.primitive()
 
-    Each correspondence gives the three rows of the cross product
-    (P y_i) x q_i = 0 in the twelve entries of P. Raises NoRationalImage
-    unless the solution is a single camera of rank 3.
-    """
+
+def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> ProjectivePoint:
+    """The center b of the camera P with P y_i proportional to q_i =
+    project(x_i, a) for every i, by exact linear resection (DLT): each
+    correspondence gives the three rows of (P y_i) x q_i = 0 in the twelve
+    entries of P. Raises InadmissibleCenter at a world point a, and
+    NoRationalImage unless P is one rank-3 camera whose center is no world
+    point."""
+    if a in x.points:
+        raise InadmissibleCenter("the center map is undefined at a world point")
+    q = [project(xi, a) for xi in x]
     rows = []
     for yi, qi in zip(y.points, q):
         for r, s in ((1, 2), (2, 0), (0, 1)):
@@ -405,7 +401,13 @@ def _resect(y: Configuration, q: Sequence[ProjectivePoint]) -> list[list[Fractio
     camera = [kernel[0][4 * r: 4 * r + 4] for r in range(3)]
     if linalg.rank(camera) != 3:
         raise NoRationalImage("the resected camera has rank below 3")
-    return camera
+    b = ProjectivePoint(linalg.kernel_basis(camera)[0])
+    if b in y.points:
+        raise NoRationalImage("the matched center is a world point")
+    # b is not a world point, so every image P y_i is a nonzero vector
+    if any(apply_matrix(camera, yi) != qi for yi, qi in zip(y.points, q)):
+        raise Inconsistent("the resected camera misses a correspondence")
+    return b
 
 
 def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
@@ -418,19 +420,10 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
     point, on the companion quadric, and against the full weighted
     proportionality of the lifted six-point invariants.
     """
-    if a in x.points:
-        raise InadmissibleCenter("the center map is undefined at a world point")
     s_beta, s_alpha = pair if pair is not None else quadric_pair_n6(x, y)
     if s_beta(a) != 0:
         raise NoRationalImage("center is not exactly on its quadric surface")
-    q = [project(xi, a) for xi in x]
-    camera = _resect(y, q)
-    b = ProjectivePoint(linalg.kernel_basis(camera)[0])
-    if b in y.points:
-        raise NoRationalImage("the matched center is a world point")
-    # b is not a world point, so every image P y_i is a nonzero vector
-    if any(apply_matrix(camera, yi) != qi for yi, qi in zip(y.points, q)):
-        raise Inconsistent("the resected camera misses a correspondence")
+    b = _resected_center(x, y, a)
     if s_alpha(b) != 0:
         raise Inconsistent("matched center is not on the companion quadric")
     if not t6_lifted(x, a).proportional(t6_lifted(y, b)):
@@ -591,62 +584,73 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
 
 @dataclass(frozen=True)
 class EmptinessCertificate:
-    """Three-pair sets of two overlapping 7-subsets and their intersection."""
+    """Three-pair sets of two overlapping 7-subsets, the rank of the span of
+    their a-quadrics, and the exactly verified surviving pair (if any)."""
 
     window_1: tuple[MatchedPair, ...]
     window_2: tuple[MatchedPair, ...]
     surviving: tuple[tuple[MatchedPair, MatchedPair], ...]
+    span_rank: int
+
+
+def _span_common_zero(quadrics: Sequence[Form]) -> tuple[int, ProjectivePoint | None]:
+    """The rank of the span W of quadrics in P^3 and their one common zero.
+
+    A common zero a gives the Veronese vector v_2(a) = (a^m)_m in the dual
+    kernel of W. Rank 10 leaves no common zero. At rank 9 the kernel vector
+    lambda, read as the symmetric matrix M[i][j] = lambda[e_i + e_j], equals
+    c a a^T if a common zero a exists; M has rank 1 exactly then, and a is
+    its nonzero row. A smaller rank raises Inconclusive.
+    """
+    kernel = linalg.kernel_basis([q.coeffs for q in quadrics])
+    rank = 10 - len(kernel)
+    if not kernel:
+        return rank, None
+    if len(kernel) > 1:
+        raise Inconclusive(f"the quadrics span only {rank} of 10 dimensions")
+    index = monomial_index(2)
+    m = [[kernel[0][index[tuple(int(k == i) + int(k == j) for k in range(4))]]
+          for j in range(4)] for i in range(4)]
+    a = ProjectivePoint(next(row for row in m if any(row)))
+    return rank, a if linalg.rank(m) == 1 else None
+
+
+def _shown_pair(pairs: Sequence[MatchedPair], a: ProjectivePoint,
+                b: ProjectivePoint) -> MatchedPair:
+    """The window pair whose float a is nearest the exact a, carrying (a, b)."""
+    af = [float(c) for c in a.coords]
+    m = min(pairs, key=lambda p: projective_distance(p.a.coords, af))
+    return replace(m, a=replace(m.a, exact=a), b=replace(m.b, exact=b))
 
 
 def centers_n_ge8(x: Configuration, y: Configuration, tol: float = 1e-9,
-                  seed: int = 0, match_tol: float = 1e-7) -> EmptinessCertificate:
-    """Centers-variety for n >= 8 points: intersect the three-pair sets of the
-    two windows {1..7} and {2..8}. Generically the intersection is empty; a
-    pair surviving both windows is kept only if it holds for all n points,
-    and is reported with both certificates."""
-    n = x.n
-    if n < 8 or y.n != n:
-        raise InvalidInput("centers_n_ge8 needs at least eight points")
-    windows = [list(range(7)), list(range(1, 8))]
-    results = []
-    for w, idx in enumerate(windows):
-        xs = Configuration([x[i] for i in idx])
-        ys = Configuration([y[i] for i in idx])
-        cand = candidates_n7(xs, ys, tol=tol, seed=seed + w)
-        results.append(pair_candidates_n7(xs, ys, cand.a_candidates, cand.b_candidates))
-    surviving = []
-    for p1 in results[0]:
-        for p2 in results[1]:
-            da = projective_distance(p1.a.coords, p2.a.coords)
-            db = projective_distance(p1.b.coords, p2.b.coords)
-            if max(da, db) < match_tol and _holds_for_all_points(x, y, p1, match_tol):
-                surviving.append((p1, p2))
-    return EmptinessCertificate(tuple(results[0]), tuple(results[1]), tuple(surviving))
+                  seed: int = 0) -> EmptinessCertificate:
+    """Centers-variety for n >= 8 points, decided exactly.
 
-
-def _holds_for_all_points(x: Configuration, y: Configuration, pair: MatchedPair,
-                          match_tol: float) -> bool:
-    """Whether a window pair makes the images of all n points equivalent.
-
-    Exact centers are checked exactly (projection, then homography_fit);
-    otherwise the lifted Fano vectors must match on every 7-window.
+    Every valid a lies on the S_beta quadric of each 6-subset, so on the
+    common zeros of the span of the fourteen a-quadrics of the windows
+    {1..7} and {2..8} (see _span_common_zero). A candidate a is kept only
+    if resection over all n points finds its b. The windows' three-pair
+    sets are reported alongside; they only label a survivor.
     """
-    a, b = pair.a.exact, pair.b.exact
-    if a is not None and b is not None:
-        if a in x.points or b in y.points:
-            return False
+    if x.n < 8 or y.n != x.n:
+        raise InvalidInput("centers_n_ge8 needs at least eight points")
+    windows, quadrics = [], []
+    for w in range(2):
+        xs = Configuration(x.points[w: w + 7])
+        ys = Configuration(y.points[w: w + 7])
+        cand = candidates_n7(xs, ys, tol=tol, seed=seed + w)
+        quadrics += cand.a_quadrics
+        windows.append(tuple(pair_candidates_n7(xs, ys, cand.a_candidates, cand.b_candidates)))
+    span_rank, a = _span_common_zero(quadrics)
+    surviving = ()
+    if a is not None:
         try:
-            return homography_fit(Configuration([project(p, a) for p in x]),
-                                  Configuration([project(p, b) for p in y])) is not None
-        except DegenerateInput:
+            b = _resected_center(x, y, a)
+            surviving = ((_shown_pair(windows[0], a, b), _shown_pair(windows[1], a, b)),)
+        except (NoRationalImage, InadmissibleCenter):
             pass
-    for i in range(x.n - 6):
-        xs = Configuration(x.points[i: i + 7])
-        ys = Configuration(y.points[i: i + 7])
-        if projective_distance(fano15_complex(xs, pair.a.coords),
-                               fano15_complex(ys, pair.b.coords)) >= match_tol:
-            return False
-    return True
+    return EmptinessCertificate(windows[0], windows[1], surviving, span_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +696,7 @@ class ThreePairsN7:
 
 @dataclass(frozen=True)
 class EmptyN8:
-    """n >= 8: the two-window emptiness certificate (and any survivors)."""
+    """n >= 8: the exact emptiness certificate (and the survivor, if any)."""
 
     certificate: EmptinessCertificate
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import CenterHit, DegenerateInput, InvalidInput
+from .errors import CenterHit, DegenerateInput, Inconclusive, InvalidInput
 
 Scalar = int | Fraction
 
@@ -339,6 +339,58 @@ def stability_class(p: Configuration, n: int | None = None) -> StabilityClass:
     if coincide <= 2 and in_line <= 4:
         return StabilityClass.STRICTLY_SEMISTABLE
     return StabilityClass.UNSTABLE
+
+
+@dataclass(frozen=True)
+class Equivalence:
+    """A verdict on two plane configurations: ``certainty`` names the route
+    ("ExactWitness" or "InvariantSeparation"), ``witness`` the homography."""
+
+    equivalent: bool
+    certainty: str
+    witness: list[list[Fraction]] | None = None
+
+
+def no_three_collinear(points: Sequence[ProjectivePoint]) -> bool:
+    return not any(collinear(*t) for t in combinations(points, 3))
+
+
+def _general_quadruple(c: Configuration) -> tuple[int, ...] | None:
+    return next((combo for combo in combinations(range(c.n), 4)
+                 if no_three_collinear([c[i] for i in combo])), None)
+
+
+def decide_equivalence(p: Configuration, q: Configuration) -> Equivalence:
+    """Exact equivalence verdict for two labelled plane configurations.
+
+    Prefers the witness-homography route, which is decisive whenever some
+    four corresponding points are in general position; stable five- and
+    six-point configurations can also be separated by their invariants.
+    Seven-point invariant agreement alone is never accepted as a proof of
+    equivalence (configurations on conics share the all-ones direction).
+    """
+    from .invariants import fano15, g5, t6  # invariants imports this module
+    if p.n != q.n:
+        raise InvalidInput("configurations must have the same number of points")
+    n = p.n
+    if n >= 4:
+        combo = _general_quadruple(p)
+        if combo is not None:
+            if not no_three_collinear([q[i] for i in combo]):
+                return Equivalence(False, "ExactWitness")
+            order = list(combo) + [i for i in range(n) if i not in combo]
+            h = homography_fit(Configuration([p[i] for i in order]),
+                               Configuration([q[i] for i in order]))
+            return Equivalence(h is not None, "ExactWitness", h)
+        if _general_quadruple(q) is not None:
+            return Equivalence(False, "ExactWitness")
+    if n in (5, 6, 7):
+        kind = {5: g5, 6: t6, 7: fano15}[n]
+        if not kind(p).proportional(kind(q)):
+            return Equivalence(False, "InvariantSeparation")
+        if n in (5, 6) and stability_class(p) == stability_class(q) == StabilityClass.STABLE:
+            return Equivalence(True, "InvariantSeparation")
+    raise Inconclusive("neither a witness nor invariant separation is available")
 
 
 def center_admissible(x: Configuration, a: ProjectivePoint, n: int | None = None,

@@ -85,8 +85,12 @@ def test_every_exact_pair_passes_the_projection_oracle(n, generated, seed, data)
             _check_pair(x, y, pa, pb)
     else:
         assert isinstance(result, (ThreePairsN7, EmptyN8))
-        matched = (result.pairs if isinstance(result, ThreePairsN7)
-                   else [p1 for p1, _ in result.certificate.surviving])
+        if isinstance(result, ThreePairsN7):
+            matched = [m for m in result.pairs
+                       if m.a.exact is not None and m.b.exact is not None]
+        else:
+            matched = [p1 for p1, _ in result.certificate.surviving]
+            # an n >= 8 survivor is decided exactly, so it is always exact
+            assert all(m.a.exact is not None and m.b.exact is not None for m in matched)
         for pair in matched:
-            if pair.a.exact is not None and pair.b.exact is not None:
-                _check_pair(x, y, pair.a.exact, pair.b.exact)
+            _check_pair(x, y, pair.a.exact, pair.b.exact)

@@ -9,10 +9,10 @@ import pytest
 
 import centersvar
 from centersvar import io as cio
-from centersvar.cli import decide_equivalence, main
+from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import Inconclusive
-from centersvar.projective import Configuration, ProjectivePoint, pp
+from centersvar.projective import Configuration, ProjectivePoint, decide_equivalence, pp
 
 
 def run_cli(*args):
@@ -132,16 +132,16 @@ class TestEquivCommand:
         p = Configuration([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 3, 7), (5, 1, 4)])
         h = [[2, 1, 0], [0, 3, -1], [1, 0, 1]]
         verdict = decide_equivalence(p, p.transformed(h))
-        assert verdict["equivalent"] is True
-        assert verdict["certainty"] == "ExactWitness"
-        assert verdict["witness"] is not None
+        assert verdict.equivalent is True
+        assert verdict.certainty == "ExactWitness"
+        assert verdict.witness is not None
 
     def test_unrelated_configurations_differ(self):
         rng = random.Random(6)
         p = Configuration([[rng.randint(-9, 9) or 1 for _ in range(3)] for _ in range(6)])
         q = Configuration([[rng.randint(-9, 9) or 2 for _ in range(3)] for _ in range(6)])
         verdict = decide_equivalence(p, q)
-        assert verdict["equivalent"] is False
+        assert verdict.equivalent is False
 
     def test_two_conic_heptads_are_separated_by_the_witness_path(self):
         # both map to the all-ones invariant direction, so invariants alone
@@ -151,8 +151,8 @@ class TestEquivCommand:
         from centersvar.invariants import fano15
         assert fano15(p).proportional(fano15(q))  # the Goepel relaxation collapses
         verdict = decide_equivalence(p, q)
-        assert verdict["equivalent"] is False
-        assert verdict["certainty"] == "ExactWitness"
+        assert verdict.equivalent is False
+        assert verdict.certainty == "ExactWitness"
 
     def test_totally_degenerate_is_inconclusive(self):
         p = Configuration([(1, 0, c) for c in range(5)])

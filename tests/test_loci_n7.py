@@ -1,18 +1,22 @@
 import json
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from centersvar import io as cio
+from centersvar import linalg
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
+from centersvar.errors import Inconclusive
+from centersvar.forms import Form, mono_eval, monomials
 from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES
-from centersvar.loci import (MatchedPair, _holds_for_all_points, candidates_n7,
-                             centers_n_ge8, fano15_complex, pair_candidates_n7,
-                             quadric_net, weddle_curve_point)
-from centersvar.numeric import NumericPoint, projective_distance
+from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
+                             fano15_complex, pair_candidates_n7, quadric_net,
+                             weddle_curve_point)
+from centersvar.numeric import projective_distance
 from centersvar.projective import Configuration, pp
 
 
@@ -168,13 +172,48 @@ class TestWeddleCurve:
             assert abs(sv[-1]) / sv[0] < 1e-7
 
 
+def _quadrics_vanishing_on(rows):
+    """A basis of the quadrics whose coefficient vectors annihilate the rows."""
+    return [Form(2, tuple(v)) for v in linalg.kernel_basis(rows)]
+
+
+def _veronese(point):
+    return [mono_eval(m, point.coords) for m in monomials(2)]
+
+
+class TestSpanCommonZero:
+    POINTS = [pp(0, 2, -3, 5), pp(7, -1, 4, 2), pp(1, 0, 0, 0), pp(3, 3, -8, 0)]
+
+    def test_all_quadrics_have_no_common_zero(self):
+        units = [Form(2, tuple(Fraction(int(i == j)) for j in range(10))) for i in range(10)]
+        assert _span_common_zero(units) == (10, None)
+
+    @pytest.mark.parametrize("p", POINTS)
+    def test_the_quadrics_through_a_point_give_it_back(self, p):
+        quadrics = _quadrics_vanishing_on([_veronese(p)])
+        assert len(quadrics) == 9
+        assert _span_common_zero(quadrics) == (9, p)
+
+    @pytest.mark.parametrize("p, q", list(zip(POINTS, POINTS[1:])))
+    def test_a_kernel_off_the_veronese_has_no_common_zero(self, p, q):
+        kernel = [u + v for u, v in zip(_veronese(p), _veronese(q))]
+        assert _span_common_zero(_quadrics_vanishing_on([kernel])) == (9, None)
+
+    @pytest.mark.parametrize("p, q", list(zip(POINTS, POINTS[1:])))
+    def test_two_common_zeros_are_inconclusive(self, p, q):
+        quadrics = _quadrics_vanishing_on([_veronese(p), _veronese(q)])
+        assert len(quadrics) == 8
+        with pytest.raises(Inconclusive):
+            _span_common_zero(quadrics)
+
+
 class TestEightPlus:
     def test_generic_pairs_share_nothing(self):
         rng = random.Random(17)
         for _ in range(3):
             x, y = rand_config(rng, 8), rand_config(rng, 8)
             cert = centers_n_ge8(x, y)
-            assert cert.surviving == ()
+            assert cert.surviving == () and cert.span_rank == 10
             assert len(cert.window_1) == 3 and len(cert.window_2) == 3
 
     def test_oracle_pair_survives_both_windows(self):
@@ -199,17 +238,8 @@ class TestEightPlus:
         out = tmp_path / "c9.json"
         assert main(["centers", "-i", files[0], "-j", files[1], "-o", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["variant"] == "EmptyN8"
+        assert report["variant"] == "EmptyN8" and report["span_rank"] == 9
         assert report["surviving"] == [] and report["empty"] is True
-
-    def test_inexact_pair_is_checked_on_every_window(self):
-        rec = generate_reconstruction(8, seed=0)
-        pair = MatchedPair(NumericPoint.from_vector(floats(rec.a_true), 0.0),
-                           NumericPoint.from_vector(floats(rec.b_true), 0.0), 0.0)
-        assert _holds_for_all_points(rec.x, rec.y, pair, 1e-7)
-        x = Configuration(list(rec.x.points) + [pp(3, -7, 2, 5)])
-        y = Configuration(list(rec.y.points) + [pp(1, 4, -6, 9)])
-        assert not _holds_for_all_points(x, y, pair, 1e-7)
 
     def test_shared_seven_prefix_only_is_empty(self):
         # first seven points share a reconstruction, the eighth pair does not
