@@ -144,14 +144,11 @@ def _centers_payload(result) -> dict[str, Any]:
                 "a_quadrics": [_form_json(qf) for qf in result.candidates.a_quadrics],
                 "b_quadrics": [_form_json(qf) for qf in result.candidates.b_quadrics]}
     assert isinstance(result, EmptyN8)
-    cert = result.certificate
     return {"variant": "EmptyN8",
-            "window_1_pairs": [_pair_json(m) for m in cert.window_1],
-            "window_2_pairs": [_pair_json(m) for m in cert.window_2],
-            "span_rank": cert.span_rank,
-            "surviving": [{"window_1": _pair_json(p1), "window_2": _pair_json(p2)}
-                          for p1, p2 in cert.surviving],
-            "empty": not cert.surviving}
+            "span_rank": result.span_rank,
+            "surviving": [{"a": cio.point_to_json(a), "b": cio.point_to_json(b)}
+                          for a, b in result.surviving],
+            "empty": not result.surviving}
 
 
 def cmd_centers(args) -> dict[str, Any]:

@@ -30,6 +30,8 @@ from .projective import (Configuration, ProjectivePoint, StabilityClass,
                          homography_fit, normalizing_transform, on_line, project,
                          stability_class)
 
+_MAX_ATTEMPTS = 4000
+
 
 @dataclass(frozen=True)
 class Reconstruction:
@@ -174,8 +176,7 @@ def _certified(x: Configuration, y: Configuration, a: ProjectivePoint,
     return not va.non_semistable and va.proportional(vb)
 
 
-def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10,
-                            max_attempts: int = 4000) -> Reconstruction:
+def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Reconstruction:
     """Sample a self-certifying ambiguous instance with n points.
 
     Deterministic per (n, seed, coord_bound). Scene points and camera
@@ -188,7 +189,7 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10,
     if coord_bound < 10:
         raise InvalidInput("coord_bound must be at least 10")
     rng = random.Random((n, seed, coord_bound).__repr__())
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         amat = _random_matrix(rng, 4, 5, coord_bound)
         bmat = _random_matrix(rng, 4, 5, coord_bound)
         if linalg.rank(amat) != 4 or linalg.rank(bmat) != 4:
@@ -230,7 +231,7 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10,
             x=x, y=y, a_true=a_true, b_true=b_true,
             seed=seed, coord_bound=coord_bound)
     raise GenerationFailed(
-        f"no generic instance with n={n} within {max_attempts} attempts; raise the bound")
+        f"no generic instance with n={n} within {_MAX_ATTEMPTS} attempts; raise the bound")
 
 
 DEGENERATE_KINDS = (

@@ -20,7 +20,7 @@ n = 7 uses the numeric quadric-system kernel with exact certification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -481,7 +481,7 @@ class CandidateSets:
 
 
 def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
-                  seed: int = 0, expected: int | None = 3) -> CandidateSets:
+                  seed: int = 0) -> CandidateSets:
     """Candidate centers for seven point pairs.
 
     Each leave-one-out six-point subproblem confines a to a quadric surface;
@@ -495,8 +495,8 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
         s_beta, s_alpha = quadric_pair_n6(x.drop(k), y.drop(k))
         a_quads.append(s_beta.form)
         b_quads.append(s_alpha.form)
-    a_pts = solve_quadric_system(a_quads, expected=expected, tol=tol, seed=seed)
-    b_pts = solve_quadric_system(b_quads, expected=expected, tol=tol, seed=seed + 1)
+    a_pts = solve_quadric_system(a_quads, expected=3, tol=tol, seed=seed)
+    b_pts = solve_quadric_system(b_quads, expected=3, tol=tol, seed=seed + 1)
     a_pts = [_with_certificate(p, a_quads) for p in a_pts]
     b_pts = [_with_certificate(p, b_quads) for p in b_pts]
     return CandidateSets(tuple(a_quads), tuple(b_quads), tuple(a_pts), tuple(b_pts))
@@ -535,6 +535,7 @@ def fano15_complex(x: Configuration, a: Sequence[complex]) -> np.ndarray:
 
 
 _OMEGA = np.ones(15)
+_MATCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -548,8 +549,7 @@ class MatchedPair:
 
 def pair_candidates_n7(x: Configuration, y: Configuration,
                        a_candidates: Sequence[NumericPoint],
-                       b_candidates: Sequence[NumericPoint],
-                       tol: float = 1e-7) -> list[MatchedPair]:
+                       b_candidates: Sequence[NumericPoint]) -> list[MatchedPair]:
     """Match a-candidates to b-candidates by their lifted Fano directions.
 
     Candidates whose Fano vector is proportional to the all-ones direction
@@ -559,8 +559,8 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     """
     va = [(p, fano15_complex(x, p.coords)) for p in a_candidates]
     vb = [(p, fano15_complex(y, p.coords)) for p in b_candidates]
-    va = [(p, v) for p, v in va if projective_distance(v, _OMEGA) >= tol]
-    vb = [(p, v) for p, v in vb if projective_distance(v, _OMEGA) >= tol]
+    va = [(p, v) for p, v in va if projective_distance(v, _OMEGA) >= _MATCH_TOL]
+    vb = [(p, v) for p, v in vb if projective_distance(v, _OMEGA) >= _MATCH_TOL]
     if not va or len(va) != len(vb):
         raise AmbiguousMatch(
             f"cannot match {len(va)} a-candidates with {len(vb)} b-candidates")
@@ -574,23 +574,12 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     pairs = []
     for i, j in enumerate(best_perm):
         row = sorted(dist[i])
-        if len(row) > 1 and row[1] < tol:
+        if len(row) > 1 and row[1] < _MATCH_TOL:
             raise AmbiguousMatch("two candidate matches within tolerance",
                                  distances=[float(d) for d in dist[i]])
         pairs.append(MatchedPair(va[i][0], vb[j][0], float(dist[i, j])))
     pairs.sort(key=lambda m: m.invariant_distance)
     return pairs
-
-
-@dataclass(frozen=True)
-class EmptinessCertificate:
-    """Three-pair sets of two overlapping 7-subsets, the rank of the span of
-    their a-quadrics, and the exactly verified surviving pair (if any)."""
-
-    window_1: tuple[MatchedPair, ...]
-    window_2: tuple[MatchedPair, ...]
-    surviving: tuple[tuple[MatchedPair, MatchedPair], ...]
-    span_rank: int
 
 
 def _span_common_zero(quadrics: Sequence[Form]) -> tuple[int, ProjectivePoint | None]:
@@ -615,42 +604,29 @@ def _span_common_zero(quadrics: Sequence[Form]) -> tuple[int, ProjectivePoint | 
     return rank, a if linalg.rank(m) == 1 else None
 
 
-def _shown_pair(pairs: Sequence[MatchedPair], a: ProjectivePoint,
-                b: ProjectivePoint) -> MatchedPair:
-    """The window pair whose float a is nearest the exact a, carrying (a, b)."""
-    af = [float(c) for c in a.coords]
-    m = min(pairs, key=lambda p: projective_distance(p.a.coords, af))
-    return replace(m, a=replace(m.a, exact=a), b=replace(m.b, exact=b))
-
-
-def centers_n_ge8(x: Configuration, y: Configuration, tol: float = 1e-9,
-                  seed: int = 0) -> EmptinessCertificate:
+def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
     """Centers-variety for n >= 8 points, decided exactly.
 
     Every valid a lies on the S_beta quadric of each 6-subset, so on the
-    common zeros of the span of the fourteen a-quadrics of the windows
-    {1..7} and {2..8} (see _span_common_zero). A candidate a is kept only
-    if resection over all n points finds its b. The windows' three-pair
-    sets are reported alongside; they only label a survivor.
+    common zeros of the span of the a-quadrics of the thirteen distinct
+    6-subsets of the windows {1..7} and {2..8}; {2..7} lies in both and is
+    counted once (see _span_common_zero). A candidate a is kept only if
+    resection over all n points finds its b.
     """
     if x.n < 8 or y.n != x.n:
         raise InvalidInput("centers_n_ge8 needs at least eight points")
-    windows, quadrics = [], []
-    for w in range(2):
-        xs = Configuration(x.points[w: w + 7])
-        ys = Configuration(y.points[w: w + 7])
-        cand = candidates_n7(xs, ys, tol=tol, seed=seed + w)
-        quadrics += cand.a_quadrics
-        windows.append(tuple(pair_candidates_n7(xs, ys, cand.a_candidates, cand.b_candidates)))
+    subsets = sorted({c for w in (0, 1) for c in combinations(range(w, w + 7), 6)})
+    quadrics = [quadric_pair_n6(Configuration([x[i] for i in c]),
+                                Configuration([y[i] for i in c]))[0].form
+                for c in subsets]
     span_rank, a = _span_common_zero(quadrics)
     surviving = ()
     if a is not None:
         try:
-            b = _resected_center(x, y, a)
-            surviving = ((_shown_pair(windows[0], a, b), _shown_pair(windows[1], a, b)),)
+            surviving = ((a, _resected_center(x, y, a)),)
         except (NoRationalImage, InadmissibleCenter):
             pass
-    return EmptinessCertificate(windows[0], windows[1], surviving, span_rank)
+    return EmptyN8(span_rank, surviving)
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +672,11 @@ class ThreePairsN7:
 
 @dataclass(frozen=True)
 class EmptyN8:
-    """n >= 8: the exact emptiness certificate (and the survivor, if any)."""
+    """n >= 8: the rank of the span of the windows' a-quadrics and the
+    exactly verified center pair (a, b), if one survives."""
 
-    certificate: EmptinessCertificate
+    span_rank: int
+    surviving: tuple[tuple[ProjectivePoint, ProjectivePoint], ...]
 
 
 CentersVariety = EverythingN4 | CubicFibrationN5 | SurfacePairN6 | ThreePairsN7 | EmptyN8
@@ -726,8 +704,7 @@ def _sample_generic_centers(x: Configuration, y: Configuration, seed: int
 def centers_variety(x: Configuration, y: Configuration,
                     a: ProjectivePoint | None = None,
                     b: ProjectivePoint | None = None,
-                    tol: float = 1e-9, seed: int = 0,
-                    samples: int = 3) -> CentersVariety:
+                    tol: float = 1e-9, seed: int = 0) -> CentersVariety:
     """Compute the centers-variety description appropriate to n = |X| = |Y|."""
     if x.n != y.n:
         raise InvalidInput("configurations must have the same number of points")
@@ -759,7 +736,7 @@ def centers_variety(x: Configuration, y: Configuration,
             matched = map_a_to_b_n6(x, y, a, pair=pair)
         sampled = []
         attempt = 0
-        while len(sampled) < samples and attempt < 40:
+        while len(sampled) < 3 and attempt < 40:
             try:
                 sa = sample_surface_point(pair[0], x[0], seed=seed + attempt,
                                           avoid=list(x.points))
@@ -772,7 +749,7 @@ def centers_variety(x: Configuration, y: Configuration,
         cand = candidates_n7(x, y, tol=tol, seed=seed)
         pairs = pair_candidates_n7(x, y, cand.a_candidates, cand.b_candidates)
         return ThreePairsN7(tuple(pairs), cand)
-    return EmptyN8(centers_n_ge8(x, y, tol=tol, seed=seed))
+    return centers_n_ge8(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +768,7 @@ def quadric_net(x: Configuration) -> list[QuadricSurface]:
     return [QuadricSurface.from_form(Form(2, tuple(v))) for v in kernel]
 
 
-def weddle_curve_point(x: Configuration, tol: float = 1e-9, seed: int = 0
-                       ) -> tuple[NumericPoint, list[float]]:
+def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, list[float]]:
     """A point of the common curve of the seven leave-one-out Weddle surfaces.
 
     Restricts the determinant of the net of quadrics through the seven
@@ -848,6 +824,6 @@ def weddle_curve_point(x: Configuration, tol: float = 1e-9, seed: int = 0
             vals = np.array([np.prod((vertex / np.linalg.norm(vertex)) ** np.array(m))
                              for m in monomials(4)], dtype=complex)
             residuals.append(float(abs(coeff @ vals)))
-        if max(residuals) < max(tol, 1e-7):
+        if max(residuals) < 1e-7:
             return NumericPoint.from_vector(vertex, max(residuals)), residuals
     raise DegenerateInput("could not locate a Weddle-curve point at tolerance")

@@ -35,6 +35,10 @@ from .forms import Form, monomial_index, monomials, scaled_float
 from .projective import ProjectivePoint
 
 _RANK_RTOL = 1e-8
+_REAL_TOL = 1e-9  # largest imaginary part of a unit vector that counts as real
+_GAUSS_NEWTON_STEPS = 12
+_EXACT_NEWTON_STEPS = 2
+_MAX_DENOMINATOR = 10 ** 30
 
 
 def form_floats(form: Form) -> np.ndarray:
@@ -64,14 +68,14 @@ class NumericPoint:
     exact: ProjectivePoint | None = None
 
     @classmethod
-    def from_vector(cls, v: np.ndarray, residual: float, real_tol: float = 1e-9,
+    def from_vector(cls, v: np.ndarray, residual: float,
                     exact: ProjectivePoint | None = None) -> "NumericPoint":
         v = np.asarray(v, dtype=complex)
         j = int(np.argmax(np.abs(v)))
         phase = v[j] / abs(v[j])
         v = v / phase
         v = v / np.linalg.norm(v)
-        is_real = bool(np.max(np.abs(v.imag)) < real_tol)
+        is_real = bool(np.max(np.abs(v.imag)) < _REAL_TOL)
         return cls(tuple(v), residual, is_real, exact)
 
     def array(self) -> np.ndarray:
@@ -138,9 +142,9 @@ def _shift_selectors() -> tuple[np.ndarray, ...]:
     return tuple(picks)
 
 
-def _gauss_newton(syms: list[np.ndarray], point: np.ndarray, iters: int = 12) -> np.ndarray:
+def _gauss_newton(syms: list[np.ndarray], point: np.ndarray) -> np.ndarray:
     p = point / np.linalg.norm(point)
-    for _ in range(iters):
+    for _ in range(_GAUSS_NEWTON_STEPS):
         residuals = np.array([p @ s @ p for s in syms])
         jac = np.array([2.0 * (s @ p) for s in syms])
         # keep the step transverse to the point itself (projective gauge)
@@ -248,8 +252,7 @@ def _pivot_triple(jac: np.ndarray) -> tuple[int, int, int] | None:
     return tuple(int(i) for i in triples[best])
 
 
-def exact_newton_polish(forms: Sequence[Form], point: np.ndarray,
-                        iters: int = 2) -> list[Fraction] | None:
+def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> list[Fraction] | None:
     """Sharpen a real approximate zero with exact-arithmetic Newton steps.
 
     The largest coordinate is frozen to 1 and a well-conditioned triple of
@@ -275,7 +278,7 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray,
 
     x = [Fraction(v).limit_denominator(10 ** 17) for v in (real / real[j])]
     x[j] = Fraction(1)
-    for _ in range(iters):
+    for _ in range(_EXACT_NEWTON_STEPS):
         # with x = ints / den, the Jacobian at x is J(ints) / den and each value
         # f(x) is f(ints) / den**2, so the step solves J(ints) (den * step) = -f(ints)
         den = math.lcm(*(c.denominator for c in x))
@@ -289,8 +292,7 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray,
     return x
 
 
-def certify_rational(forms: Sequence[Form], point: "NumericPoint",
-                     max_denominator: int = 10 ** 30) -> ProjectivePoint | None:
+def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> ProjectivePoint | None:
     """Try to recognize a numeric zero as an exact rational point.
 
     Denominator-bounded reconstruction of the polished coordinates followed
@@ -298,7 +300,7 @@ def certify_rational(forms: Sequence[Form], point: "NumericPoint",
     of them exactly is returned. The bounds climb by factors of 10^4, so
     that some bound is both at least the true denominator q and small enough
     that the polishing error cannot favour another fraction (error below
-    about 1 / (q * bound)); the default last bound, 10^30, is half of the 60
+    about 1 / (q * bound)); the last bound, 10^30, is half of the 60
     digits exact_newton_polish keeps.
     """
     if not point.is_real:
@@ -306,8 +308,7 @@ def certify_rational(forms: Sequence[Form], point: "NumericPoint",
     polished = exact_newton_polish(forms, point.array())
     if polished is None:
         return None
-    bounds = [10 ** k for k in range(4, 30, 4) if 10 ** k < max_denominator]
-    for bound in bounds + [max_denominator]:
+    for bound in [10 ** k for k in range(4, 30, 4)] + [_MAX_DENOMINATOR]:
         snapped = [c.limit_denominator(bound) for c in polished]
         if all(x == 0 for x in snapped):
             continue

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from centersvar import io as cio
-from centersvar import linalg
+from centersvar import linalg, loci
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import Inconclusive
 from centersvar.forms import Form, mono_eval, monomials
 from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES
 from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
-                             fano15_complex, pair_candidates_n7, quadric_net,
-                             weddle_curve_point)
+                             centers_variety, fano15_complex, pair_candidates_n7,
+                             quadric_net, weddle_curve_point)
 from centersvar.numeric import projective_distance
 from centersvar.projective import Configuration, pp
 
@@ -207,37 +207,41 @@ class TestSpanCommonZero:
             _span_common_zero(quadrics)
 
 
+def _ninth_point_pair():
+    # the first eight points share a reconstruction; the ninth pair breaks it
+    rec = generate_reconstruction(8, seed=0)
+    return (Configuration(list(rec.x.points) + [pp(3, -7, 2, 5)]),
+            Configuration(list(rec.y.points) + [pp(1, 4, -6, 9)]))
+
+
+def _centers_report(tmp_path, x, y):
+    files = []
+    for name, cfg in (("x.json", x), ("y.json", y)):
+        files.append(str(tmp_path / name))
+        cio.atomic_write_json(files[-1], cio.configuration_to_json(cfg))
+    out = tmp_path / "report.json"
+    code = main(["centers", "-i", files[0], "-j", files[1], "-o", str(out)])
+    return code, json.loads(out.read_text()) if code == 0 else None
+
+
 class TestEightPlus:
     def test_generic_pairs_share_nothing(self):
         rng = random.Random(17)
         for _ in range(3):
             x, y = rand_config(rng, 8), rand_config(rng, 8)
-            cert = centers_n_ge8(x, y)
-            assert cert.surviving == () and cert.span_rank == 10
-            assert len(cert.window_1) == 3 and len(cert.window_2) == 3
+            result = centers_n_ge8(x, y)
+            assert result.surviving == () and result.span_rank == 10
 
-    def test_oracle_pair_survives_both_windows(self):
+    def test_oracle_pair_is_the_exact_survivor(self):
         rec = generate_reconstruction(8, seed=2)
-        cert = centers_n_ge8(rec.x, rec.y)
-        assert len(cert.surviving) == 1
-        p1, p2 = cert.surviving[0]
-        at = floats(rec.a_true)
-        assert projective_distance(p1.a.coords, at) < 1e-7
-        assert projective_distance(p2.a.coords, at) < 1e-7
+        result = centers_n_ge8(rec.x, rec.y)
+        assert result.span_rank == 9
+        assert result.surviving == ((rec.a_true, rec.b_true),)
 
     def test_ninth_point_pair_is_checked(self, tmp_path):
-        # both windows see only the first eight points, which share a
-        # reconstruction; the ninth pair breaks it, so nothing may survive
-        rec = generate_reconstruction(8, seed=0)
-        x = Configuration(list(rec.x.points) + [pp(3, -7, 2, 5)])
-        y = Configuration(list(rec.y.points) + [pp(1, 4, -6, 9)])
-        files = []
-        for name, cfg in (("x.json", x), ("y.json", y)):
-            files.append(str(tmp_path / name))
-            cio.atomic_write_json(files[-1], cio.configuration_to_json(cfg))
-        out = tmp_path / "c9.json"
-        assert main(["centers", "-i", files[0], "-j", files[1], "-o", str(out)]) == 0
-        report = json.loads(out.read_text())
+        # the windows see only the first eight points, so nothing may survive
+        code, report = _centers_report(tmp_path, *_ninth_point_pair())
+        assert code == 0
         assert report["variant"] == "EmptyN8" and report["span_rank"] == 9
         assert report["surviving"] == [] and report["empty"] is True
 
@@ -247,5 +251,27 @@ class TestEightPlus:
         rng = random.Random(23)
         x = Configuration(list(rec.x.points) + [[rng.randint(-9, 9) or 2 for _ in range(4)]])
         y = Configuration(list(rec.y.points) + [[rng.randint(-9, 9) or 2 for _ in range(4)]])
-        cert = centers_n_ge8(x, y)
-        assert cert.surviving == ()
+        result = centers_n_ge8(x, y)
+        assert result.surviving == ()
+
+    def test_window_match_ambiguity_does_not_abort(self, tmp_path):
+        # the 7-point windows of this pair cannot be matched numerically
+        # (AmbiguousMatch), which must not decide the exact n = 8 verdict
+        x = Configuration([[1, 2, 2, -2], [-1, 3, -2, 3], [1, -2, 3, -1], [1, -2, -2, -1],
+                           [-1, 2, -1, 1], [2, 3, 1, 2], [3, 1, 1, 3], [1, -2, -2, -2]])
+        y = Configuration([[1, 1, 3, 2], [-2, 1, 3, -1], [-1, 3, -2, 3], [-1, 2, 1, 2],
+                           [-1, -1, -2, -1], [-1, -2, 3, -2], [2, -2, -2, 2], [1, 1, -1, 3]])
+        code, report = _centers_report(tmp_path, x, y)
+        assert code == 0
+        assert report["variant"] == "EmptyN8" and report["span_rank"] == 10
+        assert report["surviving"] == [] and report["empty"] is True
+
+    def test_verdict_needs_no_numeric_stage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numeric stage ran for n >= 8")
+
+        for name in ("candidates_n7", "pair_candidates_n7", "solve_quadric_system"):
+            monkeypatch.setattr(loci, name, refuse)
+        rec = generate_reconstruction(8, seed=2)
+        assert centers_variety(rec.x, rec.y).surviving == ((rec.a_true, rec.b_true),)
+        assert centers_variety(*_ninth_point_pair()).surviving == ()
