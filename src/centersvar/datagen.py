@@ -10,8 +10,8 @@ that line factors through both cameras, so
 
 is an explicit ambiguous pair for X = A' Z, Y = B' Z. The generator samples
 integer scenes and matrices, rejects until the exact genericity predicates
-of the target n hold, and certifies the produced pair by invariant
-proportionality before returning it.
+of the target n hold, and verifies the projected images by an exact
+witness homography before returning the pair.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .errors import DegenerateInput, GenerationFailed, InvalidInput
-from .invariants import fano15, fano15_lifted, g5_lifted, t6_lifted
+from .errors import DegenerateInput, GenerationFailed, Inconclusive, InvalidInput
+from .invariants import fano15
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
                          apply_matrix, bracket, center_admissible, collinear,
-                         homography_fit, normalizing_transform, on_line, project,
-                         stability_class)
+                         decide_equivalence, normalizing_transform, on_line,
+                         project, stability_class)
 
 _MAX_ATTEMPTS = 4000
 
@@ -153,27 +153,17 @@ def _generic_enough(x: Configuration, y: Configuration, a: ProjectivePoint,
 
 def _certified(x: Configuration, y: Configuration, a: ProjectivePoint,
                b: ProjectivePoint, n: int) -> bool:
-    if n <= 4:
-        p = Configuration([project(pt, a) for pt in x])
-        q = Configuration([project(pt, b) for pt in y])
-        if n < 4:
-            return True  # general position was already checked
-        return homography_fit(p, q) is not None
-    if n == 5:
-        va, vb = g5_lifted(x, a), g5_lifted(y, b)
-    elif n == 6:
-        va, vb = t6_lifted(x, a), t6_lifted(y, b)
-    elif n == 7:
-        va, vb = fano15_lifted(x, a), fano15_lifted(y, b)
-    else:
-        for idx in (list(range(7)), list(range(1, 8))):
-            xs = Configuration([x[i] for i in idx])
-            ys = Configuration([y[i] for i in idx])
-            va, vb = fano15_lifted(xs, a), fano15_lifted(ys, b)
-            if va.non_semistable or not va.proportional(vb):
-                return False
+    """Whether an exact witness homography maps the image of X from a onto
+    the image of Y from b, over all n points; below four points general
+    position, already checked, is enough."""
+    if n < 4:
         return True
-    return not va.non_semistable and va.proportional(vb)
+    p = Configuration([project(pt, a) for pt in x])
+    q = Configuration([project(pt, b) for pt in y])
+    try:
+        return decide_equivalence(p, q).equivalent
+    except Inconclusive:
+        return False
 
 
 def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Reconstruction:
@@ -181,8 +171,8 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Rec
 
     Deterministic per (n, seed, coord_bound). Scene points and camera
     matrices have integer entries within the bound; candidates are rejected
-    until the exact genericity predicates of the target n hold and the
-    invariant proportionality between (X, a) and (Y, b) checks out.
+    until the exact genericity predicates of the target n hold and an exact
+    witness homography maps the image of X from a onto that of Y from b.
     """
     if n < 3:
         raise InvalidInput("generate_reconstruction needs n >= 3")

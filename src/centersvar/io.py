@@ -42,6 +42,8 @@ def point_to_json(p: ProjectivePoint) -> list[str]:
 
 
 def point_from_json(coords: Sequence) -> ProjectivePoint:
+    if not isinstance(coords, (list, tuple)):
+        raise InvalidInput(f"a point must be a list of coordinates, not {coords!r}")
     return ProjectivePoint([parse_fraction(str(c)) for c in coords])
 
 
@@ -52,9 +54,13 @@ def configuration_to_json(c: Configuration) -> dict[str, Any]:
 def configuration_from_json(doc: dict) -> Configuration:
     if not isinstance(doc, dict) or "points" not in doc:
         raise InvalidInput("point-set document needs a 'points' field")
-    pts = [point_from_json(p) for p in doc["points"]]
-    c = Configuration(pts)
-    if "ambient_dim" in doc and int(doc["ambient_dim"]) != c.ambient_dim:
+    if not isinstance(doc["points"], list):
+        raise InvalidInput("'points' must be a list of points")
+    c = Configuration([point_from_json(p) for p in doc["points"]])
+    dim = doc.get("ambient_dim", c.ambient_dim)
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InvalidInput(f"ambient_dim must be an integer, not {dim!r}")
+    if dim != c.ambient_dim:
         raise InvalidInput("ambient_dim does not match the coordinates")
     return c
 
@@ -72,16 +78,22 @@ def parse_inline_point(text: str) -> ProjectivePoint:
     return ProjectivePoint([parse_fraction(p) for p in parts])
 
 
-def load_configuration(path: str) -> Configuration:
+def _read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return configuration_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise InvalidInput(f"{path} is not a JSON document: {exc}") from exc
+
+
+def load_configuration(path: str) -> Configuration:
+    return configuration_from_json(_read_json(path))
 
 
 def load_point(text_or_path: str) -> ProjectivePoint:
     """A center given inline or as a JSON file ({'point': [...]} or a list)."""
     if os.path.exists(text_or_path):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(text_or_path)
         if isinstance(doc, dict):
             doc = doc.get("point", doc.get("center"))
         if doc is None:

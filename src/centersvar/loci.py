@@ -5,7 +5,8 @@ projectively equivalent images is
 
 * all of P^3 x P^3 for n <= 4 (a witness homography always exists),
 * a fibration by twisted cubics for n = 5 (fixing a, the b-locus is the
-  unique twisted cubic through the five world points and a),
+  unique twisted cubic through the five world points and a, parametrized
+  in closed form in the standard frame),
 * a surface for n = 6: each center is confined to a quadric and the two
   quadrics are in exact birational correspondence; b is the center of the
   camera that linear resection finds from the correspondences
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +40,9 @@ from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, apply_matrix,
-                         canonical_coords, center_admissible, homography_fit,
-                         no_three_collinear, normalizing_transform, on_line,
-                         project)
+                         canonical_coords, center_admissible, frame_matrix,
+                         homography_fit, no_three_collinear,
+                         normalizing_transform, on_line, project)
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,14 @@ class TwistedCubic:
     """A (possibly degenerate) space cubic, presented by three quadrics.
 
     ``quadrics`` span the degree-2 part of the ideal; ``base_points`` are the
-    known points on the curve; ``param`` is filled in by cubic_param_n5 with
-    four binary cubics giving a rational parametrization. The frame matrices
-    record the normalization used to build the curve.
+    known points on the curve; ``param``, when the curve is a smooth twisted
+    cubic, holds four binary cubics giving its rational parametrization in
+    the closed form of cubic_locus_n5, and is None otherwise.
     """
 
     quadrics: tuple[Form, Form, Form]
     base_points: tuple[ProjectivePoint, ...]
     param: tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm] | None = None
-    to_std: tuple | None = None
-    from_std: tuple | None = None
 
     def contains(self, z) -> bool:
         coords = z.coords if isinstance(z, ProjectivePoint) else z
@@ -99,7 +99,7 @@ class TwistedCubic:
 
     def at(self, t0, t1) -> ProjectivePoint:
         if self.param is None:
-            raise InvalidInput("curve has no parametrization; call cubic_param_n5")
+            raise InvalidInput("curve has no parametrization")
         return ProjectivePoint([p(t0, t1) for p in self.param])
 
 
@@ -174,11 +174,18 @@ def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> Tw
 
     Both configurations are normalized onto the standard frame; in those
     coordinates the locus is the rank-deficiency set of the 4 x 3 matrix
-    with columns (a'_i), (b_i), (a'_i b_i). Row-reducing by the first
-    nonzero coordinate of a' leaves a 3 x 2 matrix with entries linear in b
-    whose three 2 x 2 minors cut out the curve; they are pulled back to the
-    original coordinates of y. For generic a this is the unique twisted
-    cubic through the five y-points and (the y-frame image of) a.
+    with columns (alpha_i), (b_i), (alpha_i b_i), alpha the x-frame image of
+    a. Row-reducing by the first nonzero alpha_i leaves a 3 x 2 matrix with
+    entries linear in b whose three 2 x 2 minors cut out the curve; they are
+    pulled back to the original coordinates of y.
+
+    When the alpha_i are nonzero and pairwise distinct (a lies on none of
+    the ten planes through three world points: the SmoothCubic case) the
+    locus is the twisted cubic through the frame points and alpha, with the
+    closed form b_i = alpha_i prod_{j != i} (t0 + alpha_j t1) in the y-frame.
+    Pulled back to y it becomes ``param``; y_j (j = 1..4) sits at
+    (-alpha_j : 1), y_5 at (0 : 1) and the point with y-frame coordinates
+    alpha at (1 : 0). Otherwise ``param`` is None.
     """
     if x.n != 5 or y.n != 5 or x.ambient_dim != 3 or y.ambient_dim != 3:
         raise InvalidInput("cubic_locus_n5 needs five points in P^3 on both sides")
@@ -205,14 +212,16 @@ def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> Tw
     for yi in y.points:
         if any(q(yi.coords) != 0 for q in quadrics):
             raise Inconsistent("curve does not pass through a base point")
-    return TwistedCubic(quadrics, tuple(y.points), to_std=tuple(map(tuple, v)),
-                        from_std=tuple(map(tuple, linalg.inverse(v))))
-
-
-def _binary_det3(rows: list[list[BinaryForm]]) -> BinaryForm:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i) + b * (f * g) + c * (d * h) \
-        + (a * (f * h)).scaled(-1) + (b * (d * i)).scaled(-1) + (c * (e * g)).scaled(-1)
+    param = None
+    if all(alpha.coords) and len(set(alpha.coords)) == 4:
+        frame = [prod((BinaryForm([alpha[j], 1]) for j in range(4) if j != i),
+                      start=BinaryForm([alpha[i]])) for i in range(4)]
+        param = tuple(BinaryForm(sum(m * f.coeffs[k] for m, f in zip(row, frame))
+                                 for k in range(4))
+                      for row in frame_matrix(y.points))
+        if any(not restrict_to_param(q, param).is_zero() for q in quadrics):
+            raise Inconsistent("parametrization does not satisfy the curve ideal")
+    return TwistedCubic(quadrics, tuple(y.points), param)
 
 
 def restrict_to_param(q: Form, param: Sequence[BinaryForm]) -> BinaryForm:
@@ -230,65 +239,11 @@ def restrict_to_param(q: Form, param: Sequence[BinaryForm]) -> BinaryForm:
 
 
 def cubic_param_n5(curve: TwistedCubic) -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
-    """Exact rational parametrization of a smooth twisted cubic locus.
-
-    Working in the standard frame, the pencil of planes through the first
-    two frame points meets the curve in one residual point per parameter;
-    eliminating linearly gives coordinates that are binary cubics in the
-    pencil parameter. The result is pulled back to the original frame,
-    verified to satisfy all three quadrics identically, and cached on the
-    curve.
-    """
-    if curve.param is not None:
-        return curve.param
-    if curve.from_std is None or curve.to_std is None:
-        raise InvalidInput("curve carries no frame data")
-    qs_std = [q.compose_linear(curve.from_std) for q in curve.quadrics]
-    monos = monomials(2)
-
-    def coeff(q: Form, i: int, j: int) -> Fraction:
-        e = [0, 0, 0, 0]
-        e[i] += 1
-        e[j] += 1
-        return q.coeffs[monos.index(tuple(e))]
-
-    rows = []
-    for q in qs_std:
-        if any(coeff(q, i, i) != 0 for i in range(4)):
-            raise DegenerateCurve("standard-frame quadric has a square term")
-        rows.append([
-            BinaryForm([coeff(q, 0, 1)]),
-            BinaryForm([coeff(q, 0, 3), coeff(q, 0, 2)]),
-            BinaryForm([coeff(q, 1, 3), coeff(q, 1, 2)]),
-            BinaryForm([Fraction(0), coeff(q, 2, 3), Fraction(0)]),
-        ])
-    minors = {}
-    for drop in (1, 2, 3):  # the kernel coordinates the parametrization needs
-        sub = [[row[c] for c in range(4) if c != drop] for row in rows]
-        minors[drop] = _binary_det3(sub)
-    m1, m2, m3 = minors[1], minors[2], minors[3]
-    t0 = BinaryForm([Fraction(0), Fraction(1)])
-    t1 = BinaryForm([Fraction(1), Fraction(0)])
-    coords_std = [m1, m2.scaled(-1), t0 * m3, t1 * m3]
-    if all(c.is_zero() for c in coords_std):
-        raise DegenerateCurve("parametrization matrix is identically singular")
-    g = binary_gcd([c for c in coords_std if not c.is_zero()])
-    if g.degree > 0:
-        raise DegenerateCurve("parametrization degenerates to degree < 3")
-    from_std = curve.from_std
-    coords = []
-    for r in range(4):
-        acc: BinaryForm | None = None
-        for c in range(4):
-            if from_std[r][c] == 0:
-                continue
-            term = coords_std[c].scaled(from_std[r][c])
-            acc = term if acc is None else acc + term
-        coords.append(acc if acc is not None else BinaryForm([Fraction(0)] * 4))
-    for q in curve.quadrics:
-        if not restrict_to_param(q, coords).is_zero():
-            raise DegenerateCurve("parametrization does not satisfy the curve ideal")
-    curve.param = tuple(coords)
+    """The exact rational parametrization of a smooth twisted cubic locus,
+    as built by cubic_locus_n5; raises DegenerateCurve when the locus is not
+    a smooth twisted cubic."""
+    if curve.param is None:
+        raise DegenerateCurve("the locus is not a smooth twisted cubic")
     return curve.param
 
 
@@ -721,14 +676,7 @@ def centers_variety(x: Configuration, y: Configuration,
     if n == 5:
         if a is None:
             raise InvalidInput("n = 5 needs a first center to report the b-locus")
-        tag = classify_degeneration_n5(x, a)
-        cubic = cubic_locus_n5(x, y, a)
-        if tag == DegenerationTag.SMOOTH_CUBIC:
-            try:
-                cubic_param_n5(cubic)
-            except DegenerateCurve:
-                pass
-        return CubicFibrationN5(a, cubic, tag)
+        return CubicFibrationN5(a, cubic_locus_n5(x, y, a), classify_degeneration_n5(x, a))
     if n == 6:
         pair = quadric_pair_n6(x, y)
         matched = None
@@ -771,51 +719,26 @@ def quadric_net(x: Configuration) -> list[QuadricSurface]:
 def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, list[float]]:
     """A point of the common curve of the seven leave-one-out Weddle surfaces.
 
-    Restricts the determinant of the net of quadrics through the seven
-    points to a random rational line, extracts a root of the resulting
-    quartic numerically, and returns the vertex (kernel vector) of the
-    corresponding singular quadric together with its residuals on the seven
-    Weddle quartics.
+    Takes a random pencil M1 + t M2 in the net of quadrics through the seven
+    points. Its singular members are at the eigenvalues t of -M2^{-1} M1, and
+    the eigenvector of the chosen one is the vertex (kernel vector) of that
+    singular quadric; it is returned together with its residuals on the
+    seven Weddle quartics.
     """
     from .invariants import weddle_quartic
     import random as _random
-    net = quadric_net(x)
+    net = [np.array(q.sym, dtype=float) for q in quadric_net(x)]
     rng = _random.Random(seed)
     for _ in range(50):
         c1 = [rng.randint(-9, 9) for _ in range(3)]
         c2 = [rng.randint(-9, 9) for _ in range(3)]
-        m1 = [[sum(Fraction(c1[q]) * net[q].sym[i][j] for q in range(3)) for j in range(4)]
-              for i in range(4)]
-        m2 = [[sum(Fraction(c2[q]) * net[q].sym[i][j] for q in range(3)) for j in range(4)]
-              for i in range(4)]
-        values = []
-        for t in range(5):
-            mt = [[m1[i][j] + t * m2[i][j] for j in range(4)] for i in range(4)]
-            values.append(linalg.det(mt))
-        # exact interpolation of the degree-4 determinant polynomial
-        vand = [[Fraction(t) ** k for k in range(5)] for t in range(5)]
-        coeffs = linalg.solve(vand, values)
-        assert coeffs is not None
-        if all(c == 0 for c in coeffs):
+        m1 = sum(c * m for c, m in zip(c1, net))
+        m2 = sum(c * m for c, m in zip(c2, net))
+        try:
+            roots, vectors = np.linalg.eig(np.linalg.solve(m2, -m1))
+        except np.linalg.LinAlgError:
             continue
-        poly = np.array([float(c) for c in reversed(coeffs)])
-        roots = np.roots(poly)
-        if roots.size == 0:
-            continue
-        roots = sorted(roots, key=lambda r: (abs(r.imag), r.real))
-        t_star = complex(roots[0])
-        deriv = np.polyder(poly)
-        for _ in range(8):
-            fv = np.polyval(poly, t_star)
-            dv = np.polyval(deriv, t_star)
-            if dv == 0:
-                break
-            t_star = t_star - fv / dv
-        m1f = np.array([[float(v) for v in row] for row in m1])
-        m2f = np.array([[float(v) for v in row] for row in m2])
-        mt = m1f + t_star * m2f
-        _, s, vh = np.linalg.svd(mt)
-        vertex = vh.conj().T[:, -1]
+        vertex = vectors[:, min(range(4), key=lambda i: (abs(roots[i].imag), roots[i].real))]
         residuals = []
         for k in range(7):
             w = weddle_quartic(x.drop(k))

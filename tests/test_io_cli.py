@@ -310,6 +310,22 @@ class TestMainEntry:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
 
+    @pytest.mark.parametrize("text, argv", [
+        ('{"ambient_dim": 2, "points": [["1", "0"', ["invariants", "-i", "BAD", "--kind", "N5"]),
+        ('{"ambient_dim": "x", "points": [["1", "0", "0"]]}',
+         ["invariants", "-i", "BAD", "--kind", "N5"]),
+        ('{"ambient_dim": 2, "points": [1, 2]}', ["invariants", "-i", "BAD", "--kind", "N5"]),
+        ('{"point": 5}', ["project", "-i", "WORLD", "--center", "BAD"]),
+        ('{"point": [1, 2', ["project", "-i", "WORLD", "--center", "BAD"]),
+    ], ids=["truncated", "ambient-dim", "points", "center-point", "center-truncated"])
+    def test_malformed_input_file_is_invalid(self, tmp_path, capsys, text, argv):
+        bad, world = tmp_path / "bad.json", tmp_path / "w.json"
+        bad.write_text(text)
+        write_config(world, STD5)
+        files = {"BAD": str(bad), "WORLD": str(world)}
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+
     @pytest.fixture
     def seven_point_files(self, tmp_path):
         xfile, yfile = tmp_path / "x.json", tmp_path / "y.json"

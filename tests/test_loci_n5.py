@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from centersvar.datagen import generate_degenerate, generate_reconstruction
-from centersvar.errors import DegenerateInput, InadmissibleCenter
+from centersvar.errors import DegenerateInput, InadmissibleCenter, Inconsistent
 from centersvar.forms import Form, monomials, same_span
 from centersvar.invariants import g5_lifted
 from centersvar.loci import (DegenerationTag, centers_n_le4,
                              classify_degeneration_n5, cubic_locus_n5,
-                             cubic_param_n5, param_of_point)
-from centersvar.projective import Configuration, pp
+                             cubic_param_n5, param_of_point, restrict_to_param)
+from centersvar.projective import Configuration, apply_matrix, normalizing_transform, pp
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
 GOLDEN_A = pp(43, -50, 6, -5)
@@ -118,6 +118,66 @@ class TestCubicParam:
             assert base.proportional(v)
             count += 1
         assert count >= 45
+
+
+def _ratio(t):
+    t0, t1 = t
+    return t0 / t1 if t1 else None
+
+
+class TestClosedFormParam:
+    """Generated pairs have x != y, so the frame parametrization is pulled
+    back to y through a frame matrix other than the identity."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pulled_back_param(self, seed):
+        rec = generate_reconstruction(5, seed=seed)
+        curve = cubic_locus_n5(rec.x, rec.y, rec.a_true)
+        param = cubic_param_n5(curve)
+        assert [p.degree for p in param] == [3, 3, 3, 3]
+        assert all(restrict_to_param(q, param).is_zero() for q in curve.quadrics)
+        points = (rec.b_true,) + rec.y.points
+        params = [param_of_point(param, p) for p in points]
+        assert len({_ratio(t) for t in params}) == 6
+        for p, t in zip(points, params):
+            assert curve.at(*t) == p
+        # the documented parameters: y_j at (-alpha_j : 1), y_5 at (0 : 1)
+        alpha = apply_matrix(normalizing_transform(rec.x.points), rec.a_true)
+        assert [_ratio(t) for t in params[1:]] == [-c for c in alpha.coords] + [0]
+        base = g5_lifted(rec.x, rec.a_true)
+        checked = 0
+        for k in range(-10, 10):
+            v = g5_lifted(rec.y, curve.at(Fraction(k), Fraction(1)))
+            if v.non_semistable:
+                continue
+            assert base.proportional(v)
+            checked += 1
+        assert checked >= 15
+
+    def test_param_exactly_for_smooth_cubics(self):
+        cases = []
+        for seed in range(5):
+            rec = generate_reconstruction(5, seed=seed)
+            cases.append((rec.x, rec.y, rec.a_true))
+            for kind in ("GenericCenter", "CoplanarCenter", "BiplanarCenter",
+                         "CollinearCenter", "CenterAtWorldPoint"):
+                x, a = generate_degenerate(kind, seed=seed)
+                cases.append((x, rec.y, a))
+        for x, y, a in cases:
+            tag = classify_degeneration_n5(x, a)
+            if tag in (DegenerationTag.LINE_PLUS_PLANE, DegenerationTag.ALL_OF_P3):
+                with pytest.raises(InadmissibleCenter):
+                    cubic_locus_n5(x, y, a)
+                continue
+            smooth = tag == DegenerationTag.SMOOTH_CUBIC
+            assert (cubic_locus_n5(x, y, a).param is not None) == smooth
+
+    def test_failed_ideal_check_is_inconsistent(self, monkeypatch):
+        from centersvar import loci
+        from centersvar.forms import BinaryForm
+        monkeypatch.setattr(loci, "restrict_to_param", lambda q, param: BinaryForm([1]))
+        with pytest.raises(Inconsistent):
+            cubic_locus_n5(STD5, STD5, GOLDEN_A)
 
 
 class TestDegenerationClassifier:
