@@ -3,8 +3,10 @@
 Two projective cameras viewing two different world configurations can
 produce the same image up to a plane homography; this package decides when
 that happens and computes the locus of such center pairs: exactly for up to
-six points, numerically with exact certification for seven, and for eight
-or more by an exact emptiness test that verifies any surviving pair.
+six points; for seven by an exact finiteness check (the Hilbert function mod
+a prime), a numeric solve and exact certification of the rational pairs; and
+for eight or more by an exact emptiness test that verifies any surviving
+pair.
 """
 
 from .projective import (CameraMatrix, Configuration, ProjectivePoint,

@@ -9,8 +9,9 @@ that line factors through both cameras, so
     a = A' b'   and   b = B' a'
 
 is an explicit ambiguous pair for X = A' Z, Y = B' Z. The generator samples
-integer scenes and matrices, rejects until the exact genericity predicates
-of the target n hold, and verifies the projected images by an exact
+integer scenes and matrices, rejects until one exact genericity predicate
+holds (the same for every n, plus nondegenerate quadric pairs on the
+6-subsets the solvers use), and verifies the projected images by an exact
 witness homography before returning the pair.
 """
 
@@ -26,8 +27,8 @@ from . import linalg
 from .errors import DegenerateInput, GenerationFailed, Inconclusive, InvalidInput
 from .invariants import fano15
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
-                         apply_matrix, bracket, center_admissible, collinear,
-                         decide_equivalence, normalizing_transform, on_line,
+                         apply_matrix, bracket, collinear, decide_equivalence,
+                         no_three_collinear, normalizing_transform, on_line,
                          project, stability_class)
 
 _MAX_ATTEMPTS = 4000
@@ -65,10 +66,6 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> list
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
-def _distinct(c: Configuration) -> bool:
-    return len(set(c.points)) == c.n
-
-
 def _all_quadruples_independent(c: Configuration) -> bool:
     for combo in combinations(range(c.n), 4):
         if bracket([c[i] for i in combo]) == 0:
@@ -76,77 +73,25 @@ def _all_quadruples_independent(c: Configuration) -> bool:
     return True
 
 
-def _window_7_predicates(x: Configuration, y: Configuration,
-                         a: ProjectivePoint, b: ProjectivePoint) -> bool:
-    from .loci import quadric_pair_n6
-    if not (_all_quadruples_independent(x) and _all_quadruples_independent(y)):
-        return False
-    if not (center_admissible(x, a, 7, "Goepel") and center_admissible(y, b, 7, "Goepel")):
-        return False
-    if stability_class(Configuration([project(p, a) for p in x])) != StabilityClass.STABLE:
-        return False
-    if stability_class(Configuration([project(p, b) for p in y])) != StabilityClass.STABLE:
-        return False
-    for k in range(7):
-        try:
-            quadric_pair_n6(x.drop(k), y.drop(k))
-        except DegenerateInput:
-            return False
-    return True
+def _side_generic(x: Configuration, a: ProjectivePoint) -> bool:
+    """a is off X, every four points of X span P^3, and no three images from a
+    are collinear. So the points are distinct, a lies on no line through two
+    of them, and for n = 5, 6, 7 the image is STABLE."""
+    return (a not in x.points and _all_quadruples_independent(x)
+            and no_three_collinear([project(p, a) for p in x]))
 
 
 def _generic_enough(x: Configuration, y: Configuration, a: ProjectivePoint,
                     b: ProjectivePoint, n: int) -> bool:
-    from .loci import quadric_pair_n6
-    if not (_distinct(x) and _distinct(y)):
+    """The genericity the solvers rely on: both sides generic, and for n >= 6
+    every 6-subset whose quadric pair a solver builds is nondegenerate."""
+    from .loci import _solver_subsets, quadric_pair_n6
+    if not (_side_generic(x, a) and _side_generic(y, b)):
         return False
-    if n <= 4:
-        if a in x.points or b in y.points:
-            return False
-        from .loci import _general_position_image
-        p = Configuration([project(pt, a) for pt in x])
-        q = Configuration([project(pt, b) for pt in y])
-        return _general_position_image(p) and _general_position_image(q)
-    if n == 5:
-        if not (center_admissible(x, a, 5) and center_admissible(y, b, 5)):
-            return False
+    for c in _solver_subsets(n):
         try:
-            normalizing_transform(x.points)
-            normalizing_transform(y.points)
+            quadric_pair_n6(Configuration([x[i] for i in c]), Configuration([y[i] for i in c]))
         except DegenerateInput:
-            return False
-        px = Configuration([project(pt, a) for pt in x])
-        py = Configuration([project(pt, b) for pt in y])
-        return (stability_class(px) == StabilityClass.STABLE
-                and stability_class(py) == StabilityClass.STABLE)
-    if n == 6:
-        if not (center_admissible(x, a, 6) and center_admissible(y, b, 6)):
-            return False
-        # the mapping machinery also projects five-point subsets through a
-        if any(x[i] != x[j] and on_line(a, x[i], x[j]) for i, j in combinations(range(6), 2)):
-            return False
-        if any(y[i] != y[j] and on_line(b, y[i], y[j]) for i, j in combinations(range(6), 2)):
-            return False
-        if not (_all_quadruples_independent(x) and _all_quadruples_independent(y)):
-            return False
-        px = Configuration([project(pt, a) for pt in x])
-        py = Configuration([project(pt, b) for pt in y])
-        if stability_class(px) != StabilityClass.STABLE:
-            return False
-        if stability_class(py) != StabilityClass.STABLE:
-            return False
-        try:
-            quadric_pair_n6(x, y)
-        except DegenerateInput:
-            return False
-        return True
-    if n == 7:
-        return _window_7_predicates(x, y, a, b)
-    # n >= 8: the two overlapping 7-windows must be usable
-    for idx in (list(range(7)), list(range(1, 8))):
-        xs = Configuration([x[i] for i in idx])
-        ys = Configuration([y[i] for i in idx])
-        if not _window_7_predicates(xs, ys, a, b):
             return False
     return True
 
@@ -171,7 +116,7 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Rec
 
     Deterministic per (n, seed, coord_bound). Scene points and camera
     matrices have integer entries within the bound; candidates are rejected
-    until the exact genericity predicates of the target n hold and an exact
+    until the exact genericity predicate holds and an exact
     witness homography maps the image of X from a onto that of Y from b.
     """
     if n < 3:

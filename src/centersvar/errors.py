@@ -62,7 +62,9 @@ class Inconsistent(ToolkitError):
 
 
 class NotFinite(ToolkitError):
-    """The common zero locus of the given forms is positive-dimensional."""
+    """The common zero locus of the given forms is not certified finite: for
+    quadrics in P^3, H(2) != H(3) or H(2) > 3 (H the Hilbert function of the
+    ideal, computed mod p)."""
 
     code = "NotFinite"
 

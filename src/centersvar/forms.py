@@ -48,6 +48,16 @@ def monomial_index(degree: int, nvars: int = 4) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials(degree, nvars))}
 
 
+@lru_cache(maxsize=None)
+def moment_positions() -> tuple[tuple[int, ...], ...]:
+    """Entry [i][j]: the position of z_i * z_j among the quadric monomials, so
+    that a vector lambda of degree-2 coordinates reads as the symmetric
+    moment matrix lambda[moment_positions()]; v_2(a) reads as a a^T."""
+    index = monomial_index(2)
+    return tuple(tuple(index[tuple(int(k == i) + int(k == j) for k in range(4))]
+                       for j in range(4)) for i in range(4))
+
+
 def _exact(point: Sequence) -> list:
     """The coordinates with ints and Fractions kept as they are and anything
     else (a float, say) converted exactly to a Fraction."""

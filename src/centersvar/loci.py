@@ -15,8 +15,9 @@ projectively equivalent images is
 * generically empty for n >= 8 (a common zero of the windows' quadrics,
   resected over all n points).
 
-Everything through n = 6 and every n >= 8 verdict is exact over the rationals;
-n = 7 uses the numeric quadric-system kernel with exact certification.
+Everything through n = 6 and every n >= 8 verdict is exact over the rationals.
+For n = 7 the quadric-system kernel certifies exactly that the zero set is
+finite, locates its points in floats, and certifies the rational ones exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import linalg
 from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InadmissibleCenter, Inconclusive, Inconsistent,
                      InvalidInput, NoRationalImage, ToolkitError)
-from .forms import (BinaryForm, Form, binary_gcd, linear_root, monomial_index,
+from .forms import (BinaryForm, Form, binary_gcd, linear_root, moment_positions,
                     monomials, mono_eval, quad_from_sym)
 from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
@@ -510,7 +511,9 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     Candidates whose Fano vector is proportional to the all-ones direction
     are discarded (they see the seven points on a conic, which does not
     certify equivalence); the rest are matched by minimal projective
-    distance between the invariant vectors.
+    distance between the invariant vectors. The pairs follow the order of
+    the a-candidates; their invariant distances are float noise and would
+    give no stable order.
     """
     va = [(p, fano15_complex(x, p.coords)) for p in a_candidates]
     vb = [(p, fano15_complex(y, p.coords)) for p in b_candidates]
@@ -533,7 +536,6 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
             raise AmbiguousMatch("two candidate matches within tolerance",
                                  distances=[float(d) for d in dist[i]])
         pairs.append(MatchedPair(va[i][0], vb[j][0], float(dist[i, j])))
-    pairs.sort(key=lambda m: m.invariant_distance)
     return pairs
 
 
@@ -552,11 +554,17 @@ def _span_common_zero(quadrics: Sequence[Form]) -> tuple[int, ProjectivePoint | 
         return rank, None
     if len(kernel) > 1:
         raise Inconclusive(f"the quadrics span only {rank} of 10 dimensions")
-    index = monomial_index(2)
-    m = [[kernel[0][index[tuple(int(k == i) + int(k == j) for k in range(4))]]
-          for j in range(4)] for i in range(4)]
+    m = [[kernel[0][k] for k in row] for row in moment_positions()]
     a = ProjectivePoint(next(row for row in m if any(row)))
     return rank, a if linalg.rank(m) == 1 else None
+
+
+def _solver_subsets(n: int) -> list[tuple[int, ...]]:
+    """The 6-subsets of n points whose quadric pairs the solvers build: every
+    one for n = 6 and 7, the thirteen distinct ones of the windows {1..7} and
+    {2..8} for n >= 8, and none for n < 6."""
+    windows = [range(n)] if n <= 7 else [range(7), range(1, 8)]
+    return sorted({c for w in windows for c in combinations(w, 6)})
 
 
 def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
@@ -570,10 +578,9 @@ def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
     """
     if x.n < 8 or y.n != x.n:
         raise InvalidInput("centers_n_ge8 needs at least eight points")
-    subsets = sorted({c for w in (0, 1) for c in combinations(range(w, w + 7), 6)})
     quadrics = [quadric_pair_n6(Configuration([x[i] for i in c]),
                                 Configuration([y[i] for i in c]))[0].form
-                for c in subsets]
+                for c in _solver_subsets(x.n)]
     span_rank, a = _span_common_zero(quadrics)
     surviving = ()
     if a is not None:

@@ -1,15 +1,13 @@
-"""Numeric kernel: isolated zeros of quadric systems in P^3 plus certification.
+"""Numeric kernel: the zeros of quadric systems in P^3 plus certification.
 
-The solver works at the level of linear algebra: it assembles the degree-5
-multiplication matrix of the system (rows = quadric times degree-3 monomial),
-reads the solution count off the corank, and recovers the points as joint
-eigenvectors of multiplication operators restricted to the nullspace. A
-multiplication matrix is filled in one scatter from a per-degree table of the
-columns that (multiplier monomial) x (quadric monomial) lands in. A degree-6
-corank comparison, read from the singular values alone, rejects loci that
-have not stabilized, the signature of a positive-dimensional component.
-Candidates are polished by Gauss-Newton on all input forms and deduplicated
-projectively.
+No float decides whether the zero set is finite or how many points to look for.
+That verdict comes from the Hilbert function of the ideal in degrees 2 and 3,
+computed exactly from ranks of integer matrices modulo the prime 2^61 - 1.
+The floats then only locate the points: the degree-2 dual kernel of the
+system is spanned by the Veronese vectors v_2(p) of its zeros, and the
+eigenvalue method reads the points off the moment matrices of a kernel
+basis. Candidates are polished by Gauss-Newton on all input forms and
+deduplicated projectively.
 
 Certification reuses the exact and the scaled float symmetric matrices that
 each Form builds once, so the solver and every certified point of a system
@@ -23,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -31,10 +28,10 @@ import numpy as np
 
 from . import linalg
 from .errors import Inconsistent, NotFinite
-from .forms import Form, monomial_index, monomials, scaled_float
-from .projective import ProjectivePoint
+from .forms import Form, moment_positions, monomial_index, monomials, scaled_float
+from .projective import ProjectivePoint, canonical_coords
 
-_RANK_RTOL = 1e-8
+_PRIME = 2 ** 61 - 1
 _REAL_TOL = 1e-9  # largest imaginary part of a unit vector that counts as real
 _GAUSS_NEWTON_STEPS = 12
 _EXACT_NEWTON_STEPS = 2
@@ -93,53 +90,41 @@ def projective_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)))
 
 
-@lru_cache(maxsize=None)
-def _product_columns(target_degree: int) -> np.ndarray:
-    """Entry [i, j]: the degree-target column of multiplier monomial i times
-    quadric monomial j (graded lex on both sides)."""
-    index = monomial_index(target_degree)
-    return np.array([[index[tuple(a + b for a, b in zip(m, mu))] for m in monomials(2)]
-                     for mu in monomials(target_degree - 2)])
+def _rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(_PRIME) of an integer matrix."""
+    rows = [[x % _PRIME for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, _PRIME)
+        top = [x * inv % _PRIME for x in rows[rank][c:]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = [(x - f * y) % _PRIME for x, y in zip(rows[i][c:], top)]
+        rank += 1
+    return rank
 
 
-def _multiplication_rows(coeff_rows: np.ndarray, target_degree: int) -> np.ndarray:
-    """Products (quadric x monomial of degree target-2) in the degree basis."""
-    cols = _product_columns(target_degree)
-    out = np.zeros((len(coeff_rows), len(cols), len(monomials(target_degree))))
-    out[:, np.arange(len(cols))[:, None], cols] = coeff_rows[:, None, :]
-    return out.reshape(-1, out.shape[2])
-
-
-def _rank(s: np.ndarray) -> int:
-    """Numeric rank from singular values in decreasing order."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * _RANK_RTOL))
-
-
-def _numeric_null_space(m: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank and null-space basis of a matrix with at least as many rows as
-    columns, whose thin SVD then has the full square V^H."""
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = _rank(s)
-    return r, vh.conj().T[:, r:]
-
-
-@lru_cache(maxsize=None)
-def _shift_selectors() -> tuple[np.ndarray, ...]:
-    """For k = 0..3, the 0/1 matrix taking degree-5 coordinates to the
-    degree-4 coordinates of z_k times each degree-4 monomial."""
-    index4 = monomial_index(4)
-    index5 = monomial_index(5)
-    picks = []
+def _hilbert_function(forms: Sequence[Form]) -> tuple[int, int]:
+    """(H(2), H(3)) of the ideal of the quadrics: the codimensions of its
+    degree-2 part, spanned by the forms, and of its degree-3 part, spanned by
+    the products z_k * form, from ranks mod _PRIME of the primitive integer
+    coefficient rows."""
+    rows = [canonical_coords(f.coeffs) for f in forms]
+    index3 = monomial_index(3)
+    products = []
     for k in range(4):
-        rows = np.zeros((len(index4), len(index5)))
-        for m4, i in index4.items():
-            e = list(m4)
-            e[k] += 1
-            rows[i, index5[tuple(e)]] = 1.0
-        picks.append(rows)
-    return tuple(picks)
+        cols = [index3[tuple(e + (i == k) for i, e in enumerate(m))] for m in monomials(2)]
+        for row in rows:
+            product = [0] * len(index3)
+            for c, col in zip(row, cols):
+                product[col] = c
+            products.append(product)
+    return len(monomials(2)) - _rank_mod_p(rows), len(index3) - _rank_mod_p(products)
 
 
 def _gauss_newton(syms: list[np.ndarray], point: np.ndarray) -> np.ndarray:
@@ -161,12 +146,27 @@ def _gauss_newton(syms: list[np.ndarray], point: np.ndarray) -> np.ndarray:
 
 def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
                          tol: float = 1e-9, seed: int = 0) -> list[NumericPoint]:
-    """All isolated common zeros (real and complex) of quadrics in P^3.
+    """All common zeros (real and complex) of quadrics in P^3 whose zero set
+    is certified finite.
 
-    Requires at least three forms and a finite common zero locus; raises
-    NotFinite when the degree-5 and degree-6 coranks disagree. If
-    ``expected`` is given, a mismatch in the number of surviving points
-    raises Inconsistent.
+    The certificate is exact. Write H(d) for the codimension of the degree-d
+    part of the ideal the forms generate; H(2) and H(3) come from ranks over
+    GF(2^61 - 1). A rank mod p is at most the rank over Q, so an unlucky
+    prime can only overstate H and reject a good system, never accept a
+    positive-dimensional one. Unless H(2) = H(3) <= 3 this raises NotFinite.
+    When H(3) <= 3, Macaulay's bound gives H(d + 1) <= H(d) for every d >= 3,
+    so the zero set is finite, of at most H(3) points counted with
+    multiplicity (exactly H(3) once H(4) = H(3), by Gotzmann persistence).
+    H(2) alone does not decide it: seven quadrics through a line also have
+    H(2) = 3, but H(3) = 4.
+
+    The points come from the degree-2 dual kernel, spanned by v_2(p) of the
+    zeros p (the eigenvalue method): each of its H(2) basis vectors lambda,
+    read as the moment matrix M[i][j] = lambda[e_i + e_j], gives the column
+    M c of A_c and M d of A_d for random c, d, and each eigenvector v of
+    pinv(A_c) A_d gives the point A_c v. Points are polished by Gauss-Newton
+    on all forms and deduplicated projectively. If ``expected`` is given, a
+    mismatch in the number of surviving points raises Inconsistent.
     """
     if len(forms) < 3:
         raise NotFinite("need at least three quadrics for a finite locus")
@@ -176,49 +176,23 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     scales = np.linalg.norm(coeffs, axis=1)
     if np.any(scales == 0):
         raise NotFinite("zero form in the system")
-    coeffs = coeffs / scales[:, None]
-
-    # corank at degree 5 counts the solutions once it agrees with degree 6;
-    # three or more forms give at least as many rows as columns at both degrees
-    rank5, null5 = _numeric_null_space(_multiplication_rows(coeffs, 5))
-    corank5 = len(monomials(5)) - rank5
-    rank6 = _rank(np.linalg.svd(_multiplication_rows(coeffs, 6), compute_uv=False))
-    corank6 = len(monomials(6)) - rank6
-    if corank5 != corank6:
-        raise NotFinite(
-            f"degree-5 corank {corank5} != degree-6 corank {corank6}",
-            corank5=corank5, corank6=corank6)
-    if corank5 == 0:
+    h2, h3 = _hilbert_function(forms)
+    if h2 != h3 or h3 > 3:
+        raise NotFinite(f"H(2) = {h2} and H(3) = {h3}: the zero set is not certified finite",
+                        h2=h2, h3=h3)
+    if h2 == 0:
         return []
 
-    index4 = monomial_index(4)
-    shifts = [rows @ null5 for rows in _shift_selectors()]  # 35 x corank each
-
+    # no rank cut: the exact H(2) says how many right singular vectors span the kernel
+    kernel = np.linalg.svd(coeffs / scales[:, None])[2][len(monomials(2)) - h2:]
+    moments = kernel[:, moment_positions()]  # h2 x 4 x 4
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(4)
-    d = rng.standard_normal(4)
-    d_ell = sum(ck * s for ck, s in zip(c, shifts))
-    pinv = np.linalg.pinv(d_ell)
-    b = pinv @ sum(dk * s for dk, s in zip(d, shifts))
-    _, vecs = np.linalg.eig(b)
+    a_c = (moments @ rng.standard_normal(4)).T
+    a_d = (moments @ rng.standard_normal(4)).T
+    _, vecs = np.linalg.eig(np.linalg.pinv(a_c) @ a_d)
 
-    idx_pow = [index4[tuple(4 if i == j else 0 for i in range(4))] for j in range(4)]
     syms = [sym_floats(f) / scales[i] for i, f in enumerate(forms)]
-
-    candidates = []
-    for col in range(vecs.shape[1]):
-        ev4 = d_ell @ vecs[:, col]
-        j = int(np.argmax(np.abs(ev4[idx_pow])))
-        sq = []
-        for k in range(4):
-            e = [0, 0, 0, 0]
-            e[j] += 3
-            e[k] += 1
-            sq.append(index4[tuple(e)])
-        point = ev4[sq]
-        if np.linalg.norm(point) == 0:
-            continue
-        candidates.append(_gauss_newton(syms, point.astype(complex)))
+    candidates = [_gauss_newton(syms, p) for p in (a_c @ vecs).T if np.linalg.norm(p) > 0]
 
     survivors: list[NumericPoint] = []
     for p in candidates:
@@ -233,7 +207,7 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     if expected is not None and len(survivors) != expected:
         raise Inconsistent(
             f"expected {expected} isolated zeros, found {len(survivors)}",
-            corank=corank5, found=len(survivors))
+            h2=h2, found=len(survivors))
     return survivors
 
 

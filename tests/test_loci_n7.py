@@ -125,6 +125,13 @@ class TestCandidates:
         # every pair is a genuine ambiguity: tiny invariant distance
         assert all(m.invariant_distance < 1e-7 for m in pairs)
 
+    @pytest.mark.parametrize("seed", [3, 5, 9])
+    def test_pairs_follow_the_a_candidates(self, seed):
+        rec = generate_reconstruction(7, seed=seed)
+        cand = candidates_n7(rec.x, rec.y)
+        pairs = pair_candidates_n7(rec.x, rec.y, cand.a_candidates, cand.b_candidates)
+        assert [m.a for m in pairs] == list(cand.a_candidates)
+
     def test_omega_candidate_is_discarded(self):
         vertex, _ = weddle_curve_point(self.rec.x, seed=0)
         padded = list(self.cand.a_candidates) + [vertex]

@@ -1,108 +1,129 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centersvar import linalg
 from centersvar.errors import Inconsistent, NotFinite
-from centersvar.forms import Form, monomial_index, monomials
-from centersvar.numeric import (_multiplication_rows, _pivot_triple,
+from centersvar.forms import Form, mono_eval, monomials
+from centersvar.numeric import (_PRIME, _pivot_triple, _rank_mod_p,
                                 certify_rational, projective_distance,
                                 solve_quadric_system)
+from centersvar.projective import pp
 
-MONOS = monomials(2)
-
-
-def mono_form(entries):
-    c = [Fraction(0)] * 10
-    for exp, val in entries.items():
-        c[MONOS.index(exp)] = Fraction(val)
-    return Form(2, tuple(c))
+RATIONAL = [pp(0, 2, -3, 5), pp(7, -1, 4, 2), pp(3, 3, -8, 0)]
+# p = U + iW and its conjugate, with the real point Q
+U, W, Q = (1, 2, 0, -1), (0, 1, 3, 2), pp(2, -1, 1, 4)
 
 
-def diagonal_system():
-    return [mono_form({tuple(2 if k == i else 0 for k in range(4)): 1, (0, 0, 0, 2): -1})
-            for i in range(3)]
+def quadrics_vanishing_on(rows):
+    """A basis of the quadrics whose coefficient vectors annihilate the rows."""
+    return [Form(2, tuple(v)) for v in linalg.kernel_basis(rows)]
+
+
+def veronese(coords):
+    return [mono_eval(m, coords) for m in monomials(2)]
+
+
+def conjugate_veronese(u, w):
+    """Re and Im of v_2(u + i w); exact for small integers."""
+    v = [prod(complex(a, b) ** e for a, b, e in zip(u, w, m)) for m in monomials(2)]
+    return [int(z.real) for z in v], [int(z.imag) for z in v]
+
+
+def rational_system():
+    return quadrics_vanishing_on([veronese(p.coords) for p in RATIONAL])
+
+
+def conjugate_system():
+    return quadrics_vanishing_on(list(conjugate_veronese(U, W)) + [veronese(Q.coords)])
+
+
+def line_system():
+    # every quadric through three collinear points contains their line
+    return quadrics_vanishing_on([veronese(c) for c in [(1, 0, 2, 0), (0, 1, -1, 3), (1, 1, 1, 3)]])
+
+
+def unit(k):
+    return Form(2, tuple(Fraction(int(i == k)) for i in range(10)))
 
 
 class TestSolver:
-    def test_separable_system_has_eight_sign_points(self):
-        pts = solve_quadric_system(diagonal_system(), expected=8, tol=1e-9, seed=0)
-        assert len(pts) == 8
+    def test_three_rational_points(self):
+        forms = rational_system()
+        assert len(forms) == 7
+        pts = solve_quadric_system(forms, expected=3, tol=1e-9, seed=0)
         for p in pts:
-            v = p.array()
-            v = v / v[np.argmax(np.abs(v))]
-            assert np.allclose(np.abs(v), 1, atol=1e-8)
-            assert p.residual <= 1e-9
+            assert p.is_real and p.residual <= 1e-9
+        for true in RATIONAL:
+            assert min(projective_distance(p.coords, true.coords) for p in pts) < 1e-12
+
+    def test_conjugate_pair_and_a_real_point(self):
+        pts = solve_quadric_system(conjugate_system(), expected=3, tol=1e-9, seed=0)
+        assert sorted(p.is_real for p in pts) == [False, False, True]
+        complex_point = np.array(U) + 1j * np.array(W)
+        for true in (complex_point, complex_point.conj(), np.array(Q.coords)):
+            assert min(projective_distance(p.coords, true) for p in pts) < 1e-12
 
     def test_expected_count_enforced(self):
-        with pytest.raises(Inconsistent):
-            solve_quadric_system(diagonal_system(), expected=5, tol=1e-9, seed=0)
+        with pytest.raises(Inconsistent) as caught:
+            solve_quadric_system(rational_system(), expected=2, tol=1e-9, seed=0)
+        assert caught.value.details == {"h2": 3, "found": 3}
 
     def test_positive_dimensional_detected(self):
-        line = [mono_form({(1, 0, 1, 0): 1, (0, 1, 0, 1): -1}),
-                mono_form({(1, 0, 0, 1): 1}),
-                mono_form({(0, 1, 1, 0): 1})]
-        with pytest.raises(NotFinite):
-            solve_quadric_system(line, tol=1e-9, seed=0)
-
-    def test_degree_six_corank_from_singular_values_rejects_the_line(self):
-        line = [mono_form({(1, 0, 1, 0): 1, (0, 1, 0, 1): -1}),
-                mono_form({(1, 0, 0, 1): 1}),
-                mono_form({(0, 1, 1, 0): 1})]
+        forms = line_system()
+        assert len(forms) == 7
         with pytest.raises(NotFinite) as caught:
-            solve_quadric_system(line, tol=1e-9, seed=0)
-        assert caught.value.details == {"corank5": 12, "corank6": 14}
+            solve_quadric_system(forms, tol=1e-9, seed=0)
+        assert caught.value.details == {"h2": 3, "h3": 4}
 
     def test_deterministic_and_permutation_invariant(self):
-        forms = diagonal_system()
-        first = solve_quadric_system(forms, tol=1e-9, seed=3)
-        again = solve_quadric_system(forms, tol=1e-9, seed=3)
-        assert [p.coords for p in first] == [p.coords for p in again]
-        rng = random.Random(0)
-        shuffled = list(forms)
-        rng.shuffle(shuffled)
-        other = solve_quadric_system(shuffled, tol=1e-9, seed=4)
-        for p in first:
-            assert min(projective_distance(p.coords, q.coords) for q in other) < 1e-9
+        for forms in (rational_system(), conjugate_system()):
+            first = solve_quadric_system(forms, tol=1e-9, seed=3)
+            again = solve_quadric_system(forms, tol=1e-9, seed=3)
+            assert [p.coords for p in first] == [p.coords for p in again]
+            shuffled = list(forms)
+            random.Random(0).shuffle(shuffled)
+            other = solve_quadric_system(shuffled, tol=1e-9, seed=4)
+            assert len(other) == len(first) == 3
+            for p in first:
+                assert min(projective_distance(p.coords, q.coords) for q in other) < 1e-9
 
     def test_needs_three_forms(self):
         with pytest.raises(NotFinite):
-            solve_quadric_system(diagonal_system()[:2], tol=1e-9, seed=0)
+            solve_quadric_system(rational_system()[:2], tol=1e-9, seed=0)
 
     def test_empty_locus(self):
-        # x0^2, x1^2, x2^2, x3^2 have no common projective zero
-        forms = [mono_form({tuple(2 if k == i else 0 for k in range(4)): 1})
-                 for i in range(4)]
+        forms = [unit(k) for k in range(10)]
         assert solve_quadric_system(forms, tol=1e-9, seed=0) == []
 
 
-def reference_multiplication_rows(coeff_rows, target_degree):
-    """The quadric x monomial products, one coefficient at a time."""
-    mult = monomials(target_degree - 2)
-    index = monomial_index(target_degree)
-    out = np.zeros((len(coeff_rows) * len(mult), len(index)))
-    r = 0
-    for row in coeff_rows:
-        for mu in mult:
-            for c, m in zip(row, monomials(2)):
-                if c != 0.0:
-                    out[r, index[tuple(a + b for a, b in zip(m, mu))]] += c
-            r += 1
-    return out
+SMALL_MATRIX = st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.one_of(st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
+              st.just([0] * cols)),
+    min_size=1, max_size=6))
 
 
-@pytest.mark.parametrize("degree", [5, 6])
-@pytest.mark.parametrize("nforms", [3, 7])
-def test_multiplication_rows_match_the_reference_loop(degree, nforms):
-    rng = np.random.default_rng(10 * degree + nforms)
-    coeffs = rng.standard_normal((nforms, 10))
-    coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
-    coeffs[1] = 0.0
-    rows = _multiplication_rows(coeffs, degree)
-    assert rows.shape == (nforms * len(monomials(degree - 2)), len(monomials(degree)))
-    assert np.array_equal(rows, reference_multiplication_rows(coeffs, degree))
+@given(SMALL_MATRIX, st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_mod_p_is_the_rational_rank_of_small_matrices(rows, data):
+    # entries below 50 in at most 6 x 6 keep every minor below p (Hadamard), so
+    # the two ranks agree; shifting entries by multiples of p changes no residue
+    shifts = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(rows[0]),
+                                         max_size=len(rows[0])),
+                                min_size=len(rows), max_size=len(rows)))
+    shifted = [[x + _PRIME * s for x, s in zip(row, srow)] for row, srow in zip(rows, shifts)]
+    assert _rank_mod_p(shifted) == linalg.rank(rows)
+
+
+def test_rank_mod_p_never_exceeds_the_rational_rank():
+    multiples = [[_PRIME, 0], [0, -2 * _PRIME]]
+    assert _rank_mod_p(multiples) == 0 < linalg.rank(multiples)
 
 
 def reference_pivot_triple(jac):
@@ -136,20 +157,17 @@ def test_stacked_pivot_choice_matches_the_loop():
 
 class TestCertification:
     def test_certifies_rational_points(self):
-        pts = solve_quadric_system(diagonal_system(), tol=1e-9, seed=0)
-        for p in pts:
-            cert = certify_rational(diagonal_system(), p)
-            assert cert is not None
-            assert all(abs(c) == 1 for c in cert.coords)
+        forms = rational_system()
+        pts = solve_quadric_system(forms, tol=1e-9, seed=0)
+        assert {certify_rational(forms, p) for p in pts} == set(RATIONAL)
 
     def test_refuses_complex_points(self):
-        forms = [mono_form({(2, 0, 0, 0): 1, (0, 0, 0, 2): 1}),  # x0^2 + x3^2
-                 mono_form({(0, 2, 0, 0): 1, (0, 0, 0, 2): -1}),
-                 mono_form({(0, 0, 2, 0): 1, (0, 0, 0, 2): -1})]
+        forms = conjugate_system()
         pts = solve_quadric_system(forms, tol=1e-9, seed=1)
         complex_pts = [p for p in pts if not p.is_real]
-        assert complex_pts
+        assert len(complex_pts) == 2
         assert all(certify_rational(forms, p) is None for p in complex_pts)
+        assert [certify_rational(forms, p) for p in pts if p.is_real] == [Q]
 
 
 class TestDistance:
