@@ -82,6 +82,22 @@ class TestSolver:
             solve_quadric_system(forms, tol=1e-9, seed=0)
         assert caught.value.details == {"h2": 3, "h3": 4}
 
+    def test_degree_six_corank_from_singular_values_rejects_the_line(self):
+        # x0 x2 - x1 x3, x0 x3, x1 x2 all vanish on the line x0 = x1 = 0; no
+        # singular values are cut, the exact Hilbert function rejects it
+        def mono_form(entries):
+            c = [Fraction(0)] * 10
+            for exp, val in entries.items():
+                c[monomials(2).index(exp)] = Fraction(val)
+            return Form(2, tuple(c))
+
+        line = [mono_form({(1, 0, 1, 0): 1, (0, 1, 0, 1): -1}),
+                mono_form({(1, 0, 0, 1): 1}),
+                mono_form({(0, 1, 1, 0): 1})]
+        with pytest.raises(NotFinite) as caught:
+            solve_quadric_system(line, tol=1e-9, seed=0)
+        assert caught.value.details == {"h2": 7, "h3": 8}
+
     def test_deterministic_and_permutation_invariant(self):
         for forms in (rational_system(), conjugate_system()):
             first = solve_quadric_system(forms, tol=1e-9, seed=3)
