@@ -49,13 +49,19 @@ def monomial_index(degree: int, nvars: int = 4) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _product_positions(d1: int, d2: int, nvars: int = 4) -> tuple[tuple[int, ...], ...]:
+    """Entry [i][j]: the position among the degree d1 + d2 monomials of the
+    product of monomial i of degree d1 and monomial j of degree d2."""
+    index = monomial_index(d1 + d2, nvars)
+    return tuple(tuple(index[tuple(a + b for a, b in zip(e, f))] for f in monomials(d2, nvars))
+                 for e in monomials(d1, nvars))
+
+
 def moment_positions() -> tuple[tuple[int, ...], ...]:
     """Entry [i][j]: the position of z_i * z_j among the quadric monomials, so
     that a vector lambda of degree-2 coordinates reads as the symmetric
     moment matrix lambda[moment_positions()]; v_2(a) reads as a a^T."""
-    index = monomial_index(2)
-    return tuple(tuple(index[tuple(int(k == i) + int(k == j) for k in range(4))]
-                       for j in range(4)) for i in range(4))
+    return _product_positions(1, 1)
 
 
 def _exact(point: Sequence) -> list:
@@ -115,10 +121,11 @@ def fit_form(evaluate: Callable[[Sequence[int]], Fraction], degree: int,
 
 @dataclass(frozen=True)
 class Form:
-    """A homogeneous form with exact coefficients in graded lex order."""
+    """A homogeneous form with exact coefficients (ints or Fractions) in
+    graded lex order."""
 
     degree: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     nvars: int = 4
 
     def __post_init__(self):
@@ -126,22 +133,25 @@ class Form:
             raise InvalidInput("coefficient vector has the wrong length")
 
     @cached_property
-    def _integer_terms(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    def integer_terms(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
         """(d, ((d * c, exponent), ...)) over the nonzero coefficients c, with d
         their common denominator, so that the form is (integer form) / d."""
         d = math.lcm(*(c.denominator for c in self.coeffs))
         return d, tuple((c.numerator * (d // c.denominator), m)
                         for c, m in zip(self.coeffs, monomials(self.degree, self.nvars)) if c != 0)
 
+    def integer_value(self, ints: Sequence[int]) -> int:
+        """The integer form d * self (see integer_terms) at integer coordinates."""
+        return sum(c * _power_product(m, ints) for c, m in self.integer_terms[1])
+
     def __call__(self, point: Sequence) -> Fraction:
         """The exact value, computed in integers: with the point written as
         (integers) / den, the form is homogeneous, so its value is the
         integer form at those integers over d * den**degree."""
-        d, terms = self._integer_terms
         coords = _exact(point)
         den = math.lcm(*(x.denominator for x in coords))
         ints = [x.numerator * (den // x.denominator) for x in coords]
-        return Fraction(sum(c * _power_product(m, ints) for c, m in terms), d * den ** self.degree)
+        return Fraction(self.integer_value(ints), self.integer_terms[0] * den ** self.degree)
 
     @cached_property
     def sym(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -178,19 +188,18 @@ class Form:
         return Form(self.degree, tuple(total), self.nvars)
 
     def __mul__(self, other: "Form") -> "Form":
-        """The exact product of two forms in the same variables."""
+        """The exact product of two forms in the same variables; the product
+        of two integer forms keeps int coefficients."""
         if self.nvars != other.nvars:
             raise InvalidInput("cannot multiply forms in different numbers of variables")
-        index = monomial_index(self.degree + other.degree, self.nvars)
-        out = [0] * len(index)
-        other_terms = [(d, f) for d, f in zip(other.coeffs, monomials(other.degree, other.nvars))
-                       if d != 0]
-        for c, e in zip(self.coeffs, monomials(self.degree, self.nvars)):
+        out = [0] * len(monomials(self.degree + other.degree, self.nvars))
+        for c, row in zip(self.coeffs, _product_positions(self.degree, other.degree, self.nvars)):
             if c == 0:
                 continue
-            for d, f in other_terms:
-                out[index[tuple(a + b for a, b in zip(e, f))]] += c * d
-        return Form(self.degree + other.degree, tuple(Fraction(v) for v in out), self.nvars)
+            for d, k in zip(other.coeffs, row):
+                if d != 0:
+                    out[k] += c * d
+        return Form(self.degree + other.degree, tuple(out), self.nvars)
 
     def __add__(self, other: "Form") -> "Form":
         if (self.degree, self.nvars) != (other.degree, other.nvars):
@@ -206,12 +215,11 @@ class Form:
         return Form(self.degree, tuple(c * s for c in self.coeffs), self.nvars)
 
     def primitive(self) -> "Form":
-        """Integer coefficients with gcd 1, first nonzero positive."""
+        """Int coefficients with gcd 1, first nonzero positive."""
         from .projective import canonical_coords
         if self.is_zero():
             return self
-        return Form(self.degree,
-                    tuple(Fraction(c) for c in canonical_coords(self.coeffs)), self.nvars)
+        return Form(self.degree, canonical_coords(self.coeffs), self.nvars)
 
 
 def quad_from_sym(sym: Sequence[Sequence]) -> Form:

@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists whose entries are ``int`` or ``fractions.Fraction``;
-all routines are exact. ``det``, ``rref``, ``rank``, ``kernel_basis``,
-``solve`` and ``inverse`` rest on one fraction-free Gauss–Jordan pass
-(Bareiss 1968, Math. Comp. 22) over integers: each row is scaled to integers
-by the lcm of its denominators, and every later entry is a minor of that
-integer matrix, so each division by the previous pivot is exact.
+all routines are exact. ``det``, ``rref``, ``rank``, ``integer_kernel``,
+``kernel_basis``, ``integer_solve``, ``solve`` and ``inverse`` rest on one
+fraction-free Gauss–Jordan pass (Bareiss 1968, Math. Comp. 22) over integers:
+each row is scaled to integers by the lcm of its denominators, and every later
+entry is a minor of that integer matrix, so each division by the previous
+pivot is exact. ``integer_kernel`` and ``integer_solve`` read their integer
+results straight off that pass and build no ``Fraction``; ``kernel_basis``
+and ``solve`` divide the same results out over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 Row = Sequence
@@ -99,28 +102,56 @@ def rank(a: Matrix) -> int:
     return len(_eliminate(a)[1])
 
 
-def kernel_basis(a: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel {v : A v = 0}, one vector per free column."""
-    m, pivots = rref(a)
+def _kernel(a: Matrix) -> tuple[list[list[int]], int]:
+    """(vectors, d): one integer kernel vector per free column f of the
+    elimination, with v[f] = d and v[p_r] = -m[r][f] at the pivot columns p_r,
+    so that v / d is the kernel vector with entry f equal to 1."""
+    m, pivots, d, _, _ = _eliminate(a)
     n_cols = len(a[0])
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
+    vectors = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [0] * n_cols
+        v[f] = d
         for r, p in enumerate(pivots):
             v[p] = -m[r][f]
-        basis.append(v)
+        vectors.append(v)
+    return vectors, d
+
+
+def integer_kernel(a: Matrix) -> list[list[int]]:
+    """Basis of the right kernel {v : A v = 0} in primitive integer vectors:
+    the kernel_basis vectors, each scaled to integers with gcd 1."""
+    basis = []
+    for v in _kernel(a)[0]:
+        g = gcd(*v)
+        basis.append([x // g for x in v])
     return basis
+
+
+def kernel_basis(a: Matrix) -> list[list[Fraction]]:
+    """Basis of the right kernel {v : A v = 0}, one vector per free column f,
+    with entry f equal to 1 and the other free entries 0."""
+    vectors, d = _kernel(a)
+    return [[Fraction(x, d) for x in v] for v in vectors]
+
+
+def integer_solve(a: Matrix, b: Row) -> tuple[list[int], int] | None:
+    """(numerators, d) with x = numerators / d the unique solution of A x = b
+    for square A, or None if A is singular; no Fraction is built."""
+    n = len(a)
+    m, pivots, d, _, _ = _eliminate([list(row) + [b[i]] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return [m[i][n] for i in range(n)], d
 
 
 def solve(a: Matrix, b: Row) -> list[Fraction] | None:
     """Unique solution of A x = b for square A, or None if A is singular."""
-    n = len(a)
-    m, pivots = rref([list(row) + [b[i]] for i, row in enumerate(a)])
-    if pivots != list(range(n)):
+    solution = integer_solve(a, b)
+    if solution is None:
         return None
-    return [m[i][n] for i in range(n)]
+    numerators, d = solution
+    return [Fraction(v, d) for v in numerators]
 
 
 def inverse(a: Matrix) -> list[list[Fraction]] | None:

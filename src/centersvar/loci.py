@@ -41,7 +41,7 @@ from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, apply_matrix,
-                         canonical_coords, center_admissible, frame_matrix,
+                         center_admissible, frame_matrix,
                          homography_fit, no_three_collinear,
                          normalizing_transform, on_line, project)
 
@@ -295,9 +295,10 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[QuadricSurface,
     """The two quadric surfaces confining the centers for six point pairs.
 
     Lifting the six-point invariants of each configuration gives five
-    quadrics with a one-dimensional linear relation; the relation computed
-    from y weights the x-quadrics (and vice versa -- the sides switch),
-    producing the surface containing a (resp. b).
+    integer quadrics with a one-dimensional linear relation; the relation
+    computed from y weights the x-quadrics (and vice versa -- the sides
+    switch), producing the surface containing a (resp. b). The relations are
+    primitive integer kernel vectors, so both weighted sums stay in ints.
     """
     if x.n != 6 or y.n != 6 or x.ambient_dim != 3 or y.ambient_dim != 3:
         raise InvalidInput("quadric_pair_n6 needs six points in P^3 on both sides")
@@ -305,41 +306,33 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[QuadricSurface,
     qy = lifted_quadrics(y)
     relations = {}
     for tag, quads in (("x", qx), ("y", qy)):
-        mat = [[quads[i].coeffs[r] for i in range(5)] for r in range(10)]
-        kernel = linalg.kernel_basis(mat)
+        kernel = linalg.integer_kernel(list(zip(*(q.coeffs for q in quads))))
         if len(kernel) != 1:
             raise DegenerateInput(f"quadric relation on the {tag} side is not unique")
         relations[tag] = kernel[0]
-    s_beta = _weighted_sum(relations["y"], qx)
-    s_alpha = _weighted_sum(relations["x"], qy)
+    s_beta, s_alpha = (
+        Form(2, tuple(sum(w * c for w, c in zip(weights, col))
+                      for col in zip(*(q.coeffs for q in quads)))).primitive()
+        for weights, quads in ((relations["y"], qx), (relations["x"], qy)))
     if s_beta.is_zero() or s_alpha.is_zero():
         # happens exactly when the two relations coincide, e.g. for
         # projectively equivalent configurations, where the center locus is
         # not confined to a quadric at all
         raise DegenerateInput("the weighted quadric combination vanishes identically")
-    if any(s_beta(pt.coords) for pt in x.points):
+    if any(s_beta.integer_value(pt.coords) for pt in x.points):
         raise Inconsistent("S_beta does not contain its world points")
-    if any(s_alpha(pt.coords) for pt in y.points):
+    if any(s_alpha.integer_value(pt.coords) for pt in y.points):
         raise Inconsistent("S_alpha does not contain its world points")
     return QuadricSurface.from_form(s_beta), QuadricSurface.from_form(s_alpha)
-
-
-def _weighted_sum(weights: Sequence[Fraction], forms: Sequence[Form]) -> Form:
-    """The primitive form of sum_i w_i f_i. The result is defined up to scale,
-    so the weights are made primitive integers first; the sum stays exact."""
-    w = canonical_coords(weights)
-    total = Form(forms[0].degree, tuple(sum(wi * c for wi, c in zip(w, col))
-                                        for col in zip(*(f.coeffs for f in forms))))
-    return total.primitive()
 
 
 def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> ProjectivePoint:
     """The center b of the camera P with P y_i proportional to q_i =
     project(x_i, a) for every i, by exact linear resection (DLT): each
-    correspondence gives the three rows of (P y_i) x q_i = 0 in the twelve
-    entries of P. Raises InadmissibleCenter at a world point a, and
-    NoRationalImage unless P is one rank-3 camera whose center is no world
-    point."""
+    correspondence gives the three integer rows of (P y_i) x q_i = 0 in the
+    twelve entries of P, and P and b are read off as primitive integer kernel
+    vectors. Raises InadmissibleCenter at a world point a, and NoRationalImage
+    unless P is one rank-3 camera whose center is no world point."""
     if a in x.points:
         raise InadmissibleCenter("the center map is undefined at a world point")
     q = [project(xi, a) for xi in x]
@@ -351,13 +344,13 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
                 row[4 * r + c] = qi[s] * yi[c]
                 row[4 * s + c] = -qi[r] * yi[c]
             rows.append(row)
-    kernel = linalg.kernel_basis(rows)
+    kernel = linalg.integer_kernel(rows)
     if len(kernel) != 1:
         raise NoRationalImage(f"the resection has a {len(kernel)}-dimensional solution space")
     camera = [kernel[0][4 * r: 4 * r + 4] for r in range(3)]
     if linalg.rank(camera) != 3:
         raise NoRationalImage("the resected camera has rank below 3")
-    b = ProjectivePoint(linalg.kernel_basis(camera)[0])
+    b = ProjectivePoint(linalg.integer_kernel(camera)[0])
     if b in y.points:
         raise NoRationalImage("the matched center is a world point")
     # b is not a world point, so every image P y_i is a nonzero vector

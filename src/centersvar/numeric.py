@@ -9,9 +9,14 @@ eigenvalue method reads the points off the moment matrices of a kernel
 basis. Candidates are polished by Gauss-Newton on all input forms and
 deduplicated projectively.
 
-Certification reuses the exact and the scaled float symmetric matrices that
-each Form builds once, so the solver and every certified point of a system
-share them.
+Certification runs in Python ints and builds no Fraction. Newton steps on a
+triple of forms sharpen a real candidate on dyadic iterates X / 2**e (e = 64,
+128, 256), each step an exact integer 3 x 3 solve rounded to the next scale.
+One continued-fraction pass per coordinate then gives the best rational
+approximations under a ladder of denominator bounds, and each distinct
+snapped point is substituted into every form in integers. The scaled float
+symmetric matrices and integer terms that each Form builds once are shared
+by the solver and every certified point of a system.
 
 Everything is deterministic for a fixed seed.
 """
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -34,8 +38,13 @@ from .projective import ProjectivePoint, canonical_coords
 _PRIME = 2 ** 61 - 1
 _REAL_TOL = 1e-9  # largest imaginary part of a unit vector that counts as real
 _GAUSS_NEWTON_STEPS = 12
-_EXACT_NEWTON_STEPS = 2
+# exact Newton iterates are ints over 2**64, then 2**128 and 2**256 (two steps)
+_DYADIC_EXPONENTS = (64, 128, 256)
+# the reconstruction bounds 10^4, 10^8, ..., 10^28 and 10^30: fractions with
+# denominators up to 10^30 lie at least 10^-60 apart, far above the 2**-256
+# (about 10^-77) resolution of the polished iterate
 _MAX_DENOMINATOR = 10 ** 30
+_LADDER = tuple(10 ** k for k in range(4, 30, 4)) + (_MAX_DENOMINATOR,)
 
 
 def form_floats(form: Form) -> np.ndarray:
@@ -226,16 +235,38 @@ def _pivot_triple(jac: np.ndarray) -> tuple[int, int, int] | None:
     return tuple(int(i) for i in triples[best])
 
 
-def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> list[Fraction] | None:
-    """Sharpen a real approximate zero with exact-arithmetic Newton steps.
+def _integer_hessian(form: Form) -> list[list[int]]:
+    """The Hessian of the integer form d * form (see Form.integer_terms) of a
+    quadric: 2 * c on the diagonal for c z_i^2 and c off it for c z_i z_j."""
+    h = [[0] * 4 for _ in range(4)]
+    for c, exp in form.integer_terms[1]:
+        i, k = (v for v, e in enumerate(exp) for _ in range(e))
+        h[i][k] += c
+        h[k][i] += c
+    return h
+
+
+def _round_div(a: int, b: int) -> int:
+    """The integer nearest to a / b (b != 0), halves rounded up."""
+    if b < 0:
+        a, b = -a, -b
+    return (2 * a + b) // (2 * b)
+
+
+def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> tuple[list[int], int] | None:
+    """Sharpen a real approximate zero with Newton steps in integers.
 
     The largest coordinate is frozen to 1 and a well-conditioned triple of
-    forms drives a square Newton iteration over the rationals, each step
-    solved exactly on the integer numerators of the iterate; each step
-    roughly squares the number of correct digits. The float pivot choice works on
-    forms scaled by exact powers of two, so large coefficients cannot
-    overflow. Returns affine coordinates (the frozen one included) or None
-    for non-real input.
+    forms drives a square Newton iteration on dyadic iterates x = X / 2**e:
+    X starts as the float point rounded at e = 64, and each step solves
+    J(X) s = -f(X) on the triple exactly by an integer 3 x 3 elimination and
+    rounds X + s to the next scale, e = 128 and then e = 256; each step
+    roughly squares the number of correct digits. The forms enter as their
+    integer forms d * f (d the lcm of the coefficient denominators), which
+    have the same zeros, so no coefficient is ever rounded. The float pivot
+    choice works on forms scaled by exact powers of two, so large
+    coefficients cannot overflow. Returns (X, 2**256), the frozen coordinate
+    included, or None for non-real input or a singular step.
     """
     p = np.asarray(point, dtype=complex)
     if np.max(np.abs(p.imag)) > 1e-6 * np.max(np.abs(p)):
@@ -248,22 +279,58 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> list[Fracti
     best = _pivot_triple(jac_float[:, unknowns])
     if best is None:
         return None
-    hessians = [[[2 * v for v in row] for row in forms[i].sym] for i in best]
+    triple = [forms[i] for i in best]
+    hessians = [_integer_hessian(f) for f in triple]
 
-    x = [Fraction(v).limit_denominator(10 ** 17) for v in (real / real[j])]
-    x[j] = Fraction(1)
-    for _ in range(_EXACT_NEWTON_STEPS):
-        # with x = ints / den, the Jacobian at x is J(ints) / den and each value
-        # f(x) is f(ints) / den**2, so the step solves J(ints) (den * step) = -f(ints)
-        den = math.lcm(*(c.denominator for c in x))
-        ints = [c.numerator * (den // c.denominator) for c in x]
-        jac = [[sum(h[k][m] * ints[m] for m in range(4)) for k in unknowns] for h in hessians]
-        scaled_step = linalg.solve(jac, [-forms[i](ints) for i in best])
-        if scaled_step is None:
+    e = _DYADIC_EXPONENTS[0]
+    x = [round(math.ldexp(v, e)) for v in real / real[j]]
+    x[j] = 1 << e
+    for e_next in _DYADIC_EXPONENTS[1:]:
+        # J(x) = J(X) / 2**e and f(x) = f(X) / 2**(2e), so the step in x is s / 2**e
+        jac = [[sum(h[k][m] * x[m] for m in range(4)) for k in unknowns] for h in hessians]
+        step = linalg.integer_solve(jac, [-f.integer_value(x) for f in triple])
+        if step is None:
             return None
-        for pos, k in enumerate(unknowns):
-            x[k] = (x[k] + scaled_step[pos] / den).limit_denominator(10 ** 60)
-    return x
+        numerators, d = step
+        shift = e_next - e
+        x = [v << shift for v in x]
+        for k, s in zip(unknowns, numerators):
+            x[k] += _round_div(s << shift, d)
+        e = e_next
+    return x, 1 << e
+
+
+def _limit_denominators(n: int, d: int, bounds: Sequence[int]) -> list[tuple[int, int]]:
+    """Fraction(n, d).limit_denominator(b) as a coprime (p, q), for each b of
+    the ascending bounds, from one continued-fraction pass (d > 0).
+
+    The pass is the one limit_denominator makes, resumed from bound to
+    bound: the convergents p1/q1 are taken while q1 <= b, then the nearer of
+    p1/q1 and the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest
+    denominator <= b wins, the convergent on a tie. An expansion that ends
+    within the bound gives n/d itself.
+    """
+    out = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    for b in bounds:
+        while den:
+            a = num // den
+            q2 = q0 + a * q1
+            if q2 > b:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            num, den = den, num - a * den
+        if not den:
+            out.append((p1, q1))
+            continue
+        k = (b - q0) // q1
+        p2, q2 = p0 + k * p1, q0 + k * q1
+        if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+            out.append((p1, q1))
+        else:
+            out.append((p2, q2))
+    return out
 
 
 def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> ProjectivePoint | None:
@@ -274,19 +341,24 @@ def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> Projective
     of them exactly is returned. The bounds climb by factors of 10^4, so
     that some bound is both at least the true denominator q and small enough
     that the polishing error cannot favour another fraction (error below
-    about 1 / (q * bound)); the last bound, 10^30, is half of the 60
-    digits exact_newton_polish keeps.
+    about 1 / (q * bound)). One continued-fraction pass per coordinate of
+    the dyadic iterate of exact_newton_polish gives its limit_denominator
+    at every bound, and each distinct snapped point is substituted once, in
+    integers.
     """
     if not point.is_real:
         return None
     polished = exact_newton_polish(forms, point.array())
     if polished is None:
         return None
-    for bound in [10 ** k for k in range(4, 30, 4)] + [_MAX_DENOMINATOR]:
-        snapped = [c.limit_denominator(bound) for c in polished]
-        if all(x == 0 for x in snapped):
+    numerators, den = polished
+    checked = set()
+    for snapped in zip(*(_limit_denominators(v, den, _LADDER) for v in numerators)):
+        if snapped in checked:
             continue
-        candidate = ProjectivePoint(snapped)
-        if all(f(candidate.coords) == 0 for f in forms):
-            return candidate
+        checked.add(snapped)
+        common = math.lcm(*(q for _, q in snapped))
+        ints = [p * (common // q) for p, q in snapped]
+        if all(f.integer_value(ints) == 0 for f in forms):
+            return ProjectivePoint(ints)
     return None

@@ -30,12 +30,13 @@ def _to_fraction(x) -> Fraction:
 
 
 def canonical_coords(coords: Iterable) -> tuple[int, ...]:
-    """Primitive integer vector with positive first nonzero entry."""
-    fracs = [_to_fraction(c) for c in coords]
+    """Primitive integer vector with positive first nonzero entry; ints and
+    Fractions are read as they are, in integer arithmetic."""
+    fracs = [c if isinstance(c, (int, Fraction)) else _to_fraction(c) for c in coords]
     if all(f == 0 for f in fracs):
         raise InvalidInput("projective point must have a nonzero coordinate")
     denom_lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom_lcm) for f in fracs]
+    ints = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
     g = math.gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v != 0)

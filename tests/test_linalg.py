@@ -6,6 +6,7 @@ expansion of the determinant. Entries reach 10^30, so an inexact
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,13 @@ def test_rref_rank_and_kernel_match_the_reference(a):
     assert kernel == expected
     for v in kernel:
         assert mat_vec(a, v) == [0] * len(a)
+    # the integer kernel: the same vectors, primitive and in ints
+    free = [c for c in range(len(a[0])) if c not in pivots]
+    integer = linalg.integer_kernel(a)
+    assert len(integer) == len(free)
+    for v, f, w in zip(integer, free, expected):
+        assert all(type(x) is int for x in v) and gcd(*v) == 1
+        assert [Fraction(x, v[f]) for x in v] == w
 
 
 @settings(deadline=None)
@@ -101,8 +109,11 @@ def test_det_solve_and_inverse_match_the_reference(a, data):
     b = data.draw(st.lists(BIG, min_size=n, max_size=n))
     x, inv = linalg.solve(a, b), linalg.inverse(a)
     if d == 0:
-        assert x is None and inv is None
+        assert x is None and inv is None and linalg.integer_solve(a, b) is None
         return
+    numerators, den = linalg.integer_solve(a, b)
+    assert all(type(v) is int for v in numerators + [den])
+    assert [Fraction(v, den) for v in numerators] == x
     assert x == [row[n] for row in ref_rref([row + [bi] for row, bi in zip(a, b)])[0]]
     assert mat_vec(a, x) == b
     identity = [[int(i == j) for j in range(n)] for i in range(n)]

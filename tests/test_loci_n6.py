@@ -1,14 +1,19 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from centersvar import linalg
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import (DegenerateInput, InadmissibleCenter,
-                               NoRationalImage)
-from centersvar.invariants import t6_lifted
-from centersvar.loci import (cubic_locus_n5, map_a_to_b_n6, map_b_to_a_n6,
-                             quadric_pair_n6, sample_surface_point)
-from centersvar.projective import Configuration, homography_fit, pp, project
+                               NoRationalImage, ToolkitError)
+from centersvar.forms import Form
+from centersvar.invariants import lifted_quadrics, t6_lifted
+from centersvar.loci import (_resected_center, cubic_locus_n5, map_a_to_b_n6,
+                             map_b_to_a_n6, quadric_pair_n6, sample_surface_point)
+from centersvar.projective import (Configuration, ProjectivePoint, apply_matrix,
+                                   canonical_coords, homography_fit, pp, project)
 
 
 def rand_config(rng, n):
@@ -37,6 +42,106 @@ class TestQuadricPair:
             s_beta, s_alpha = quadric_pair_n6(rec.x, rec.y)
             assert s_beta(rec.a_true) == 0
             assert s_alpha(rec.b_true) == 0
+
+
+def ref_quadric_pair(x, y):
+    """quadric_pair_n6 in Fractions: the lifted quadrics, the kernel_basis
+    relation of each side, and the weighted sum over the rationals."""
+    def relation(quads):
+        (weights,) = linalg.kernel_basis([[Fraction(q.coeffs[r]) for q in quads]
+                                          for r in range(10)])
+        return weights
+
+    def weighted_sum(weights, quads):
+        w = canonical_coords(weights)
+        total = [sum((wi * Fraction(q.coeffs[r]) for wi, q in zip(w, quads)), Fraction(0))
+                 for r in range(10)]
+        return Form(2, tuple(Fraction(c) for c in canonical_coords(total)))
+
+    qx, qy = lifted_quadrics(x), lifted_quadrics(y)
+    return weighted_sum(relation(qy), qx), weighted_sum(relation(qx), qy)
+
+
+def generated_six_subsets(bound):
+    """Generated n = 6 instances and every leave-one-out subset of generated n = 7."""
+    for seed in range(3):
+        rec = generate_reconstruction(6, seed=seed, coord_bound=bound)
+        yield rec.x, rec.y
+        rec = generate_reconstruction(7, seed=seed, coord_bound=bound)
+        for k in range(7):
+            yield rec.x.drop(k), rec.y.drop(k)
+
+
+@pytest.mark.parametrize("bound", [10, 1000])
+def test_integer_quadric_pair_matches_the_fraction_reference(bound):
+    for x, y in generated_six_subsets(bound):
+        for surface, ref in zip(quadric_pair_n6(x, y), ref_quadric_pair(x, y)):
+            coeffs = surface.form.coeffs
+            assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
+            assert surface.form == ref
+            assert surface.sym == ref.sym
+
+
+def ref_resected_center(x, y, a):
+    """_resected_center with the camera and its center read from Fraction rrefs."""
+    def kernel(rows):
+        m, pivots = linalg.rref(rows)
+        basis = []
+        for f in (c for c in range(len(rows[0])) if c not in pivots):
+            v = [Fraction(int(c == f)) for c in range(len(rows[0]))]
+            for r, p in enumerate(pivots):
+                v[p] = -m[r][f]
+            basis.append(v)
+        return basis
+
+    if a in x.points:
+        raise InadmissibleCenter("the center map is undefined at a world point")
+    q = [project(xi, a) for xi in x]
+    rows = []
+    for yi, qi in zip(y.points, q):
+        for r, s in ((1, 2), (2, 0), (0, 1)):
+            row = [0] * 12
+            for c in range(4):
+                row[4 * r + c] = qi[s] * yi[c]
+                row[4 * s + c] = -qi[r] * yi[c]
+            rows.append(row)
+    solutions = kernel(rows)
+    if len(solutions) != 1:
+        raise NoRationalImage(f"the resection has a {len(solutions)}-dimensional solution space")
+    camera = [solutions[0][4 * r: 4 * r + 4] for r in range(3)]
+    if linalg.rank(camera) != 3:
+        raise NoRationalImage("the resected camera has rank below 3")
+    b = ProjectivePoint(kernel(camera)[0])
+    if b in y.points:
+        raise NoRationalImage("the matched center is a world point")
+    assert all(apply_matrix(camera, yi) == qi for yi, qi in zip(y.points, q))
+    return b
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def test_resected_center_matches_the_fraction_reference():
+    centers = 0
+    for seed in range(4):
+        rec = generate_reconstruction(6, seed=seed)
+        s_beta, _ = quadric_pair_n6(rec.x, rec.y)
+        probes = [rec.a_true, rec.x[1], pp(3, 1, 4, 1)]
+        for attempt in range(6):
+            try:
+                probes.append(sample_surface_point(s_beta, rec.x[0], seed=attempt,
+                                                   avoid=list(rec.x.points)))
+            except DegenerateInput:
+                pass
+        for a in probes:
+            got = outcome(_resected_center, rec.x, rec.y, a)
+            assert got == outcome(ref_resected_center, rec.x, rec.y, a)
+            centers += isinstance(got, ProjectivePoint)
+    assert centers >= 8
 
 
 class TestCenterMap:

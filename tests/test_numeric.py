@@ -1,19 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centersvar import linalg
 from centersvar.errors import Inconsistent, NotFinite
 from centersvar.forms import Form, mono_eval, monomials
-from centersvar.numeric import (_PRIME, _pivot_triple, _rank_mod_p,
-                                certify_rational, projective_distance,
-                                solve_quadric_system)
+from centersvar.numeric import (_LADDER, _PRIME, _limit_denominators,
+                                _pivot_triple, _rank_mod_p, certify_rational,
+                                projective_distance, solve_quadric_system)
 from centersvar.projective import pp
 
 RATIONAL = [pp(0, 2, -3, 5), pp(7, -1, 4, 2), pp(3, 3, -8, 0)]
@@ -177,6 +177,15 @@ class TestCertification:
         pts = solve_quadric_system(forms, tol=1e-9, seed=0)
         assert {certify_rational(forms, p) for p in pts} == set(RATIONAL)
 
+    def test_certifies_with_non_integral_coefficients(self):
+        # the Newton steps run on d * form, d the lcm of the denominators; a
+        # form rounded to integers would move the zeros and certify nothing
+        pts = solve_quadric_system(rational_system(), tol=1e-9, seed=0)
+        scaled = [f.scaled(Fraction(1, 3) if i % 2 else Fraction(5, 7))
+                  for i, f in enumerate(rational_system())]
+        assert any(c.denominator % 3 == 0 for f in scaled for c in f.coeffs)
+        assert {certify_rational(scaled, p) for p in pts} == set(RATIONAL)
+
     def test_refuses_complex_points(self):
         forms = conjugate_system()
         pts = solve_quadric_system(forms, tol=1e-9, seed=1)
@@ -184,6 +193,43 @@ class TestCertification:
         assert len(complex_pts) == 2
         assert all(certify_rational(forms, p) is None for p in complex_pts)
         assert [certify_rational(forms, p) for p in pts if p.is_real] == [Q]
+
+
+def farey_midpoints(bound):
+    """(n, d) midway between two neighbours a/b < c/e of the Farey sequence of
+    order bound (b c - a e = 1), where limit_denominator(bound) ties."""
+    def midpoint(ab):
+        a, b = ab
+        r = -pow(a, -1, b) % b
+        e = bound - (bound - r) % b  # the largest e <= bound with a e = -1 mod b
+        c = (1 + a * e) // b
+        return a * e + b * c, 2 * b * e
+    return st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, bound)).filter(
+        lambda ab: gcd(*ab) == 1).map(midpoint)
+
+
+FRACTIONS = st.one_of(
+    # dyadic, as exact_newton_polish returns them
+    st.tuples(st.integers(-2 ** 258, 2 ** 258), st.just(2 ** 256)),
+    st.tuples(st.integers(-10 ** 80, 10 ** 80), st.integers(1, 10 ** 80)),
+    # denominators at or below the first bound
+    st.tuples(st.integers(-10 ** 9, 10 ** 9), st.integers(1, _LADDER[0])),
+    # expansions that end exactly between two bounds, given unreduced
+    st.tuples(st.integers(-10 ** 40, 10 ** 40), st.integers(10 ** 4, 10 ** 30),
+              st.integers(1, 10 ** 20)).map(lambda t: (t[0] * t[2], t[1] * t[2])),
+    st.sampled_from(_LADDER).flatmap(farey_midpoints),
+)
+
+
+@given(FRACTIONS)
+@example((1, 20000))  # midway between 0/1 and 1/10^4: the convergent 0/1 wins
+@settings(max_examples=400, deadline=None)
+def test_one_pass_matches_limit_denominator_at_every_bound(nd):
+    n, d = nd
+    snapped = _limit_denominators(n, d, _LADDER)
+    assert all(gcd(p, q) == 1 and q > 0 for p, q in snapped)
+    assert [Fraction(p, q) for p, q in snapped] == [
+        Fraction(n, d).limit_denominator(b) for b in _LADDER]
 
 
 class TestDistance:
