@@ -9,11 +9,11 @@ projectively equivalent images is
   in closed form in the standard frame),
 * a surface for n = 6: each center is confined to a quadric and the two
   quadrics are in exact birational correspondence; b is the center of the
-  camera that linear resection finds from the correspondences
-  y_i -> project(x_i, a),
+  camera that resection on a four-point frame of the world points finds
+  from the correspondences y_i -> project(x_i, a),
 * three isolated pairs for n = 7,
 * generically empty for n >= 8 (a common zero of the windows' quadrics,
-  resected over all n points).
+  resected on a frame and checked against all n points).
 
 Everything through n = 6 and every n >= 8 verdict is exact over the rationals.
 For n = 7 the quadric-system kernel certifies exactly that the zero set is
@@ -27,6 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +41,8 @@ from .forms import (BinaryForm, Form, binary_gcd, linear_root, moment_positions,
 from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
-from .projective import (Configuration, ProjectivePoint, apply_matrix,
-                         center_admissible, frame_matrix,
+from .projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
+                         center_admissible, cofactors, frame_matrix,
                          homography_fit, no_three_collinear,
                          normalizing_transform, on_line, project)
 
@@ -326,35 +327,59 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[QuadricSurface,
     return QuadricSurface.from_form(s_beta), QuadricSurface.from_form(s_alpha)
 
 
+def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> ProjectivePoint:
     """The center b of the camera P with P y_i proportional to q_i =
-    project(x_i, a) for every i, by exact linear resection (DLT): each
-    correspondence gives the three integer rows of (P y_i) x q_i = 0 in the
-    twelve entries of P, and P and b are read off as primitive integer kernel
-    vectors. Raises InadmissibleCenter at a world point a, and NoRationalImage
-    unless P is one rank-3 camera whose center is no world point."""
+    project(x_i, a) for every i, by exact resection on a four-point frame.
+
+    The frame (f_0, ..., f_3) is the first 4-subset of the world points, in
+    combinations order, with a nonzero bracket. The cofactor vector w_k of the
+    other three frame points vanishes on them and not on y_{f_k}, so the
+    cameras that fit the frame are P = sum_k lambda_k q_{f_k} w_k^T (that is
+    Q Lambda A^T, A the frame's integer adjugate up to column signs). Each
+    other point y_j adds the three integer rows
+    sum_k lambda_k (w_k . y_j) (q_{f_k} x q_j) = 0, a 3(n - 4) x 4 system in
+    lambda. No q_f is zero, so lambda -> P is injective onto the solution
+    space of the 12-unknown linear resection (DLT, Hartley & Zisserman 7.1):
+    both kernels have the same dimension, and P is a multiple of the DLT
+    camera. b is read off as a primitive integer kernel vector. Raises
+    InadmissibleCenter at a world point a, and NoRationalImage when the world
+    points lie in a plane, or unless P is one rank-3 camera whose center is
+    no world point."""
     if a in x.points:
         raise InadmissibleCenter("the center map is undefined at a world point")
     q = [project(xi, a) for xi in x]
+    ys = [yi.coords for yi in y.points]
+    frame = next((f for f in combinations(range(len(ys)), 4)
+                  if bracket([y[i] for i in f]) != 0), None)
+    if frame is None:
+        raise NoRationalImage("the world points lie in a plane, so the resection is not unique")
+    w = [cofactors(*(ys[g] for g in frame if g != f)) for f in frame]
     rows = []
-    for yi, qi in zip(y.points, q):
-        for r, s in ((1, 2), (2, 0), (0, 1)):
-            row = [0] * 12
-            for c in range(4):
-                row[4 * r + c] = qi[s] * yi[c]
-                row[4 * s + c] = -qi[r] * yi[c]
-            rows.append(row)
+    for j, yj in enumerate(ys):
+        if j in frame:
+            continue
+        weights = [sum(map(mul, wk, yj)) for wk in w]
+        crosses = [_cross(q[f], q[j]) for f in frame]
+        rows.extend([c * v[r] for c, v in zip(weights, crosses)] for r in range(3))
     kernel = linalg.integer_kernel(rows)
     if len(kernel) != 1:
         raise NoRationalImage(f"the resection has a {len(kernel)}-dimensional solution space")
-    camera = [kernel[0][4 * r: 4 * r + 4] for r in range(3)]
-    if linalg.rank(camera) != 3:
+    lam = kernel[0]
+    camera = [[sum(lam[k] * q[f][r] * w[k][c] for k, f in enumerate(frame)) for c in range(4)]
+              for r in range(3)]
+    center = linalg.integer_kernel(camera)
+    if len(center) != 1:
         raise NoRationalImage("the resected camera has rank below 3")
-    b = ProjectivePoint(linalg.integer_kernel(camera)[0])
+    b = ProjectivePoint(center[0])
     if b in y.points:
         raise NoRationalImage("the matched center is a world point")
     # b is not a world point, so every image P y_i is a nonzero vector
-    if any(apply_matrix(camera, yi) != qi for yi, qi in zip(y.points, q)):
+    if any(any(_cross([sum(map(mul, row, yi)) for row in camera], qi))
+           for yi, qi in zip(ys, q)):
         raise Inconsistent("the resected camera misses a correspondence")
     return b
 
@@ -364,10 +389,11 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
     """The unique second center matching a first center on its quadric.
 
     The images are projectively equivalent exactly when some camera P sends
-    every y_i to a multiple of q_i = project(x_i, a); P is found by exact
-    linear resection and b is its center. The result is verified point by
-    point, on the companion quadric, and against the full weighted
-    proportionality of the lifted six-point invariants.
+    every y_i to a multiple of q_i = project(x_i, a); P is found in integers
+    by resection on a four-point frame of the world points (the other two
+    points fix its four frame weights) and b is its center. The result is
+    verified point by point, on the companion quadric, and against the full
+    weighted proportionality of the lifted six-point invariants.
     """
     s_beta, s_alpha = pair if pair is not None else quadric_pair_n6(x, y)
     if s_beta(a) != 0:
@@ -435,7 +461,9 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
 
     Each leave-one-out six-point subproblem confines a to a quadric surface;
     the seven quadrics intersect in three isolated points (and likewise for
-    b). Rational candidates are certified exactly.
+    b). Rational candidates are certified exactly. A certified candidate at
+    a world point is no center, and the seven quadrics of such an input do
+    not cut out its center pairs: that raises DegenerateInput.
     """
     if x.n != 7 or y.n != 7:
         raise InvalidInput("candidates_n7 needs seven points on both sides")
@@ -448,6 +476,8 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
     b_pts = solve_quadric_system(b_quads, expected=3, tol=tol, seed=seed + 1)
     a_pts = [_with_certificate(p, a_quads) for p in a_pts]
     b_pts = [_with_certificate(p, b_quads) for p in b_pts]
+    if any(p.exact in x.points for p in a_pts) or any(p.exact in y.points for p in b_pts):
+        raise DegenerateInput("a common zero of the leave-one-out quadrics is a world point")
     return CandidateSets(tuple(a_quads), tuple(b_quads), tuple(a_pts), tuple(b_pts))
 
 

@@ -166,9 +166,11 @@ def bracket(points: Sequence[ProjectivePoint]) -> int:
 
 
 def apply_matrix(m: Sequence[Sequence], x: ProjectivePoint) -> ProjectivePoint:
-    """Image of x under the linear map with matrix m (rows act on coords)."""
-    v = linalg.mat_vec(m, x.fractions())
-    return ProjectivePoint(v)
+    """Image of x under the linear map with matrix m (rows act on coords);
+    int and Fraction entries are multiplied as they are."""
+    if len(m[0]) != len(x.coords):
+        raise ValueError("shape mismatch in apply_matrix")
+    return ProjectivePoint([sum(r * c for r, c in zip(row, x.coords)) for row in m])
 
 
 def project(x: ProjectivePoint, a: ProjectivePoint) -> ProjectivePoint:

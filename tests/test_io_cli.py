@@ -15,9 +15,13 @@ from centersvar.errors import Inconclusive
 from centersvar.projective import Configuration, ProjectivePoint, decide_equivalence, pp
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(centersvar.__file__)))
+
+
 def run_cli(*args):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "centersvar.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     return proc
 
 
@@ -206,12 +210,11 @@ class TestCentersCommand:
         xfile = tmp_path / "x.json"
         write_config(xfile, STD5)
         out = tmp_path / "r.json"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(centersvar.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "centersvar.cli", "centers", "-i", str(xfile),
              "-j", str(xfile), "--center", "43,-50,6,-5", "-o", str(out)],
             capture_output=True, text=True,
-            env={"CENTERSVAR_SEED": "7", "PATH": "/usr/bin:/bin", "PYTHONPATH": src})
+            env={"CENTERSVAR_SEED": "7", "PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
         assert proc.returncode == 0
         assert json.loads(out.read_text())["config"]["seed"] == 7
 

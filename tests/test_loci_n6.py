@@ -125,23 +125,56 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_resected_center_matches_the_fraction_reference():
-    centers = 0
+def generated_probes(n, bound):
+    """(x, y, a) for generated instances: the true center, a world point, an
+    off-surface point and, for n = 6, sampled points of the a-quadric."""
     for seed in range(4):
-        rec = generate_reconstruction(6, seed=seed)
-        s_beta, _ = quadric_pair_n6(rec.x, rec.y)
+        rec = generate_reconstruction(n, seed=seed, coord_bound=bound)
         probes = [rec.a_true, rec.x[1], pp(3, 1, 4, 1)]
-        for attempt in range(6):
-            try:
-                probes.append(sample_surface_point(s_beta, rec.x[0], seed=attempt,
-                                                   avoid=list(rec.x.points)))
-            except DegenerateInput:
-                pass
+        if n == 6:
+            s_beta, _ = quadric_pair_n6(rec.x, rec.y)
+            for attempt in range(6):
+                try:
+                    probes.append(sample_surface_point(s_beta, rec.x[0], seed=attempt,
+                                                       avoid=list(rec.x.points)))
+                except DegenerateInput:
+                    pass
         for a in probes:
-            got = outcome(_resected_center, rec.x, rec.y, a)
-            assert got == outcome(ref_resected_center, rec.x, rec.y, a)
-            centers += isinstance(got, ProjectivePoint)
-    assert centers >= 8
+            yield rec.x, rec.y, a
+
+
+# y_0..y_3 lie in the plane z_3 = 0; X = T Y, so every a off X is matched
+# by b = T^-1 a, and no four-point frame starts at y_0, y_1, y_2, y_3.
+T = [[2, 1, 0, 1], [0, 1, 3, 0], [1, 0, 1, 1], [0, 2, 0, 1]]
+Y_FIRST_FOUR_COPLANAR = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0),
+                                       (1, 1, 1, 1), (2, -1, 3, 5), (4, 1, -2, 3), (1, -3, 2, 2)])
+
+
+def test_resected_center_matches_the_fraction_reference():
+    cases = [*generated_probes(6, 10), *generated_probes(6, 1000), *generated_probes(8, 10)]
+    for n in (6, 8):
+        y = Configuration(Y_FIRST_FOUR_COPLANAR.points[:n])
+        x = y.transformed(T)
+        for b in (pp(3, 1, 4, 1), pp(1, 5, -2, 7)):
+            cases.append((x, y, apply_matrix(T, b)))
+            assert _resected_center(x, y, apply_matrix(T, b)) == b
+    centers = 0
+    for x, y, a in cases:
+        got = outcome(_resected_center, x, y, a)
+        assert got == outcome(ref_resected_center, x, y, a)
+        centers += isinstance(got, ProjectivePoint)
+    assert centers >= 60
+
+
+def test_resection_refuses_coplanar_world_points():
+    # every camera plus any v h^T (h the plane) fits: no frame, no unique resection
+    y = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0),
+                       (2, -1, 3, 0), (4, 1, -2, 0)])
+    x = y.transformed(T)
+    a = apply_matrix(T, pp(3, 1, 4, 1))
+    for resect in (_resected_center, ref_resected_center):
+        with pytest.raises(NoRationalImage):
+            resect(x, y, a)
 
 
 class TestCenterMap:

@@ -10,7 +10,7 @@ from centersvar import io as cio
 from centersvar import linalg, loci
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
-from centersvar.errors import Inconclusive
+from centersvar.errors import DegenerateInput, Inconclusive
 from centersvar.forms import Form, mono_eval, monomials
 from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES
 from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
@@ -140,6 +140,17 @@ class TestCandidates:
         assert len(pairs) == 3
         for m in pairs:
             assert projective_distance(m.a.coords, vertex.coords) > 1e-3
+
+
+def test_a_world_point_among_the_zeros_is_degenerate():
+    # every b-quadric vanishes at the world point y_7, which certification
+    # finds as an exact candidate paired with a = (67 : 6 : 13 : -49)
+    x = Configuration([(2, 3, 2, -2), (3, -1, 3, 0), (-3, 2, -1, 1), (3, 0, -1, -3),
+                       (-2, 0, 1, 2), (3, -3, 1, 0), (0, 0, 0, 1)])
+    y = Configuration([(0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 3, 1), (1, -3, 1, 0),
+                       (-2, 1, -3, 3), (-1, -2, -2, -1), (1, -1, 0, -3)])
+    with pytest.raises(DegenerateInput, match="world point"):
+        centers_variety(x, y)
 
 
 class TestWeddleCurve:

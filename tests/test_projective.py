@@ -139,6 +139,24 @@ class TestProject:
             assert cam.apply(x) == project(x, a)
 
 
+class TestApplyMatrix:
+    def test_matches_the_mat_vec_reference(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            x = rand_config(rng, 1, dim=3, bound=10 ** 6)[0]
+            m = [[rng.randint(-99, 99) for _ in range(4)] for _ in range(rng.choice((3, 4)))]
+            for mat in (m, [[Fraction(v, rng.randint(1, 12)) for v in row] for row in m]):
+                ref = linalg.mat_vec(mat, x.fractions())
+                assert any(ref)
+                assert apply_matrix(mat, x) == ProjectivePoint(ref)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            apply_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], pp(1, 2, 3, 4))
+        with pytest.raises(ValueError):
+            apply_matrix([[Fraction(1, 2)] * 5] * 4, pp(1, 2, 3, 4))
+
+
 class TestHomographyFit:
     def test_identity(self):
         p = Configuration([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 9)])
