@@ -19,7 +19,7 @@ from .invariants import (InvariantVector, WeddleQuartic, fano, fano15,
                          weddle_quartic)
 from .loci import (CandidateSets, CentersVariety, CubicFibrationN5,
                    DegenerationTag, EmptyN8, EverythingN4, MatchedPair,
-                   QuadricSurface, SurfacePairN6, ThreePairsN7, TwistedCubic,
+                   SurfacePairN6, ThreePairsN7, TwistedCubic,
                    candidates_n7, centers_n_ge8, centers_n_le4,
                    centers_variety, classify_degeneration_n5, cubic_locus_n5,
                    cubic_param_n5, map_a_to_b_n6, map_b_to_a_n6,

@@ -16,12 +16,13 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from typing import Any
 
 from . import io as cio
 from .datagen import DEGENERATE_KINDS, generate_degenerate, generate_reconstruction
 from .errors import InadmissibleCenter, InvalidInput, ToolkitError
-from .forms import Form
+from .forms import Form, sym_from_quad
 from .invariants import InvariantVector, fano15, g5, t6
 from .loci import (CubicFibrationN5, EmptyN8, EverythingN4, MatchedPair,
                    SurfacePairN6, ThreePairsN7, centers_variety,
@@ -130,8 +131,8 @@ def _centers_payload(result) -> dict[str, Any]:
                 "cubic": cubic}
     if isinstance(result, SurfacePairN6):
         return {"variant": "SurfacePairN6",
-                "S_beta": {"sym": cio.matrix_to_json(result.s_beta.sym)},
-                "S_alpha": {"sym": cio.matrix_to_json(result.s_alpha.sym)},
+                "S_beta": {"sym": cio.matrix_to_json(sym_from_quad(result.s_beta))},
+                "S_alpha": {"sym": cio.matrix_to_json(sym_from_quad(result.s_alpha))},
                 "sampled_pairs": [{"a": cio.point_to_json(a), "b": cio.point_to_json(b)}
                                   for a, b in result.sampled_pairs],
                 "given_center": (cio.point_to_json(result.given_center)
@@ -243,7 +244,9 @@ def _emit(args, doc: dict[str, Any]) -> None:
         print()
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="centersvar",
         description="Ambiguous camera-center loci for point configurations in P^3.")
@@ -295,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "require_center", False) and not args.center:
             raise InvalidInput(f"{args.command} needs --center")

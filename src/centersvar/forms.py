@@ -7,7 +7,10 @@ Two small algebras used throughout the loci computations:
   their linear factors (exact products and linear substitution), and only a
   form known by its values alone is fitted by interpolation; a form is
   evaluated in integers, with its coefficients and the point's coordinates
-  each brought to a common denominator (one Fraction per value);
+  each brought to a common denominator (one Fraction per value); a quadric
+  surface is its quadratic form, and the symmetric matrix S of z^T S z is
+  read off the coefficients (sym_from_quad) only where a report or float
+  code needs it;
 * binary forms (homogeneous polynomials in a curve parameter (t_0 : t_1))
   with exact arithmetic and gcd.
 """
@@ -154,21 +157,10 @@ class Form:
         return Fraction(self.integer_value(ints), self.integer_terms[0] * den ** self.degree)
 
     @cached_property
-    def sym(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The symmetric matrix of a quadric (sym_from_quad), built once per form."""
-        return tuple(tuple(row) for row in sym_from_quad(self))
-
-    @cached_property
     def scale_exponent(self) -> int:
         """An e with the largest |coefficient| * 2**-e between 1/2 and 2."""
         return max((c.numerator.bit_length() - c.denominator.bit_length()
                     for c in self.coeffs if c != 0), default=0)
-
-    @cached_property
-    def scaled_sym(self) -> tuple[tuple[float, ...], ...]:
-        """sym scaled by 2**-scale_exponent in floats, built once per form."""
-        e = self.scale_exponent
-        return tuple(tuple(scaled_float(c, e) for c in row) for row in self.sym)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -220,17 +212,6 @@ class Form:
         if self.is_zero():
             return self
         return Form(self.degree, canonical_coords(self.coeffs), self.nvars)
-
-
-def quad_from_sym(sym: Sequence[Sequence]) -> Form:
-    """Quadratic form z^T S z from a symmetric matrix."""
-    n = len(sym)
-    coeffs = []
-    for exp in monomials(2, n):
-        idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        i, j = idx
-        coeffs.append(Fraction(sym[i][j]) if i == j else Fraction(sym[i][j]) + Fraction(sym[j][i]))
-    return Form(2, tuple(coeffs), n)
 
 
 def sym_from_quad(q: Form) -> list[list[Fraction]]:

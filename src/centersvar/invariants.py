@@ -14,6 +14,11 @@ Each family lifts to a configuration in P^3 with a chosen center a by
 replacing every plane bracket [ijk] with the space bracket [x_i x_j x_k a];
 the lifted vector is proportional to the invariant vector of the projected
 configuration, which is what makes these usable for camera-center loci.
+
+A family is written once, over its index table: every value is an integer
+product of brackets taken from a bracket source, which is the plane bracket
+of three image points or, lifted, the integer cofactor vector of
+(x_i, x_j, x_k) dotted with a. Integer points give int invariants.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from . import linalg
 from .errors import DegenerateInput, InvalidInput
 from .forms import Form, fit_form
-from .projective import (Configuration, ProjectivePoint, bracket, cofactors,
-                         normalizing_transform)
+from .projective import (Configuration, ProjectivePoint, bracket,
+                         canonical_coords, cofactors, normalizing_transform)
 
 # Bracket index triples (1-based), exactly as printed in the classical tables.
 G5_TRIPLES = (
@@ -80,7 +86,7 @@ class InvariantVector:
     """
 
     kind: str
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         expected = {"N5": 6, "N6": 6, "N7": 15}
@@ -124,29 +130,31 @@ class InvariantVector:
         if self.non_semistable:
             return self
         if self.kind != "N6":
-            from .projective import canonical_coords
-            return InvariantVector(self.kind, tuple(
-                Fraction(c) for c in canonical_coords(self.values)))
+            return InvariantVector(self.kind, canonical_coords(self.values))
         head = self.values[:5]
         if all(v == 0 for v in head):
-            t5 = self.values[5]
-            return InvariantVector("N6", (Fraction(0),) * 5 + (Fraction(1 if t5 > 0 else -1),))
-        from .projective import canonical_coords
+            return InvariantVector("N6", (0,) * 5 + (1 if self.values[5] > 0 else -1,))
         ints = canonical_coords(head)
         idx = next(k for k in range(5) if head[k] != 0)
-        scale = head[idx] / ints[idx]  # head = scale * ints
-        return InvariantVector("N6", tuple(Fraction(c) for c in ints)
-                               + (self.values[5] / scale ** 2,))
+        scale = Fraction(head[idx], ints[idx])  # head = scale * ints, exactly
+        return InvariantVector("N6", ints + (self.values[5] / scale ** 2,))
 
 
-def _bracket_product(p: Configuration, triples, one_based: bool = True) -> Fraction:
-    total = Fraction(1)
+def _product(brackets: Callable[[tuple[int, ...]], int], triples) -> int:
+    """The product of the brackets of the index triples (1-based) from one
+    bracket source, 0 at the first vanishing factor: an int for integer
+    points."""
+    total = 1
     for t in triples:
-        shift = 1 if one_based else 0
-        total *= bracket([p[i - shift] for i in t])
-        if total == 0:
-            return Fraction(0)
+        total *= brackets(t)
+        if not total:
+            return 0
     return total
+
+
+def _plane_brackets(p: Configuration) -> Callable[[tuple[int, ...]], int]:
+    """The bracket source of plane points: [ijk] = bracket(p_i, p_j, p_k)."""
+    return lambda t: bracket([p[i - 1] for i in t])
 
 
 def _cofactors(x: Configuration, triple) -> tuple[int, ...]:
@@ -154,25 +162,32 @@ def _cofactors(x: Configuration, triple) -> tuple[int, ...]:
     return cofactors(*(x[i - 1].coords for i in triple))
 
 
-def _lifted_bracket(x: Configuration, a, triple) -> Fraction:
+def _lifted_brackets(x: Configuration, a) -> Callable[[tuple[int, ...]], int]:
+    """The bracket source of points of P^3 lifted through a center a:
+    [ijk] -> [x_i x_j x_k a], the cofactor vector of the triple dotted with a."""
     coords = a.coords if isinstance(a, ProjectivePoint) else a
-    return Fraction(sum(c * v for c, v in zip(_cofactors(x, triple), coords)))
+    return lambda t: sum(map(mul, _cofactors(x, t), coords))
 
 
-def _lifted_product(x: Configuration, a, triples) -> Fraction:
-    total = Fraction(1)
-    for t in triples:
-        total *= _lifted_bracket(x, a, t)
-        if total == 0:
-            return Fraction(0)
-    return total
+def _g5_values(brackets) -> tuple[int, ...]:
+    return tuple(_product(brackets, t) for t in G5_TRIPLES)
+
+
+def _t6_values(brackets) -> tuple[int, ...]:
+    head = tuple(_product(brackets, t) for t in T6_TRIPLES)
+    return head + (_product(brackets, T5_PLUS) - _product(brackets, T5_MINUS),)
+
+
+def _fano_lines(perm: Sequence[int]) -> list[tuple[int, ...]]:
+    """The Fano lines with their indices permuted, in the permuted order."""
+    return [tuple(perm[i - 1] for i in line) for line in FANO_LINES]
 
 
 def g5(p: Configuration) -> InvariantVector:
     """The six generating invariants of five labelled plane points."""
     if p.n != 5 or p.ambient_dim != 2:
         raise InvalidInput("g5 needs five points in the plane")
-    return InvariantVector("N5", tuple(_bracket_product(p, t) for t in G5_TRIPLES))
+    return InvariantVector("N5", _g5_values(_plane_brackets(p)))
 
 
 def g5_lifted(x: Configuration, a) -> InvariantVector:
@@ -183,7 +198,7 @@ def g5_lifted(x: Configuration, a) -> InvariantVector:
     """
     if x.n != 5 or x.ambient_dim != 3:
         raise InvalidInput("g5_lifted needs five points in P^3")
-    return InvariantVector("N5", tuple(_lifted_product(x, a, t) for t in G5_TRIPLES))
+    return InvariantVector("N5", _g5_values(_lifted_brackets(x, a)))
 
 
 def t6(p: Configuration) -> InvariantVector:
@@ -192,9 +207,7 @@ def t6(p: Configuration) -> InvariantVector:
     sum t_5, which vanishes exactly when the points lie on a conic."""
     if p.n != 6 or p.ambient_dim != 2:
         raise InvalidInput("t6 needs six points in the plane")
-    head = tuple(_bracket_product(p, t) for t in T6_TRIPLES)
-    t5 = _bracket_product(p, T5_PLUS) - _bracket_product(p, T5_MINUS)
-    return InvariantVector("N6", head + (t5,))
+    return InvariantVector("N6", _t6_values(_plane_brackets(p)))
 
 
 def igusa_F(t: Sequence) -> Fraction:
@@ -209,9 +222,7 @@ def t6_lifted(x: Configuration, z) -> InvariantVector:
     """Values at z of the six lifted forms of t6 ([ijk] -> [x_i x_j x_k z])."""
     if x.n != 6 or x.ambient_dim != 3:
         raise InvalidInput("t6_lifted needs six points in P^3")
-    head = tuple(_lifted_product(x, z, t) for t in T6_TRIPLES)
-    t5 = _lifted_product(x, z, T5_PLUS) - _lifted_product(x, z, T5_MINUS)
-    return InvariantVector("N6", head + (t5,))
+    return InvariantVector("N6", _t6_values(_lifted_brackets(x, z)))
 
 
 def lifted_quadrics(x: Configuration) -> list[Form]:
@@ -230,7 +241,7 @@ def lifted_quadrics(x: Configuration) -> list[Form]:
     return [Form(1, _cofactors(x, s)) * Form(1, _cofactors(x, t)) for s, t in T6_TRIPLES]
 
 
-def fano(p: Configuration, perm: Sequence[int]) -> Fraction:
+def fano(p: Configuration, perm: Sequence[int]) -> int:
     """The Fano bracket product of seven plane points, indices permuted.
 
     ``perm`` is a one-line permutation of 1..7; brackets keep the permuted
@@ -240,12 +251,7 @@ def fano(p: Configuration, perm: Sequence[int]) -> Fraction:
         raise InvalidInput("fano needs seven points in the plane")
     if sorted(perm) != [1, 2, 3, 4, 5, 6, 7]:
         raise InvalidInput("perm must be a permutation of 1..7")
-    total = Fraction(1)
-    for line in FANO_LINES:
-        total *= bracket([p[perm[i - 1] - 1] for i in line])
-        if total == 0:
-            return Fraction(0)
-    return total
+    return _product(_plane_brackets(p), _fano_lines(perm))
 
 
 def fano15(p: Configuration) -> InvariantVector:
@@ -262,17 +268,17 @@ def fano15_lifted(x: Configuration, a) -> InvariantVector:
     in P^3; proportional to ``fano15(project(X, a))`` for admissible a."""
     if x.n != 7 or x.ambient_dim != 3:
         raise InvalidInput("fano15_lifted needs seven points in P^3")
-    return InvariantVector("N7", tuple(
-        _lifted_product(x, a, [tuple(perm[i - 1] for i in line) for line in FANO_LINES])
-        for perm in EVEN_FANO_PERMS))
+    brackets = _lifted_brackets(x, a)
+    return InvariantVector("N7", tuple(_product(brackets, _fano_lines(perm))
+                                       for perm in EVEN_FANO_PERMS))
 
 
-def fano_sum_odd(p: Configuration) -> Fraction:
+def fano_sum_odd(p: Configuration) -> int:
     """Sum of the fifteen odd Fano values (used by the Morley identities)."""
-    return sum((fano(p, perm) for perm in ODD_FANO_PERMS), Fraction(0))
+    return sum(fano(p, perm) for perm in ODD_FANO_PERMS)
 
 
-def morley(p: Configuration) -> Fraction:
+def morley(p: Configuration) -> int:
     """The Morley invariant: twice the sum of the even Fano values.
 
     It is the unique cubic skew-symmetric invariant of seven plane points;
@@ -280,7 +286,7 @@ def morley(p: Configuration) -> Fraction:
     """
     if p.n != 7 or p.ambient_dim != 2:
         raise InvalidInput("morley needs seven points in the plane")
-    return 2 * sum((fano(p, perm) for perm in EVEN_FANO_PERMS), Fraction(0))
+    return 2 * sum(fano(p, perm) for perm in EVEN_FANO_PERMS)
 
 
 @dataclass(frozen=True)

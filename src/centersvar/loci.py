@@ -7,15 +7,17 @@ projectively equivalent images is
 * a fibration by twisted cubics for n = 5 (fixing a, the b-locus is the
   unique twisted cubic through the five world points and a, parametrized
   in closed form in the standard frame),
-* a surface for n = 6: each center is confined to a quadric and the two
-  quadrics are in exact birational correspondence; b is the center of the
-  camera that resection on a four-point frame of the world points finds
-  from the correspondences y_i -> project(x_i, a),
+* a surface for n = 6: each center is confined to a quadric, held as its
+  primitive integer quadratic form, and the two quadrics are in exact
+  birational correspondence; b is the center of the camera that resection
+  on a four-point frame of the world points finds from the correspondences
+  y_i -> project(x_i, a),
 * three isolated pairs for n = 7,
 * generically empty for n >= 8 (a common zero of the windows' quadrics,
   resected on a frame and checked against all n points).
 
-Everything through n = 6 and every n >= 8 verdict is exact over the rationals.
+Everything through n = 6 and every n >= 8 verdict is exact over the rationals;
+points on a quadric are tested and sampled in integers.
 For n = 7 the quadric-system kernel certifies exactly that the zero set is
 finite, locates its points in floats, and certifies the rational ones exactly.
 """
@@ -37,7 +39,7 @@ from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InadmissibleCenter, Inconclusive, Inconsistent,
                      InvalidInput, NoRationalImage, ToolkitError)
 from .forms import (BinaryForm, Form, binary_gcd, linear_root, moment_positions,
-                    monomials, mono_eval, quad_from_sym)
+                    monomials, mono_eval, sym_from_quad)
 from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
@@ -45,40 +47,6 @@ from .projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
                          center_admissible, cofactors, frame_matrix,
                          homography_fit, no_three_collinear,
                          normalizing_transform, on_line, project)
-
-
-@dataclass(frozen=True)
-class QuadricSurface:
-    """A quadric surface in P^3, stored as a symmetric matrix S up to scale
-    together with its quadratic form z^T S z."""
-
-    sym: tuple[tuple[Fraction, ...], ...]
-    form: Form
-
-    def __init__(self, sym: Sequence[Sequence]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in sym)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise InvalidInput("quadric surface needs a 4 x 4 matrix")
-        if any(rows[i][j] != rows[j][i] for i in range(4) for j in range(4)):
-            raise InvalidInput("quadric surface matrix must be symmetric")
-        object.__setattr__(self, "sym", rows)
-        object.__setattr__(self, "form", quad_from_sym(rows))
-
-    @classmethod
-    def from_form(cls, form: Form) -> "QuadricSurface":
-        """The surface of a quadratic form in four variables, keeping that form."""
-        if form.degree != 2 or form.nvars != 4:
-            raise InvalidInput("quadric surface needs a quadratic form in four variables")
-        surface = object.__new__(cls)
-        object.__setattr__(surface, "sym", form.sym)
-        object.__setattr__(surface, "form", form)
-        return surface
-
-    def __call__(self, z) -> Fraction:
-        return self.form(z.coords if isinstance(z, ProjectivePoint) else z)
-
-    def contains(self, z) -> bool:
-        return self(z) == 0
 
 
 @dataclass
@@ -292,8 +260,9 @@ def classify_degeneration_n5(x: Configuration, a: ProjectivePoint) -> Degenerati
 # n = 6
 
 
-def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[QuadricSurface, QuadricSurface]:
-    """The two quadric surfaces confining the centers for six point pairs.
+def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
+    """The two quadric surfaces confining the centers for six point pairs, as
+    primitive integer quadratic forms.
 
     Lifting the six-point invariants of each configuration gives five
     integer quadrics with a one-dimensional linear relation; the relation
@@ -324,7 +293,7 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[QuadricSurface,
         raise Inconsistent("S_beta does not contain its world points")
     if any(s_alpha.integer_value(pt.coords) for pt in y.points):
         raise Inconsistent("S_alpha does not contain its world points")
-    return QuadricSurface.from_form(s_beta), QuadricSurface.from_form(s_alpha)
+    return s_beta, s_alpha
 
 
 def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
@@ -385,7 +354,7 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
 
 
 def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
-                  pair: tuple[QuadricSurface, QuadricSurface] | None = None) -> ProjectivePoint:
+                  pair: tuple[Form, Form] | None = None) -> ProjectivePoint:
     """The unique second center matching a first center on its quadric.
 
     The images are projectively equivalent exactly when some camera P sends
@@ -396,10 +365,10 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
     weighted proportionality of the lifted six-point invariants.
     """
     s_beta, s_alpha = pair if pair is not None else quadric_pair_n6(x, y)
-    if s_beta(a) != 0:
+    if s_beta.integer_value(a.coords):
         raise NoRationalImage("center is not exactly on its quadric surface")
     b = _resected_center(x, y, a)
-    if s_alpha(b) != 0:
+    if s_alpha.integer_value(b.coords):
         raise Inconsistent("matched center is not on the companion quadric")
     if not t6_lifted(x, a).proportional(t6_lifted(y, b)):
         raise Inconsistent("lifted invariants of the matched pair disagree")
@@ -412,31 +381,31 @@ def map_b_to_a_n6(x: Configuration, y: Configuration, b: ProjectivePoint) -> Pro
     return map_a_to_b_n6(y, x, b, pair=(s_alpha, s_beta))
 
 
-def sample_surface_point(s: QuadricSurface, through: ProjectivePoint,
+def sample_surface_point(s: Form, through: ProjectivePoint,
                          seed: int = 0, avoid: Sequence[ProjectivePoint] = ()) -> ProjectivePoint:
     """A rational point of the quadric: the residual intersection of a random
-    rational line through a known point of the surface."""
+    integer line through a known point p of the surface. With q(p) = 0,
+    q(p + t d) = t (q(p + d) - q(d)) + t^2 q(d), so the second point is
+    q(d) p - (q(p + d) - q(d)) d, in integers."""
     import random as _random
     rng = _random.Random(seed)
-    if s(through) != 0:
+    p = through.coords
+    if s.integer_value(p):
         raise InvalidInput("base point is not on the quadric")
     for _ in range(200):
-        d = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
-        if all(v == 0 for v in d):
-            continue
-        qd = s(d)
+        d = [rng.randint(-9, 9) for _ in range(4)]
+        qd = s.integer_value(d)
         if qd == 0:
             continue
-        cross = sum((Fraction(through[i]) * s.sym[i][j] * d[j]
-                     for i in range(4) for j in range(4)), Fraction(0))
-        t = -2 * cross / qd
-        coords = [Fraction(through[i]) + t * d[i] for i in range(4)]
-        if all(c == 0 for c in coords):
+        cross = s.integer_value([u + v for u, v in zip(p, d)]) - qd
+        coords = [qd * u - cross * v for u, v in zip(p, d)]
+        if not any(coords):
             continue
         pt = ProjectivePoint(coords)
         if pt == through or pt in avoid:
             continue
-        assert s(pt) == 0
+        if s.integer_value(pt.coords):
+            raise Inconsistent("the sampled point is not on the quadric")
         return pt
     raise DegenerateInput("could not sample a rational point on the quadric")
 
@@ -470,8 +439,8 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
     a_quads, b_quads = [], []
     for k in range(7):
         s_beta, s_alpha = quadric_pair_n6(x.drop(k), y.drop(k))
-        a_quads.append(s_beta.form)
-        b_quads.append(s_alpha.form)
+        a_quads.append(s_beta)
+        b_quads.append(s_alpha)
     a_pts = solve_quadric_system(a_quads, expected=3, tol=tol, seed=seed)
     b_pts = solve_quadric_system(b_quads, expected=3, tol=tol, seed=seed + 1)
     a_pts = [_with_certificate(p, a_quads) for p in a_pts]
@@ -602,7 +571,7 @@ def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
     if x.n < 8 or y.n != x.n:
         raise InvalidInput("centers_n_ge8 needs at least eight points")
     quadrics = [quadric_pair_n6(Configuration([x[i] for i in c]),
-                                Configuration([y[i] for i in c]))[0].form
+                                Configuration([y[i] for i in c]))[0]
                 for c in _solver_subsets(x.n)]
     span_rank, a = _span_common_zero(quadrics)
     surviving = ()
@@ -640,8 +609,8 @@ class CubicFibrationN5:
 class SurfacePairN6:
     """n = 6: the two center quadrics, sample pairs, and the matched center."""
 
-    s_beta: QuadricSurface
-    s_alpha: QuadricSurface
+    s_beta: Form
+    s_alpha: Form
     sampled_pairs: tuple[tuple[ProjectivePoint, ProjectivePoint], ...]
     given_center: ProjectivePoint | None = None
     matched_center: ProjectivePoint | None = None
@@ -734,7 +703,7 @@ def centers_variety(x: Configuration, y: Configuration,
 # Weddle curve
 
 
-def quadric_net(x: Configuration) -> list[QuadricSurface]:
+def quadric_net(x: Configuration) -> list[Form]:
     """Exact basis of the net of quadrics through seven points of P^3."""
     if x.n != 7 or x.ambient_dim != 3:
         raise InvalidInput("quadric_net needs seven points in P^3")
@@ -743,7 +712,7 @@ def quadric_net(x: Configuration) -> list[QuadricSurface]:
     kernel = linalg.kernel_basis(rows)
     if len(kernel) != 3:
         raise DegenerateInput("quadrics through the seven points do not form a net")
-    return [QuadricSurface.from_form(Form(2, tuple(v))) for v in kernel]
+    return [Form(2, tuple(v)) for v in kernel]
 
 
 def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, list[float]]:
@@ -757,7 +726,7 @@ def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, l
     """
     from .invariants import weddle_quartic
     import random as _random
-    net = [np.array(q.sym, dtype=float) for q in quadric_net(x)]
+    net = [np.array(sym_from_quad(q), dtype=float) for q in quadric_net(x)]
     rng = _random.Random(seed)
     for _ in range(50):
         c1 = [rng.randint(-9, 9) for _ in range(3)]

@@ -14,9 +14,9 @@ triple of forms sharpen a real candidate on dyadic iterates X / 2**e (e = 64,
 128, 256), each step an exact integer 3 x 3 solve rounded to the next scale.
 One continued-fraction pass per coordinate then gives the best rational
 approximations under a ladder of denominator bounds, and each distinct
-snapped point is substituted into every form in integers. The scaled float
-symmetric matrices and integer terms that each Form builds once are shared
-by the solver and every certified point of a system.
+snapped point is substituted into every form in integers. The floats of a
+quadric, coefficients and symmetric matrix alike, are its integer
+coefficients scaled by an exact power of two, so no coefficient overflows.
 
 Everything is deterministic for a fixed seed.
 """
@@ -54,8 +54,11 @@ def form_floats(form: Form) -> np.ndarray:
 
 
 def sym_floats(form: Form) -> np.ndarray:
-    """Symmetric matrix of a quadric, scaled by the same power of two as form_floats."""
-    return np.array(form.scaled_sym)
+    """Symmetric matrix of a quadric, scaled by the same power of two as
+    form_floats and read off them: halving a correctly rounded float is
+    exact, so the off-diagonal entries are the correctly rounded halves."""
+    m = form_floats(form)[np.array(moment_positions())]
+    return (m + np.diag(np.diag(m))) / 2
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from centersvar import linalg
 from centersvar.errors import InvalidInput
 from centersvar.forms import (BinaryForm, Form, binary_gcd, fit_form,
-                              linear_root, mono_eval, monomials, quad_from_sym,
-                              sym_from_quad)
-from centersvar.loci import QuadricSurface
+                              linear_root, mono_eval, monomials, sym_from_quad)
 from centersvar.projective import ProjectivePoint
 
 
@@ -62,11 +60,6 @@ class TestQuaternaryForms:
         with pytest.raises(InvalidInput):
             Form(1, (1, 0, 0), 3) * Form(1, (1, 0, 0, 0))
 
-    def test_sym_round_trip(self):
-        rng = random.Random(3)
-        f = rand_form(rng, 2)
-        assert quad_from_sym(sym_from_quad(f)).coeffs == f.coeffs
-
     def test_primitive_scaling(self):
         f = Form(2, tuple(Fraction(k, 6) for k in (-2, 4, 0, 0, 0, 0, 0, 0, 0, 8)))
         p = f.primitive()
@@ -113,17 +106,16 @@ class TestExactEvaluation:
     @settings(max_examples=100, deadline=None)
     def test_quadric_surface_matches_fraction_evaluation(self, coeffs, point):
         f = Form(2, tuple(coeffs))
-        expected = reference_value(f, point)
-        for s in (QuadricSurface.from_form(f), QuadricSurface(sym_from_quad(f))):
-            assert s.form == f
-            value = s(point)
-            assert isinstance(value, Fraction) and value == expected
-            sym_value = sum(Fraction(point[i]) * s.sym[i][j] * Fraction(point[j])
+        value = f(point)
+        assert isinstance(value, Fraction) and value == reference_value(f, point)
+        sym = sym_from_quad(f)
+        assert all(sym[i][j] == sym[j][i] for i in range(4) for j in range(4))
+        assert value == sum(Fraction(point[i]) * sym[i][j] * Fraction(point[j])
                             for i in range(4) for j in range(4))
-            assert value == sym_value
         if any(point):
             pt = ProjectivePoint(point)
-            assert QuadricSurface.from_form(f)(pt) == reference_value(f, pt.coords)
+            d = f.integer_terms[0]
+            assert Fraction(f.integer_value(pt.coords), d) == reference_value(f, pt.coords)
 
     def test_float_coordinates_convert_exactly(self):
         f = Form(2, tuple(Fraction(k - 4, 3) for k in range(10)))
@@ -131,13 +123,6 @@ class TestExactEvaluation:
         exact = [Fraction(0.1), 2, Fraction(-5, 7), Fraction(1e300)]
         assert f(point) == reference_value(f, exact)
         assert f([0.1, 0, 0, 0]) != f([Fraction(1, 10), 0, 0, 0])
-        assert QuadricSurface.from_form(f)(point) == reference_value(f, exact)
-
-    def test_from_form_needs_a_quaternary_quadric(self):
-        with pytest.raises(InvalidInput):
-            QuadricSurface.from_form(Form(1, (1, 0, 0, 0)))
-        with pytest.raises(InvalidInput):
-            QuadricSurface.from_form(Form(2, tuple(Fraction(1) for _ in range(6)), 3))
 
 
 class TestBinaryForms:

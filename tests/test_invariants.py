@@ -51,6 +51,12 @@ class TestWeightedComparison:
         assert c.values[:5] == (1, 2, 3, 4, 5) and c.values[5] == Fraction(5)
         assert v.proportional(c)
 
+    def test_canonical_scaling_n6_of_ints_is_exact(self):
+        # int invariants: the weight-1 scale is the Fraction 3, not the float 3.0
+        c = InvariantVector("N6", (3, 6, 9, 12, 15, 7)).canonical()
+        assert c.values[:5] == (1, 2, 3, 4, 5)
+        assert isinstance(c.values[5], Fraction) and c.values[5] == Fraction(7, 9)
+
 
 class TestG5:
     def test_coincident_points_vanish(self):

@@ -109,6 +109,18 @@ class TestInvariantsCommand:
         assert doc["values"][5] == "0"  # conic points
         assert doc["non_semistable"] is False
 
+    def test_n6_weight_two_entry_is_exact(self, tmp_path):
+        # t_0..t_4 have the common factor 4; t_5 / 4^2 is past 2^53, so a float
+        # scale would change its last digits
+        img = tmp_path / "img.json"
+        write_config(img, Configuration([(3, 0, 1), (0, 3, 1), (1, 1, 3), (99991, 12345, 3),
+                                         (31337, 27183, 3), (7, 5, 3)]))
+        out = tmp_path / "v.json"
+        assert main(["invariants", "-i", str(img), "--kind", "N6", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["values"] == [
+            "36709358994", "9540269091", "-42904126926", "15679054493", "30247882568",
+            "-1736713983245601389310"]
+
     def test_n7_conic_canonicalizes_to_all_ones(self, tmp_path):
         img = tmp_path / "img.json"
         write_config(img, Configuration([(1, t, t * t) for t in (0, 1, 2, 3, 5, 7, 11)]))
@@ -298,6 +310,15 @@ class TestMainEntry:
         code = main(["classify", "-i", str(xfile), "--center", "43,-50,6,-5"])
         assert code == 0
         assert "SmoothCubic" in capsys.readouterr().out
+
+    def test_seed_falls_back_to_the_environment_on_every_call(self, tmp_path, monkeypatch):
+        # the parser is built once per process; the fallback is read per call
+        out = tmp_path / "r.json"
+        assert main(["generate", "--n", "5", "--seed", "5", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 5
+        monkeypatch.setenv("CENTERSVAR_SEED", "7")
+        assert main(["generate", "--n", "5", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 7
 
     def test_missing_center_is_invalid(self, tmp_path, capsys):
         xfile = tmp_path / "x.json"

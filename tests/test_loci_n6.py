@@ -8,7 +8,7 @@ from centersvar import linalg
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import (DegenerateInput, InadmissibleCenter,
                                NoRationalImage, ToolkitError)
-from centersvar.forms import Form
+from centersvar.forms import Form, sym_from_quad
 from centersvar.invariants import lifted_quadrics, t6_lifted
 from centersvar.loci import (_resected_center, cubic_locus_n5, map_a_to_b_n6,
                              map_b_to_a_n6, quadric_pair_n6, sample_surface_point)
@@ -76,10 +76,47 @@ def generated_six_subsets(bound):
 def test_integer_quadric_pair_matches_the_fraction_reference(bound):
     for x, y in generated_six_subsets(bound):
         for surface, ref in zip(quadric_pair_n6(x, y), ref_quadric_pair(x, y)):
-            coeffs = surface.form.coeffs
+            coeffs = surface.coeffs
             assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
-            assert surface.form == ref
-            assert surface.sym == ref.sym
+            assert surface == ref
+
+
+def ref_sample_surface_point(s, through, seed, avoid):
+    """sample_surface_point with the line p + t d met in Fractions through the
+    symmetric matrix S: t = -2 p^T S d / q(d); None where it finds no point."""
+    rng = random.Random(seed)
+    sym = sym_from_quad(s)
+    for _ in range(200):
+        d = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
+        if all(v == 0 for v in d):
+            continue
+        qd = s(d)
+        if qd == 0:
+            continue
+        cross = sum((Fraction(through[i]) * sym[i][j] * d[j]
+                     for i in range(4) for j in range(4)), Fraction(0))
+        t = -2 * cross / qd
+        coords = [Fraction(through[i]) + t * d[i] for i in range(4)]
+        if all(c == 0 for c in coords):
+            continue
+        pt = ProjectivePoint(coords)
+        if pt == through or pt in avoid:
+            continue
+        assert s(pt.coords) == 0
+        return pt
+    return None
+
+
+@pytest.mark.parametrize("bound", [10, 1000])
+def test_integer_sampler_matches_the_fraction_line_intersection(bound):
+    for seed in range(5):
+        rec = generate_reconstruction(6, seed=seed, coord_bound=bound)
+        for s, w in zip(quadric_pair_n6(rec.x, rec.y), (rec.x, rec.y)):
+            for attempt in range(5):
+                avoid = list(w.points)
+                expected = ref_sample_surface_point(s, w[0], attempt, avoid)
+                assert expected is not None
+                assert sample_surface_point(s, w[0], seed=attempt, avoid=avoid) == expected
 
 
 def ref_resected_center(x, y, a):
