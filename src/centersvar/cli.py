@@ -169,7 +169,8 @@ def cmd_centers(args) -> dict[str, Any]:
 
 def cmd_generate(args) -> dict[str, Any]:
     if args.degenerate is not None:
-        out = generate_degenerate(args.degenerate, seed=args.seed, n=args.n or 7)
+        n = 7 if args.n is None else args.n
+        out = generate_degenerate(args.degenerate, seed=args.seed, n=n)
         if isinstance(out, tuple):
             cfg, center = out
             doc: dict[str, Any] = cio.configuration_to_json(cfg)
@@ -177,7 +178,7 @@ def cmd_generate(args) -> dict[str, Any]:
         else:
             doc = cio.configuration_to_json(out)
         doc["config"] = {"command": "generate", "degenerate": args.degenerate,
-                         "seed": args.seed, "n": args.n or 7}
+                         "seed": args.seed, "n": n}
         return doc
     if args.n is None:
         raise InvalidInput("generate needs --n (or --degenerate KIND)")

@@ -17,6 +17,7 @@ witness homography before returning the pair.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,10 +25,10 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .errors import DegenerateInput, GenerationFailed, Inconclusive, InvalidInput
+from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import fano15
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
-                         apply_matrix, bracket, collinear, decide_equivalence,
+                         apply_matrix, bracket, collinear, homography_fit,
                          no_three_collinear, normalizing_transform, on_line,
                          project, stability_class)
 
@@ -100,15 +101,12 @@ def _certified(x: Configuration, y: Configuration, a: ProjectivePoint,
                b: ProjectivePoint, n: int) -> bool:
     """Whether an exact witness homography maps the image of X from a onto
     the image of Y from b, over all n points; below four points general
-    position, already checked, is enough."""
+    position, already checked, is enough. Both sides pass _side_generic, so
+    the first four images of each form a frame."""
     if n < 4:
         return True
-    p = Configuration([project(pt, a) for pt in x])
-    q = Configuration([project(pt, b) for pt in y])
-    try:
-        return decide_equivalence(p, q).equivalent
-    except Inconclusive:
-        return False
+    return homography_fit(Configuration([project(pt, a) for pt in x]),
+                          Configuration([project(pt, b) for pt in y])) is not None
 
 
 def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Reconstruction:
@@ -175,6 +173,11 @@ DEGENERATE_KINDS = (
     "CenterAtWorldPoint", "GenericCenter",
 )
 
+# (lowest, highest) n of each plane kind: FourCollinear is a stable seven-point
+# configuration, and OnConic takes distinct parameters in [-40, 40].
+_PLANE_KIND_SIZES = {"CoincidentPair": (2, math.inf), "FourCollinear": (7, 7),
+                     "FiveCollinear": (5, math.inf), "OnConic": (1, 81)}
+
 
 def _random_space_five(rng: random.Random, bound: int = 9) -> Configuration:
     while True:
@@ -190,11 +193,15 @@ def generate_degenerate(kind: str, seed: int = 0, n: int = 7):
     """Configurations realizing a named degeneration, exactly.
 
     Plane kinds (CoincidentPair, FourCollinear, FiveCollinear, OnConic)
-    return a Configuration of n points in P^2. Center kinds (CoplanarCenter,
+    return a Configuration of n points in P^2; an n the kind cannot realize
+    (see _PLANE_KIND_SIZES) raises InvalidInput. Center kinds (CoplanarCenter,
     CollinearCenter, BiplanarCenter, CenterAtWorldPoint, GenericCenter)
     return a pair (five points of P^3, center) hitting one case of the
     five-point degeneration classifier.
     """
+    lowest, highest = _PLANE_KIND_SIZES.get(kind, (-math.inf, math.inf))
+    if not lowest <= n <= highest:
+        raise InvalidInput(f"{kind} cannot be realized with n = {n} points")
     rng = random.Random((kind, seed, n).__repr__())
     if kind == "OnConic":
         ts = rng.sample(range(-40, 41), n)

@@ -33,12 +33,15 @@ from .errors import InvalidInput
 # Quaternary forms
 
 
+NVARS = 4  # every quaternary form is in z_0..z_3
+
+
 @lru_cache(maxsize=None)
-def monomials(degree: int, nvars: int = 4) -> tuple[tuple[int, ...], ...]:
+def monomials(degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of the degree-d monomials, graded lexicographic."""
     exps = set()
-    for combo in combinations_with_replacement(range(nvars), degree):
-        e = [0] * nvars
+    for combo in combinations_with_replacement(range(NVARS), degree):
+        e = [0] * NVARS
         for i in combo:
             e[i] += 1
         exps.add(tuple(e))
@@ -46,18 +49,18 @@ def monomials(degree: int, nvars: int = 4) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def monomial_index(degree: int, nvars: int = 4) -> dict[tuple[int, ...], int]:
+def monomial_index(degree: int) -> dict[tuple[int, ...], int]:
     """Position of each degree-d exponent tuple in the graded lex order."""
-    return {m: i for i, m in enumerate(monomials(degree, nvars))}
+    return {m: i for i, m in enumerate(monomials(degree))}
 
 
 @lru_cache(maxsize=None)
-def _product_positions(d1: int, d2: int, nvars: int = 4) -> tuple[tuple[int, ...], ...]:
+def _product_positions(d1: int, d2: int) -> tuple[tuple[int, ...], ...]:
     """Entry [i][j]: the position among the degree d1 + d2 monomials of the
     product of monomial i of degree d1 and monomial j of degree d2."""
-    index = monomial_index(d1 + d2, nvars)
-    return tuple(tuple(index[tuple(a + b for a, b in zip(e, f))] for f in monomials(d2, nvars))
-                 for e in monomials(d1, nvars))
+    index = monomial_index(d1 + d2)
+    return tuple(tuple(index[tuple(a + b for a, b in zip(e, f))] for f in monomials(d2))
+                 for e in monomials(d1))
 
 
 def moment_positions() -> tuple[tuple[int, ...], ...]:
@@ -94,21 +97,20 @@ def scaled_float(c: Fraction, e: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _node_matrix_inverse(degree: int, nvars: int = 4) -> tuple[tuple[Fraction, ...], ...]:
+def _node_matrix_inverse(degree: int) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of the evaluation matrix at the lattice nodes.
 
     The nodes are the exponent tuples themselves (the principal lattice of
     the simplex), which is a unisolvent set for degree-d forms.
     """
-    monos = monomials(degree, nvars)
+    monos = monomials(degree)
     mat = [[mono_eval(m, node) for m in monos] for node in monos]
     inv = linalg.inverse(mat)
     assert inv is not None
     return tuple(tuple(row) for row in inv)
 
 
-def fit_form(evaluate: Callable[[Sequence[int]], Fraction], degree: int,
-             nvars: int = 4) -> tuple[Fraction, ...]:
+def fit_form(evaluate: Callable[[Sequence[int]], Fraction], degree: int) -> tuple[Fraction, ...]:
     """Coefficients (graded lex) of the degree-d form with the given values.
 
     For forms known only by their values, such as a determinant with
@@ -116,23 +118,22 @@ def fit_form(evaluate: Callable[[Sequence[int]], Fraction], degree: int,
     interpolation system is solved exactly. A form with known factors is
     built from them instead (``Form.__mul__``, ``Form.compose_linear``).
     """
-    values = [Fraction(evaluate(node)) for node in monomials(degree, nvars)]
-    inv = _node_matrix_inverse(degree, nvars)
+    values = [Fraction(evaluate(node)) for node in monomials(degree)]
+    inv = _node_matrix_inverse(degree)
     return tuple(sum((row[j] * values[j] for j in range(len(values))), Fraction(0))
                  for row in inv)
 
 
 @dataclass(frozen=True)
 class Form:
-    """A homogeneous form with exact coefficients (ints or Fractions) in
-    graded lex order."""
+    """A homogeneous form in z_0..z_3 with exact coefficients (ints or
+    Fractions) in graded lex order."""
 
     degree: int
     coeffs: tuple[int | Fraction, ...]
-    nvars: int = 4
 
     def __post_init__(self):
-        if len(self.coeffs) != len(monomials(self.degree, self.nvars)):
+        if len(self.coeffs) != len(monomials(self.degree)):
             raise InvalidInput("coefficient vector has the wrong length")
 
     @cached_property
@@ -141,7 +142,7 @@ class Form:
         their common denominator, so that the form is (integer form) / d."""
         d = math.lcm(*(c.denominator for c in self.coeffs))
         return d, tuple((c.numerator * (d // c.denominator), m)
-                        for c, m in zip(self.coeffs, monomials(self.degree, self.nvars)) if c != 0)
+                        for c, m in zip(self.coeffs, monomials(self.degree)) if c != 0)
 
     def integer_value(self, ints: Sequence[int]) -> int:
         """The integer form d * self (see integer_terms) at integer coordinates."""
@@ -170,63 +171,51 @@ class Form:
         monomials z^e of c_e * prod_i (M_i . z)^(e_i), M_i the rows of M."""
         if self.degree == 0:
             return self
-        rows = [Form(1, tuple(Fraction(v) for v in row), self.nvars) for row in m]
+        rows = [Form(1, tuple(Fraction(v) for v in row)) for row in m]
         total = [Fraction(0)] * len(self.coeffs)
-        for c, exp in zip(self.coeffs, monomials(self.degree, self.nvars)):
+        for c, exp in zip(self.coeffs, monomials(self.degree)):
             if c == 0:
                 continue
             term = reduce(operator.mul, (rows[i] for i, e in enumerate(exp) for _ in range(e)))
             total = [t + c * v for t, v in zip(total, term.coeffs)]
-        return Form(self.degree, tuple(total), self.nvars)
+        return Form(self.degree, tuple(total))
 
     def __mul__(self, other: "Form") -> "Form":
-        """The exact product of two forms in the same variables; the product
-        of two integer forms keeps int coefficients."""
-        if self.nvars != other.nvars:
-            raise InvalidInput("cannot multiply forms in different numbers of variables")
-        out = [0] * len(monomials(self.degree + other.degree, self.nvars))
-        for c, row in zip(self.coeffs, _product_positions(self.degree, other.degree, self.nvars)):
+        """The exact product of two forms; the product of two integer forms
+        keeps int coefficients."""
+        out = [0] * len(monomials(self.degree + other.degree))
+        for c, row in zip(self.coeffs, _product_positions(self.degree, other.degree)):
             if c == 0:
                 continue
             for d, k in zip(other.coeffs, row):
                 if d != 0:
                     out[k] += c * d
-        return Form(self.degree + other.degree, tuple(out), self.nvars)
+        return Form(self.degree + other.degree, tuple(out))
 
     def __add__(self, other: "Form") -> "Form":
-        if (self.degree, self.nvars) != (other.degree, other.nvars):
-            raise InvalidInput("cannot add forms of different shapes")
-        return Form(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                    self.nvars)
+        if self.degree != other.degree:
+            raise InvalidInput("cannot add forms of different degrees")
+        return Form(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + other.scaled(-1)
 
     def scaled(self, s) -> "Form":
         s = Fraction(s)
-        return Form(self.degree, tuple(c * s for c in self.coeffs), self.nvars)
+        return Form(self.degree, tuple(c * s for c in self.coeffs))
 
     def primitive(self) -> "Form":
         """Int coefficients with gcd 1, first nonzero positive."""
         from .projective import canonical_coords
         if self.is_zero():
             return self
-        return Form(self.degree, canonical_coords(self.coeffs), self.nvars)
+        return Form(self.degree, canonical_coords(self.coeffs))
 
 
 def sym_from_quad(q: Form) -> list[list[Fraction]]:
     """Symmetric matrix of a quadratic form (off-diagonal halved)."""
-    n = q.nvars
-    sym = [[Fraction(0)] * n for _ in range(n)]
-    for c, exp in zip(q.coeffs, monomials(2, n)):
-        idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        i, j = idx
-        if i == j:
-            sym[i][i] = Fraction(c)
-        else:
-            sym[i][j] = Fraction(c) / 2
-            sym[j][i] = Fraction(c) / 2
-    return sym
+    return [[Fraction(q.coeffs[k], 1 if i == j else 2) for j, k in enumerate(row)]
+            for i, row in enumerate(moment_positions())]
 
 
 def same_span(forms_a: Sequence[Form], forms_b: Sequence[Form]) -> bool:

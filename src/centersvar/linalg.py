@@ -2,13 +2,15 @@
 
 Matrices are lists of lists whose entries are ``int`` or ``fractions.Fraction``;
 all routines are exact. ``det``, ``rref``, ``rank``, ``integer_kernel``,
-``kernel_basis``, ``integer_solve``, ``solve`` and ``inverse`` rest on one
-fraction-free Gauss–Jordan pass (Bareiss 1968, Math. Comp. 22) over integers:
-each row is scaled to integers by the lcm of its denominators, and every later
-entry is a minor of that integer matrix, so each division by the previous
-pivot is exact. ``integer_kernel`` and ``integer_solve`` read their integer
-results straight off that pass and build no ``Fraction``; ``kernel_basis``
-and ``solve`` divide the same results out over Q.
+``kernel_basis``, ``integer_solve`` and ``inverse`` rest on one fraction-free
+Gauss–Jordan pass (Bareiss 1968, Math. Comp. 22) over integers: each row is
+scaled to integers by the lcm of its denominators, and every later entry is a
+minor of that integer matrix, so each division by the previous pivot is
+exact. ``integer_kernel`` and ``integer_solve`` read their integer results
+straight off that pass and build no ``Fraction``; ``kernel_basis`` divides
+the same results out over Q. Plane maps are not solved for here: they are
+built in integers from brackets (``projective.frame_matrix``,
+``projective.homography_fit``).
 """
 
 from __future__ import annotations
@@ -72,24 +74,10 @@ def det(rows: Matrix) -> Fraction:
     return Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != inner:
-        raise ValueError("shape mismatch in mat_mul")
-    return [
-        [sum((Fraction(a[i][k]) * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def mat_vec(a: Matrix, v: Row) -> list[Fraction]:
     if len(a[0]) != len(v):
         raise ValueError("shape mismatch in mat_vec")
     return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def transpose(a: Matrix) -> list[list[Fraction]]:
-    return [[Fraction(a[i][j]) for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -143,15 +131,6 @@ def integer_solve(a: Matrix, b: Row) -> tuple[list[int], int] | None:
     if pivots != list(range(n)):
         return None
     return [m[i][n] for i in range(n)], d
-
-
-def solve(a: Matrix, b: Row) -> list[Fraction] | None:
-    """Unique solution of A x = b for square A, or None if A is singular."""
-    solution = integer_solve(a, b)
-    if solution is None:
-        return None
-    numerators, d = solution
-    return [Fraction(v, d) for v in numerators]
 
 
 def inverse(a: Matrix) -> list[list[Fraction]] | None:

@@ -44,9 +44,9 @@ from .invariants import EVEN_FANO_PERMS, FANO_LINES, lifted_quadrics, t6_lifted
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
-                         center_admissible, cofactors, frame_matrix,
+                         center_admissible, cofactors, cross, frame_matrix,
                          homography_fit, no_three_collinear,
-                         normalizing_transform, on_line, project)
+                         normalizing_transform, on_line, outer_sum, project)
 
 
 @dataclass
@@ -89,19 +89,16 @@ def _general_position_image(p: Configuration) -> bool:
     return len(set(p.points)) == p.n and no_three_collinear(p.points)
 
 
-def _frame_fill(points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
-    """Invertible 3 x 3 matrix whose first columns are the given <= 3 points."""
-    cols = [list(p.fractions()) for p in points]
-    for e in range(3):
-        if len(cols) == 3:
-            break
-        unit = [Fraction(1 if i == e else 0) for i in range(3)]
-        if linalg.rank(cols + [unit]) == len(cols) + 1:
+def _frame_fill(points: Sequence[ProjectivePoint]) -> list[tuple[int, ...]]:
+    """The columns of an integer 3 x 3 matrix of rank 3: the given <= 3
+    independent points, completed greedily by standard unit vectors."""
+    cols = [p.coords for p in points]
+    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        if len(cols) < 3 and linalg.rank(cols + [unit]) == len(cols) + 1:
             cols.append(unit)
-    mat = linalg.transpose(cols)
-    if linalg.det(mat) == 0:
+    if linalg.rank(cols) != 3:
         raise DegenerateInput("cannot complete the points to a frame")
-    return mat
+    return cols
 
 
 def centers_n_le4(x: Configuration, y: Configuration, a: ProjectivePoint,
@@ -110,7 +107,8 @@ def centers_n_le4(x: Configuration, y: Configuration, a: ProjectivePoint,
 
     For up to four world points in general position the images are always
     projectively equivalent; the witness is computed exactly and verified on
-    every correspondence.
+    every correspondence. Below four points it is F_q adj(F_p) / det F_p, on
+    the images completed to integer frames (_frame_fill).
     """
     n = x.n
     if n != y.n or n > 4:
@@ -124,15 +122,13 @@ def centers_n_le4(x: Configuration, y: Configuration, a: ProjectivePoint,
         if h is None:
             raise Inconsistent("no homography between general-position quadruples")
         return h
-    fp = _frame_fill(p.points)
-    fq = _frame_fill(q.points)
-    fp_inv = linalg.inverse(fp)
-    assert fp_inv is not None
-    h = linalg.mat_mul(fq, fp_inv)
-    for pi, qi in zip(p.points, q.points):
-        if apply_matrix(h, pi) != qi:
-            raise Inconsistent("witness homography failed verification")
-    return h
+    fp, fq = _frame_fill(p.points), _frame_fill(q.points)
+    adj = [cross(fp[j - 2], fp[j - 1]) for j in range(3)]
+    h = outer_sum((1, 1, 1), fq, adj)
+    if any(apply_matrix(h, pi) != qi for pi, qi in zip(p.points, q.points)):
+        raise Inconsistent("witness homography failed verification")
+    det = sum(map(mul, fp[0], adj[0]))
+    return [[Fraction(v, det) for v in row] for row in h]
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +238,15 @@ def classify_degeneration_n5(x: Configuration, a: ProjectivePoint) -> Degenerati
     """
     if x.n != 5 or x.ambient_dim != 3:
         raise InvalidInput("classify_degeneration_n5 needs five points in P^3")
+    if a.dim != 3:
+        raise InvalidInput("the center must be a point of P^3")
     if a in x.points:
         return DegenerationTag.ALL_OF_P3
     if any(on_line(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
         return DegenerationTag.LINE_PLUS_PLANE
     planes = sum(
         1 for i, j, k in combinations(range(5), 3)
-        if linalg.det([x[i].coords, x[j].coords, x[k].coords, a.coords]) == 0)
+        if bracket([x[i], x[j], x[k], a]) == 0)
     if planes == 0:
         return DegenerationTag.SMOOTH_CUBIC
     if planes == 1:
@@ -296,10 +294,6 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
     return s_beta, s_alpha
 
 
-def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
 def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> ProjectivePoint:
     """The center b of the camera P with P y_i proportional to q_i =
     project(x_i, a) for every i, by exact resection on a four-point frame.
@@ -332,14 +326,12 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
         if j in frame:
             continue
         weights = [sum(map(mul, wk, yj)) for wk in w]
-        crosses = [_cross(q[f], q[j]) for f in frame]
+        crosses = [cross(q[f], q[j]) for f in frame]
         rows.extend([c * v[r] for c, v in zip(weights, crosses)] for r in range(3))
     kernel = linalg.integer_kernel(rows)
     if len(kernel) != 1:
         raise NoRationalImage(f"the resection has a {len(kernel)}-dimensional solution space")
-    lam = kernel[0]
-    camera = [[sum(lam[k] * q[f][r] * w[k][c] for k, f in enumerate(frame)) for c in range(4)]
-              for r in range(3)]
+    camera = outer_sum(kernel[0], [q[f].coords for f in frame], w)
     center = linalg.integer_kernel(camera)
     if len(center) != 1:
         raise NoRationalImage("the resected camera has rank below 3")
@@ -347,7 +339,7 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     if b in y.points:
         raise NoRationalImage("the matched center is a world point")
     # b is not a world point, so every image P y_i is a nonzero vector
-    if any(any(_cross([sum(map(mul, row, yi)) for row in camera], qi))
+    if any(any(cross([sum(map(mul, row, yi)) for row in camera], qi))
            for yi, qi in zip(ys, q)):
         raise Inconsistent("the resected camera misses a correspondence")
     return b
@@ -397,8 +389,8 @@ def sample_surface_point(s: Form, through: ProjectivePoint,
         qd = s.integer_value(d)
         if qd == 0:
             continue
-        cross = s.integer_value([u + v for u, v in zip(p, d)]) - qd
-        coords = [qd * u - cross * v for u, v in zip(p, d)]
+        mixed = s.integer_value([u + v for u, v in zip(p, d)]) - qd
+        coords = [qd * u - mixed * v for u, v in zip(p, d)]
         if not any(coords):
             continue
         pt = ProjectivePoint(coords)
@@ -664,6 +656,8 @@ def centers_variety(x: Configuration, y: Configuration,
         raise InvalidInput("configurations must have the same number of points")
     if x.ambient_dim != 3 or y.ambient_dim != 3:
         raise InvalidInput("world configurations live in P^3")
+    if any(c is not None and c.dim != 3 for c in (a, b)):
+        raise InvalidInput("centers are points of P^3")
     n = x.n
     if n <= 4:
         if a is None or b is None:

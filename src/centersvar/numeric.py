@@ -182,7 +182,7 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     """
     if len(forms) < 3:
         raise NotFinite("need at least three quadrics for a finite locus")
-    if any(f.degree != 2 or f.nvars != 4 for f in forms):
+    if any(f.degree != 2 for f in forms):
         raise NotFinite("solve_quadric_system expects quadratic forms on P^3")
     coeffs = np.array([form_floats(f) for f in forms])
     scales = np.linalg.norm(coeffs, axis=1)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -148,6 +149,19 @@ def cofactors(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> tuple[int
             -(r0 * m13 - r1 * m03 + r3 * m01), r0 * m12 - r1 * m02 + r2 * m01)
 
 
+def cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    """u x v, the w with w . z = det(u, v, z); zero iff u and v are proportional."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def outer_sum(weights: Sequence[int], columns: Sequence[Sequence[int]],
+              rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """sum_j weights[j] columns[j] rows[j]^T in integers: for rows dual to a
+    frame f (rows[j] . f_k = 0 for k != j), a map sending f_j to columns[j]."""
+    return [[sum(w * t[r] * u[c] for w, t, u in zip(weights, columns, rows))
+             for c in range(len(rows[0]))] for r in range(len(columns[0]))]
+
+
 def bracket(points: Sequence[ProjectivePoint]) -> int:
     """Determinant of the canonical coordinate rows of k points in P^{k-1}.
 
@@ -233,18 +247,28 @@ def canonical_camera(a: ProjectivePoint) -> CameraMatrix:
     return CameraMatrix(rows)
 
 
-def frame_matrix(points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
-    """Matrix sending the standard frame e_1, ..., e_{d+1}, (1:...:1) to the
-    given d+2 points of P^d. Raises DegenerateInput unless the points are in
-    general position."""
+def _frame_weights(points: Sequence[ProjectivePoint]) -> tuple[int, list[int]]:
+    """(D, c) for d + 2 points of P^d: the brackets D = [p_0 ... p_d] and c_j,
+    D with p_j replaced by p_{d+1}, so p_{d+1} = sum_j (c_j / D) p_j (Cramer).
+    Raises DegenerateInput unless D and every c_j are nonzero (a frame)."""
     d = points[0].dim
     if len(points) != d + 2:
         raise InvalidInput(f"a frame of P^{d} needs {d + 2} points")
-    base = [[Fraction(p[i]) for p in points[: d + 1]] for i in range(d + 1)]
-    scales = linalg.solve(base, points[d + 1].fractions())
-    if scales is None or any(s == 0 for s in scales):
+    base, last = list(points[: d + 1]), points[d + 1]
+    weights = [bracket(base[:j] + [last] + base[j + 1:]) for j in range(d + 1)]
+    denominator = bracket(base)
+    if denominator == 0 or 0 in weights:
         raise DegenerateInput("points do not form a projective frame")
-    return [[base[i][j] * scales[j] for j in range(d + 1)] for i in range(d + 1)]
+    return denominator, weights
+
+
+def frame_matrix(points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
+    """Matrix sending the standard frame e_1, ..., e_{d+1}, (1:...:1) to the
+    given d+2 points of P^d: column j is p_j c_j / D (_frame_weights). Raises
+    DegenerateInput unless the points are in general position."""
+    denominator, weights = _frame_weights(points)
+    return [[Fraction(p[i] * c, denominator) for p, c in zip(points, weights)]
+            for i in range(len(weights))]
 
 
 def normalizing_transform(points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
@@ -254,17 +278,14 @@ def normalizing_transform(points: Sequence[ProjectivePoint]) -> list[list[Fracti
     return inv
 
 
-def _minors_vanish(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    """True iff the 2 x k matrix [u; v] has rank <= 1."""
-    return all(u[i] * v[j] == u[j] * v[i] for i, j in combinations(range(len(u)), 2))
-
-
 def homography_fit(p: Configuration, q: Configuration) -> list[list[Fraction]] | None:
     """Exact homography H with H p_i = q_i (projectively) for all i, or None.
 
-    Solves the linear conditions from the first four correspondences and
-    verifies the remaining points by 2 x 2 minor vanishing. The first four
-    points of p must be in general position.
+    H = B_q diag(c^q_j / (D_q c^p_j)) adj(B_p), with B the first three points
+    as columns and (D, c) the frame weights of the first four, is built in
+    integers over one denominator, and each correspondence is checked by an
+    integer cross product. No weight is zero, so H is invertible. The first
+    four points of p must be in general position.
     """
     if p.ambient_dim != 2 or q.ambient_dim != 2:
         raise InvalidInput("homography_fit works on plane configurations")
@@ -273,20 +294,22 @@ def homography_fit(p: Configuration, q: Configuration) -> list[list[Fraction]] |
     if p.n < 4:
         raise InvalidInput("need at least four correspondences")
     try:
-        fp = frame_matrix(p.points[:4])
+        dp, cp = _frame_weights(p.points[:4])
     except DegenerateInput:
         raise DegenerateInput("leading quadruple of the first configuration is degenerate")
     try:
-        fq = frame_matrix(q.points[:4])
+        dq, cq = _frame_weights(q.points[:4])
     except DegenerateInput:
         return None
-    fp_inv = linalg.inverse(fp)
-    assert fp_inv is not None
-    h = linalg.mat_mul(fq, fp_inv)
-    for pi, qi in zip(p.points, q.points):
-        if not _minors_vanish(linalg.mat_vec(h, pi.fractions()), qi.fractions()):
-            return None
-    return h
+    bp = [pt.coords for pt in p.points[:3]]
+    h = outer_sum([cq[j] * cp[j - 1] * cp[j - 2] for j in range(3)],
+                  [pt.coords for pt in q.points[:3]],
+                  [cross(bp[j - 2], bp[j - 1]) for j in range(3)])
+    if any(any(cross([sum(map(mul, row, pi.coords)) for row in h], qi.coords))
+           for pi, qi in zip(p.points, q.points)):
+        return None
+    denominator = dq * cp[0] * cp[1] * cp[2]
+    return [[Fraction(v, denominator) for v in row] for row in h]
 
 
 def collinear(a: ProjectivePoint, b: ProjectivePoint, c: ProjectivePoint) -> bool:
@@ -320,7 +343,7 @@ def _max_collinear(points: Sequence[ProjectivePoint]) -> int:
     return best
 
 
-def stability_class(p: Configuration, n: int | None = None) -> StabilityClass:
+def stability_class(p: Configuration) -> StabilityClass:
     """GIT stability of n labelled plane points, by the exact geometric criteria.
 
     n = 5: (semi)stable iff the points are distinct and at most 3 collinear.
@@ -328,8 +351,8 @@ def stability_class(p: Configuration, n: int | None = None) -> StabilityClass:
            stable iff distinct and at most 3 collinear.
     n = 7: (semi)stable iff at most 2 coincide and at most 4 collinear.
     """
-    n = p.n if n is None else n
-    if n != p.n or p.ambient_dim != 2 or n not in (5, 6, 7):
+    n = p.n
+    if p.ambient_dim != 2 or n not in (5, 6, 7):
         raise InvalidInput("stability_class supports 5, 6 or 7 plane points")
     coincide = _max_coincidence(p.points)
     in_line = _max_collinear(p.points)

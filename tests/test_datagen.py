@@ -73,3 +73,18 @@ class TestDegenerate:
     def test_unknown_kind(self):
         with pytest.raises(InvalidInput):
             generate_degenerate("Nonsense", seed=0)
+
+    @pytest.mark.parametrize("kind, n", [
+        ("FourCollinear", 3), ("FourCollinear", 5), ("FourCollinear", 6),
+        ("FourCollinear", 8), ("FiveCollinear", 4), ("FiveCollinear", 0),
+        ("CoincidentPair", 1), ("CoincidentPair", 0), ("OnConic", 90), ("OnConic", 0),
+    ])
+    def test_unrealizable_n_is_rejected_up_front(self, kind, n):
+        with pytest.raises(InvalidInput, match="cannot be realized"):
+            generate_degenerate(kind, seed=0, n=n)
+
+    @pytest.mark.parametrize("kind, n", [
+        ("CoincidentPair", 2), ("FiveCollinear", 5), ("OnConic", 1), ("OnConic", 81),
+    ])
+    def test_smallest_and_largest_realizable_n(self, kind, n):
+        assert generate_degenerate(kind, seed=0, n=n).n == n

@@ -58,7 +58,7 @@ class TestQuaternaryForms:
                 z = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
                 assert h(z) == f(z) * g(z)
         with pytest.raises(InvalidInput):
-            Form(1, (1, 0, 0), 3) * Form(1, (1, 0, 0, 0))
+            Form(1, (1, 0, 0))  # a linear form has four coefficients
 
     def test_primitive_scaling(self):
         f = Form(2, tuple(Fraction(k, 6) for k in (-2, 4, 0, 0, 0, 0, 0, 0, 0, 8)))

@@ -325,6 +325,18 @@ class TestMainEntry:
         write_config(xfile, STD5)
         assert main(["classify", "-i", str(xfile)]) == 2
 
+    @pytest.mark.parametrize("command", ["centers", "classify"])
+    def test_center_outside_p3_is_invalid(self, tmp_path, capsys, command):
+        xfile = tmp_path / "x.json"
+        write_config(xfile, STD5)
+        second = ["-j", str(xfile)] if command == "centers" else []
+        assert main([command, "-i", str(xfile), *second, "--center", "1,2,3"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+
+    def test_degenerate_kind_with_zero_points_is_invalid(self, capsys):
+        assert main(["generate", "--degenerate", "OnConic", "--n", "0"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
     def test_non_finite_or_nonpositive_tol_is_invalid(self, tmp_path, capsys, tol):
         xfile = tmp_path / "x.json"

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from centersvar import linalg
 from centersvar.datagen import generate_degenerate, generate_reconstruction
-from centersvar.errors import DegenerateInput, InadmissibleCenter, Inconsistent
+from centersvar.errors import (DegenerateInput, InadmissibleCenter, Inconsistent,
+                               ToolkitError)
 from centersvar.forms import Form, monomials, same_span
 from centersvar.invariants import g5_lifted
 from centersvar.loci import (DegenerationTag, centers_n_le4,
                              classify_degeneration_n5, cubic_locus_n5,
                              cubic_param_n5, param_of_point, restrict_to_param)
-from centersvar.projective import Configuration, apply_matrix, normalizing_transform, pp
+from centersvar.projective import (Configuration, apply_matrix, normalizing_transform, pp,
+                                   project)
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
 GOLDEN_A = pp(43, -50, 6, -5)
@@ -250,7 +253,61 @@ class TestLinePlusConicStructure:
             found += 1
 
 
+def ref_frame_fill(points):
+    """The n <= 3 frame completion in Fractions: columns, then the matrix."""
+    cols = [list(p.fractions()) for p in points]
+    for e in range(3):
+        if len(cols) == 3:
+            break
+        unit = [Fraction(int(i == e)) for i in range(3)]
+        if linalg.rank(cols + [unit]) == len(cols) + 1:
+            cols.append(unit)
+    mat = [list(row) for row in zip(*cols)]
+    if linalg.det(mat) == 0:
+        raise DegenerateInput("cannot complete the points to a frame")
+    return mat
+
+
+def ref_witness_n_le3(x, y, a, b):
+    """The n <= 3 witness as F_q inverse(F_p), F the Fraction filled frames."""
+    p = Configuration([project(xi, a) for xi in x])
+    q = Configuration([project(yi, b) for yi in y])
+    if any(linalg.rank([pt.coords for pt in c]) != c.n for c in (p, q)):
+        raise DegenerateInput("projected points are not in general position")
+    fq, inv = ref_frame_fill(q.points), linalg.inverse(ref_frame_fill(p.points))
+    h = [[sum((Fraction(fq[i][k]) * inv[k][j] for k in range(3)), Fraction(0))
+          for j in range(3)] for i in range(3)]
+    if any(apply_matrix(h, pi) != qi for pi, qi in zip(p, q)):
+        raise Inconsistent("witness homography failed verification")
+    return h
+
+
+def outcome(fn, *args):
+    try:
+        h = fn(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    return h, [type(v) for row in h for v in row]
+
+
 class TestSmallN:
+    @pytest.mark.parametrize("bound", [2, 10 ** 6])
+    def test_witness_below_four_points_matches_the_fraction_route(self, bound):
+        rng = random.Random(bound)
+        witnesses = 0
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            x, y = (Configuration([[rng.randint(-bound, bound) or 1 for _ in range(4)]
+                                   for _ in range(n)]) for _ in range(2))
+            a, b = (pp(*(rng.randint(-bound, bound) or 1 for _ in range(4))) for _ in range(2))
+            if a in x.points or b in y.points:
+                continue
+            got = outcome(centers_n_le4, x, y, a, b)
+            assert got == outcome(ref_witness_n_le3, x, y, a, b)
+            witnesses += got[0] is not DegenerateInput
+        assert witnesses >= 60
+
+
     def test_n4_generic_witness(self):
         rec = generate_reconstruction(4, seed=0)
         h = centers_n_le4(rec.x, rec.y, rec.a_true, rec.b_true)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centersvar import linalg
-from centersvar.errors import CenterHit, DegenerateInput, InvalidInput
+from centersvar.errors import CenterHit, DegenerateInput, InvalidInput, ToolkitError
 from centersvar.projective import (Configuration, ProjectivePoint,
                                    StabilityClass, apply_matrix, bracket,
                                    canonical_camera, center_admissible,
-                                   collinear, gale_transform, homography_fit,
-                                   on_line, pp, project, stability_class)
+                                   collinear, frame_matrix, gale_transform,
+                                   homography_fit, on_line, pp, project,
+                                   stability_class)
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
 
@@ -202,6 +203,118 @@ class TestHomographyFit:
         p = Configuration([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (2, 3, 7)])
         with pytest.raises(DegenerateInput):
             homography_fit(p, p)
+
+
+def ref_mat_mul(a, b):
+    return [[sum((Fraction(a[i][k]) * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_frame_matrix(points):
+    """frame_matrix by the Fraction route: the scales solve B s = p_{d+1}."""
+    d = points[0].dim
+    base = [[Fraction(p[i]) for p in points[: d + 1]] for i in range(d + 1)]
+    inv = linalg.inverse(base)
+    scales = None if inv is None else linalg.mat_vec(inv, points[d + 1].fractions())
+    if scales is None or any(s == 0 for s in scales):
+        raise DegenerateInput("points do not form a projective frame")
+    return [[base[i][j] * scales[j] for j in range(d + 1)] for i in range(d + 1)]
+
+
+def ref_homography_fit(p, q):
+    """homography_fit as F_q inverse(F_p) in Fractions, each correspondence
+    checked by the 2 x 2 minors of [H p_i; q_i]."""
+    if p.ambient_dim != 2 or q.ambient_dim != 2:
+        raise InvalidInput("homography_fit works on plane configurations")
+    if p.n != q.n:
+        raise InvalidInput("configurations must have equal length")
+    if p.n < 4:
+        raise InvalidInput("need at least four correspondences")
+    try:
+        fp = ref_frame_matrix(p.points[:4])
+    except DegenerateInput:
+        raise DegenerateInput("leading quadruple of the first configuration is degenerate")
+    try:
+        fq = ref_frame_matrix(q.points[:4])
+    except DegenerateInput:
+        return None
+    h = ref_mat_mul(fq, linalg.inverse(fp))
+    for pi, qi in zip(p.points, q.points):
+        u, v = linalg.mat_vec(h, pi.fractions()), qi.fractions()
+        if any(u[i] * v[j] != u[j] * v[i] for i in range(3) for j in range(i + 1, 3)):
+            return None
+    return h
+
+
+def outcome(fn, *args):
+    """The result (with the type of every matrix entry), or the error's type
+    and message."""
+    try:
+        result = fn(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    if result is None:
+        return None
+    return result, [type(v) for row in result for v in row]
+
+
+def with_point(c, k, coords):
+    return Configuration(c.points[:k] + (ProjectivePoint(coords),) + c.points[k + 1:])
+
+
+def plane_pairs(rng, bound):
+    """(p, q): q a random homography image of p, then q with one point moved,
+    then the first quadruple made degenerate (p_2 or q_2 on the line through
+    the first two points), on the q side and on the p side."""
+    for _ in range(40):
+        p = rand_config(rng, rng.randint(4, 8), bound=bound)
+        q = p.transformed(rand_h(rng))
+        yield p, q
+        k, j = rng.randrange(p.n), rng.randrange(3)
+        moved = [c + (i == j) for i, c in enumerate(q[k].coords)]
+        if any(moved):
+            yield p, with_point(q, k, moved)
+        for c, other in ((q, p), (p, q)):
+            s, t = rng.randint(-3, 3) or 1, rng.randint(-3, 3) or 1
+            line = [s * u + t * v for u, v in zip(c[0].coords, c[1].coords)]
+            if any(line):
+                c = with_point(c, 2, line)
+                yield (other, c) if other is p else (c, other)
+
+
+class TestIntegerFrames:
+    @pytest.mark.parametrize("bound", [2, 9, 10 ** 6])
+    def test_homography_fit_matches_the_fraction_route(self, bound):
+        rng = random.Random(bound)
+        kinds = {"matrix": 0, "none": 0, "error": 0}
+        for p, q in plane_pairs(rng, bound):
+            got = outcome(homography_fit, p, q)
+            assert got == outcome(ref_homography_fit, p, q)
+            kinds["none" if got is None else "error" if type(got[0]) is type else "matrix"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_homography_fit_input_errors_match(self):
+        p = Configuration([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 5, 9)])
+        for q in (Configuration(p.points[:4]), p.drop(4).drop(3), STD5):
+            assert outcome(homography_fit, p, q) == outcome(ref_homography_fit, p, q)
+            assert outcome(homography_fit, q, q) == outcome(ref_homography_fit, q, q)
+
+    @pytest.mark.parametrize("dim, bound", [(2, 2), (2, 10 ** 6), (3, 2), (3, 10 ** 6)])
+    def test_frame_matrix_matches_the_fraction_route(self, dim, bound):
+        # each random set, then with one point moved onto the line of two others
+        rng = random.Random(dim * bound)
+        frames = 0
+        for _ in range(150):
+            c = rand_config(rng, dim + 2, dim=dim, bound=bound)
+            k, i, j = rng.sample(range(dim + 2), 3)
+            r = rng.randint(1, 3)
+            line = [r * u - v for u, v in zip(c[i].coords, c[j].coords)]
+            for points in (c.points, with_point(c, k, line).points if any(line) else ()):
+                if points:
+                    got = outcome(frame_matrix, points)
+                    assert got == outcome(ref_frame_matrix, points)
+                    frames += got[0] is not DegenerateInput
+        assert 30 <= frames <= 150
 
 
 class TestStability:
