@@ -169,16 +169,13 @@ def cmd_centers(args) -> dict[str, Any]:
 
 def cmd_generate(args) -> dict[str, Any]:
     if args.degenerate is not None:
-        n = 7 if args.n is None else args.n
-        out = generate_degenerate(args.degenerate, seed=args.seed, n=n)
-        if isinstance(out, tuple):
-            cfg, center = out
-            doc: dict[str, Any] = cio.configuration_to_json(cfg)
+        out = generate_degenerate(args.degenerate, seed=args.seed, n=args.n)
+        cfg, center = out if isinstance(out, tuple) else (out, None)
+        doc: dict[str, Any] = cio.configuration_to_json(cfg)
+        if center is not None:
             doc["center"] = cio.point_to_json(center)
-        else:
-            doc = cio.configuration_to_json(out)
         doc["config"] = {"command": "generate", "degenerate": args.degenerate,
-                         "seed": args.seed, "n": n}
+                         "seed": args.seed, "n": cfg.n}
         return doc
     if args.n is None:
         raise InvalidInput("generate needs --n (or --degenerate KIND)")

@@ -17,7 +17,6 @@ witness homography before returning the pair.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,10 +172,33 @@ DEGENERATE_KINDS = (
     "CenterAtWorldPoint", "GenericCenter",
 )
 
-# (lowest, highest) n of each plane kind: FourCollinear is a stable seven-point
-# configuration, and OnConic takes distinct parameters in [-40, 40].
-_PLANE_KIND_SIZES = {"CoincidentPair": (2, math.inf), "FourCollinear": (7, 7),
-                     "FiveCollinear": (5, math.inf), "OnConic": (1, 81)}
+CENTER_KINDS = DEGENERATE_KINDS[4:]
+
+# the points of P^2 with coordinates in [-9, 9]: (19^3 - 1) / 2 vectors up to
+# sign, less the non-primitive ones, by Moebius inversion over their gcd
+_PLANE_BOX_POINTS = 2881
+
+# (lowest, highest) n of each kind: FourCollinear is a stable seven-point
+# configuration, OnConic takes distinct parameters in [-40, 40], the other
+# plane kinds draw distinct points from the box, and a center kind is five
+# points of P^3.
+_KIND_SIZES = {"CoincidentPair": (2, _PLANE_BOX_POINTS + 1), "FourCollinear": (7, 7),
+               "FiveCollinear": (5, _PLANE_BOX_POINTS), "OnConic": (1, 81),
+               **{kind: (5, 5) for kind in CENTER_KINDS}}
+
+
+def _distinct_plane_points(rng: random.Random, points: Sequence) -> list[ProjectivePoint]:
+    """The points in order, each one that repeats an earlier point of P^2
+    redrawn from the box [-9, 9]^3 until it is new."""
+    out: list[ProjectivePoint] = []
+    seen: set[ProjectivePoint] = set()
+    for v in points:
+        p = ProjectivePoint(v)
+        while p in seen:
+            p = ProjectivePoint(_random_point(rng, 2, 9))
+        seen.add(p)
+        out.append(p)
+    return out
 
 
 def _random_space_five(rng: random.Random, bound: int = 9) -> Configuration:
@@ -189,36 +211,37 @@ def _random_space_five(rng: random.Random, bound: int = 9) -> Configuration:
             continue
 
 
-def generate_degenerate(kind: str, seed: int = 0, n: int = 7):
+def generate_degenerate(kind: str, seed: int = 0, n: int | None = None):
     """Configurations realizing a named degeneration, exactly.
 
     Plane kinds (CoincidentPair, FourCollinear, FiveCollinear, OnConic)
-    return a Configuration of n points in P^2; an n the kind cannot realize
-    (see _PLANE_KIND_SIZES) raises InvalidInput. Center kinds (CoplanarCenter,
+    return a Configuration of n points in P^2 (seven by default), drawn from
+    a generator seeded with (kind, seed, n). Center kinds (CoplanarCenter,
     CollinearCenter, BiplanarCenter, CenterAtWorldPoint, GenericCenter)
     return a pair (five points of P^3, center) hitting one case of the
-    five-point degeneration classifier.
+    five-point degeneration classifier, drawn from a generator seeded with
+    (kind, seed); their n is 5. An n the kind cannot realize (see
+    _KIND_SIZES) raises InvalidInput.
     """
-    lowest, highest = _PLANE_KIND_SIZES.get(kind, (-math.inf, math.inf))
+    if kind not in DEGENERATE_KINDS:
+        raise InvalidInput(f"unknown degeneration kind {kind!r}")
+    if n is None:
+        n = 5 if kind in CENTER_KINDS else 7
+    lowest, highest = _KIND_SIZES[kind]
     if not lowest <= n <= highest:
         raise InvalidInput(f"{kind} cannot be realized with n = {n} points")
-    rng = random.Random((kind, seed, n).__repr__())
+    key = (kind, seed) if kind in CENTER_KINDS else (kind, seed, n)
+    rng = random.Random(key.__repr__())
     if kind == "OnConic":
         ts = rng.sample(range(-40, 41), n)
         return Configuration([(1, t, t * t) for t in ts])
     if kind == "CoincidentPair":
-        while True:
-            pts = [_random_point(rng, 2, 9) for _ in range(n - 1)]
-            cfg = Configuration([pts[0]] + pts)
-            if len(set(cfg.points)) == n - 1:
-                return cfg
+        pts = _distinct_plane_points(rng, [_random_point(rng, 2, 9) for _ in range(n - 1)])
+        return Configuration([pts[0]] + pts)
     if kind == "FiveCollinear":
-        while True:
-            cs = rng.sample(range(-9, 10), 5)
-            rest = [_random_point(rng, 2, 9) for _ in range(n - 5)]
-            cfg = Configuration([(1, 0, c) for c in cs] + rest)
-            if len(set(cfg.points)) == n:
-                return cfg
+        cs = rng.sample(range(-9, 10), 5)
+        rest = [_random_point(rng, 2, 9) for _ in range(n - 5)]
+        return Configuration(_distinct_plane_points(rng, [(1, 0, c) for c in cs] + rest))
     if kind == "FourCollinear":
         while True:
             cs = rng.sample(range(-9, 10), 4)
@@ -235,8 +258,6 @@ def generate_degenerate(kind: str, seed: int = 0, n: int = 7):
             nonzero = [v for v in values if v != 0]
             if len(nonzero) == 3 and len(set(nonzero)) == 1:
                 return cfg
-    if kind not in DEGENERATE_KINDS:
-        raise InvalidInput(f"unknown degeneration kind {kind!r}")
 
     from .loci import DegenerationTag, classify_degeneration_n5
     want = {

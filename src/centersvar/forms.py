@@ -158,10 +158,14 @@ class Form:
         return Fraction(self.integer_value(ints), self.integer_terms[0] * den ** self.degree)
 
     @cached_property
-    def scale_exponent(self) -> int:
-        """An e with the largest |coefficient| * 2**-e between 1/2 and 2."""
-        return max((c.numerator.bit_length() - c.denominator.bit_length()
-                    for c in self.coeffs if c != 0), default=0)
+    def floats(self) -> tuple[float, ...]:
+        """The coefficients times 2**-e as correctly rounded floats, with e
+        chosen so that the largest |coefficient| * 2**-e lies between 1/2
+        and 2: the scale is an exact power of two and no coefficient
+        overflows. Cached, so every float view of a form reads it once."""
+        e = max((c.numerator.bit_length() - c.denominator.bit_length()
+                 for c in self.coeffs if c != 0), default=0)
+        return tuple(scaled_float(c, e) for c in self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -2,21 +2,26 @@
 
 No float decides whether the zero set is finite or how many points to look for.
 That verdict comes from the Hilbert function of the ideal in degrees 2 and 3,
-computed exactly from ranks of integer matrices modulo the prime 2^61 - 1.
-The floats then only locate the points: the degree-2 dual kernel of the
-system is spanned by the Veronese vectors v_2(p) of its zeros, and the
-eigenvalue method reads the points off the moment matrices of a kernel
-basis. Candidates are polished by Gauss-Newton on all input forms and
-deduplicated projectively.
+computed exactly from ranks modulo the prime 2^61 - 1: the quadrics are
+brought to a reduced echelon basis mod p, whose size gives H(2), and H(3)
+comes from the rank of the products z_k * (basis row). The floats then only
+locate the points: the degree-2 dual kernel of the system is spanned by the
+Veronese vectors v_2(p) of its zeros, and the eigenvalue method reads the
+points off the moment matrices of a kernel basis. Candidates are polished by
+Gauss-Newton on all input forms, which stops at the first step shorter than
+1e-13 (twelve at most), and deduplicated projectively.
 
 Certification runs in Python ints and builds no Fraction. Newton steps on a
 triple of forms sharpen a real candidate on dyadic iterates X / 2**e (e = 64,
 128, 256), each step an exact integer 3 x 3 solve rounded to the next scale.
 One continued-fraction pass per coordinate then gives the best rational
 approximations under a ladder of denominator bounds, and each distinct
-snapped point is substituted into every form in integers. The floats of a
-quadric, coefficients and symmetric matrix alike, are its integer
-coefficients scaled by an exact power of two, so no coefficient overflows.
+snapped point is substituted into every form in integers.
+
+The floats of a quadric, coefficients and symmetric matrix alike, are its
+integer coefficients scaled by an exact power of two (Form.floats), so no
+coefficient overflows. Each form converts its coefficients once; the solver
+and the certification of every candidate read the same cached floats.
 
 Everything is deterministic for a fixed seed.
 """
@@ -32,12 +37,17 @@ import numpy as np
 
 from . import linalg
 from .errors import Inconsistent, NotFinite
-from .forms import Form, moment_positions, monomial_index, monomials, scaled_float
+from .forms import Form, _product_positions, moment_positions, monomials
 from .projective import ProjectivePoint, canonical_coords
 
 _PRIME = 2 ** 61 - 1
 _REAL_TOL = 1e-9  # largest imaginary part of a unit vector that counts as real
-_GAUSS_NEWTON_STEPS = 12
+_GAUSS_NEWTON_STEPS = 12  # the cap; a converged iteration stops earlier
+# A Gauss-Newton step on a unit point this short has converged: the error it
+# leaves is far below rounding. Shorter steps are no test of convergence, as
+# steps of 1e-14 to 3e-14 are the rounding noise of the least-squares solve
+# once the Jacobian's condition number nears 1e3.
+_GAUSS_NEWTON_STOP = 1e-13
 # exact Newton iterates are ints over 2**64, then 2**128 and 2**256 (two steps)
 _DYADIC_EXPONENTS = (64, 128, 256)
 # the reconstruction bounds 10^4, 10^8, ..., 10^28 and 10^30: fractions with
@@ -45,20 +55,17 @@ _DYADIC_EXPONENTS = (64, 128, 256)
 # (about 10^-77) resolution of the polished iterate
 _MAX_DENOMINATOR = 10 ** 30
 _LADDER = tuple(10 ** k for k in range(4, 30, 4)) + (_MAX_DENOMINATOR,)
+_MOMENTS = np.array(moment_positions())
+_HALVE = np.where(np.eye(4, dtype=bool), 1.0, 0.5)
 
 
-def form_floats(form: Form) -> np.ndarray:
-    """Coefficients scaled by the exact power of two 2**-form.scale_exponent."""
-    e = form.scale_exponent
-    return np.array([scaled_float(c, e) for c in form.coeffs], dtype=float)
-
-
-def sym_floats(form: Form) -> np.ndarray:
-    """Symmetric matrix of a quadric, scaled by the same power of two as
-    form_floats and read off them: halving a correctly rounded float is
-    exact, so the off-diagonal entries are the correctly rounded halves."""
-    m = form_floats(form)[np.array(moment_positions())]
-    return (m + np.diag(np.diag(m))) / 2
+def sym_floats(coeffs: np.ndarray) -> np.ndarray:
+    """The symmetric matrices (k x 4 x 4) of the quadrics with the float
+    coefficient rows coeffs (k x 10): the diagonal holds the coefficients of
+    z_i^2 and each off-diagonal entry half that of z_i z_j. Halving a
+    correctly rounded float is exact, so the halves are correctly rounded
+    too."""
+    return coeffs[:, _MOMENTS] * _HALVE
 
 
 @dataclass(frozen=True)
@@ -121,38 +128,74 @@ def _rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _echelon_mod_p(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A reduced row echelon basis over GF(_PRIME) of the span of the rows of
+    an integer matrix: each row has a 1 in its own pivot column and 0 in the
+    others. Rows are reduced one at a time against the basis so far."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        row = [x % _PRIME for x in row]
+        for c, b in zip(pivots, basis):
+            f = row[c]
+            if f:
+                row = [(x - f * y) % _PRIME for x, y in zip(row, b)]
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        inv = pow(row[c], -1, _PRIME)
+        row = [x * inv % _PRIME for x in row]
+        for i, b in enumerate(basis):
+            f = b[c]
+            if f:
+                basis[i] = [(x - f * y) % _PRIME for x, y in zip(b, row)]
+        basis.append(row)
+        pivots.append(c)
+    return basis
+
+
 def _hilbert_function(forms: Sequence[Form]) -> tuple[int, int]:
     """(H(2), H(3)) of the ideal of the quadrics: the codimensions of its
     degree-2 part, spanned by the forms, and of its degree-3 part, spanned by
-    the products z_k * form, from ranks mod _PRIME of the primitive integer
-    coefficient rows."""
-    rows = [canonical_coords(f.coeffs) for f in forms]
-    index3 = monomial_index(3)
+    the products z_k * form.
+
+    Both come from ranks over GF(_PRIME) of the primitive integer
+    coefficient rows. The rows are brought to a reduced echelon basis, whose
+    size is the rank of the degree-2 part. The degree-3 part is spanned by
+    the products z_k * (basis row) just as well as by z_k * (input row), as
+    the two sets of rows span the same space mod _PRIME; there are fewer of
+    them when the forms are dependent, and each has at most 11 - rank
+    nonzero entries."""
+    basis = _echelon_mod_p([canonical_coords(f.coeffs) for f in forms])
+    n3 = len(monomials(3))
     products = []
-    for k in range(4):
-        cols = [index3[tuple(e + (i == k) for i, e in enumerate(m))] for m in monomials(2)]
-        for row in rows:
-            product = [0] * len(index3)
+    for cols in _product_positions(1, 2):  # z_k times each quadric monomial
+        for row in basis:
+            product = [0] * n3
             for c, col in zip(row, cols):
                 product[col] = c
             products.append(product)
-    return len(monomials(2)) - _rank_mod_p(rows), len(index3) - _rank_mod_p(products)
+    return len(monomials(2)) - len(basis), n3 - _rank_mod_p(products)
 
 
-def _gauss_newton(syms: list[np.ndarray], point: np.ndarray) -> np.ndarray:
+def _gauss_newton(syms: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the forms with symmetric matrices syms (k x 4 x 4),
+    from a point normalized to a unit vector. It stops after the first step
+    no longer than _GAUSS_NEWTON_STOP, or after _GAUSS_NEWTON_STEPS steps."""
     p = point / np.linalg.norm(point)
     for _ in range(_GAUSS_NEWTON_STEPS):
-        residuals = np.array([p @ s @ p for s in syms])
-        jac = np.array([2.0 * (s @ p) for s in syms])
+        sp = syms @ p
         # keep the step transverse to the point itself (projective gauge)
-        jac = np.vstack([jac, p.conj()[None, :]])
-        rhs = np.concatenate([residuals, [0.0]])
-        step, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
+        jac = np.vstack([2.0 * sp, p.conj()[None, :]])
+        rhs = np.append(sp @ p, 0.0)
+        step = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         p = p - step
         norm = np.linalg.norm(p)
         if norm == 0:
             return point
         p = p / norm
+        if np.linalg.norm(step) <= _GAUSS_NEWTON_STOP:
+            break
     return p
 
 
@@ -177,14 +220,18 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     read as the moment matrix M[i][j] = lambda[e_i + e_j], gives the column
     M c of A_c and M d of A_d for random c, d, and each eigenvector v of
     pinv(A_c) A_d gives the point A_c v. Points are polished by Gauss-Newton
-    on all forms and deduplicated projectively. If ``expected`` is given, a
-    mismatch in the number of surviving points raises Inconsistent.
+    on all forms, each form's symmetric matrix scaled to unit coefficient
+    norm and all of them stacked in one k x 4 x 4 array; the iteration stops
+    after the first step no longer than 1e-13 on the unit point, twelve
+    steps at most (see _GAUSS_NEWTON_STOP). Points with a residual above tol
+    are dropped, and the rest deduplicated projectively. If ``expected`` is
+    given, a mismatch in the number of surviving points raises Inconsistent.
     """
     if len(forms) < 3:
         raise NotFinite("need at least three quadrics for a finite locus")
     if any(f.degree != 2 for f in forms):
         raise NotFinite("solve_quadric_system expects quadratic forms on P^3")
-    coeffs = np.array([form_floats(f) for f in forms])
+    coeffs = np.array([f.floats for f in forms])
     scales = np.linalg.norm(coeffs, axis=1)
     if np.any(scales == 0):
         raise NotFinite("zero form in the system")
@@ -196,19 +243,20 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
         return []
 
     # no rank cut: the exact H(2) says how many right singular vectors span the kernel
-    kernel = np.linalg.svd(coeffs / scales[:, None])[2][len(monomials(2)) - h2:]
-    moments = kernel[:, moment_positions()]  # h2 x 4 x 4
+    coeffs = coeffs / scales[:, None]
+    kernel = np.linalg.svd(coeffs)[2][len(monomials(2)) - h2:]
+    moments = kernel[:, _MOMENTS]  # h2 x 4 x 4
     rng = np.random.default_rng(seed)
     a_c = (moments @ rng.standard_normal(4)).T
     a_d = (moments @ rng.standard_normal(4)).T
     _, vecs = np.linalg.eig(np.linalg.pinv(a_c) @ a_d)
 
-    syms = [sym_floats(f) / scales[i] for i, f in enumerate(forms)]
+    syms = sym_floats(coeffs)
     candidates = [_gauss_newton(syms, p) for p in (a_c @ vecs).T if np.linalg.norm(p) > 0]
 
     survivors: list[NumericPoint] = []
     for p in candidates:
-        residual = float(np.max(np.abs([p @ s @ p for s in syms])))
+        residual = float(np.max(np.abs((syms @ p) @ p)))
         if residual > tol:
             continue
         if any(projective_distance(p, q.array()) < 1e-6 for q in survivors):
@@ -278,7 +326,7 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> tuple[list[
     j = int(np.argmax(np.abs(real)))
     unknowns = [k for k in range(4) if k != j]
 
-    jac_float = np.array([2.0 * (sym_floats(f) @ real) for f in forms])
+    jac_float = 2.0 * (sym_floats(np.array([f.floats for f in forms])) @ real)
     best = _pivot_triple(jac_float[:, unknowns])
     if best is None:
         return None

@@ -1,10 +1,14 @@
+import random
+from itertools import product
+
 import pytest
 
 from centersvar import linalg
-from centersvar.datagen import generate_degenerate, generate_reconstruction
+from centersvar.datagen import (_PLANE_BOX_POINTS, _random_point, generate_degenerate,
+                                generate_reconstruction)
 from centersvar.errors import InvalidInput
 from centersvar.invariants import fano15, fano15_lifted, g5_lifted, t6, t6_lifted
-from centersvar.projective import StabilityClass, stability_class
+from centersvar.projective import ProjectivePoint, StabilityClass, stability_class
 
 
 class TestReconstruction:
@@ -88,3 +92,45 @@ class TestDegenerate:
     ])
     def test_smallest_and_largest_realizable_n(self, kind, n):
         assert generate_degenerate(kind, seed=0, n=n).n == n
+
+    def test_box_point_count(self):
+        box = {ProjectivePoint(v) for v in product(range(-9, 10), repeat=3) if any(v)}
+        assert len(box) == _PLANE_BOX_POINTS
+
+    @pytest.mark.parametrize("kind, most", [("CoincidentPair", _PLANE_BOX_POINTS + 1),
+                                            ("FiveCollinear", _PLANE_BOX_POINTS)])
+    def test_large_n_redraws_only_the_repeats(self, kind, most):
+        cfg = generate_degenerate(kind, seed=0, n=300)
+        distinct = len(set(cfg.points))
+        assert cfg.n == 300 and distinct == (299 if kind == "CoincidentPair" else 300)
+        with pytest.raises(InvalidInput, match="cannot be realized"):
+            generate_degenerate(kind, seed=0, n=most + 1)
+
+    @pytest.mark.parametrize("kind", ["CoincidentPair", "FiveCollinear"])
+    def test_a_first_draw_without_repeats_is_kept(self, kind):
+        # the first draw, as drawn when a repeat still redrew the whole set
+        kept = 0
+        for n in range(5, 40):
+            for seed in range(4):
+                rng = random.Random((kind, seed, n).__repr__())
+                if kind == "CoincidentPair":
+                    drawn = [ProjectivePoint(_random_point(rng, 2, 9)) for _ in range(n - 1)]
+                    first = [drawn[0]] + drawn
+                else:
+                    cs = rng.sample(range(-9, 10), 5)
+                    drawn = [ProjectivePoint((1, 0, c)) for c in cs] + [
+                        ProjectivePoint(_random_point(rng, 2, 9)) for _ in range(n - 5)]
+                    first = drawn
+                if len(set(drawn)) == len(drawn):
+                    kept += 1
+                    assert list(generate_degenerate(kind, seed=seed, n=n).points) == first
+        assert kept > 100
+
+    @pytest.mark.parametrize("kind", ["CoplanarCenter", "CollinearCenter", "BiplanarCenter",
+                                      "CenterAtWorldPoint", "GenericCenter"])
+    def test_center_kinds_are_five_points_seeded_by_kind_and_seed(self, kind):
+        assert generate_degenerate(kind, seed=3) == generate_degenerate(kind, seed=3, n=5)
+        assert generate_degenerate(kind, seed=3)[0].n == 5
+        for n in (0, 4, 6, 7):
+            with pytest.raises(InvalidInput, match="cannot be realized"):
+                generate_degenerate(kind, seed=3, n=n)

@@ -337,6 +337,33 @@ class TestMainEntry:
         assert main(["generate", "--degenerate", "OnConic", "--n", "0"]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
 
+    def test_center_kind_reports_its_five_points(self, tmp_path):
+        default, explicit = tmp_path / "d.json", tmp_path / "e.json"
+        assert main(["generate", "--degenerate", "GenericCenter", "--seed", "4",
+                     "-o", str(default)]) == 0
+        assert main(["generate", "--degenerate", "GenericCenter", "--seed", "4", "--n", "5",
+                     "-o", str(explicit)]) == 0
+        doc = json.loads(default.read_text())
+        assert doc["config"]["n"] == 5 and len(doc["points"]) == 5
+        assert doc == json.loads(explicit.read_text())
+
+    @pytest.mark.parametrize("n", ["0", "4", "7"])
+    def test_center_kind_with_another_n_is_invalid(self, capsys, n):
+        assert main(["generate", "--degenerate", "GenericCenter", "--n", n]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+
+    def test_plane_kind_reports_its_n(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert main(["generate", "--degenerate", "CoincidentPair", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["n"] == 7
+        assert main(["generate", "--degenerate", "FiveCollinear", "--n", "300",
+                     "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["n"] == 300
+
+    def test_plane_kind_beyond_the_box_is_invalid(self, capsys):
+        assert main(["generate", "--degenerate", "CoincidentPair", "--n", "2883"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
     def test_non_finite_or_nonpositive_tol_is_invalid(self, tmp_path, capsys, tol):
         xfile = tmp_path / "x.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from centersvar import io as cio
-from centersvar import linalg, loci
+from centersvar import linalg, loci, numeric
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import DegenerateInput, Inconclusive
@@ -41,23 +41,78 @@ def test_certifies_true_centers_at_large_coordinates(seed, bound):
     assert rec.b_true in [p.exact for p in cand.b_candidates]
 
 
+INTERMEDIATE_BOUND = (
+    Configuration([(209035, 278236, 705499, 252497), (31900, -1474531, 445591, -13997),
+                   (170593, 385248, 486417, 259722), (2088532, 1746179, -1161849, 142003),
+                   (858865, -354049, -2015373, -447710), (356581, 212695, -536972, -185098),
+                   (470749, 819329, 803696, 634183)]),
+    Configuration([(149346, 62642, 88903, 286672), (839231, -486223, -509422, 347962),
+                   (424399, 341682, 188489, 128276), (1697669, -1161600, -1578189, 877409),
+                   (109347, -1737134, -1560763, 771982), (223533, 1695048, 1156594, -998491),
+                   (1329338, 1057262, 483628, 250593)]),
+)
+
+
 def test_certifies_at_an_intermediate_denominator_bound():
     # 48-bit centers; the polished b is accurate to about 1e-44 only, so the
     # denominator bound 10^12 is below its denominator and 10^30 lets another
     # fraction come closer: only an intermediate bound certifies it
-    x = Configuration([(209035, 278236, 705499, 252497), (31900, -1474531, 445591, -13997),
-                       (170593, 385248, 486417, 259722), (2088532, 1746179, -1161849, 142003),
-                       (858865, -354049, -2015373, -447710), (356581, 212695, -536972, -185098),
-                       (470749, 819329, 803696, 634183)])
-    y = Configuration([(149346, 62642, 88903, 286672), (839231, -486223, -509422, 347962),
-                       (424399, 341682, 188489, 128276), (1697669, -1161600, -1578189, 877409),
-                       (109347, -1737134, -1560763, 771982), (223533, 1695048, 1156594, -998491),
-                       (1329338, 1057262, 483628, 250593)])
+    x, y = INTERMEDIATE_BOUND
     a = pp(132204235157746, 103823749478173, 172483532955506, 40798132632662)
     b = pp(39269765319732, 223054029881585, 128746690443929, -190778232898101)
     cand = candidates_n7(x, y)
     assert a in [p.exact for p in cand.a_candidates]
     assert b in [p.exact for p in cand.b_candidates]
+
+
+def reference_gauss_newton(syms, point):
+    """Twelve Gauss-Newton steps, one matrix product per form."""
+    p = point / np.linalg.norm(point)
+    for _ in range(12):
+        residuals = np.array([p @ s @ p for s in syms])
+        jac = np.vstack([[2.0 * (s @ p) for s in syms], p.conj()[None, :]])
+        step = np.linalg.lstsq(jac, np.concatenate([residuals, [0.0]]), rcond=None)[0]
+        p = p - step
+        p = p / np.linalg.norm(p)
+    return p
+
+
+N7_INSTANCES = [(seed, 10) for seed in (3, 5, 9)] + [
+    (seed, bound) for bound in (10 ** 3, 10 ** 4) for seed in range(4)] + [INTERMEDIATE_BOUND]
+
+
+def _instance_id(instance):
+    if isinstance(instance[0], Configuration):
+        return "intermediate-bound"
+    return f"seed={instance[0]} bound={instance[1]}"
+
+
+@pytest.mark.parametrize("instance", N7_INSTANCES, ids=_instance_id)
+def test_gauss_newton_stops_once_converged(monkeypatch, instance):
+    lstsq, gauss_newton = np.linalg.lstsq, numeric._gauss_newton
+    steps, runs = [0], []
+
+    def counted_lstsq(*args, **kwargs):
+        steps[0] += 1
+        return lstsq(*args, **kwargs)
+
+    def recorded(syms, point):
+        before = steps[0]
+        p = gauss_newton(syms, point)
+        runs.append((syms, point, p, steps[0] - before))
+        return p
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(numeric, "_gauss_newton", recorded)
+    if isinstance(instance[0], Configuration):
+        candidates_n7(*instance)
+    else:
+        rec = generate_reconstruction(7, seed=instance[0], coord_bound=instance[1])
+        candidates_n7(rec.x, rec.y)
+    assert len(runs) == 6
+    for syms, point, p, taken in runs:
+        assert 1 <= taken <= 3
+        assert np.max(np.abs(p - reference_gauss_newton(syms, point))) <= 1e-12
 
 
 def reference_fano15_complex(x, a):
@@ -146,9 +201,9 @@ def test_a_world_point_among_the_zeros_is_degenerate():
     # every b-quadric vanishes at the world point y_7, which certification
     # finds as an exact candidate paired with a = (67 : 6 : 13 : -49)
     x = Configuration([(2, 3, 2, -2), (3, -1, 3, 0), (-3, 2, -1, 1), (3, 0, -1, -3),
-                       (-2, 0, 1, 2), (3, -3, 1, 0), (0, 0, 0, 1)])
+                   (-2, 0, 1, 2), (3, -3, 1, 0), (0, 0, 0, 1)])
     y = Configuration([(0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 3, 1), (1, -3, 1, 0),
-                       (-2, 1, -3, 3), (-1, -2, -2, -1), (1, -1, 0, -3)])
+                   (-2, 1, -3, 3), (-1, -2, -2, -1), (1, -1, 0, -3)])
     with pytest.raises(DegenerateInput, match="world point"):
         centers_variety(x, y)
 

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from centersvar import linalg
 from centersvar.errors import Inconsistent, NotFinite
-from centersvar.forms import Form, mono_eval, monomials
-from centersvar.numeric import (_LADDER, _PRIME, _limit_denominators,
+from centersvar.forms import Form, mono_eval, monomial_index, monomials
+from centersvar.numeric import (_LADDER, _PRIME, _echelon_mod_p,
+                                _hilbert_function, _limit_denominators,
                                 _pivot_triple, _rank_mod_p, certify_rational,
                                 projective_distance, solve_quadric_system)
-from centersvar.projective import pp
+from centersvar.projective import canonical_coords, pp
 
 RATIONAL = [pp(0, 2, -3, 5), pp(7, -1, 4, 2), pp(3, 3, -8, 0)]
 # p = U + iW and its conjugate, with the real point Q
@@ -140,6 +141,73 @@ def test_rank_mod_p_is_the_rational_rank_of_small_matrices(rows, data):
 def test_rank_mod_p_never_exceeds_the_rational_rank():
     multiples = [[_PRIME, 0], [0, -2 * _PRIME]]
     assert _rank_mod_p(multiples) == 0 < linalg.rank(multiples)
+
+
+def reference_hilbert_function(forms):
+    """(H(2), H(3)) with the degree-3 part spanned by z_k * (every input row)."""
+    rows = [canonical_coords(f.coeffs) for f in forms]
+    index3 = monomial_index(3)
+    products = []
+    for k in range(4):
+        cols = [index3[tuple(e + (i == k) for i, e in enumerate(m))] for m in monomials(2)]
+        for row in rows:
+            product = [0] * len(index3)
+            for c, col in zip(row, cols):
+                product[col] = c
+            products.append(product)
+    return len(monomials(2)) - _rank_mod_p(rows), len(index3) - _rank_mod_p(products)
+
+
+POINTS = st.lists(st.integers(-4, 4), min_size=4, max_size=4).filter(any)
+SCALES = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)
+
+
+@st.composite
+def quadric_systems(draw):
+    """1 to 14 forms, each an integer combination, scaled by a Fraction, of
+    the quadrics through a few drawn points, of random quadrics, or of the
+    quadrics through a line; fewer generators than forms makes the rows
+    dependent."""
+    kind = draw(st.sampled_from(["points", "random", "line"]))
+    if kind == "points":
+        pts = draw(st.lists(POINTS, max_size=9))
+        gens = quadrics_vanishing_on([veronese(p) for p in pts]) if pts else \
+            [unit(k) for k in range(10)]
+    elif kind == "random":
+        gens = [Form(2, tuple(row)) for row in draw(st.lists(
+            st.lists(st.integers(-9, 9), min_size=10, max_size=10), min_size=1, max_size=12))]
+    else:
+        gens = line_system()
+    forms = []
+    k = draw(st.integers(1, 14))
+    for weights in draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                          max_size=len(gens)), min_size=k, max_size=k)):
+        coeffs = [sum(w * g.coeffs[i] for w, g in zip(weights, gens)) for i in range(10)]
+        forms.append(Form(2, tuple(coeffs)).scaled(draw(SCALES)))
+    return [f for f in forms if not f.is_zero()]
+
+
+@given(quadric_systems())
+@example([unit(k) for k in range(10)] + rational_system())  # more forms than monomials
+@settings(max_examples=100, deadline=None)
+def test_hilbert_function_from_the_echelon_basis_matches_all_rows(forms):
+    if not forms:
+        return
+    assert _hilbert_function(forms) == reference_hilbert_function(forms)
+
+
+def test_hilbert_function_of_seven_quadrics_through_a_line():
+    assert _hilbert_function(line_system()) == reference_hilbert_function(line_system()) == (3, 4)
+
+
+def test_echelon_basis_is_reduced_and_spans_the_rows():
+    rows = [[3, 6, 0, 9], [1, 2, 0, 3], [0, 0, 5, 1], [2, 4, 1, 7]]
+    basis = _echelon_mod_p(rows)
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    assert len(basis) == _rank_mod_p(rows) == linalg.rank(rows) == 3
+    for b, c in zip(basis, pivots):
+        assert b[c] == 1 and all(other[c] == 0 for other in basis if other is not b)
+    assert _rank_mod_p(rows + basis) == 3
 
 
 def reference_pivot_triple(jac):

@@ -1,0 +1,133 @@
+"""n = 7 reports keep every exact field and stay within 1e-12 in every float.
+
+The float coordinates of an n = 7 report depend on the LAPACK build, so
+they are not part of a digest. Each digest is the SHA-256 of a ``centers``
+report on a generated instance with its ``config`` and every float field
+(``coords_real``, ``coords_imag``, ``residual``, ``invariant_distance``)
+removed, dumped with sorted keys: it pins the exact points, ``is_real``, the
+pair order and the quadrics. The coordinates are pinned separately, each
+pair as (a real, a imag, b real, b imag).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from centersvar.cli import main
+
+FLOAT_FIELDS = ("coords_real", "coords_imag", "residual", "invariant_distance")
+TOL = 1e-9  # the default --tol
+
+PINNED = {
+    "seed=0 bound=10": (
+        "25e39f48b136abc10cf6c103cfe718c5ed03fe5172bcebe8e844b76874dafb80",
+        [
+            [[0.12339824893856481, 0.15853533988565585, 0.9729011718854775, 0.11446714773287626],
+             [-0.0, -0.0, -0.0, -0.0],
+             [0.06258858959602316, 0.8579351096143489, -0.03577692112335969, -0.5086747763142268],
+             [0.0, 0.0, 0.0, 0.0]],
+            [[0.2982448694800805, 0.21781696360295652, -0.16561118922256116, 0.9144280738253213],
+             [0.0, 0.0, 0.0, 0.0],
+             [0.7201089078733705, -0.5087935833017446, -0.32751871801818433, 0.33956404365026227],
+             [0.0, 0.0, 0.0, 0.0]],
+            [[0.6520191383190475, 0.202795302049675, 0.5632335350341741, 0.46530967510376997],
+             [0.0, 0.0, 0.0, 0.0],
+             [-0.13320775522666928, 0.9130487662554901, 0.05200673761787209, -0.38195934813687327],
+             [0.0, 0.0, 0.0, 0.0]],
+        ]),
+    "seed=1 bound=10": (
+        "8eca4422c2d38d277b0bef5dd46d59db451367962c6116a181a845f0ea15312d",
+        [
+            [[0.5516147741973411, -0.3607186859307998, 0.3818916331247993, 0.6478903850628184],
+             [0.0, 0.0, 0.0, 0.0],
+             [0.18194901584454584, 0.7357749438498543, 0.612249155725269, -0.22512387467712142],
+             [0.0, 0.0, 0.0, 0.0]],
+            [[0.7903919884731241, -0.06578786949415576, 0.46083506110803907, 0.3982254477534944],
+             [-0.0, 0.0, -0.0, -0.0],
+             [-0.1736631503363987, 0.7682404692090887, 0.5356646087136914, 0.3044850056345055],
+             [0.0, -0.0, -0.0, -0.0]],
+            [[0.80671326616348, -0.05509535348883373, 0.4436276964138616, 0.38648761324824005],
+             [0.0, 0.0, 0.0, 0.0],
+             [-0.13390082479448445, 0.6544402811830426, 0.5975324306453869, 0.4435464821317297],
+             [0.0, -0.0, -0.0, -0.0]],
+        ]),
+    "seed=2 bound=10": (
+        "9fd7c4166f12ec0372b94a4325b6005a4973f91ca6e26ae755ca6f09e1cb6b4c",
+        [
+            [[0.0545738540744059, 0.6238813150258297, -0.0853790029016088, 0.7749220767771648],
+             [-0.0, -0.0, 0.0, -0.0],
+             [0.9679844570219073, -0.07759318726082144, 0.23130211049354404, -0.059031533403282974],
+             [0.0, 0.0, 0.0, 0.0]],
+            [[0.16860066220437833, -0.1328763450342322, 0.9686988814762026, -0.12466022084587654],
+             [-0.0, 0.0, -0.0, 0.0],
+             [-0.6266917392885013, -0.31812746428629496, 0.11066662865335611, 0.7027127988565639],
+             [0.0, 0.0, -0.0, -0.0]],
+            [[0.3008722622880415, -0.4634106338047275, 0.7833521952846227, -0.28475569248943694],
+             [0.0, 0.0, 0.0, 0.0],
+             [0.8126035946028215, 0.19766695509714735, 0.07873510710228636, -0.54259004396578],
+             [0.0, 0.0, 0.0, 0.0]],
+        ]),
+    "seed=0 bound=1000": (
+        "3db070692f2b14af72e03789a4173a2f6fe805cd3644bf713e34e92e9db55028",
+        [
+            [[-0.5443836999301541, 0.22831192272219084, 0.7003307550353188, 0.4013189339476924],
+             [0.0, -0.0, -0.0, -0.0],
+             [0.8595386110543239, 0.054157634093632105, -0.20206140711309084, 0.46629552274460206],
+             [0.0, 0.0, 0.0, 0.0]],
+            [[-0.3463251050375986, -0.3963616542757717, 0.4017511180460602, 0.7493680002436791],
+             [0.0, 0.0, -0.0, -0.0],
+             [0.7598985269706506, 0.2020623985431648, -0.13597711706333526, -0.6026900027692202],
+             [0.0, 0.0, 0.0, 0.0]],
+            [[0.655222355885343, -0.37020065704648814, -0.654458001829181, -0.07293738213128617],
+             [-0.0, 0.0, 0.0, 0.0],
+             [-0.007143454476439064, 0.07166200753639178, 0.4486216821020559, 0.8908154208824178],
+             [0.0, -0.0, -0.0, -0.0]],
+        ]),
+}
+
+
+def _strip(node):
+    if isinstance(node, dict):
+        return {k: _strip(v) for k, v in node.items() if k not in FLOAT_FIELDS}
+    if isinstance(node, list):
+        return [_strip(v) for v in node]
+    return node
+
+
+def centers_report(tmp_path, seed, bound):
+    inst = tmp_path / "inst.json"
+    argv = ["generate", "--n", "7", "--seed", str(seed), "--bound", str(bound), "-o", str(inst)]
+    assert main(argv) == 0
+    doc = json.loads(inst.read_text())
+    for key in ("X", "Y"):
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc[key]))
+    out = tmp_path / "centers.json"
+    assert main(["centers", "-i", str(tmp_path / "X.json"), "-j", str(tmp_path / "Y.json"),
+                 "--tol", str(TOL), "-o", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def summary(report):
+    """(digest, coordinates, residuals) of an n = 7 report."""
+    doc = _strip({k: v for k, v in report.items() if k != "config"})
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    coords = [[[float(c) for c in pair[side][part]]
+               for side in ("a", "b") for part in ("coords_real", "coords_imag")]
+              for pair in report["pairs"]]
+    residuals = [float(pair[side]["residual"]) for pair in report["pairs"] for side in "ab"]
+    return digest, coords, residuals
+
+
+@pytest.mark.parametrize("label", sorted(PINNED))
+def test_n7_report_matches_its_pinned_fields(tmp_path, monkeypatch, label):
+    monkeypatch.delenv("CENTERSVAR_SEED", raising=False)
+    seed, bound = (int(part.split("=")[1]) for part in label.split())
+    want_digest, want_coords = PINNED[label]
+    digest, coords, residuals = summary(centers_report(tmp_path, seed, bound))
+    assert digest == want_digest
+    assert len(coords) == len(want_coords)
+    for got_pair, want_pair in zip(coords, want_coords):
+        for got, want in zip(got_pair, want_pair):
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (got, want)
+    assert all(r <= TOL for r in residuals)
