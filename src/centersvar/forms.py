@@ -37,15 +37,17 @@ NVARS = 4  # every quaternary form is in z_0..z_3
 
 
 @lru_cache(maxsize=None)
+def monomial_indices(degree: int) -> tuple[tuple[int, ...], ...]:
+    """Index tuples i_1 <= ... <= i_d of the degree-d monomials
+    z_{i_1} ... z_{i_d}, graded lexicographic (z_0 z_1 is (0, 1)): the
+    lexicographic order of the index tuples is that order."""
+    return tuple(combinations_with_replacement(range(NVARS), degree))
+
+
+@lru_cache(maxsize=None)
 def monomials(degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of the degree-d monomials, graded lexicographic."""
-    exps = set()
-    for combo in combinations_with_replacement(range(NVARS), degree):
-        e = [0] * NVARS
-        for i in combo:
-            e[i] += 1
-        exps.add(tuple(e))
-    return tuple(sorted(exps, reverse=True))
+    return tuple(tuple(idx.count(i) for i in range(NVARS)) for idx in monomial_indices(degree))
 
 
 @lru_cache(maxsize=None)
@@ -76,17 +78,8 @@ def _exact(point: Sequence) -> list:
     return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
 
 
-def _power_product(exp: Sequence[int], coords: Sequence):
-    """prod_i coords[i] ** exp[i]: an int at int coordinates."""
-    v = 1
-    for x, e in zip(coords, exp):
-        if e:
-            v *= x ** e
-    return v
-
-
 def mono_eval(exp: Sequence[int], point: Sequence) -> Fraction:
-    return Fraction(_power_product(exp, _exact(point)))
+    return Fraction(math.prod(x ** e for x, e in zip(_exact(point), exp)))
 
 
 def scaled_float(c: Fraction, e: int) -> float:
@@ -138,15 +131,24 @@ class Form:
 
     @cached_property
     def integer_terms(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-        """(d, ((d * c, exponent), ...)) over the nonzero coefficients c, with d
-        their common denominator, so that the form is (integer form) / d."""
+        """(d, ((d * c, index tuple), ...)) over the nonzero coefficients c,
+        with d their common denominator, so that the form is (integer form) / d;
+        the index tuple (see monomial_indices) names the coordinates whose
+        product is the monomial."""
         d = math.lcm(*(c.denominator for c in self.coeffs))
-        return d, tuple((c.numerator * (d // c.denominator), m)
-                        for c, m in zip(self.coeffs, monomials(self.degree)) if c != 0)
+        return d, tuple((c.numerator * (d // c.denominator), idx)
+                        for c, idx in zip(self.coeffs, monomial_indices(self.degree)) if c != 0)
 
     def integer_value(self, ints: Sequence[int]) -> int:
-        """The integer form d * self (see integer_terms) at integer coordinates."""
-        return sum(c * _power_product(m, ints) for c, m in self.integer_terms[1])
+        """The integer form d * self (see integer_terms) at integer
+        coordinates: each coefficient times the coordinates of its monomial's
+        index tuple (z_i * z_j for a quadric)."""
+        total = 0
+        for c, idx in self.integer_terms[1]:
+            for i in idx:
+                c *= ints[i]
+            total += c
+        return total
 
     def __call__(self, point: Sequence) -> Fraction:
         """The exact value, computed in integers: with the point written as
@@ -177,10 +179,10 @@ class Form:
             return self
         rows = [Form(1, tuple(Fraction(v) for v in row)) for row in m]
         total = [Fraction(0)] * len(self.coeffs)
-        for c, exp in zip(self.coeffs, monomials(self.degree)):
+        for c, idx in zip(self.coeffs, monomial_indices(self.degree)):
             if c == 0:
                 continue
-            term = reduce(operator.mul, (rows[i] for i, e in enumerate(exp) for _ in range(e)))
+            term = reduce(operator.mul, (rows[i] for i in idx))
             total = [t + c * v for t, v in zip(total, term.coeffs)]
         return Form(self.degree, tuple(total))
 

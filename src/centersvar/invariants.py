@@ -18,13 +18,37 @@ configuration, which is what makes these usable for camera-center loci.
 A family is written once, over its index table: every value is an integer
 product of brackets taken from a bracket source, which is the plane bracket
 of three image points or, lifted, the integer cofactor vector of
-(x_i, x_j, x_k) dotted with a. Integer points give int invariants.
+(x_i, x_j, x_k) dotted with a, built once per triple and call. Integer
+points give int invariants.
+
+Lifted through a center z, t_0 .. t_4 of six points of P^3 are the quadrics
+t_k(z) = [s_k z][t_k z] of the bracket pairs (s_k, t_k) of T6_TRIPLES, and
+their linear relation sum_k w_k t_k(z) = 0 (identically in z) is an
+SL_4-invariant of the six points, a cubic in their 4 x 4 brackets
+[ijkl] = det(x_i, x_j, x_k, x_l):
+
+    w_0 = -[1234][1256][3456] - [1245][1346][2356]
+    w_1 =  [1235][1346][2456]
+    w_2 = -[1234][1356][2456]
+    w_3 = -[1235][1246][3456]
+    w_4 =  [1234][1256][3456]
+
+Each 4-bracket is a cofactor vector of a pair dotted with a point, for
+instance [1234] = c_123 . x_4 and [3456] = -c_456 . x_3 (``t6_relation``).
+Any relation w of the y-quadrics gives a quadric sum_k w_k t^x_k through
+every true first center a: at a true pair (a, b), t^x_k(a) = s t^y_k(b) for
+one scalar s, so the sum is s sum_k w_k t^y_k(b) = 0. That w = 0 exactly
+when the relation is not unique is evidence, not proof: it held on 120k
+six-point sets from the {-1, 0, 1} box, against the integer kernel of the
+lifted quadrics, and the property tests check it on random, large and
+degenerate sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
@@ -164,9 +188,11 @@ def _cofactors(x: Configuration, triple) -> tuple[int, ...]:
 
 def _lifted_brackets(x: Configuration, a) -> Callable[[tuple[int, ...]], int]:
     """The bracket source of points of P^3 lifted through a center a:
-    [ijk] -> [x_i x_j x_k a], the cofactor vector of the triple dotted with a."""
+    [ijk] -> [x_i x_j x_k a], the cofactor vector of the triple dotted with a,
+    each distinct triple computed once (t6 reads 12 triples in 18 brackets,
+    the even Fano products 64 in 105)."""
     coords = a.coords if isinstance(a, ProjectivePoint) else a
-    return lambda t: sum(map(mul, _cofactors(x, t), coords))
+    return cache(lambda t: sum(map(mul, _cofactors(x, t), coords)))
 
 
 def _g5_values(brackets) -> tuple[int, ...]:
@@ -225,20 +251,49 @@ def t6_lifted(x: Configuration, z) -> InvariantVector:
     return InvariantVector("N6", _t6_values(_lifted_brackets(x, z)))
 
 
+def t6_factors(x: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The cofactor vectors (u_k, v_k) of the bracket pairs of t_0 .. t_4 on
+    six points of P^3: lifted, t_k(z) = (u_k . z)(v_k . z)."""
+    if x.n != 6 or x.ambient_dim != 3:
+        raise InvalidInput("t6_factors needs six points in P^3")
+    return tuple((_cofactors(x, s), _cofactors(x, t)) for s, t in T6_TRIPLES)
+
+
+def t6_relation(x: Configuration, factors) -> tuple[int, ...]:
+    """The weights w with sum_k w_k t_k(z) = 0 for the lifted quadrics t_k of
+    six points of P^3, from their brackets (see the module docstring);
+    ``factors`` is ``t6_factors(x)``, whose cofactor vectors give every
+    bracket as one dot product. w = 0 exactly when the relation is not
+    unique (see the module docstring for the evidence)."""
+    p = [pt.coords for pt in x.points]
+    (c123, c456), (c124, _), (c125, _), (c134, c256), (c135, c246) = factors
+
+    def b(c, i):
+        return sum(map(mul, c, p[i - 1]))
+
+    b1234, b1235, b3456 = b(c123, 4), b(c123, 5), -b(c456, 3)
+    b1245, b1246, b1256 = b(c124, 5), b(c124, 6), b(c125, 6)
+    b1346, b2356 = b(c134, 6), b(c256, 3)
+    b1356, b2456 = b(c135, 6), -b(c246, 5)
+    w4 = b1234 * b1256 * b3456
+    return (-w4 - b1245 * b1346 * b2356, b1235 * b1346 * b2456,
+            -b1234 * b1356 * b2456, -b1235 * b1246 * b3456, w4)
+
+
 def lifted_quadrics(x: Configuration) -> list[Form]:
     """Symbolic lifted forms of the five quadratic t6 generators on six
     points of P^3, in the graded lex coefficient convention.
 
-    Each quadric vanishes on all six points; five quadrics through six
-    general points admit exactly one linear relation, which is what the
-    quadric-pair construction extracts. Every lifted bracket
-    [x_i x_j x_k z] is the linear form with the integer cofactor vector of
-    (x_i, x_j, x_k), so each quadric is a product of two linear forms. The
-    quartic t_5 is evaluated pointwise by ``t6_lifted``.
+    Each quadric vanishes on all six points and is the product of the two
+    linear forms of ``t6_factors``. These forms are the reference, not the
+    production route: ``loci.quadric_pair_n6`` weights the factor pairs
+    directly with ``t6_relation``, and tests check that relation against the
+    integer kernel of these forms. The quartic t_5 is evaluated pointwise by
+    ``t6_lifted``.
     """
     if x.n != 6 or x.ambient_dim != 3:
         raise InvalidInput("lifted_quadrics needs six points in P^3")
-    return [Form(1, _cofactors(x, s)) * Form(1, _cofactors(x, t)) for s, t in T6_TRIPLES]
+    return [Form(1, u) * Form(1, v) for u, v in t6_factors(x)]
 
 
 def fano(p: Configuration, perm: Sequence[int]) -> int:

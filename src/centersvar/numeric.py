@@ -290,8 +290,7 @@ def _integer_hessian(form: Form) -> list[list[int]]:
     """The Hessian of the integer form d * form (see Form.integer_terms) of a
     quadric: 2 * c on the diagonal for c z_i^2 and c off it for c z_i z_j."""
     h = [[0] * 4 for _ in range(4)]
-    for c, exp in form.integer_terms[1]:
-        i, k = (v for v, e in enumerate(exp) for _ in range(e))
+    for c, (i, k) in form.integer_terms[1]:
         h[i][k] += c
         h[k][i] += c
     return h

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from centersvar import linalg
 from centersvar.errors import InvalidInput
 from centersvar.forms import (BinaryForm, Form, binary_gcd, fit_form,
-                              linear_root, mono_eval, monomials, sym_from_quad)
+                              linear_root, mono_eval, monomial_indices, monomials,
+                              sym_from_quad)
 from centersvar.projective import ProjectivePoint
 
 
@@ -20,6 +22,14 @@ class TestQuaternaryForms:
     def test_graded_lex_order(self):
         assert monomials(2)[:4] == ((2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
         assert len(monomials(2)) == 10 and len(monomials(4)) == 35
+        assert monomial_indices(2)[:4] == ((0, 0), (0, 1), (0, 2), (0, 3))
+        # the exponent tuples read off the index tuples are every degree-d
+        # exponent once, in decreasing lexicographic order
+        for degree in range(7):
+            exps = monomials(degree)
+            assert len(set(exps)) == math.comb(degree + 3, 3)
+            assert list(exps) == sorted(exps, reverse=True)
+            assert all(sum(e) == degree for e in exps)
 
     def test_interpolation_round_trip(self):
         rng = random.Random(1)
@@ -116,6 +126,29 @@ class TestExactEvaluation:
             pt = ProjectivePoint(point)
             d = f.integer_terms[0]
             assert Fraction(f.integer_value(pt.coords), d) == reference_value(f, pt.coords)
+
+    @given(st.integers(1, 4).flatmap(
+               lambda d: st.tuples(st.just(d), st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                                                                  COEFF),
+                                                        min_size=len(monomials(d)),
+                                                        max_size=len(monomials(d))))),
+           st.lists(st.one_of(st.integers(-9, 9), BIG), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_value_matches_the_power_product_sum(self, shape, ints):
+        # reference: the integer coefficients d * c times prod_i z_i ** e_i
+        # over the exponent tuples, the evaluator integer_value replaced
+        degree, coeffs = shape
+        f = Form(degree, tuple(coeffs))
+        d = math.lcm(*(Fraction(c).denominator for c in coeffs))
+        expected = 0
+        for c, exp in zip(coeffs, monomials(degree)):
+            term = Fraction(c) * d
+            for x, e in zip(ints, exp):
+                term *= x ** e
+            expected += int(term)
+        assert f.integer_terms[0] == d
+        value = f.integer_value(ints)
+        assert type(value) is int and value == expected
 
     def test_float_coordinates_convert_exactly(self):
         f = Form(2, tuple(Fraction(k - 4, 3) for k in range(10)))

@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
+from operator import mul
 
 import pytest
 
-from centersvar import linalg
+from centersvar import invariants, linalg
 from centersvar.errors import DegenerateInput
 from centersvar.forms import fit_form
-from centersvar.invariants import (EVEN_FANO_PERMS, ODD_FANO_PERMS,
-                                   T6_TRIPLES, InvariantVector, fano, fano15,
+from centersvar.invariants import (EVEN_FANO_PERMS, ODD_FANO_PERMS, T5_MINUS,
+                                   T5_PLUS, T6_TRIPLES, InvariantVector,
+                                   _cofactors, fano, fano15,
                                    fano15_lifted, fano_sum_odd, g5, g5_lifted,
                                    igusa_F, lifted_quadrics, morley, t6,
                                    t6_lifted, weddle_quartic)
-from centersvar.projective import Configuration, ProjectivePoint, pp, project
+from centersvar.projective import (Configuration, ProjectivePoint, cofactors, pp,
+                                   project)
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
 
@@ -142,6 +146,46 @@ class TestLiftedQuadrics:
                                      for _ in range(5)]:
             v = t6_lifted(self.x, z)
             assert tuple(q(z) for q in self.quads) == v.values[:5]
+
+    @pytest.mark.parametrize("bound", [9, 10 ** 6])
+    def test_lifted_values_match_the_per_bracket_route(self, bound):
+        # reference: every bracket its own cofactor vector, built again for
+        # each of the 18 brackets the products read
+        def per_bracket(x, z):
+            def lifted(t):
+                return sum(map(mul, cofactors(*(x[i - 1].coords for i in t)), z))
+
+            def product(triples):
+                return prod(lifted(t) for t in triples)
+
+            return (tuple(product(t) for t in T6_TRIPLES)
+                    + (product(T5_PLUS) - product(T5_MINUS),))
+
+        rng = random.Random(bound)
+        for _ in range(3):
+            x = rand_config(rng, 6, dim=3, bound=bound)
+            centers = ([tuple(rng.randint(-bound, bound) for _ in range(4)) for _ in range(4)]
+                       + [p.coords for p in x] + [(0, 0, 0, 0)])
+            for z in centers:
+                v = t6_lifted(x, z)
+                assert all(type(c) is int for c in v.values)
+                assert v.values == per_bracket(x, z)
+
+    def test_each_lifted_bracket_is_built_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(x, triple):
+            calls.append(triple)
+            return _cofactors(x, triple)
+
+        monkeypatch.setattr(invariants, "_cofactors", counted)
+        z = (7, -3, 11, 5)  # on no plane through three of the points
+        t6_lifted(self.x, z)
+        assert len(calls) == len(set(calls)) == 12
+        calls.clear()
+        x7 = Configuration(list(self.x.points) + [pp(2, -1, 5, 3)])
+        fano15_lifted(x7, z)
+        assert len(calls) == len(set(calls)) == 64
 
     @pytest.mark.parametrize("bound", [9, 1000])
     def test_forms_match_interpolation(self, bound):

@@ -1,0 +1,117 @@
+"""The six-point quadric relation from bracket products, checked against the
+10 x 5 integer kernel of the lifted quadrics it replaces."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centersvar import linalg
+from centersvar.errors import DegenerateInput, Inconsistent, ToolkitError
+from centersvar.forms import Form
+from centersvar.invariants import lifted_quadrics, t6_factors, t6_relation
+from centersvar.loci import quadric_pair_n6
+from centersvar.projective import Configuration
+
+
+def points(bound):
+    return st.lists(st.integers(-bound, bound), min_size=4, max_size=4).filter(any)
+
+
+def combination(base):
+    """A nonzero integer combination of the base points."""
+    return st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)).map(
+        lambda c: [sum(k * p[i] for k, p in zip(c, base)) for i in range(4)]).filter(any)
+
+
+@st.composite
+def six_points(draw):
+    """Six labelled points of P^3: general in a small or a large box, in the
+    {-1, 0, 1} and [-2, 2] boxes, or from a degenerate family (four or five
+    coplanar, three collinear, a repeated point, on the twisted cubic)."""
+    kind = draw(st.sampled_from(["small", "small", "large", "large", "box1", "box2",
+                                 "coplanar4", "coplanar5", "collinear3", "repeated",
+                                 "cubic"]))
+    box = {"small": 9, "large": 10 ** 6, "box1": 1, "box2": 2}
+    if kind in box:
+        return draw(st.lists(points(box[kind]), min_size=6, max_size=6, unique_by=tuple))
+    if kind == "cubic":
+        st_pairs = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+        pts = [[s ** 3, s * s * t, s * t * t, t ** 3]
+               for s, t in draw(st.lists(st_pairs, min_size=6, max_size=6))]
+    elif kind == "repeated":
+        pts = draw(st.lists(points(9), min_size=5, max_size=5))
+        pts.append([draw(st.sampled_from([1, -2, 3])) * c for c in pts[0]])
+    else:
+        spanned = {"coplanar4": (3, 1), "coplanar5": (3, 2), "collinear3": (2, 1)}[kind]
+        base = draw(st.lists(points(9), min_size=spanned[0], max_size=spanned[0]))
+        pts = base + [draw(combination(base)) for _ in range(spanned[1])]
+        pts += draw(st.lists(points(9), min_size=6 - len(pts), max_size=6 - len(pts)))
+    return draw(st.permutations(pts))
+
+
+@st.composite
+def six_point_pairs(draw):
+    """x and y drawn independently, or y the image of x under an integer
+    projective map (where the two relations coincide), or y = x."""
+    x = draw(six_points())
+    kind = draw(st.sampled_from(["independent", "independent", "mapped", "equal"]))
+    if kind == "independent":
+        return x, draw(six_points())
+    if kind == "equal":
+        return x, x
+    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                      min_size=4, max_size=4).filter(lambda m: linalg.det(m) != 0))
+    return x, [[sum(r * c for r, c in zip(row, p)) for row in m] for p in x]
+
+
+def kernel_quadric_pair(x, y):
+    """quadric_pair_n6 by the kernel route: each relation the primitive
+    integer kernel of the 10 x 5 coefficient matrix of the lifted quadrics,
+    refused unless it is one-dimensional, and the weighted sums of Form
+    coefficients."""
+    qx, qy = lifted_quadrics(x), lifted_quadrics(y)
+    relations = {}
+    for tag, quads in (("x", qx), ("y", qy)):
+        kernel = linalg.integer_kernel(list(zip(*(q.coeffs for q in quads))))
+        if len(kernel) != 1:
+            raise DegenerateInput(f"quadric relation on the {tag} side is not unique")
+        relations[tag] = kernel[0]
+    s_beta, s_alpha = (
+        Form(2, tuple(sum(w * c for w, c in zip(weights, col))
+                      for col in zip(*(q.coeffs for q in quads)))).primitive()
+        for weights, quads in ((relations["y"], qx), (relations["x"], qy)))
+    if s_beta.is_zero() or s_alpha.is_zero():
+        raise DegenerateInput("the weighted quadric combination vanishes identically")
+    if any(s_beta(pt.coords) for pt in x.points):
+        raise Inconsistent("S_beta does not contain its world points")
+    if any(s_alpha(pt.coords) for pt in y.points):
+        raise Inconsistent("S_alpha does not contain its world points")
+    return s_beta, s_alpha
+
+
+def outcome(route, x, y):
+    try:
+        return route(x, y)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+@given(six_points())
+@settings(max_examples=400, deadline=None)
+def test_bracket_relation_is_the_kernel_of_the_lifted_quadrics(pts):
+    x = Configuration(pts)
+    w = t6_relation(x, t6_factors(x))
+    assert all(type(v) is int for v in w)
+    quads = lifted_quadrics(x)
+    assert all(sum(wk * q.coeffs[r] for wk, q in zip(w, quads)) == 0 for r in range(10))
+    kernel = linalg.integer_kernel(list(zip(*(q.coeffs for q in quads))))
+    assert (len(kernel) == 1) == any(w)
+    if any(w):
+        (v,) = kernel
+        assert all(w[i] * v[j] == w[j] * v[i] for i in range(5) for j in range(i + 1, 5))
+
+
+@given(six_point_pairs())
+@settings(max_examples=400, deadline=None)
+def test_quadric_pair_matches_the_kernel_route(pair):
+    x, y = (Configuration(p) for p in pair)
+    assert outcome(quadric_pair_n6, x, y) == outcome(kernel_quadric_pair, x, y)
