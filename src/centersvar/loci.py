@@ -19,7 +19,8 @@ projectively equivalent images is
 Everything through n = 6 and every n >= 8 verdict is exact over the rationals;
 points on a quadric are tested and sampled in integers.
 For n = 7 the quadric-system kernel certifies exactly that the zero set is
-finite, locates its points in floats, and certifies the rational ones exactly.
+finite and locates its points in floats; the rational a's are certified
+exactly, and the b of each is resected from it over all seven points.
 """
 
 from __future__ import annotations
@@ -336,13 +337,19 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     lambda. No q_f is zero, so lambda -> P is injective onto the solution
     space of the 12-unknown linear resection (DLT, Hartley & Zisserman 7.1):
     both kernels have the same dimension, and P is a multiple of the DLT
-    camera. b is read off as a primitive integer kernel vector. Raises
-    InadmissibleCenter at a world point a, and NoRationalImage when the world
-    points lie in a plane, or unless P is one rank-3 camera whose center is
-    no world point."""
+    camera. The images q_i are the integer vectors of project's chart,
+    a_k x_i - (x_i)_k a with coordinate k dropped, not made primitive; none
+    is zero, as a is no world point. b is the cofactor vector of the rows of
+    P, which spans its kernel, and is zero exactly when P has rank below 3.
+    Raises InadmissibleCenter at a world point a, and NoRationalImage when
+    the world points lie in a plane, or unless P is one rank-3 camera whose
+    center is no world point."""
     if a in x.points:
         raise InadmissibleCenter("the center map is undefined at a world point")
-    q = [project(xi, a) for xi in x]
+    ac = a.coords
+    k = 3 if ac[3] else next(i for i in range(4) if ac[i])
+    q = [[ac[k] * xi[j] - xi[k] * ac[j] for j in range(4) if j != k]
+         for xi in (p.coords for p in x.points)]
     ys = [yi.coords for yi in y.points]
     frame = next((f for f in combinations(range(len(ys)), 4)
                   if bracket([y[i] for i in f]) != 0), None)
@@ -359,11 +366,11 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     kernel = linalg.integer_kernel(rows)
     if len(kernel) != 1:
         raise NoRationalImage(f"the resection has a {len(kernel)}-dimensional solution space")
-    camera = outer_sum(kernel[0], [q[f].coords for f in frame], w)
-    center = linalg.integer_kernel(camera)
-    if len(center) != 1:
+    camera = outer_sum(kernel[0], [q[f] for f in frame], w)
+    center = cofactors(*camera)
+    if not any(center):
         raise NoRationalImage("the resected camera has rank below 3")
-    b = ProjectivePoint(center[0])
+    b = ProjectivePoint(center)
     if b in y.points:
         raise NoRationalImage("the matched center is a world point")
     # b is not a world point, so every image P y_i is a nonzero vector
@@ -436,7 +443,11 @@ def sample_surface_point(s: Form, through: ProjectivePoint,
 
 @dataclass(frozen=True)
 class CandidateSets:
-    """Leave-one-out quadrics and the isolated candidate centers they cut out."""
+    """Leave-one-out quadrics and the isolated candidate centers they cut out.
+
+    Each rational a-candidate carries its certified point in ``exact``; the
+    b-candidate resected from it carries the resected point, and no other
+    b-candidate is exact."""
 
     a_quadrics: tuple[Form, ...]
     b_quadrics: tuple[Form, ...]
@@ -450,9 +461,15 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
 
     Each leave-one-out six-point subproblem confines a to a quadric surface;
     the seven quadrics intersect in three isolated points (and likewise for
-    b). Rational candidates are certified exactly. A certified candidate at
-    a world point is no center, and the seven quadrics of such an input do
-    not cut out its center pairs: that raises DegenerateInput.
+    b), which both sides locate numerically. A world point among the common
+    zeros raises DegenerateInput: it is no center, and the seven quadrics of
+    such an input do not cut out its center pairs. Rational a-candidates are
+    certified exactly. The b of a certified a is not certified again: the
+    camera sending every y_i to project(x_i, a) is unique and defined over
+    Q, so resection over all seven correspondences (_resected_center) gives
+    b exactly. It is checked on all seven b-quadrics and attached to the one
+    b-candidate within projective distance 1e-6; no such candidate, or two
+    certified a's on one b-candidate, raises Inconsistent.
     """
     if x.n != 7 or y.n != 7:
         raise InvalidInput("candidates_n7 needs seven points on both sides")
@@ -463,20 +480,36 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
         b_quads.append(s_alpha)
     a_pts = solve_quadric_system(a_quads, expected=3, tol=tol, seed=seed)
     b_pts = solve_quadric_system(b_quads, expected=3, tol=tol, seed=seed + 1)
-    a_pts = [_with_certificate(p, a_quads) for p in a_pts]
-    b_pts = [_with_certificate(p, b_quads) for p in b_pts]
-    if any(p.exact in x.points for p in a_pts) or any(p.exact in y.points for p in b_pts):
+    # every quadric contains the six world points of its subset, so x_k is a
+    # common zero exactly when the quadric of the subset without it vanishes there
+    if any(q.integer_value(p.coords) == 0
+           for quads, w in ((a_quads, x), (b_quads, y)) for q, p in zip(quads, w.points)):
         raise DegenerateInput("a common zero of the leave-one-out quadrics is a world point")
+    a_pts = [_with_certificate(p, a_quads) for p in a_pts]
+    b_pts = list(b_pts)
+    matched = set()
+    for p in a_pts:
+        if p.exact is None:
+            continue
+        b = _resected_center(x, y, p.exact)
+        if any(q.integer_value(b.coords) for q in b_quads):
+            raise Inconsistent("the resected center is not on every b-quadric")
+        b_point = _exact_point(b)
+        near = [j for j, c in enumerate(b_pts) if projective_distance(c.coords, b_point.coords) < 1e-6]
+        if len(near) != 1 or near[0] in matched:
+            raise Inconsistent("the resected center matches no single b-candidate")
+        matched.add(near[0])
+        b_pts[near[0]] = b_point
     return CandidateSets(tuple(a_quads), tuple(b_quads), tuple(a_pts), tuple(b_pts))
+
+
+def _exact_point(exact: ProjectivePoint) -> NumericPoint:
+    return NumericPoint.from_vector(np.array([float(c) for c in exact.coords]), 0.0, exact=exact)
 
 
 def _with_certificate(p: NumericPoint, quads: Sequence[Form]) -> NumericPoint:
     exact = certify_rational(quads, p)
-    if exact is None:
-        return p
-    refined = NumericPoint.from_vector(
-        np.array([float(c) for c in exact.coords]), 0.0, exact=exact)
-    return refined
+    return p if exact is None else _exact_point(exact)
 
 
 # the (0-based) points of each Fano line under each even permutation
@@ -484,22 +517,21 @@ _FANO_ROWS = np.array([[[perm[i - 1] - 1 for i in line] for line in FANO_LINES]
                        for perm in EVEN_FANO_PERMS])
 
 
-def fano15_complex(x: Configuration, a: Sequence[complex]) -> np.ndarray:
-    """Floating-point lifted Fano vector for a (possibly complex) center."""
+def fano15_complex(x: Configuration, a: Sequence) -> np.ndarray:
+    """Floating-point lifted Fano vectors of (possibly complex) centers: one
+    vector of 15 for one center, a k x 15 array for the k rows of a k x 4
+    array. All 105 k determinants go through one stacked det. Each center is
+    normalized by its own norm call (a row-wise norm rounds differently), so
+    its vector is bit for bit the one it gets alone."""
     rows = np.array([p.coords for p in x.points], dtype=float)
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     av = np.asarray(a, dtype=complex)
-    av = av / np.linalg.norm(av)
-    stack = np.empty((len(EVEN_FANO_PERMS), len(FANO_LINES), 4, 4), dtype=complex)
-    stack[:, :, :3] = rows[_FANO_ROWS]
-    stack[:, :, 3] = av
-    values = []
-    for dets in np.linalg.det(stack):
-        prod = 1.0 + 0.0j
-        for d in dets:
-            prod *= d
-        values.append(prod)
-    return np.array(values)
+    centers = np.array([c / np.linalg.norm(c) for c in av.reshape(-1, 4)]).reshape(-1, 4)
+    stack = np.empty((len(centers), len(EVEN_FANO_PERMS), len(FANO_LINES), 4, 4), dtype=complex)
+    stack[..., :3, :] = rows[_FANO_ROWS]
+    stack[..., 3, :] = centers[:, None, None, :]
+    values = np.prod(np.linalg.det(stack), axis=-1)
+    return values[0] if av.ndim == 1 else values
 
 
 _OMEGA = np.ones(15)
@@ -525,10 +557,12 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     certify equivalence); the rest are matched by minimal projective
     distance between the invariant vectors. The pairs follow the order of
     the a-candidates; their invariant distances are float noise and would
-    give no stable order.
+    give no stable order. An exact b is the resected center of an exact a
+    (candidates_n7), so a match of an exact with an inexact center raises
+    AmbiguousMatch.
     """
-    va = [(p, fano15_complex(x, p.coords)) for p in a_candidates]
-    vb = [(p, fano15_complex(y, p.coords)) for p in b_candidates]
+    va, vb = (list(zip(cands, fano15_complex(w, np.reshape([p.coords for p in cands], (-1, 4)))))
+              for w, cands in ((x, a_candidates), (y, b_candidates)))
     va = [(p, v) for p, v in va if projective_distance(v, _OMEGA) >= _MATCH_TOL]
     vb = [(p, v) for p, v in vb if projective_distance(v, _OMEGA) >= _MATCH_TOL]
     if not va or len(va) != len(vb):
@@ -547,6 +581,8 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
         if len(row) > 1 and row[1] < _MATCH_TOL:
             raise AmbiguousMatch("two candidate matches within tolerance",
                                  distances=[float(d) for d in dist[i]])
+        if (va[i][0].exact is None) != (vb[j][0].exact is None):
+            raise AmbiguousMatch("an exact center is matched with an inexact one")
         pairs.append(MatchedPair(va[i][0], vb[j][0], float(dist[i, j])))
     return pairs
 

@@ -87,7 +87,9 @@ def test_every_exact_pair_passes_the_projection_oracle(n, generated, seed, data)
             _check_pair(x, y, pa, pb)
     elif isinstance(result, ThreePairsN7):
         for m in result.pairs:
-            if m.a.exact is not None and m.b.exact is not None:
+            # an exact b is resected from an exact a, never certified alone
+            assert (m.a.exact is None) == (m.b.exact is None)
+            if m.a.exact is not None:
                 _check_pair(x, y, m.a.exact, m.b.exact)
     else:
         assert isinstance(result, EmptyN8)

@@ -10,7 +10,7 @@ from centersvar import io as cio
 from centersvar import linalg, loci, numeric
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
-from centersvar.errors import DegenerateInput, Inconclusive
+from centersvar.errors import DegenerateInput, Inconclusive, Inconsistent, ToolkitError
 from centersvar.forms import Form, mono_eval, monomials
 from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES
 from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
@@ -54,9 +54,8 @@ INTERMEDIATE_BOUND = (
 
 
 def test_certifies_at_an_intermediate_denominator_bound():
-    # 48-bit centers; the polished b is accurate to about 1e-44 only, so the
-    # denominator bound 10^12 is below its denominator and 10^30 lets another
-    # fraction come closer: only an intermediate bound certifies it
+    # 48-bit centers: no denominator bound below 10^16 certifies a, and b is
+    # resected from the certified a
     x, y = INTERMEDIATE_BOUND
     a = pp(132204235157746, 103823749478173, 172483532955506, 40798132632662)
     b = pp(39269765319732, 223054029881585, 128746690443929, -190778232898101)
@@ -142,6 +141,20 @@ def test_stacked_fano_vector_matches_the_per_matrix_loop_bit_for_bit():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
+def test_fano_vectors_of_stacked_centers_match_one_center_at_a_time_bit_for_bit(k):
+    rng = random.Random(k)
+    nrng = np.random.default_rng(k)
+    for trial in range(6):
+        x = rand_config(rng, 7) if trial % 2 else generate_reconstruction(7, seed=trial).x
+        centers = nrng.standard_normal((k, 4)) + 1j * nrng.standard_normal((k, 4)) * (trial % 3 > 0)
+        centers[::2] *= 10.0 ** nrng.integers(-8, 8)  # row norms far apart
+        got = fano15_complex(x, centers)
+        want = np.array([reference_fano15_complex(x, c) for c in centers], dtype=complex).reshape(k, 15)
+        assert got.dtype == want.dtype and got.shape == want.shape == (k, 15)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestCandidates:
     def setup_method(self):
         self.rec = generate_reconstruction(7, seed=3)
@@ -206,6 +219,99 @@ def test_a_world_point_among_the_zeros_is_degenerate():
                    (-2, 1, -3, 3), (-1, -2, -2, -1), (1, -1, 0, -3)])
     with pytest.raises(DegenerateInput, match="world point"):
         centers_variety(x, y)
+
+
+def test_a_world_point_among_the_a_zeros_is_degenerate():
+    # the input above with X and Y swapped: x_7 is a common zero of the a-quadrics
+    x = Configuration([(0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 3, 1), (1, -3, 1, 0),
+                       (-2, 1, -3, 3), (-1, -2, -2, -1), (1, -1, 0, -3)])
+    y = Configuration([(2, 3, 2, -2), (3, -1, 3, 0), (-3, 2, -1, 1), (3, 0, -1, -3),
+                       (-2, 0, 1, 2), (3, -3, 1, 0), (0, 0, 0, 1)])
+    with pytest.raises(DegenerateInput, match="world point"):
+        centers_variety(x, y)
+
+
+def test_a_world_point_the_certifier_misses_is_degenerate():
+    # x_6 = (1 : -3 : 2 : 3) is a common zero of the a-quadrics, but the exact
+    # Newton step on its pivot triple is singular, so certification does not
+    # find it; the world point check needs no certificate
+    x = Configuration([(1, 1, 1, 3), (2, 0, 1, -1), (1, 3, 3, 1), (1, 0, 1, -1),
+                       (3, -3, 2, -3), (1, -3, 2, 3), (2, 3, -3, 3)])
+    y = Configuration([(1, 2, 3, -3), (3, 0, 2, 3), (1, 3, 2, 3), (1, 1, 0, 1),
+                       (2, -1, -3, -1), (1, 1, 1, 1), (1, -3, -3, 3)])
+    with pytest.raises(DegenerateInput, match="world point"):
+        candidates_n7(x, y)
+
+
+def reference_b_candidates(cand, seed=0):
+    """The b-candidates as certified on their own: the solve of the b-quadrics
+    with every rational candidate certified by the denominator ladder."""
+    points = numeric.solve_quadric_system(list(cand.b_quadrics), expected=3, seed=seed + 1)
+    return [loci._with_certificate(p, cand.b_quadrics) for p in points]
+
+
+def random_n7_pairs(count, seed):
+    rng = random.Random(seed)
+
+    def vector():
+        v = [rng.randint(-3, 3) for _ in range(4)]
+        return v if any(v) else [0, 0, 0, 1]
+
+    for _ in range(count):
+        yield Configuration([vector() for _ in range(7)]), Configuration([vector() for _ in range(7)])
+
+
+def _generated_n7(bound):
+    for seed in range(10):
+        rec = generate_reconstruction(7, seed=seed, coord_bound=bound)
+        yield rec.x, rec.y
+
+
+@pytest.mark.parametrize("bound", [10, 10 ** 3, None], ids=["bound=10", "bound=1000", "random"])
+def test_resected_b_candidates_equal_the_certified_ones(bound):
+    pairs = random_n7_pairs(100, 5) if bound is None else _generated_n7(bound)
+    exact_pairs = checked = 0
+    for x, y in pairs:
+        try:
+            cand = candidates_n7(x, y)
+        except ToolkitError:
+            continue
+        checked += 1
+        # the same floats, bit for bit, and the same exact points
+        assert list(cand.b_candidates) == reference_b_candidates(cand)
+        exact_a = [p.exact for p in cand.a_candidates if p.exact is not None]
+        assert len(exact_a) == sum(p.exact is not None for p in cand.b_candidates)
+        for m in pair_candidates_n7(x, y, cand.a_candidates, cand.b_candidates):
+            assert (m.a.exact is None) == (m.b.exact is None)
+            if m.a.exact is not None:
+                assert m.b.exact == loci._resected_center(x, y, m.a.exact)
+                exact_pairs += 1
+    # every generated input has one rational pair; the random ones have none
+    assert checked >= (60 if bound is None else 10)
+    assert exact_pairs == (0 if bound is None else 10)
+
+
+def test_a_resected_center_off_the_b_quadrics_is_inconsistent(monkeypatch):
+    rec = generate_reconstruction(7, seed=3)
+    monkeypatch.setattr(loci, "_resected_center", lambda x, y, a: pp(1, 2, 3, 4))
+    with pytest.raises(Inconsistent, match="b-quadric"):
+        candidates_n7(rec.x, rec.y)
+
+
+def test_a_resected_center_far_from_every_b_candidate_is_inconsistent(monkeypatch):
+    rec = generate_reconstruction(7, seed=3)
+    solve = numeric.solve_quadric_system
+
+    def shifted(forms, expected=None, tol=1e-9, seed=0):
+        points = solve(forms, expected=expected, tol=tol, seed=seed)
+        if seed == 0:
+            return points
+        return [numeric.NumericPoint.from_vector(p.array() + [0, 0, 0, 1e-3], p.residual)
+                for p in points]
+
+    monkeypatch.setattr(loci, "solve_quadric_system", shifted)
+    with pytest.raises(Inconsistent, match="no single b-candidate"):
+        candidates_n7(rec.x, rec.y)
 
 
 class TestWeddleCurve:
