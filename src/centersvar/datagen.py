@@ -21,13 +21,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from . import linalg
 from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import fano15
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
-                         apply_matrix, bracket, collinear, homography_fit,
+                         apply_matrix, collinear, homography_fit,
                          no_three_collinear, normalizing_transform, on_line,
                          project, stability_class)
 
@@ -67,10 +68,10 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> list
 
 
 def _all_quadruples_independent(c: Configuration) -> bool:
-    for combo in combinations(range(c.n), 4):
-        if bracket([c[i] for i in combo]) == 0:
-            return False
-    return True
+    """Every bracket [ijkl] = c_ijk . x_l of the points is nonzero, read from
+    the cofactor vectors the solvers' quadric pairs read too."""
+    return all(sum(map(mul, c.cofactors_of(i, j, k), c[l].coords))
+               for i, j, k, l in combinations(range(c.n), 4))
 
 
 def _side_generic(x: Configuration, a: ProjectivePoint) -> bool:
@@ -90,7 +91,7 @@ def _generic_enough(x: Configuration, y: Configuration, a: ProjectivePoint,
         return False
     for c in _solver_subsets(n):
         try:
-            quadric_pair_n6(Configuration([x[i] for i in c]), Configuration([y[i] for i in c]))
+            quadric_pair_n6(x.subset(c), y.subset(c))
         except DegenerateInput:
             return False
     return True

@@ -18,7 +18,9 @@ configuration, which is what makes these usable for camera-center loci.
 A family is written once, over its index table: every value is an integer
 product of brackets taken from a bracket source, which is the plane bracket
 of three image points or, lifted, the integer cofactor vector of
-(x_i, x_j, x_k) dotted with a, built once per triple and call. Integer
+(x_i, x_j, x_k) dotted with a. That vector depends on the points alone, so
+it is built once per point set (``Configuration.cofactors_of``), and a
+lifted invariant at a center is dot products of increasing triples. Integer
 points give int invariants.
 
 Lifted through a center z, t_0 .. t_4 of six points of P^3 are the quadrics
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
@@ -57,7 +58,7 @@ from . import linalg
 from .errors import DegenerateInput, InvalidInput
 from .forms import Form, fit_form
 from .projective import (Configuration, ProjectivePoint, bracket,
-                         canonical_coords, cofactors, normalizing_transform)
+                         canonical_coords, normalizing_transform)
 
 # Bracket index triples (1-based), exactly as printed in the classical tables.
 G5_TRIPLES = (
@@ -164,8 +165,17 @@ class InvariantVector:
         return InvariantVector("N6", ints + (self.values[5] / scale ** 2,))
 
 
+def _zero_based(table):
+    """A table of 1-based indices, nested in tuples, with 0-based indices."""
+    return table - 1 if isinstance(table, int) else tuple(map(_zero_based, table))
+
+
+# The tables above with 0-based indices, as the bracket sources read them.
+_G5, _T6, _T5_PLUS, _T5_MINUS = map(_zero_based, (G5_TRIPLES, T6_TRIPLES, T5_PLUS, T5_MINUS))
+
+
 def _product(brackets: Callable[[tuple[int, ...]], int], triples) -> int:
-    """The product of the brackets of the index triples (1-based) from one
+    """The product of the brackets of the index triples (0-based) from one
     bracket source, 0 at the first vanishing factor: an int for integer
     points."""
     total = 1
@@ -178,35 +188,37 @@ def _product(brackets: Callable[[tuple[int, ...]], int], triples) -> int:
 
 def _plane_brackets(p: Configuration) -> Callable[[tuple[int, ...]], int]:
     """The bracket source of plane points: [ijk] = bracket(p_i, p_j, p_k)."""
-    return lambda t: bracket([p[i - 1] for i in t])
-
-
-def _cofactors(x: Configuration, triple) -> tuple[int, ...]:
-    """The integer vector c with c . a = [x_i x_j x_k a] for every a."""
-    return cofactors(*(x[i - 1].coords for i in triple))
+    return lambda t: bracket([p[i] for i in t])
 
 
 def _lifted_brackets(x: Configuration, a) -> Callable[[tuple[int, ...]], int]:
-    """The bracket source of points of P^3 lifted through a center a:
-    [ijk] -> [x_i x_j x_k a], the cofactor vector of the triple dotted with a,
-    each distinct triple computed once (t6 reads 12 triples in 18 brackets,
-    the even Fano products 64 in 105)."""
+    """The bracket source of points of P^3 lifted through a center a, for
+    increasing triples: [ijk] -> [x_i x_j x_k a], the point set's cofactor
+    vector of the triple dotted with a."""
     coords = a.coords if isinstance(a, ProjectivePoint) else a
-    return cache(lambda t: sum(map(mul, _cofactors(x, t), coords)))
+    return lambda t: sum(map(mul, x.cofactors_of(*t), coords))
 
 
 def _g5_values(brackets) -> tuple[int, ...]:
-    return tuple(_product(brackets, t) for t in G5_TRIPLES)
+    return tuple(_product(brackets, t) for t in _G5)
 
 
 def _t6_values(brackets) -> tuple[int, ...]:
-    head = tuple(_product(brackets, t) for t in T6_TRIPLES)
-    return head + (_product(brackets, T5_PLUS) - _product(brackets, T5_MINUS),)
+    head = tuple(_product(brackets, t) for t in _T6)
+    return head + (_product(brackets, _T5_PLUS) - _product(brackets, _T5_MINUS),)
 
 
 def _fano_lines(perm: Sequence[int]) -> list[tuple[int, ...]]:
-    """The Fano lines with their indices permuted, in the permuted order."""
-    return [tuple(perm[i - 1] for i in line) for line in FANO_LINES]
+    """The Fano lines with their indices permuted, in the permuted order
+    (0-based)."""
+    return [tuple(perm[i - 1] - 1 for i in line) for line in FANO_LINES]
+
+
+# The permuted Fano lines of each even permutation, each line sorted. Sorting
+# the seven lines of any permutation multiplies the bracket product by the
+# sign of the permutation, so for an even one the value is unchanged.
+_EVEN_FANO_SORTED = tuple([tuple(sorted(t)) for t in _fano_lines(perm)]
+                          for perm in EVEN_FANO_PERMS)
 
 
 def g5(p: Configuration) -> InvariantVector:
@@ -256,7 +268,7 @@ def t6_factors(x: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
     six points of P^3: lifted, t_k(z) = (u_k . z)(v_k . z)."""
     if x.n != 6 or x.ambient_dim != 3:
         raise InvalidInput("t6_factors needs six points in P^3")
-    return tuple((_cofactors(x, s), _cofactors(x, t)) for s, t in T6_TRIPLES)
+    return tuple((x.cofactors_of(*s), x.cofactors_of(*t)) for s, t in _T6)
 
 
 def t6_relation(x: Configuration, factors) -> tuple[int, ...]:
@@ -324,8 +336,7 @@ def fano15_lifted(x: Configuration, a) -> InvariantVector:
     if x.n != 7 or x.ambient_dim != 3:
         raise InvalidInput("fano15_lifted needs seven points in P^3")
     brackets = _lifted_brackets(x, a)
-    return InvariantVector("N7", tuple(_product(brackets, _fano_lines(perm))
-                                       for perm in EVEN_FANO_PERMS))
+    return InvariantVector("N7", tuple(_product(brackets, lines) for lines in _EVEN_FANO_SORTED))
 
 
 def fano_sum_odd(p: Configuration) -> int:

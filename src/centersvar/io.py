@@ -22,17 +22,20 @@ from .projective import Configuration, ProjectivePoint
 
 
 def format_fraction(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
+def parse_fraction(s: str) -> int | Fraction:
+    """An int for an integer string, a Fraction for "p/q"."""
     s = s.strip()
     try:
         if "/" in s:
             num, den = s.split("/")
             return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(s))
+        return int(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not a fraction string: {s!r}") from exc
 

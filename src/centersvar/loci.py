@@ -327,17 +327,20 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     """The center b of the camera P with P y_i proportional to q_i =
     project(x_i, a) for every i, by exact resection on a four-point frame.
 
-    The frame (f_0, ..., f_3) is the first 4-subset of the world points, in
-    combinations order, with a nonzero bracket. The cofactor vector w_k of the
-    other three frame points vanishes on them and not on y_{f_k}, so the
-    cameras that fit the frame are P = sum_k lambda_k q_{f_k} w_k^T (that is
+    The frame (f_0, ..., f_3) and its vectors w_k are derived data of y
+    (``Configuration.resection_frame``): the cofactor vector w_k of the other
+    three frame points vanishes on them and not on y_{f_k}, so the cameras
+    that fit the frame are P = sum_k lambda_k q_{f_k} w_k^T (that is
     Q Lambda A^T, A the frame's integer adjugate up to column signs). Each
     other point y_j adds the three integer rows
     sum_k lambda_k (w_k . y_j) (q_{f_k} x q_j) = 0, a 3(n - 4) x 4 system in
     lambda. No q_f is zero, so lambda -> P is injective onto the solution
     space of the 12-unknown linear resection (DLT, Hartley & Zisserman 7.1):
     both kernels have the same dimension, and P is a multiple of the DLT
-    camera. The images q_i are the integer vectors of project's chart,
+    camera. lambda is the cofactor vector of the first three rows, in
+    combinations order, that have a nonzero one; it spans the kernel exactly
+    when every row is orthogonal to it (another scale of lambda only rescales
+    P). The images q_i are the integer vectors of project's chart,
     a_k x_i - (x_i)_k a with coordinate k dropped, not made primitive; none
     is zero, as a is no world point. b is the cofactor vector of the rows of
     P, which spans its kernel, and is zero exactly when P has rank below 3.
@@ -350,23 +353,19 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     k = 3 if ac[3] else next(i for i in range(4) if ac[i])
     q = [[ac[k] * xi[j] - xi[k] * ac[j] for j in range(4) if j != k]
          for xi in (p.coords for p in x.points)]
-    ys = [yi.coords for yi in y.points]
-    frame = next((f for f in combinations(range(len(ys)), 4)
-                  if bracket([y[i] for i in f]) != 0), None)
+    frame = y.resection_frame
     if frame is None:
         raise NoRationalImage("the world points lie in a plane, so the resection is not unique")
-    w = [cofactors(*(ys[g] for g in frame if g != f)) for f in frame]
+    f, w, weights = frame
     rows = []
-    for j, yj in enumerate(ys):
-        if j in frame:
-            continue
-        weights = [sum(map(mul, wk, yj)) for wk in w]
-        crosses = [cross(q[f], q[j]) for f in frame]
-        rows.extend([c * v[r] for c, v in zip(weights, crosses)] for r in range(3))
-    kernel = linalg.integer_kernel(rows)
-    if len(kernel) != 1:
-        raise NoRationalImage(f"the resection has a {len(kernel)}-dimensional solution space")
-    camera = outer_sum(kernel[0], [q[f] for f in frame], w)
+    for j, wj in weights:
+        crosses = [cross(q[g], q[j]) for g in f]
+        rows.extend([c * v[r] for c, v in zip(wj, crosses)] for r in range(3))
+    lam = next((c for c in (cofactors(*t) for t in combinations(rows, 3)) if any(c)), None)
+    if lam is None or any(sum(map(mul, row, lam)) for row in rows):
+        dim = 0 if lam is not None else 4 - linalg.rank(rows)
+        raise NoRationalImage(f"the resection has a {dim}-dimensional solution space")
+    camera = outer_sum(lam, [q[g] for g in f], w)
     center = cofactors(*camera)
     if not any(center):
         raise NoRationalImage("the resected camera has rank below 3")
@@ -374,8 +373,8 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     if b in y.points:
         raise NoRationalImage("the matched center is a world point")
     # b is not a world point, so every image P y_i is a nonzero vector
-    if any(any(cross([sum(map(mul, row, yi)) for row in camera], qi))
-           for yi, qi in zip(ys, q)):
+    if any(any(cross([sum(map(mul, row, yi.coords)) for row in camera], qi))
+           for yi, qi in zip(y.points, q)):
         raise Inconsistent("the resected camera misses a correspondence")
     return b
 
@@ -626,9 +625,7 @@ def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
     """
     if x.n < 8 or y.n != x.n:
         raise InvalidInput("centers_n_ge8 needs at least eight points")
-    quadrics = [quadric_pair_n6(Configuration([x[i] for i in c]),
-                                Configuration([y[i] for i in c]))[0]
-                for c in _solver_subsets(x.n)]
+    quadrics = [quadric_pair_n6(x.subset(c), y.subset(c))[0] for c in _solver_subsets(x.n)]
     span_rank, a = _span_common_zero(quadrics)
     surviving = ()
     if a is not None:

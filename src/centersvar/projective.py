@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -76,7 +77,14 @@ def pp(*coords) -> ProjectivePoint:
 
 @dataclass(frozen=True)
 class Configuration:
-    """An ordered, labelled tuple of points sharing one ambient P^d."""
+    """An ordered, labelled tuple of points sharing one ambient P^d.
+
+    In P^3 it also holds derived data of its points, built when first read
+    and kept out of ``__eq__``, ``__hash__`` and ``repr``: the cofactor
+    vector of each index triple (``cofactors_of``), shared with every subset
+    taken by ``subset`` or ``drop``, and the frame a resection reads
+    (``resection_frame``).
+    """
 
     points: tuple[ProjectivePoint, ...]
 
@@ -88,6 +96,10 @@ class Configuration:
         if any(p.dim != d for p in pts):
             raise InvalidInput("all points must share the ambient dimension")
         object.__setattr__(self, "points", pts)
+        # the cofactor table of the set this one was taken from, keyed by
+        # triples of its indices, and the map from this set's indices to those
+        object.__setattr__(self, "_table", ({}, pts))
+        object.__setattr__(self, "_index", range(len(pts)))
 
     @property
     def ambient_dim(self) -> int:
@@ -106,9 +118,50 @@ class Configuration:
     def __getitem__(self, i: int) -> ProjectivePoint:
         return self.points[i]
 
+    def subset(self, indices: Sequence[int]) -> "Configuration":
+        """The points at the given indices, in that order. The subset reads
+        this set's cofactor vectors through its index map, so it builds
+        none that this set has built."""
+        sub = Configuration([self.points[i] for i in indices])
+        object.__setattr__(sub, "_table", self._table)
+        object.__setattr__(sub, "_index", tuple(self._index[i] for i in indices))
+        return sub
+
     def drop(self, i: int) -> "Configuration":
         """Leave-one-out subconfiguration, preserving the order of the rest."""
-        return Configuration(self.points[:i] + self.points[i + 1:])
+        return self.subset([j for j in range(len(self.points)) if j != i])
+
+    def cofactors_of(self, i: int, j: int, k: int) -> tuple[int, ...]:
+        """``cofactors(p_i, p_j, p_k)`` of points of P^3: the integer vector c
+        with c . z = [p_i p_j p_k z]. Each triple is built once per point set,
+        when first read; consumers read increasing triples, so an unordered
+        triple is built once."""
+        idx = self._index
+        key = (idx[i], idx[j], idx[k])
+        table, pts = self._table
+        c = table.get(key)
+        if c is None:
+            c = table[key] = cofactors(pts[key[0]].coords, pts[key[1]].coords, pts[key[2]].coords)
+        return c
+
+    @cached_property
+    def resection_frame(self) -> tuple[tuple[int, ...], list[tuple[int, ...]],
+                                       list[tuple[int, list[int]]]] | None:
+        """(f, w, weights) for points y of P^3, or None when they lie in a plane.
+
+        f is the first 4-subset of indices, in combinations order, with a
+        nonzero bracket; w_k is the cofactor vector of the other three frame
+        points, which vanishes on them and not on y_{f_k}; weights lists
+        (j, [w_k . y_j for each k]) for every j outside the frame.
+        """
+        ys = [p.coords for p in self.points]
+        frame = next((f for f in combinations(range(len(ys)), 4)
+                      if sum(map(mul, self.cofactors_of(*f[:3]), ys[f[3]]))), None)
+        if frame is None:
+            return None
+        w = [self.cofactors_of(*(g for g in frame if g != f)) for f in frame]
+        return frame, w, [(j, [sum(map(mul, wk, yj)) for wk in w])
+                          for j, yj in enumerate(ys) if j not in frame]
 
     def coordinate_matrix(self) -> list[list[int]]:
         """(d+1) x n matrix whose columns are the canonical points."""

@@ -1,17 +1,17 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 from operator import mul
 
 import pytest
 
-from centersvar import invariants, linalg
+from centersvar import linalg, projective
 from centersvar.errors import DegenerateInput
 from centersvar.forms import fit_form
-from centersvar.invariants import (EVEN_FANO_PERMS, ODD_FANO_PERMS, T5_MINUS,
+from centersvar.invariants import (EVEN_FANO_PERMS, FANO_LINES, ODD_FANO_PERMS, T5_MINUS,
                                    T5_PLUS, T6_TRIPLES, InvariantVector,
-                                   _cofactors, fano, fano15,
+                                   fano, fano15,
                                    fano15_lifted, fano_sum_odd, g5, g5_lifted,
                                    igusa_F, lifted_quadrics, morley, t6,
                                    t6_lifted, weddle_quartic)
@@ -172,20 +172,32 @@ class TestLiftedQuadrics:
                 assert v.values == per_bracket(x, z)
 
     def test_each_lifted_bracket_is_built_once_per_call(self, monkeypatch):
+        # counted per point set: a vector read again, at another center or
+        # through a subset, is not built again
         calls = []
 
-        def counted(x, triple):
-            calls.append(triple)
-            return _cofactors(x, triple)
+        def counted(*rows):
+            calls.append(rows)
+            return cofactors(*rows)
 
-        monkeypatch.setattr(invariants, "_cofactors", counted)
-        z = (7, -3, 11, 5)  # on no plane through three of the points
-        t6_lifted(self.x, z)
+        monkeypatch.setattr(projective, "cofactors", counted)
+        x = Configuration(self.x.points)
+        centers = [(7, -3, 11, 5), (1, 2, 3, 4), (-5, 0, 2, 9), (3, 3, -1, 1)]
+        for z in centers:
+            t6_lifted(x, z)
         assert len(calls) == len(set(calls)) == 12
         calls.clear()
         x7 = Configuration(list(self.x.points) + [pp(2, -1, 5, 3)])
-        fano15_lifted(x7, z)
-        assert len(calls) == len(set(calls)) == 64
+        values = fano15_lifted(x7, centers[0])
+        assert len(calls) == len(set(calls)) == 35
+        assert {tuple(map(x7.points.index, map(ProjectivePoint, rows))) for rows in calls} \
+            == set(combinations(range(7), 3))
+        calls.clear()
+        assert fano15_lifted(x7, centers[0]) == values
+        for k in range(7):
+            for z in centers:
+                t6_lifted(x7.drop(k), z)
+        assert calls == []
 
     @pytest.mark.parametrize("bound", [9, 1000])
     def test_forms_match_interpolation(self, bound):
@@ -271,6 +283,29 @@ class TestFano:
         projected = fano15(Configuration([project(p, a) for p in x]))
         assert not lifted.non_semistable
         assert lifted.proportional(projected)
+
+    def test_sorting_the_lines_multiplies_by_the_sign_of_the_permutation(self):
+        def inversions(seq):
+            return sum(u > v for u, v in combinations(seq, 2))
+
+        for perm in permutations(range(1, 8)):
+            lines = [[perm[i - 1] for i in line] for line in FANO_LINES]
+            assert sum(map(inversions, lines)) % 2 == inversions(perm) % 2
+
+    @pytest.mark.parametrize("bound", [9, 10 ** 6])
+    def test_lifted_values_match_the_ordered_bracket_route(self, bound):
+        # reference: every bracket the cofactor vector of its triple in the
+        # permuted order, with no sorting and no sign
+        def ordered(x, z, perm):
+            return prod(sum(map(mul, cofactors(*(x[perm[i - 1] - 1].coords for i in line)), z))
+                        for line in FANO_LINES)
+
+        rng = random.Random(bound)
+        for _ in range(3):
+            x = rand_config(rng, 7, dim=3, bound=bound)
+            for z in [tuple(rng.randint(-bound, bound) for _ in range(4)) for _ in range(3)]:
+                assert fano15_lifted(x, z).values == tuple(ordered(x, z, perm)
+                                                           for perm in EVEN_FANO_PERMS)
 
     def test_lifted_vanishes_on_secant(self):
         rng = random.Random(53)

@@ -11,7 +11,7 @@ import centersvar
 from centersvar import io as cio
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
-from centersvar.errors import Inconclusive
+from centersvar.errors import Inconclusive, InvalidInput
 from centersvar.projective import Configuration, ProjectivePoint, decide_equivalence, pp
 
 
@@ -36,6 +36,25 @@ class TestFormats:
     def test_fraction_round_trip(self):
         for f in [Fraction(0), Fraction(-7), Fraction(22, 7), Fraction(-3, 11)]:
             assert cio.parse_fraction(cio.format_fraction(f)) == f
+
+    def test_integer_strings_parse_to_ints_and_round_trip(self):
+        big = 2 ** 63 + 12345
+        cases = {str(big): big, str(-big): -big, "-7": -7, "+3": 3, " 7 ": 7, "0": 0,
+                 "22/7": Fraction(22, 7), " -3 / 12 ": Fraction(-1, 4), f"{big}/1": big}
+        for text, value in cases.items():
+            parsed = cio.parse_fraction(text)
+            assert parsed == value and type(parsed) is (Fraction if "/" in text else int)
+            assert cio.format_fraction(parsed) == cio.format_fraction(Fraction(value))
+            assert cio.parse_fraction(cio.format_fraction(parsed)) == value
+        point = cio.point_from_json([str(big), "-2", "+3", " 7 "])
+        assert point == ProjectivePoint([big, -2, 3, 7])
+        assert cio.point_to_json(point) == [str(big), "-2", "3", "7"]
+        assert cio.parse_inline_point(f"{big}:1/2:-3:0") == ProjectivePoint([2 * big, 1, -6, 0])
+        for bad in ("", "1.5", "1e3", "x", "1/0", "1/2/3", "--1", "1 2"):
+            with pytest.raises(InvalidInput, match="not a fraction string"):
+                cio.parse_fraction(bad)
+            with pytest.raises(InvalidInput):
+                cio.point_from_json([bad, "1", "0", "0"])
 
     def test_configuration_round_trip(self, tmp_path):
         rng = random.Random(1)

@@ -1,19 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 
 from centersvar import linalg
 from centersvar.datagen import generate_reconstruction
-from centersvar.errors import (DegenerateInput, InadmissibleCenter,
+from centersvar.errors import (DegenerateInput, InadmissibleCenter, Inconsistent,
                                NoRationalImage, ToolkitError)
 from centersvar.forms import Form, sym_from_quad
 from centersvar.invariants import lifted_quadrics, t6_lifted
 from centersvar.loci import (_resected_center, cubic_locus_n5, map_a_to_b_n6,
                              map_b_to_a_n6, quadric_pair_n6, sample_surface_point)
-from centersvar.projective import (Configuration, ProjectivePoint, apply_matrix,
-                                   canonical_coords, homography_fit, pp, project)
+from centersvar.projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
+                                   canonical_coords, cofactors, cross, homography_fit,
+                                   outer_sum, pp, project)
 
 
 def rand_config(rng, n):
@@ -212,6 +215,104 @@ def test_resection_refuses_coplanar_world_points():
     for resect in (_resected_center, ref_resected_center):
         with pytest.raises(NoRationalImage):
             resect(x, y, a)
+
+
+def kernel_resected_center(x, y, a):
+    """_resected_center with the frame searched and lambda taken as the
+    Bareiss integer kernel of the 3(n - 4) x 4 system on every call."""
+    if a in x.points:
+        raise InadmissibleCenter("the center map is undefined at a world point")
+    ac = a.coords
+    k = 3 if ac[3] else next(i for i in range(4) if ac[i])
+    q = [[ac[k] * xi[j] - xi[k] * ac[j] for j in range(4) if j != k]
+         for xi in (p.coords for p in x.points)]
+    ys = [yi.coords for yi in y.points]
+    frame = next((f for f in combinations(range(len(ys)), 4)
+                  if bracket([y[i] for i in f]) != 0), None)
+    if frame is None:
+        raise NoRationalImage("the world points lie in a plane, so the resection is not unique")
+    w = [cofactors(*(ys[g] for g in frame if g != f)) for f in frame]
+    rows = []
+    for j, yj in enumerate(ys):
+        if j in frame:
+            continue
+        weights = [sum(map(mul, wk, yj)) for wk in w]
+        crosses = [cross(q[f], q[j]) for f in frame]
+        rows.extend([c * v[r] for c, v in zip(weights, crosses)] for r in range(3))
+    kernel = linalg.integer_kernel(rows)
+    if len(kernel) != 1:
+        raise NoRationalImage(f"the resection has a {len(kernel)}-dimensional solution space")
+    camera = outer_sum(kernel[0], [q[f] for f in frame], w)
+    center = cofactors(*camera)
+    if not any(center):
+        raise NoRationalImage("the resected camera has rank below 3")
+    b = ProjectivePoint(center)
+    if b in y.points:
+        raise NoRationalImage("the matched center is a world point")
+    if any(any(cross([sum(map(mul, row, yi)) for row in camera], qi)) for yi, qi in zip(ys, q)):
+        raise Inconsistent("the resected camera misses a correspondence")
+    return b
+
+
+def random_point(rng, bound):
+    while True:
+        v = [rng.randint(-bound, bound) for _ in range(4)]
+        if any(v):
+            return v
+
+
+def kernel_parity_cases():
+    """(x, y, a): random sets with random centers, generated instances with
+    their true centers (through subsets too), and degenerate inputs."""
+    rng = random.Random(20261019)
+    for n in (6, 7, 8):
+        for bound in (3, 10 ** 6):
+            for _ in range(15):
+                x = Configuration([random_point(rng, bound) for _ in range(n)])
+                y = Configuration([random_point(rng, bound) for _ in range(n)])
+                yield x, y, ProjectivePoint(random_point(rng, bound))
+                yield x, y, x[rng.randrange(n)]
+        for bound in (10, 1000):
+            rec = generate_reconstruction(n, seed=n, coord_bound=bound)
+            yield rec.x, rec.y, rec.a_true
+            yield rec.y, rec.x, rec.b_true
+            yield rec.x.drop(0), rec.y.drop(0), rec.a_true
+    y = Configuration(Y_FIRST_FOUR_COPLANAR.points[:6])
+    x = y.transformed(T)
+    yield x, y, apply_matrix(T, pp(3, 1, 4, 1))
+    # coplanar y
+    yield x, Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0),
+                            (2, -1, 3, 0), (4, 1, -2, 0)]), pp(1, 1, 1, 1)
+    # rank-deficient systems: every x_i on one line through a (all images
+    # equal, rank 0), and every x_i on one plane through a (images collinear)
+    a = pp(1, 2, -1, 3)
+    for n in (6, 7):
+        y = Configuration([random_point(rng, 5) for _ in range(n)])
+        line = Configuration([[s + t * c for s, c in zip((1, 0, 2, -1), a.coords)]
+                              for t in range(1, n + 1)])
+        plane = Configuration([[s * u + t * v + c for u, v, c in zip((1, 0, 2, -1), (0, 3, 1, 1),
+                                                                     a.coords)]
+                               for s, t in zip(range(1, n + 1), (2, -1, 5, 3, -4, 7, 1))])
+        yield line, y, a
+        yield plane, y, a
+
+
+def test_resected_center_matches_the_integer_kernel_reference():
+    messages = set()
+    centers = 0
+    for x, y, a in kernel_parity_cases():
+        got = outcome(_resected_center, x, y, a)
+        assert got == outcome(kernel_resected_center, x, y, a)
+        if isinstance(got, ProjectivePoint):
+            centers += 1
+        else:
+            messages.add(got)
+    assert centers >= 12
+    for k in (0, 2, 4):
+        assert (NoRationalImage, f"the resection has a {k}-dimensional solution space") in messages
+    assert (InadmissibleCenter, "the center map is undefined at a world point") in messages
+    assert (NoRationalImage,
+            "the world points lie in a plane, so the resection is not unique") in messages
 
 
 class TestCenterMap:
