@@ -29,8 +29,8 @@ from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import fano15
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
                          apply_matrix, collinear, homography_fit,
-                         no_three_collinear, normalizing_transform, on_line,
-                         project, stability_class)
+                         normalizing_transform, on_line, project,
+                         stability_class)
 
 _MAX_ATTEMPTS = 4000
 
@@ -77,9 +77,16 @@ def _all_quadruples_independent(c: Configuration) -> bool:
 def _side_generic(x: Configuration, a: ProjectivePoint) -> bool:
     """a is off X, every four points of X span P^3, and no three images from a
     are collinear. So the points are distinct, a lies on no line through two
-    of them, and for n = 5, 6, 7 the image is STABLE."""
+    of them, and for n = 5, 6, 7 the image is STABLE.
+
+    The images are not built. On project's chart k (a_k != 0) the image of
+    x_i is a_k x_i - (x_i)_k a with coordinate k dropped, and
+    det(images of x_i, x_j, x_l) = +-a_k^2 [x_i x_j x_l a]: three images are
+    collinear exactly when the lifted bracket, the cofactor vector c_ijl
+    (filled by _all_quadruples_independent) dotted with a, vanishes."""
     return (a not in x.points and _all_quadruples_independent(x)
-            and no_three_collinear([project(p, a) for p in x]))
+            and all(sum(map(mul, x.cofactors_of(*t), a.coords))
+                    for t in combinations(range(x.n), 3)))
 
 
 def _generic_enough(x: Configuration, y: Configuration, a: ProjectivePoint,

@@ -150,6 +150,17 @@ class Form:
             total += c
         return total
 
+    @cached_property
+    def integer_hessian(self) -> tuple[tuple[int, ...], ...]:
+        """The Hessian of the integer form d * self (see integer_terms) of a
+        quadric: 2 * c on the diagonal for c z_i^2 and c off it for c z_i z_j.
+        Cached, so Newton steps on a form build it once."""
+        h = [[0] * NVARS for _ in range(NVARS)]
+        for c, (i, k) in self.integer_terms[1]:
+            h[i][k] += c
+            h[k][i] += c
+        return tuple(map(tuple, h))
+
     def __call__(self, point: Sequence) -> Fraction:
         """The exact value, computed in integers: with the point written as
         (integers) / den, the form is homogeneous, so its value is the

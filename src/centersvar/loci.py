@@ -276,8 +276,11 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
         w_4 =  [1234][1256][3456]
 
     S_beta = sum_k w^y_k (u^x_k . z)(v^x_k . z) weights the x-quadrics by the
-    y-relation, and S_alpha the y-quadrics by the x-relation; both are built
-    in integer graded lex coefficients and made primitive. Soundness: for a
+    y-relation, and S_alpha the y-quadrics by the x-relation; each is read
+    off one 4 x 4 integer matrix sum_k w_k u_k v_k^T (_weighted_products)
+    and made primitive. Each is checked on its six world points, each check
+    one dot product with the point's cached degree-2 monomials
+    (_quadric_value). Soundness: for a
     true pair (a, b) the lifted invariants agree up to a scalar s,
     t^x_k(a) = s t^y_k(b), so any relation of the y-quadrics gives
     S_beta(a) = s sum_k w^y_k t^y_k(b) = 0: every true a lies on S_beta, and
@@ -306,21 +309,34 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
         # projectively equivalent configurations, where the center locus is
         # not confined to a quadric at all
         raise DegenerateInput("the weighted quadric combination vanishes identically")
-    if any(s_beta.integer_value(pt.coords) for pt in x.points):
+    if any(_quadric_value(s_beta, pt) for pt in x.points):
         raise Inconsistent("S_beta does not contain its world points")
-    if any(s_alpha.integer_value(pt.coords) for pt in y.points):
+    if any(_quadric_value(s_alpha, pt) for pt in y.points):
         raise Inconsistent("S_alpha does not contain its world points")
     return s_beta, s_alpha
 
 
 def _weighted_products(weights: Sequence[int], factors) -> tuple[int, ...]:
-    """The graded lex coefficients of sum_k w_k (u_k . z)(v_k . z): the
-    coefficient of z_i z_j is sum_k w_k (u_ki v_kj + u_kj v_ki) for i < j and
-    sum_k w_k u_ki v_ki for i = j."""
-    terms = [([w * c for c in u], v) for w, (u, v) in zip(weights, factors) if w]
-    return tuple(sum(wu[i] * v[i] for wu, v in terms) if i == j
-                 else sum(wu[i] * v[j] + wu[j] * v[i] for wu, v in terms)
-                 for i, j in monomial_indices(2))
+    """The graded lex coefficients of sum_k w_k (u_k . z)(v_k . z), read off
+    the integer matrix M = sum_k w_k u_k v_k^T, accumulated once (row-major,
+    16 entries): M_ii for z_i^2 and M_ij + M_ji for z_i z_j."""
+    outer = []
+    for w, (u, v) in zip(weights, factors):
+        u0, u1, u2, u3 = [w * c for c in u]
+        v0, v1, v2, v3 = v
+        outer.append((u0 * v0, u0 * v1, u0 * v2, u0 * v3, u1 * v0, u1 * v1, u1 * v2, u1 * v3,
+                      u2 * v0, u2 * v1, u2 * v2, u2 * v3, u3 * v0, u3 * v1, u3 * v2, u3 * v3))
+    m = list(map(sum, zip(*outer)))
+    return (m[0], m[1] + m[4], m[2] + m[8], m[3] + m[12], m[5], m[6] + m[9], m[7] + m[13],
+            m[10], m[11] + m[14], m[15])
+
+
+def _quadric_value(q: Form, p: ProjectivePoint) -> int:
+    """The integer form q at a point, as the dot product of q's int
+    coefficients with the point's degree-2 monomials, built once per point
+    (ProjectivePoint.quadratic_monomials): Form.integer_value of a primitive
+    quadric, with no per-form set-up."""
+    return sum(map(mul, q.coeffs, p.quadratic_monomials))
 
 
 def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> ProjectivePoint:
@@ -481,7 +497,7 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
     b_pts = solve_quadric_system(b_quads, expected=3, tol=tol, seed=seed + 1)
     # every quadric contains the six world points of its subset, so x_k is a
     # common zero exactly when the quadric of the subset without it vanishes there
-    if any(q.integer_value(p.coords) == 0
+    if any(_quadric_value(q, p) == 0
            for quads, w in ((a_quads, x), (b_quads, y)) for q, p in zip(quads, w.points)):
         raise DegenerateInput("a common zero of the leave-one-out quadrics is a world point")
     a_pts = [_with_certificate(p, a_quads) for p in a_pts]
@@ -491,7 +507,7 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
         if p.exact is None:
             continue
         b = _resected_center(x, y, p.exact)
-        if any(q.integer_value(b.coords) for q in b_quads):
+        if any(_quadric_value(q, b) for q in b_quads):
             raise Inconsistent("the resected center is not on every b-quadric")
         b_point = _exact_point(b)
         near = [j for j, c in enumerate(b_pts) if projective_distance(c.coords, b_point.coords) < 1e-6]

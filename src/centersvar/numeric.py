@@ -4,7 +4,8 @@ No float decides whether the zero set is finite or how many points to look for.
 That verdict comes from the Hilbert function of the ideal in degrees 2 and 3,
 computed exactly from ranks modulo the prime 2^61 - 1: the quadrics are
 brought to a reduced echelon basis mod p, whose size gives H(2), and H(3)
-comes from the rank of the products z_k * (basis row). The floats then only
+comes from the rank of the products z_k * (basis row), each a sparse row of
+at most 11 - rank nonzero entries. The floats then only
 locate the points: the degree-2 dual kernel of the system is spanned by the
 Veronese vectors v_2(p) of its zeros, and the eigenvalue method reads the
 points off the moment matrices of a kernel basis. Candidates are polished by
@@ -13,7 +14,8 @@ Gauss-Newton on all input forms, which stops at the first step shorter than
 
 Certification runs in Python ints and builds no Fraction. Newton steps on a
 triple of forms sharpen a real candidate on dyadic iterates X / 2**e (e = 64,
-128, 256), each step an exact integer 3 x 3 solve rounded to the next scale.
+128, 256), each step an exact integer 3 x 3 solve rounded to the next scale;
+a triple that meets a singular step gives way to the next best one.
 One continued-fraction pass per coordinate then gives the best rational
 approximations under a ladder of denominator bounds, and each distinct
 snapped point is substituted into every form in integers.
@@ -109,25 +111,6 @@ def projective_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)))
 
 
-def _rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(_PRIME) of an integer matrix."""
-    rows = [[x % _PRIME for x in row] for row in rows]
-    rank = 0
-    for c in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, _PRIME)
-        top = [x * inv % _PRIME for x in rows[rank][c:]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i][c:] = [(x - f * y) % _PRIME for x, y in zip(rows[i][c:], top)]
-        rank += 1
-    return rank
-
-
 def _echelon_mod_p(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """A reduced row echelon basis over GF(_PRIME) of the span of the rows of
     an integer matrix: each row has a 1 in its own pivot column and 0 in the
@@ -165,17 +148,43 @@ def _hilbert_function(forms: Sequence[Form]) -> tuple[int, int]:
     the products z_k * (basis row) just as well as by z_k * (input row), as
     the two sets of rows span the same space mod _PRIME; there are fewer of
     them when the forms are dependent, and each has at most 11 - rank
-    nonzero entries."""
+    nonzero entries (4 for seven independent quadrics).
+
+    The products are ranked as sparse rows {column: value}, keyed on each
+    row's leading column. The monomial order is multiplicative, so
+    z_k * (basis row) leads with z_k times the row's pivot monomial, with
+    coefficient 1: the first product with each leading column is a pivot
+    row as it is (so pivot rows stay sparse), and each other one is reduced
+    until it is zero or leads in a new column, where it becomes a pivot row
+    scaled to lead with 1."""
     basis = _echelon_mod_p([canonical_coords(f.coeffs) for f in forms])
-    n3 = len(monomials(3))
-    products = []
+    pivots: dict[int, dict[int, int]] = {}
+    later = []
     for cols in _product_positions(1, 2):  # z_k times each quadric monomial
         for row in basis:
-            product = [0] * n3
-            for c, col in zip(row, cols):
-                product[col] = c
-            products.append(product)
-    return len(monomials(2)) - len(basis), n3 - _rank_mod_p(products)
+            product = {col: c for c, col in zip(row, cols) if c}
+            lead = min(product)
+            if lead in pivots:
+                later.append(product)
+            else:
+                pivots[lead] = product
+    for product in later:
+        while product:
+            lead = min(product)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(product[lead], -1, _PRIME)
+                pivots[lead] = {col: c * inv % _PRIME for col, c in product.items()}
+                break
+            f = product.pop(lead)
+            for col, c in pivot.items():
+                if col != lead:
+                    v = (product.get(col, 0) - f * c) % _PRIME
+                    if v:
+                        product[col] = v
+                    else:
+                        del product[col]
+    return len(monomials(2)) - len(basis), len(monomials(3)) - len(pivots)
 
 
 def _gauss_newton(syms: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -271,29 +280,18 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     return survivors
 
 
-def _pivot_triple(jac: np.ndarray) -> tuple[int, int, int] | None:
-    """The first triple of rows of jac (k x 3) whose determinant, relative to
-    the product of the three row norms, is largest; None if that is below 1e-12.
-    All triples go through one stacked det."""
+def _pivot_triples(jac: np.ndarray) -> list[tuple[int, int, int]]:
+    """The triples of rows of jac (k x 3) whose determinant, relative to the
+    product of the three row norms, is at least 1e-12, largest first (the
+    first triple first on a tie). All triples go through one stacked det."""
     if len(jac) < 3:
-        return None
-    triples = np.array(list(combinations(range(len(jac)), 3)))
-    norms = np.array([np.linalg.norm(r) or 1.0 for r in jac])[triples]
-    d = np.abs(np.linalg.det(jac[triples])) / (norms[:, 0] * norms[:, 1] * norms[:, 2])
-    best = int(np.argmax(d))
-    if not d[best] >= 1e-12:
-        return None
-    return tuple(int(i) for i in triples[best])
-
-
-def _integer_hessian(form: Form) -> list[list[int]]:
-    """The Hessian of the integer form d * form (see Form.integer_terms) of a
-    quadric: 2 * c on the diagonal for c z_i^2 and c off it for c z_i z_j."""
-    h = [[0] * 4 for _ in range(4)]
-    for c, (i, k) in form.integer_terms[1]:
-        h[i][k] += c
-        h[k][i] += c
-    return h
+        return []
+    triples = list(combinations(range(len(jac)), 3))
+    rows = np.array(triples)
+    norms = np.array([np.linalg.norm(r) or 1.0 for r in jac])[rows]
+    d = (np.abs(np.linalg.det(jac[rows])) / (norms[:, 0] * norms[:, 1] * norms[:, 2])).tolist()
+    kept = [(s, t) for s, t in zip(d, triples) if s >= 1e-12]
+    return [t for _, t in sorted(kept, key=lambda st: -st[0])]  # stable: ties keep order
 
 
 def _round_div(a: int, b: int) -> int:
@@ -307,16 +305,20 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> tuple[list[
     """Sharpen a real approximate zero with Newton steps in integers.
 
     The largest coordinate is frozen to 1 and a well-conditioned triple of
-    forms drives a square Newton iteration on dyadic iterates x = X / 2**e:
-    X starts as the float point rounded at e = 64, and each step solves
-    J(X) s = -f(X) on the triple exactly by an integer 3 x 3 elimination and
-    rounds X + s to the next scale, e = 128 and then e = 256; each step
-    roughly squares the number of correct digits. The forms enter as their
+    forms (each with its cached Form.integer_hessian) drives a square Newton
+    iteration on dyadic iterates x = X / 2**e: X starts as the float point
+    rounded at e = 64, and each step solves J(X) s = -f(X) on the triple
+    exactly by an integer 3 x 3 elimination and rounds X + s to the next
+    scale, e = 128 and then e = 256; each step roughly squares the number of
+    correct digits. The forms enter as their
     integer forms d * f (d the lcm of the coefficient denominators), which
     have the same zeros, so no coefficient is ever rounded. The float pivot
     choice works on forms scaled by exact powers of two, so large
-    coefficients cannot overflow. Returns (X, 2**256), the frozen coordinate
-    included, or None for non-real input or a singular step.
+    coefficients cannot overflow. The triples are tried in descending float
+    score (_pivot_triples) until one takes every step nonsingular, as the
+    exact Jacobian of the best one can be singular at a simple zero. Returns
+    (X, 2**256), the frozen coordinate included, or None for non-real input
+    or when every triple meets a singular step.
     """
     p = np.asarray(point, dtype=complex)
     if np.max(np.abs(p.imag)) > 1e-6 * np.max(np.abs(p)):
@@ -326,28 +328,27 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> tuple[list[
     unknowns = [k for k in range(4) if k != j]
 
     jac_float = 2.0 * (sym_floats(np.array([f.floats for f in forms])) @ real)
-    best = _pivot_triple(jac_float[:, unknowns])
-    if best is None:
-        return None
-    triple = [forms[i] for i in best]
-    hessians = [_integer_hessian(f) for f in triple]
-
-    e = _DYADIC_EXPONENTS[0]
-    x = [round(math.ldexp(v, e)) for v in real / real[j]]
-    x[j] = 1 << e
-    for e_next in _DYADIC_EXPONENTS[1:]:
-        # J(x) = J(X) / 2**e and f(x) = f(X) / 2**(2e), so the step in x is s / 2**e
-        jac = [[sum(h[k][m] * x[m] for m in range(4)) for k in unknowns] for h in hessians]
-        step = linalg.integer_solve(jac, [-f.integer_value(x) for f in triple])
-        if step is None:
-            return None
-        numerators, d = step
-        shift = e_next - e
-        x = [v << shift for v in x]
-        for k, s in zip(unknowns, numerators):
-            x[k] += _round_div(s << shift, d)
-        e = e_next
-    return x, 1 << e
+    start = [round(math.ldexp(v, _DYADIC_EXPONENTS[0])) for v in real / real[j]]
+    start[j] = 1 << _DYADIC_EXPONENTS[0]
+    for best in _pivot_triples(jac_float[:, unknowns]):
+        triple = [forms[i] for i in best]
+        x, e = start, _DYADIC_EXPONENTS[0]
+        for e_next in _DYADIC_EXPONENTS[1:]:
+            # J(x) = J(X) / 2**e and f(x) = f(X) / 2**(2e), so the step in x is s / 2**e
+            jac = [[sum(h[k][m] * x[m] for m in range(4)) for k in unknowns]
+                   for h in (f.integer_hessian for f in triple)]
+            step = linalg.integer_solve(jac, [-f.integer_value(x) for f in triple])
+            if step is None:
+                break
+            numerators, d = step
+            shift = e_next - e
+            x = [v << shift for v in x]
+            for k, s in zip(unknowns, numerators):
+                x[k] += _round_div(s << shift, d)
+            e = e_next
+        else:
+            return x, 1 << e
+    return None
 
 
 def _limit_denominators(n: int, d: int, bounds: Sequence[int]) -> list[tuple[int, int]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -32,19 +32,23 @@ def _to_fraction(x) -> Fraction:
 
 
 def canonical_coords(coords: Iterable) -> tuple[int, ...]:
-    """Primitive integer vector with positive first nonzero entry; ints and
-    Fractions are read as they are, in integer arithmetic."""
-    fracs = [c if isinstance(c, (int, Fraction)) else _to_fraction(c) for c in coords]
-    if all(f == 0 for f in fracs):
-        raise InvalidInput("projective point must have a nonzero coordinate")
-    denom_lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
+    """Primitive integer vector with positive first nonzero entry.
+
+    Plain ints take one pass: their gcd g, signed by the first nonzero entry,
+    and one exact division by it unless g = 1. Any other coordinate (a
+    Fraction, a "p/q" string, a float) first brings all of them to integers
+    over the lcm of their denominators."""
+    ints = coords if type(coords) is tuple else tuple(coords)
+    if not all(type(c) is int for c in ints):
+        fracs = [c if isinstance(c, (int, Fraction)) else _to_fraction(c) for c in ints]
+        denom_lcm = math.lcm(*(f.denominator for f in fracs))
+        ints = tuple(f.numerator * (denom_lcm // f.denominator) for f in fracs)
     g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if not g:
+        raise InvalidInput("projective point must have a nonzero coordinate")
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return ints if g == 1 else tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,15 @@ class ProjectivePoint:
     @property
     def dim(self) -> int:
         return len(self.coords) - 1
+
+    @cached_property
+    def quadratic_monomials(self) -> tuple[int, ...]:
+        """The products c_i c_j (i <= j) of the coordinates, lexicographic in
+        (i, j): for a point of P^3 that is the graded lex order of a
+        quadric's coefficients (forms.monomial_indices(2)), so an int
+        quadric's value here is one dot product. Built once per point."""
+        c = self.coords
+        return tuple(c[i] * c[j] for i, j in combinations_with_replacement(range(len(c)), 2))
 
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c) for c in self.coords)

@@ -1,0 +1,224 @@
+"""The plain-int kernels against the general routes they replaced.
+
+Each reference below is the earlier route, kept here only: canonical_coords
+through Fractions, the weighted quadric product as one generator sum per
+coefficient, a quadric's value by Form.integer_value, and the generator's
+side check by projecting every point and testing collinearity.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centersvar.datagen import _side_generic, generate_reconstruction
+from centersvar.errors import InvalidInput
+from centersvar.forms import Form, monomial_indices
+from centersvar.invariants import t6_factors, t6_relation
+from centersvar.loci import _quadric_value, _weighted_products, quadric_pair_n6
+from centersvar.projective import (Configuration, ProjectivePoint, _to_fraction,
+                                   canonical_coords, no_three_collinear, pp,
+                                   project)
+
+
+def reference_canonical_coords(coords):
+    """Every coordinate through a Fraction, over the lcm of the denominators."""
+    fracs = [c if isinstance(c, (int, Fraction)) else _to_fraction(c) for c in coords]
+    if all(f == 0 for f in fracs):
+        raise InvalidInput("projective point must have a nonzero coordinate")
+    denom_lcm = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v != 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def reference_weighted_products(weights, factors):
+    """One generator sum per graded lex coefficient of sum_k w_k (u_k . z)(v_k . z)."""
+    terms = [([w * c for c in u], v) for w, (u, v) in zip(weights, factors) if w]
+    return tuple(sum(wu[i] * v[i] for wu, v in terms) if i == j
+                 else sum(wu[i] * v[j] + wu[j] * v[i] for wu, v in terms)
+                 for i, j in monomial_indices(2))
+
+
+def reference_side_generic(x, a):
+    """The side check with the images built: project, then test every triple."""
+    from centersvar.datagen import _all_quadruples_independent
+    return (a not in x.points and _all_quadruples_independent(x)
+            and no_three_collinear([project(p, a) for p in x]))
+
+
+BIG = 10 ** 40
+INTS = st.integers(-BIG, BIG)
+FRACTIONS = st.fractions(min_value=-BIG, max_value=BIG, max_denominator=10 ** 12)
+STRINGS = st.one_of(INTS.map(str),
+                    st.tuples(INTS, st.integers(1, 10 ** 9)).map(lambda t: f"{t[0]}/{t[1]}"))
+
+
+class TestCanonicalCoords:
+    @given(st.lists(st.one_of(INTS, st.integers(-3, 3)), min_size=1, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_ints(self, coords):
+        try:
+            expected = reference_canonical_coords(coords)
+        except InvalidInput:
+            with pytest.raises(InvalidInput, match="nonzero coordinate"):
+                canonical_coords(coords)
+            return
+        assert canonical_coords(coords) == canonical_coords(tuple(coords)) == expected
+        assert all(type(c) is int for c in canonical_coords(coords))
+
+    @given(st.lists(st.one_of(INTS, FRACTIONS, STRINGS, st.integers(-2, 2)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_fractions_strings_and_mixed(self, coords):
+        try:
+            expected = reference_canonical_coords(coords)
+        except InvalidInput:
+            with pytest.raises(InvalidInput, match="nonzero coordinate"):
+                canonical_coords(coords)
+            return
+        assert canonical_coords(coords) == expected
+
+    @pytest.mark.parametrize("coords", [
+        (0, 0, 0, 0), [0], (Fraction(0), 0, "0"), ("0/5", Fraction(0, 3)), (0.0, 0)])
+    def test_all_zero_is_invalid(self, coords):
+        with pytest.raises(InvalidInput, match="nonzero coordinate"):
+            reference_canonical_coords(coords)
+        with pytest.raises(InvalidInput, match="nonzero coordinate"):
+            canonical_coords(coords)
+
+    @pytest.mark.parametrize("coords", [
+        (0, -6, 9, 3), (-BIG, 2 * BIG, 0, BIG), (1, 0, 0, 0), (-1,), (0, 0, -7),
+        (2 ** 70, -(2 ** 71)), (True, 2), (0.5, -1.25, 3), ("-3/4", 6, "9"),
+        iter([4, -8, 12])])
+    def test_named_inputs(self, coords):
+        coords = list(coords)
+        assert canonical_coords(coords) == reference_canonical_coords(coords)
+
+    def test_a_primitive_int_tuple_is_returned_as_it_is(self):
+        coords = (3, -5, 7, 11)
+        assert canonical_coords(coords) is coords
+
+
+def six_point_sets(rng, count, bound):
+    for _ in range(count):
+        yield Configuration([[rng.randint(-bound, bound) or 1 for _ in range(4)] for _ in range(6)])
+
+
+def degenerate_six_point_sets(rng):
+    """Coplanar, collinear, repeated and twisted-cubic points, and the
+    points of a generated instance."""
+    for _ in range(10):
+        p, q, r = ([rng.randint(-5, 5) or 1 for _ in range(4)] for _ in range(3))
+        plane = [[a * u + b * v + c * w for u, v, w in zip(p, q, r)]
+                 for a, b, c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, -1, 3), (1, 2, -2))]
+        line = [[a * u + b * v for u, v in zip(p, q)] for a, b in ((1, 0), (0, 1), (1, 1))]
+        if all(any(v) for v in plane):
+            yield Configuration(plane)
+        if all(any(v) for v in line):
+            yield Configuration(line + plane[2:5])
+        yield Configuration([p, p] + [[rng.randint(-5, 5) or 1 for _ in range(4)] for _ in range(4)])
+    yield Configuration([(1, t, t * t, t ** 3) for t in (-2, -1, 0, 1, 2, 3)])
+    yield generate_reconstruction(6, seed=3).x
+
+
+class TestWeightedProducts:
+    def test_matches_the_generator_sum(self):
+        rng = random.Random(7)
+        sets = (list(six_point_sets(rng, 60, 3)) + list(six_point_sets(rng, 30, 10 ** 6))
+                + list(degenerate_six_point_sets(rng)))
+        for x, y in zip(sets, sets[1:] + sets[:1]):
+            fx, fy = t6_factors(x), t6_factors(y)
+            for w, f in ((t6_relation(y, fy), fx), (t6_relation(x, fx), fy),
+                         ((0, 0, 0, 0, 0), fx), ((0, 3, 0, 0, -1), fy)):
+                assert _weighted_products(w, f) == reference_weighted_products(w, f)
+
+
+QUADRICS = st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=10, max_size=10)
+POINTS = st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=4, max_size=4).filter(any)
+
+
+class TestQuadricValue:
+    @given(QUADRICS.filter(any), POINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_integer_value_of_the_primitive_form(self, coeffs, point):
+        q = Form(2, tuple(coeffs)).primitive()
+        p = ProjectivePoint(point)
+        assert _quadric_value(q, p) == q.integer_value(p.coords)
+
+    def test_world_points_of_quadric_pairs(self):
+        rng = random.Random(3)
+        checked = 0
+        for x, y in zip(six_point_sets(rng, 40, 10 ** 3), six_point_sets(rng, 40, 10 ** 3)):
+            s_beta, s_alpha = quadric_pair_n6(x, y)
+            for q, points in ((s_beta, x.points), (s_alpha, y.points), (s_beta, y.points)):
+                for p in points:
+                    assert _quadric_value(q, p) == q.integer_value(p.coords)
+                    checked += 1
+        assert checked == 720
+
+    def test_monomials_are_built_once_per_point(self):
+        p = pp(2, -3, 5, 7)
+        assert p.quadratic_monomials is p.quadratic_monomials
+        assert p.quadratic_monomials == tuple(p[i] * p[j] for i, j in monomial_indices(2))
+        assert p == pp(2, -3, 5, 7) and hash(p) == hash(pp(2, -3, 5, 7))
+
+
+def side_cases(rng):
+    """(x, a): random points and centers, and a coplanar with three points, a
+    on a line through two points, a at a point, and repeated points."""
+    for n in (4, 5, 6, 7, 8):
+        for _ in range(25):
+            x = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(n)]
+            x = [v if any(v) else [0, 0, 0, 1] for v in x]
+            a = [rng.randint(-2, 2) for _ in range(4)]
+            a = a if any(a) else [1, 0, 0, 0]
+            yield x, a
+            i, j, k = rng.sample(range(n), 3)
+            s, t, u = (rng.choice([-2, -1, 1, 2]) for _ in range(3))
+            plane = [s * p + t * q + u * r for p, q, r in zip(x[i], x[j], x[k])]
+            line = [s * p + t * q for p, q in zip(x[i], x[j])]
+            for c in (plane, line, x[i]):
+                if any(c):
+                    yield x, c
+            yield x[:-1] + [x[0]], a
+    for seed in range(3):
+        rec = generate_reconstruction(7, seed=seed)
+        yield [p.coords for p in rec.x], rec.a_true.coords
+        yield [p.coords for p in rec.y], rec.b_true.coords
+
+
+class TestSideGeneric:
+    def test_matches_projecting_every_point(self):
+        rng = random.Random(19)
+        outcomes = set()
+        for x, a in side_cases(rng):
+            x, a = Configuration(x), ProjectivePoint(a)
+            got = _side_generic(x, a)
+            assert got == reference_side_generic(x, a)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_bracket_is_the_image_determinant_up_to_the_chart_square(self):
+        # det(images of x_i, x_j, x_l) = +-a_k^2 [x_i x_j x_l a] on project's chart k
+        rng = random.Random(23)
+        for _ in range(200):
+            x = Configuration([[rng.randint(-5, 5) or 1 for _ in range(4)] for _ in range(3)])
+            a = [rng.randint(-5, 5) for _ in range(3)] + [rng.choice([0, rng.randint(1, 5)])]
+            if not any(a) or ProjectivePoint(a) in x.points:
+                continue
+            a = ProjectivePoint(a)
+            k = 3 if a[3] else next(i for i in range(4) if a[i])
+            images = [[a[k] * p[j] - p[k] * a[j] for j in range(4) if j != k] for p in x]
+            (r0, r1, r2) = images
+            det = (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1]) - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+                   + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+            lifted = sum(c * v for c, v in zip(x.cofactors_of(0, 1, 2), a.coords))
+            assert abs(det) == a[k] ** 2 * abs(lifted)

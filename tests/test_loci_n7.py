@@ -231,16 +231,46 @@ def test_a_world_point_among_the_a_zeros_is_degenerate():
         centers_variety(x, y)
 
 
-def test_a_world_point_the_certifier_misses_is_degenerate():
-    # x_6 = (1 : -3 : 2 : 3) is a common zero of the a-quadrics, but the exact
-    # Newton step on its pivot triple is singular, so certification does not
-    # find it; the world point check needs no certificate
-    x = Configuration([(1, 1, 1, 3), (2, 0, 1, -1), (1, 3, 3, 1), (1, 0, 1, -1),
-                       (3, -3, 2, -3), (1, -3, 2, 3), (2, 3, -3, 3)])
-    y = Configuration([(1, 2, 3, -3), (3, 0, 2, 3), (1, 3, 2, 3), (1, 1, 0, 1),
-                       (2, -1, -3, -1), (1, 1, 1, 1), (1, -3, -3, 3)])
+SINGULAR_TRIPLE_X = Configuration([(1, 1, 1, 3), (2, 0, 1, -1), (1, 3, 3, 1), (1, 0, 1, -1),
+                                   (3, -3, 2, -3), (1, -3, 2, 3), (2, 3, -3, 3)])
+SINGULAR_TRIPLE_Y = Configuration([(1, 2, 3, -3), (3, 0, 2, 3), (1, 3, 2, 3), (1, 1, 0, 1),
+                                   (2, -1, -3, -1), (1, 1, 1, 1), (1, -3, -3, 3)])
+
+
+def test_a_world_point_the_certifier_misses_is_degenerate(tmp_path):
+    # x_6 = (1 : -3 : 2 : 3) is a common zero of the a-quadrics; the world
+    # point check needs no certificate
     with pytest.raises(DegenerateInput, match="world point"):
-        candidates_n7(x, y)
+        candidates_n7(SINGULAR_TRIPLE_X, SINGULAR_TRIPLE_Y)
+    assert _centers_report(tmp_path, SINGULAR_TRIPLE_X, SINGULAR_TRIPLE_Y) == (2, None)
+
+
+def test_a_singular_first_newton_triple_does_not_lose_a_rational_zero():
+    # the float-best triple (1, 4, 6) of the a-quadrics at (1 : -3 : 2 : 3)
+    # has an exactly singular integer Jacobian, and so has (0, 4, 6); the
+    # third, (1, 3, 4), certifies the zero
+    x, y = SINGULAR_TRIPLE_X, SINGULAR_TRIPLE_Y
+    quads = [loci.quadric_pair_n6(x.drop(k), y.drop(k))[0] for k in range(7)]
+    points = numeric.solve_quadric_system(quads, expected=3)
+    (near,) = [p for p in points if projective_distance(p.coords, floats(pp(1, -3, 2, 3))) < 1e-9]
+    real = near.array().real
+    j = int(np.argmax(np.abs(real)))
+    jac = 2.0 * (numeric.sym_floats(np.array([f.floats for f in quads])) @ (real / np.linalg.norm(real)))
+    assert numeric._pivot_triples(jac[:, [k for k in range(4) if k != j]])[:3] == [
+        (1, 4, 6), (0, 4, 6), (1, 3, 4)]
+    assert numeric.certify_rational(quads, near) == pp(1, -3, 2, 3)
+    for f in quads:
+        assert f.integer_hessian is f.integer_hessian
+        assert f.integer_hessian == tuple(map(tuple, reference_integer_hessian(f)))
+
+
+def reference_integer_hessian(form):
+    """The Hessian of a primitive integer quadric, from its coefficients."""
+    h = [[0] * 4 for _ in range(4)]
+    for c, (i, k) in zip(form.coeffs, [(i, k) for i in range(4) for k in range(i, 4)]):
+        h[i][k] += c
+        h[k][i] += c
+    return h
 
 
 def reference_b_candidates(cand, seed=0):

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from centersvar import linalg
 from centersvar.errors import Inconsistent, NotFinite
-from centersvar.forms import Form, mono_eval, monomial_index, monomials
+from centersvar.forms import (Form, _product_positions, mono_eval, monomial_index,
+                              monomials)
 from centersvar.numeric import (_LADDER, _PRIME, _echelon_mod_p,
                                 _hilbert_function, _limit_denominators,
-                                _pivot_triple, _rank_mod_p, certify_rational,
+                                _pivot_triples, certify_rational,
                                 projective_distance, solve_quadric_system)
 from centersvar.projective import canonical_coords, pp
 
@@ -120,6 +121,26 @@ class TestSolver:
         assert solve_quadric_system(forms, tol=1e-9, seed=0) == []
 
 
+def _rank_mod_p(rows):
+    """Rank over GF(_PRIME) of an integer matrix, by dense elimination: the
+    reference for the sparse degree-3 rank of _hilbert_function."""
+    rows = [[x % _PRIME for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, _PRIME)
+        top = [x * inv % _PRIME for x in rows[rank][c:]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = [(x - f * y) % _PRIME for x, y in zip(rows[i][c:], top)]
+        rank += 1
+    return rank
+
+
 SMALL_MATRIX = st.integers(1, 6).flatmap(lambda cols: st.lists(
     st.one_of(st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
               st.just([0] * cols)),
@@ -200,6 +221,55 @@ def test_hilbert_function_of_seven_quadrics_through_a_line():
     assert _hilbert_function(line_system()) == reference_hilbert_function(line_system()) == (3, 4)
 
 
+def dense_hilbert_function(forms):
+    """(H(2), H(3)) with the products z_k * (echelon basis row) ranked by
+    dense elimination: the route the sparse echelon replaced."""
+    basis = _echelon_mod_p([canonical_coords(f.coeffs) for f in forms])
+    products = []
+    for cols in _product_positions(1, 2):
+        for row in basis:
+            product = [0] * len(monomials(3))
+            for c, col in zip(row, cols):
+                product[col] = c
+            products.append(product)
+    return len(monomials(2)) - len(basis), len(monomials(3)) - _rank_mod_p(products)
+
+
+def linear_form_products(rng, count):
+    """count quadrics, each a product of two random integer linear forms."""
+    def linear():
+        return Form(1, tuple(rng.randint(-5, 5) for _ in range(4)))
+    return [f for f in (linear() * linear() for _ in range(count)) if not f.is_zero()]
+
+
+@given(quadric_systems())
+@example(line_system())
+@example(rational_system() + rational_system())  # rank-deficient: 14 rows of rank 7
+@example([unit(k) for k in range(10)])
+@settings(max_examples=150, deadline=None)
+def test_sparse_degree_three_rank_matches_the_dense_elimination(forms):
+    if not forms:
+        return
+    assert _hilbert_function(forms) == dense_hilbert_function(forms)
+
+
+def test_sparse_degree_three_rank_on_structured_systems():
+    rng = random.Random(11)
+    systems = [line_system(), conjugate_system(), rational_system()[:4],
+               rational_system()[:1], [unit(0)] * 3]
+    for count in (1, 2, 4, 7, 10, 14):
+        systems += [linear_form_products(rng, count) for _ in range(20)]
+    # random integer systems, some with repeated rows or huge entries
+    for count in (3, 7, 9):
+        for scale in (1, 10 ** 30):
+            rows = [[rng.randint(-9, 9) * scale for _ in range(10)] for _ in range(count)]
+            systems.append([Form(2, tuple(r)) for r in rows + rows[:2] if any(r)])
+    for forms in systems:
+        forms = [f for f in forms if not f.is_zero()]
+        assert _hilbert_function(forms) == dense_hilbert_function(forms) \
+            == reference_hilbert_function(forms)
+
+
 def test_echelon_basis_is_reduced_and_spans_the_rows():
     rows = [[3, 6, 0, 9], [1, 2, 0, 3], [0, 0, 5, 1], [2, 4, 1, 7]]
     basis = _echelon_mod_p(rows)
@@ -210,18 +280,15 @@ def test_echelon_basis_is_reduced_and_spans_the_rows():
     assert _rank_mod_p(rows + basis) == 3
 
 
-def reference_pivot_triple(jac):
-    """The pivot choice as one det per triple."""
-    best, best_det = None, 0.0
+def reference_pivot_triples(jac):
+    """The pivot order as one det per triple: every triple scoring at least
+    1e-12, largest score first, the first triple first on a tie."""
+    scored = []
     for combo in combinations(range(len(jac)), 3):
         sub = np.array([jac[i] for i in combo])
         scale = np.prod([np.linalg.norm(r) or 1.0 for r in sub])
-        d = abs(np.linalg.det(sub)) / scale
-        if d > best_det:
-            best, best_det = combo, d
-    if best is None or best_det < 1e-12:
-        return None
-    return best
+        scored.append((abs(np.linalg.det(sub)) / scale, combo))
+    return [combo for d, combo in sorted(scored, key=lambda t: -t[0]) if d >= 1e-12]
 
 
 def test_stacked_pivot_choice_matches_the_loop():
@@ -235,8 +302,8 @@ def test_stacked_pivot_choice_matches_the_loop():
             jac[1] = jac[0]  # ties between triples
         if trial % 7 == 0:
             jac[:, 2] = jac[:, 0] - 2.0 * jac[:, 1]  # every triple singular
-        assert _pivot_triple(jac) == reference_pivot_triple(jac)
-    assert _pivot_triple(np.eye(3)[:2]) is None
+        assert _pivot_triples(jac) == reference_pivot_triples(jac)
+    assert _pivot_triples(np.eye(3)[:2]) == []
 
 
 class TestCertification:
