@@ -106,13 +106,14 @@ def load_point(text_or_path: str) -> ProjectivePoint:
 
 
 def atomic_write_json(path: str, doc: Any) -> None:
-    """Write JSON to a temporary file and rename it into place."""
+    """Write JSON to a temporary file and rename it into place. The document
+    is encoded in one string and written in one call; json.dump with an
+    indent would write it chunk by chunk."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

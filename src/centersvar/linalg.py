@@ -2,15 +2,16 @@
 
 Matrices are lists of lists whose entries are ``int`` or ``fractions.Fraction``;
 all routines are exact. ``det``, ``rref``, ``rank``, ``integer_kernel``,
-``kernel_basis``, ``integer_solve`` and ``inverse`` rest on one fraction-free
-Gauss–Jordan pass (Bareiss 1968, Math. Comp. 22) over integers: each row is
-scaled to integers by the lcm of its denominators, and every later entry is a
-minor of that integer matrix, so each division by the previous pivot is
-exact. ``integer_kernel`` and ``integer_solve`` read their integer results
-straight off that pass and build no ``Fraction``; ``kernel_basis`` divides
-the same results out over Q. Plane maps are not solved for here: they are
-built in integers from brackets (``projective.frame_matrix``,
-``projective.homography_fit``).
+``kernel_basis`` and ``inverse`` rest on one fraction-free Gauss–Jordan pass
+(Bareiss 1968, Math. Comp. 22) over integers: each row is scaled to integers
+by the lcm of its denominators, and every later entry is a minor of that
+integer matrix, so each division by the previous pivot is exact.
+``integer_kernel`` reads its integer vectors straight off that pass and
+builds no ``Fraction``; ``kernel_basis`` divides the same results out over Q.
+Plane maps are not solved for here: they are built in integers from brackets
+(``projective.frame_matrix``, ``projective.homography_fit``), and neither is
+the 3 x 3 Newton step of the n = 7 certification, which is one cofactor
+vector (``numeric.exact_newton_polish``).
 """
 
 from __future__ import annotations
@@ -121,16 +122,6 @@ def kernel_basis(a: Matrix) -> list[list[Fraction]]:
     with entry f equal to 1 and the other free entries 0."""
     vectors, d = _kernel(a)
     return [[Fraction(x, d) for x in v] for v in vectors]
-
-
-def integer_solve(a: Matrix, b: Row) -> tuple[list[int], int] | None:
-    """(numerators, d) with x = numerators / d the unique solution of A x = b
-    for square A, or None if A is singular; no Fraction is built."""
-    n = len(a)
-    m, pivots, d, _, _ = _eliminate([list(row) + [b[i]] for i, row in enumerate(a)])
-    if pivots != list(range(n)):
-        return None
-    return [m[i][n] for i in range(n)], d
 
 
 def inverse(a: Matrix) -> list[list[Fraction]] | None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod
+from math import prod, sqrt
 from operator import mul
 from typing import Sequence
 
@@ -41,8 +41,7 @@ from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InvalidInput, NoRationalImage, ToolkitError)
 from .forms import (BinaryForm, Form, binary_gcd, linear_root, moment_positions,
                     monomial_indices, monomials, mono_eval, sym_from_quad)
-from .invariants import (EVEN_FANO_PERMS, FANO_LINES, t6_factors, t6_lifted,
-                         t6_relation)
+from .invariants import _EVEN_FANO_SORTED, t6_factors, t6_lifted, t6_relation
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
@@ -527,30 +526,74 @@ def _with_certificate(p: NumericPoint, quads: Sequence[Form]) -> NumericPoint:
     return p if exact is None else _exact_point(exact)
 
 
-# the (0-based) points of each Fano line under each even permutation
-_FANO_ROWS = np.array([[[perm[i - 1] - 1 for i in line] for line in FANO_LINES]
-                       for perm in EVEN_FANO_PERMS])
+_TRIPLES = tuple(combinations(range(7), 3))  # the 35 increasing triples of seven points
+_TRIPLE_POINTS = np.array(_TRIPLES)
+# the sorted lines of each even Fano permutation, as indices into _TRIPLES
+_FANO_TRIPLES = np.array([[_TRIPLES.index(t) for t in lines] for lines in _EVEN_FANO_SORTED])
+
+
+def _unit_bracket_forms(x: Configuration) -> np.ndarray:
+    """The 35 x 4 floats whose row for the triple (i, j, k) of _TRIPLES is
+    c / (|x_i| |x_j| |x_k|), c the exact cofactor vector of the triple
+    (Configuration.cofactors_of): row . a is the bracket [x_i x_j x_k a] of
+    the points scaled to unit norm. Where some c is past the float range,
+    each point is scaled by 2**-e_i, e_i the bit length of its largest
+    coordinate, and each c exactly by 2**-(e_i + e_j + e_k) before it is
+    rounded."""
+    cofs = [x.cofactors_of(*t) for t in _TRIPLES]
+    coords = [p.coords for p in x.points]
+    try:
+        forms = np.array(cofs, dtype=float)
+        norms = np.linalg.norm(np.array(coords, dtype=float), axis=1)
+    except OverflowError:
+        e = [max(map(abs, c)).bit_length() for c in coords]
+        norms = np.linalg.norm(np.array([[v / (1 << s) for v in c] for c, s in zip(coords, e)]),
+                               axis=1)
+        forms = np.array([[v / (1 << (e[i] + e[j] + e[k])) for v in c]
+                          for c, (i, j, k) in zip(cofs, _TRIPLES)])
+    ni, nj, nk = norms[_TRIPLE_POINTS.T, None]
+    return forms / ni / nj / nk
 
 
 def fano15_complex(x: Configuration, a: Sequence) -> np.ndarray:
     """Floating-point lifted Fano vectors of (possibly complex) centers: one
     vector of 15 for one center, a k x 15 array for the k rows of a k x 4
-    array. All 105 k determinants go through one stacked det. Each center is
-    normalized by its own norm call (a row-wise norm rounds differently), so
-    its vector is bit for bit the one it gets alone."""
-    rows = np.array([p.coords for p in x.points], dtype=float)
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    array, for the seven points and each center scaled to unit norm.
+
+    A lifted bracket [x_i x_j x_k a] is a linear form in a, so the 35
+    brackets of a center are one 35 x 4 matrix (_unit_bracket_forms) applied
+    to it. Each entry is the product of the brackets of the seven sorted
+    lines of its even permutation, as in fano15_lifted: sorting the lines of
+    an even permutation leaves the product's sign as it is. Each center is
+    normalized by its own norm call and its brackets are built elementwise,
+    so its vector is bit for bit the one it gets alone."""
+    forms = _unit_bracket_forms(x)
     av = np.asarray(a, dtype=complex)
-    centers = np.array([c / np.linalg.norm(c) for c in av.reshape(-1, 4)]).reshape(-1, 4)
-    stack = np.empty((len(centers), len(EVEN_FANO_PERMS), len(FANO_LINES), 4, 4), dtype=complex)
-    stack[..., :3, :] = rows[_FANO_ROWS]
-    stack[..., 3, :] = centers[:, None, None, :]
-    values = np.prod(np.linalg.det(stack), axis=-1)
+    centers = np.array([c / np.linalg.norm(c) for c in av.reshape(-1, 4)], dtype=complex)
+    centers = centers.reshape(-1, 4)
+    brackets = (forms[:, 0] * centers[:, 0, None] + forms[:, 1] * centers[:, 1, None]
+                + forms[:, 2] * centers[:, 2, None] + forms[:, 3] * centers[:, 3, None])
+    # take, unlike brackets[:, _FANO_TRIPLES], returns a C-ordered k x 15 x 7
+    # array, so each product runs over 7 contiguous entries whatever k is
+    values = np.prod(np.take(brackets, _FANO_TRIPLES, axis=1), axis=-1)
     return values[0] if av.ndim == 1 else values
 
 
-_OMEGA = np.ones(15)
 _MATCH_TOL = 1e-7
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of v divided by their norms; a zero row stays zero, at
+    distance 1 from every direction, as in projective_distance."""
+    norms = np.linalg.norm(v, axis=1)
+    norms[norms == 0] = np.inf
+    return v / norms[:, None]
+
+
+def _sines(cosines: Sequence[float]) -> list[float]:
+    """The projective distance sqrt(1 - c^2) of each absolute cosine c of the
+    angle between two unit vectors, c clamped to at most 1."""
+    return [sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)) for c in cosines]
 
 
 @dataclass(frozen=True)
@@ -570,23 +613,31 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     Candidates whose Fano vector is proportional to the all-ones direction
     are discarded (they see the seven points on a conic, which does not
     certify equivalence); the rest are matched by minimal projective
-    distance between the invariant vectors. The pairs follow the order of
-    the a-candidates; their invariant distances are float noise and would
-    give no stable order. An exact b is the resected center of an exact a
-    (candidates_n7), so a match of an exact with an inexact center raises
-    AmbiguousMatch.
+    distance between the invariant vectors. Both distances are read off the
+    unit Fano vectors u: the cosine to the all-ones direction is
+    |sum(u)| / sqrt(15), and those of the matches come from the elementwise
+    products of the kept a- and b-vectors; the assignments are searched in
+    Python floats. The
+    pairs follow the order of the a-candidates; their invariant distances
+    are float noise and would give no stable order. An exact b is the
+    resected center of an exact a (candidates_n7), so a match of an exact
+    with an inexact center raises AmbiguousMatch.
     """
-    va, vb = (list(zip(cands, fano15_complex(w, np.reshape([p.coords for p in cands], (-1, 4)))))
+    ua, ub = (_unit_rows(fano15_complex(w, np.reshape([p.coords for p in cands], (-1, 4))))
               for w, cands in ((x, a_candidates), (y, b_candidates)))
-    va = [(p, v) for p, v in va if projective_distance(v, _OMEGA) >= _MATCH_TOL]
-    vb = [(p, v) for p, v in vb if projective_distance(v, _OMEGA) >= _MATCH_TOL]
-    if not va or len(va) != len(vb):
+    omega = _sines([abs(s) / sqrt(15) for s in np.vstack([ua, ub]).sum(axis=1).tolist()])
+    keep_a = [i for i in range(len(ua)) if omega[i] >= _MATCH_TOL]
+    keep_b = [j for j in range(len(ub)) if omega[len(ua) + j] >= _MATCH_TOL]
+    if not keep_a or len(keep_a) != len(keep_b):
         raise AmbiguousMatch(
-            f"cannot match {len(va)} a-candidates with {len(vb)} b-candidates")
-    dist = np.array([[projective_distance(u, w) for _, w in vb] for _, u in va])
+            f"cannot match {len(keep_a)} a-candidates with {len(keep_b)} b-candidates")
+    # elementwise products, not a complex matmul: the first complex BLAS call
+    # of a process raises its peak memory by about 0.4 MiB
+    cosines = (ua[keep_a, None, :] * ub[None, keep_b, :].conj()).sum(axis=-1).tolist()
+    dist = [_sines([abs(c) for c in row]) for row in cosines]
     best_perm, best_total = None, float("inf")
-    for perm in permutations(range(len(vb))):
-        total = sum(dist[i, perm[i]] for i in range(len(va)))
+    for perm in permutations(range(len(keep_b))):
+        total = sum(dist[i][perm[i]] for i in range(len(keep_a)))
         if total < best_total:
             best_perm, best_total = perm, total
     assert best_perm is not None
@@ -594,11 +645,11 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     for i, j in enumerate(best_perm):
         row = sorted(dist[i])
         if len(row) > 1 and row[1] < _MATCH_TOL:
-            raise AmbiguousMatch("two candidate matches within tolerance",
-                                 distances=[float(d) for d in dist[i]])
-        if (va[i][0].exact is None) != (vb[j][0].exact is None):
+            raise AmbiguousMatch("two candidate matches within tolerance", distances=dist[i])
+        a, b = a_candidates[keep_a[i]], b_candidates[keep_b[j]]
+        if (a.exact is None) != (b.exact is None):
             raise AmbiguousMatch("an exact center is matched with an inexact one")
-        pairs.append(MatchedPair(va[i][0], vb[j][0], float(dist[i, j])))
+        pairs.append(MatchedPair(a, b, dist[i][j]))
     return pairs
 
 

@@ -14,11 +14,13 @@ Gauss-Newton on all input forms, which stops at the first step shorter than
 
 Certification runs in Python ints and builds no Fraction. Newton steps on a
 triple of forms sharpen a real candidate on dyadic iterates X / 2**e (e = 64,
-128, 256), each step an exact integer 3 x 3 solve rounded to the next scale;
-a triple that meets a singular step gives way to the next best one.
-One continued-fraction pass per coordinate then gives the best rational
-approximations under a ladder of denominator bounds, and each distinct
-snapped point is substituted into every form in integers.
+128, 256), each step read off the one integer cofactor vector of the
+augmented 3 x 4 system and rounded to the next scale; a triple that meets a
+singular step gives way to the next best one. One continued-fraction pass
+per coordinate then gives the best rational approximations under a ladder
+of denominator bounds. A snapped point at which the first form is nonzero
+modulo 2^61 - 1 is no zero and is skipped; every other distinct snapped
+point is substituted into every form in integers.
 
 The floats of a quadric, coefficients and symmetric matrix alike, are its
 integer coefficients scaled by an exact power of two (Form.floats), so no
@@ -32,15 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import Inconsistent, NotFinite
 from .forms import Form, _product_positions, moment_positions, monomials
-from .projective import ProjectivePoint, canonical_coords
+from .projective import ProjectivePoint, canonical_coords, cofactors
 
 _PRIME = 2 ** 61 - 1
 _REAL_TOL = 1e-9  # largest imaginary part of a unit vector that counts as real
@@ -114,25 +116,35 @@ def projective_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
 def _echelon_mod_p(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """A reduced row echelon basis over GF(_PRIME) of the span of the rows of
     an integer matrix: each row has a 1 in its own pivot column and 0 in the
-    others. Rows are reduced one at a time against the basis so far."""
+    others. Rows are reduced one at a time against the basis so far. Every
+    basis row is 0 in the other rows' pivot columns, so a step computes only
+    the columns that are not yet pivots and sets the pivot entries to 0 or 1
+    directly."""
     basis: list[list[int]] = []
     pivots: list[int] = []
+    free = list(range(len(rows[0]))) if rows else []
     for row in rows:
-        row = [x % _PRIME for x in row]
-        for c, b in zip(pivots, basis):
-            f = row[c]
-            if f:
-                row = [(x - f * y) % _PRIME for x, y in zip(row, b)]
-        c = next((i for i, x in enumerate(row) if x), None)
-        if c is None:
+        used = [(f, b) for f, b in ((row[c] % _PRIME, b) for c, b in zip(pivots, basis)) if f]
+        if used:
+            vals = [(row[i] - sum(f * b[i] for f, b in used)) % _PRIME for i in free]
+        else:
+            vals = [row[i] % _PRIME for i in free]
+        k = next((k for k, v in enumerate(vals) if v), None)
+        if k is None:
             continue
-        inv = pow(row[c], -1, _PRIME)
-        row = [x * inv % _PRIME for x in row]
-        for i, b in enumerate(basis):
+        c = free.pop(k)
+        inv = pow(vals.pop(k), -1, _PRIME)
+        new = [0] * len(row)
+        new[c] = 1
+        for i, v in zip(free, vals):
+            new[i] = v * inv % _PRIME
+        for b in basis:
             f = b[c]
             if f:
-                basis[i] = [(x - f * y) % _PRIME for x, y in zip(b, row)]
-        basis.append(row)
+                for i in free:
+                    b[i] = (b[i] - f * new[i]) % _PRIME
+                b[c] = 0
+        basis.append(new)
         pivots.append(c)
     return basis
 
@@ -208,6 +220,16 @@ def _gauss_newton(syms: np.ndarray, point: np.ndarray) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=64)
+def _directions(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random directions (c, d) of the eigenvalue method for a seed,
+    drawn once per seed and read-only, as every call shares them."""
+    rng = np.random.default_rng(seed)
+    c, d = rng.standard_normal(4), rng.standard_normal(4)
+    c.flags.writeable = d.flags.writeable = False
+    return c, d
+
+
 def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
                          tol: float = 1e-9, seed: int = 0) -> list[NumericPoint]:
     """All common zeros (real and complex) of quadrics in P^3 whose zero set
@@ -255,9 +277,9 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     coeffs = coeffs / scales[:, None]
     kernel = np.linalg.svd(coeffs)[2][len(monomials(2)) - h2:]
     moments = kernel[:, _MOMENTS]  # h2 x 4 x 4
-    rng = np.random.default_rng(seed)
-    a_c = (moments @ rng.standard_normal(4)).T
-    a_d = (moments @ rng.standard_normal(4)).T
+    c, d = _directions(seed)
+    a_c = (moments @ c).T
+    a_d = (moments @ d).T
     _, vecs = np.linalg.eig(np.linalg.pinv(a_c) @ a_d)
 
     syms = sym_floats(coeffs)
@@ -283,12 +305,15 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
 def _pivot_triples(jac: np.ndarray) -> list[tuple[int, int, int]]:
     """The triples of rows of jac (k x 3) whose determinant, relative to the
     product of the three row norms, is at least 1e-12, largest first (the
-    first triple first on a tie). All triples go through one stacked det."""
+    first triple first on a tie). The row norms come from one call, and all
+    triples go through one stacked det."""
     if len(jac) < 3:
         return []
     triples = list(combinations(range(len(jac)), 3))
     rows = np.array(triples)
-    norms = np.array([np.linalg.norm(r) or 1.0 for r in jac])[rows]
+    norms = np.linalg.norm(jac, axis=1)
+    norms[norms == 0] = 1.0
+    norms = norms[rows]
     d = (np.abs(np.linalg.det(jac[rows])) / (norms[:, 0] * norms[:, 1] * norms[:, 2])).tolist()
     kept = [(s, t) for s, t in zip(d, triples) if s >= 1e-12]
     return [t for _, t in sorted(kept, key=lambda st: -st[0])]  # stable: ties keep order
@@ -308,9 +333,11 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> tuple[list[
     forms (each with its cached Form.integer_hessian) drives a square Newton
     iteration on dyadic iterates x = X / 2**e: X starts as the float point
     rounded at e = 64, and each step solves J(X) s = -f(X) on the triple
-    exactly by an integer 3 x 3 elimination and rounds X + s to the next
-    scale, e = 128 and then e = 256; each step roughly squares the number of
-    correct digits. The forms enter as their
+    exactly and rounds X + s to the next scale, e = 128 and then e = 256;
+    each step roughly squares the number of correct digits. The step is one
+    integer cofactor vector c of the three augmented rows (J_i | f_i):
+    J (c_0, c_1, c_2) + f c_3 = 0, so s = (c_0, c_1, c_2) / c_3, and the
+    step is singular exactly when c_3 = +-det J is 0. The forms enter as their
     integer forms d * f (d the lcm of the coefficient denominators), which
     have the same zeros, so no coefficient is ever rounded. The float pivot
     choice works on forms scaled by exact powers of two, so large
@@ -331,20 +358,20 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> tuple[list[
     start = [round(math.ldexp(v, _DYADIC_EXPONENTS[0])) for v in real / real[j]]
     start[j] = 1 << _DYADIC_EXPONENTS[0]
     for best in _pivot_triples(jac_float[:, unknowns]):
-        triple = [forms[i] for i in best]
+        triple = [(forms[i], forms[i].integer_hessian) for i in best]
         x, e = start, _DYADIC_EXPONENTS[0]
         for e_next in _DYADIC_EXPONENTS[1:]:
-            # J(x) = J(X) / 2**e and f(x) = f(X) / 2**(2e), so the step in x is s / 2**e
-            jac = [[sum(h[k][m] * x[m] for m in range(4)) for k in unknowns]
-                   for h in (f.integer_hessian for f in triple)]
-            step = linalg.integer_solve(jac, [-f.integer_value(x) for f in triple])
-            if step is None:
+            # J(x) = J(X) / 2**e and f(x) = f(X) / 2**(2e), so the step in x is s / 2**e.
+            # The cofactor vector c of the augmented rows (J_i | f_i) has
+            # J (c_0, c_1, c_2) + f c_3 = 0, so s = (c_0, c_1, c_2) / c_3, c_3 = +-det J.
+            c = cofactors(*([sum(h[k][m] * x[m] for m in range(4)) for k in unknowns]
+                            + [f.integer_value(x)] for f, h in triple))
+            if not c[3]:
                 break
-            numerators, d = step
             shift = e_next - e
             x = [v << shift for v in x]
-            for k, s in zip(unknowns, numerators):
-                x[k] += _round_div(s << shift, d)
+            for k, s in zip(unknowns, c):
+                x[k] += _round_div(s << shift, c[3])
             e = e_next
         else:
             return x, 1 << e
@@ -384,6 +411,18 @@ def _limit_denominators(n: int, d: int, bounds: Sequence[int]) -> list[tuple[int
     return out
 
 
+def _cleared_mod_p(snapped: Sequence[tuple[int, int]]) -> list[int]:
+    """The point (p_0/q_0 : ... : p_3/q_3) with its denominators cleared by
+    their product M = q_0 q_1 q_2 q_3, w_i = p_i * prod_{j != i} q_j, reduced
+    mod _PRIME. An integer quadric f has f(w) = M^2 f(p / q) in integers, so
+    f(w) is nonzero mod _PRIME only if f(p / q) is nonzero. This holds for
+    every q; a q_i divisible by _PRIME only makes the test weaker."""
+    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = snapped
+    q01, q23 = q0 * q1 % _PRIME, q2 * q3 % _PRIME
+    return [p0 * q1 * q23 % _PRIME, p1 * q0 * q23 % _PRIME,
+            p2 * q3 * q01 % _PRIME, p3 * q2 * q01 % _PRIME]
+
+
 def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> ProjectivePoint | None:
     """Try to recognize a numeric zero as an exact rational point.
 
@@ -394,8 +433,12 @@ def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> Projective
     that the polishing error cannot favour another fraction (error below
     about 1 / (q * bound)). One continued-fraction pass per coordinate of
     the dyadic iterate of exact_newton_polish gives its limit_denominator
-    at every bound, and each distinct snapped point is substituted once, in
-    integers.
+    at every bound. Each distinct snapped point p / q is first tried modulo
+    _PRIME: where the first form is nonzero at its cleared coordinates
+    (_cleared_mod_p), it is nonzero at p / q and the snap is skipped, before
+    any lcm or big-integer substitution. Every other snap is substituted
+    once into every form, in integers, and only an exact zero of all of
+    them is returned.
     """
     if not point.is_real:
         return None
@@ -403,11 +446,14 @@ def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> Projective
     if polished is None:
         return None
     numerators, den = polished
+    first = forms[0]
     checked = set()
     for snapped in zip(*(_limit_denominators(v, den, _LADDER) for v in numerators)):
         if snapped in checked:
             continue
         checked.add(snapped)
+        if first.integer_value(_cleared_mod_p(snapped)) % _PRIME:
+            continue
         common = math.lcm(*(q for _, q in snapped))
         ints = [p * (common // q) for p, q in snapped]
         if all(f.integer_value(ints) == 0 for f in forms):

@@ -431,3 +431,39 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
         monkeypatch.setenv("CENTERSVAR_SEED", "0")
         assert main(["centers", "-i", xfile, "-j", yfile, "-o", xfile + ".out"]) == 0
+
+
+def test_reports_are_the_bytes_of_the_chunked_json_dump(tmp_path, monkeypatch):
+    # one report of every kind; json.dump with an indent writes the same text
+    # as json.dumps, chunk by chunk
+    monkeypatch.delenv("CENTERSVAR_SEED", raising=False)
+    written = []
+    write = cio.atomic_write_json
+    monkeypatch.setattr(cio, "atomic_write_json",
+                        lambda path, doc: written.append((path, doc)) or write(path, doc))
+
+    def run(*argv):
+        out = str(tmp_path / f"r{len(written)}.json")
+        assert main([*argv, "-o", out]) == 0
+        return json.loads(open(out).read()), out
+
+    for n in range(4, 9):
+        doc, _ = run("generate", "--n", str(n), "--seed", "1")
+        files = {}
+        for key, value in (("X", doc["X"]), ("Y", doc["Y"]), ("a", doc["ground_truth"]["a"])):
+            files[key] = str(tmp_path / f"{key}{n}.json")
+            write(files[key], value)
+        center = ["--center", files["a"]] if n in (5, 6) else []
+        run("centers", "-i", files["X"], "-j", files["Y"], *center)
+    degenerate, world = run("generate", "--degenerate", "CoplanarCenter", "--seed", "2")
+    center = ",".join(degenerate["center"])
+    run("classify", "-i", world, "--center", center)
+    _, image = run("project", "-i", world, "--center", center)
+    run("invariants", "-i", image, "--kind", "N5")
+    run("equiv", "-i", image, "-j", image)
+    assert len(written) == 15
+    for path, doc in written:
+        with open(tmp_path / "chunked.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        assert open(path, "rb").read() == (tmp_path / "chunked.json").read_bytes()

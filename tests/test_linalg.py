@@ -101,21 +101,15 @@ def test_rref_rank_and_kernel_match_the_reference(a):
 
 
 @settings(deadline=None)
-@given(matrices(square=True), st.data())
-def test_det_solve_and_inverse_match_the_reference(a, data):
+@given(matrices(square=True))
+def test_det_and_inverse_match_the_reference(a):
     n = len(a)
     d = ref_det(a)
     assert linalg.det(a) == d
-    b = data.draw(st.lists(BIG, min_size=n, max_size=n))
-    solution, inv = linalg.integer_solve(a, b), linalg.inverse(a)
+    inv = linalg.inverse(a)
     if d == 0:
-        assert solution is None and inv is None
+        assert inv is None
         return
-    numerators, den = solution
-    assert all(type(v) is int for v in numerators + [den])
-    x = [Fraction(v, den) for v in numerators]
-    assert x == [row[n] for row in ref_rref([row + [bi] for row, bi in zip(a, b)])[0]]
-    assert mat_vec(a, x) == b
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     assert inv == [row[n:] for row in ref_rref([row + e for row, e in zip(a, identity)])[0]]
     assert [mat_vec(a, col) for col in zip(*inv)] == identity
@@ -137,7 +131,6 @@ def test_exact_edge_cases():
     assert linalg.det([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
     singular = [[1, 2], [2, 4]]
     assert linalg.det(singular) == 0
-    assert linalg.integer_solve(singular, [1, 1]) is None
     assert linalg.inverse(singular) is None
     with pytest.raises(ValueError):
         linalg.det([[1, 2, 3], [4, 5, 6]])

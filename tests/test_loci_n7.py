@@ -12,7 +12,7 @@ from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import DegenerateInput, Inconclusive, Inconsistent, ToolkitError
 from centersvar.forms import Form, mono_eval, monomials
-from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES
+from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES, fano15_lifted
 from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
                              centers_variety, fano15_complex, pair_candidates_n7,
                              quadric_net, weddle_curve_point)
@@ -130,19 +130,50 @@ def reference_fano15_complex(x, a):
     return np.array(values)
 
 
-def test_stacked_fano_vector_matches_the_per_matrix_loop_bit_for_bit():
+def max_relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_fano_vector_matches_the_per_matrix_determinants():
+    # the brackets come from the exact cofactor vectors, not from 4 x 4 float
+    # determinants, so the two routes agree to rounding, not bit for bit
     rng = random.Random(11)
     nrng = np.random.default_rng(11)
-    for trial in range(20):
+    for trial in range(40):
         x = rand_config(rng, 7) if trial % 2 else generate_reconstruction(7, seed=trial).x
         a = nrng.standard_normal(4) + (1j * nrng.standard_normal(4) if trial % 3 else 0.0)
         got, want = fano15_complex(x, a), reference_fano15_complex(x, a)
         assert got.dtype == want.dtype and got.shape == want.shape == (15,)
-        assert got.tobytes() == want.tobytes()
+        assert max_relative_error(got, want) <= 1e-12
+
+
+def test_fano_vector_of_an_integer_center_is_proportional_to_the_exact_one():
+    rng = random.Random(12)
+    for trial in range(40):
+        x = rand_config(rng, 7) if trial % 2 else generate_reconstruction(7, seed=trial).x
+        a = [rng.randint(-10 ** 3, 10 ** 3) for _ in range(4)]
+        exact = np.array([float(v) for v in fano15_lifted(x, a).values])
+        got = fano15_complex(x, a)
+        assert got.shape == (15,) and np.all(got.imag == 0)
+        k = int(np.argmax(np.abs(exact)))
+        assert max_relative_error(got.real * (exact[k] / got.real[k]), exact) <= 1e-12
+
+
+def test_fano_vector_of_points_past_the_float_range():
+    # cofactor vectors near 10^330 do not fit a float; the scaled route gives
+    # the same unit brackets as the determinants of the unit points
+    rng = random.Random(13)
+    nrng = np.random.default_rng(13)
+    for _ in range(5):
+        x = Configuration([[rng.randint(-10 ** 110, 10 ** 110) for _ in range(4)]
+                           for _ in range(7)])
+        a = nrng.standard_normal(4)
+        assert max_relative_error(fano15_complex(x, a), reference_fano15_complex(x, a)) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
 def test_fano_vectors_of_stacked_centers_match_one_center_at_a_time_bit_for_bit(k):
+    # each center's brackets are built by the same elementwise operations
     rng = random.Random(k)
     nrng = np.random.default_rng(k)
     for trial in range(6):
@@ -150,9 +181,11 @@ def test_fano_vectors_of_stacked_centers_match_one_center_at_a_time_bit_for_bit(
         centers = nrng.standard_normal((k, 4)) + 1j * nrng.standard_normal((k, 4)) * (trial % 3 > 0)
         centers[::2] *= 10.0 ** nrng.integers(-8, 8)  # row norms far apart
         got = fano15_complex(x, centers)
-        want = np.array([reference_fano15_complex(x, c) for c in centers], dtype=complex).reshape(k, 15)
+        want = np.array([fano15_complex(x, c) for c in centers], dtype=complex).reshape(k, 15)
         assert got.dtype == want.dtype and got.shape == want.shape == (k, 15)
         assert got.tobytes() == want.tobytes()
+        assert k == 0 or max_relative_error(
+            got, np.array([reference_fano15_complex(x, c) for c in centers])) <= 1e-12
 
 
 class TestCandidates:

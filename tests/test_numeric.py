@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,15 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centersvar import linalg
+from centersvar import linalg, numeric
 from centersvar.errors import Inconsistent, NotFinite
 from centersvar.forms import (Form, _product_positions, mono_eval, monomial_index,
                               monomials)
-from centersvar.numeric import (_LADDER, _PRIME, _echelon_mod_p,
-                                _hilbert_function, _limit_denominators,
-                                _pivot_triples, certify_rational,
-                                projective_distance, solve_quadric_system)
-from centersvar.projective import canonical_coords, pp
+from centersvar.numeric import (_LADDER, _PRIME, _cleared_mod_p, _directions,
+                                _echelon_mod_p, _hilbert_function,
+                                _limit_denominators, _pivot_triples,
+                                certify_rational, exact_newton_polish,
+                                projective_distance, solve_quadric_system,
+                                sym_floats)
+from centersvar.projective import canonical_coords, cofactors, pp
 
 RATIONAL = [pp(0, 2, -3, 5), pp(7, -1, 4, 2), pp(3, 3, -8, 0)]
 # p = U + iW and its conjugate, with the real point Q
@@ -280,6 +283,48 @@ def test_echelon_basis_is_reduced_and_spans_the_rows():
     assert _rank_mod_p(rows + basis) == 3
 
 
+def reference_echelon_mod_p(rows):
+    """_echelon_mod_p as a dense elimination: every step reduces, normalizes
+    and back-substitutes whole rows."""
+    basis, pivots = [], []
+    for row in rows:
+        row = [x % _PRIME for x in row]
+        for c, b in zip(pivots, basis):
+            f = row[c]
+            if f:
+                row = [(x - f * y) % _PRIME for x, y in zip(row, b)]
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        inv = pow(row[c], -1, _PRIME)
+        row = [x * inv % _PRIME for x in row]
+        for i, b in enumerate(basis):
+            f = b[c]
+            if f:
+                basis[i] = [(x - f * y) % _PRIME for x, y in zip(b, row)]
+        basis.append(row)
+        pivots.append(c)
+    return basis
+
+
+@given(quadric_systems())
+@example([unit(k) for k in range(10)] + rational_system())
+@settings(max_examples=150, deadline=None)
+def test_echelon_of_the_free_columns_matches_the_dense_elimination(forms):
+    rows = [canonical_coords(f.coeffs) for f in forms]
+    assert _echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+
+
+def test_echelon_of_the_free_columns_on_random_matrices():
+    rng = random.Random(19)
+    for _ in range(400):
+        rows = [[rng.randint(-3, 3) * rng.choice([1, 10 ** 30, _PRIME]) for _ in range(10)]
+                for _ in range(rng.randint(1, 12))]
+        rows += rows[:2]  # repeated rows
+        assert _echelon_mod_p(rows) == reference_echelon_mod_p(rows)
+    assert _echelon_mod_p([]) == []
+
+
 def reference_pivot_triples(jac):
     """The pivot order as one det per triple: every triple scoring at least
     1e-12, largest score first, the first triple first on a tie."""
@@ -304,6 +349,168 @@ def test_stacked_pivot_choice_matches_the_loop():
             jac[:, 2] = jac[:, 0] - 2.0 * jac[:, 1]  # every triple singular
         assert _pivot_triples(jac) == reference_pivot_triples(jac)
     assert _pivot_triples(np.eye(3)[:2]) == []
+
+
+def reference_integer_solve(a, b):
+    """(numerators, d) with x = numerators / d the unique solution of A x = b
+    for square A, or None if A is singular, read off the fraction-free
+    elimination of the augmented matrix: the Newton step of
+    exact_newton_polish before it took one cofactor vector."""
+    n = len(a)
+    m, pivots, d, _, _ = linalg._eliminate([list(row) + [b[i]] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return [m[i][n] for i in range(n)], d
+
+
+def check_cofactor_step(rows):
+    """The step s with J s = -f of the augmented rows (J_i | f_i) is
+    (c_0, c_1, c_2) / c_3 for their cofactor vector c, singular exactly
+    when c_3 = 0, as the elimination finds it."""
+    jac, f = [r[:3] for r in rows], [r[3] for r in rows]
+    c = cofactors(*rows)
+    want = reference_integer_solve(jac, [-v for v in f])
+    if want is None:
+        assert c[3] == 0
+        return False
+    numerators, d = want
+    x = [Fraction(v, d) for v in numerators]
+    assert all(sum(j * v for j, v in zip(row, x)) == -fi for row, fi in zip(jac, f))
+    assert [Fraction(v, c[3]) for v in c[:3]] == x
+    return True
+
+
+HUGE = st.integers(-10 ** 80, 10 ** 80)
+AUGMENTED_ROW = st.lists(HUGE, min_size=4, max_size=4)
+
+
+@st.composite
+def singular_systems(draw):
+    """Three augmented rows whose Jacobian part is of rank at most 2: the
+    third is an integer combination of the first two, f left free."""
+    r0, r1 = draw(AUGMENTED_ROW), draw(AUGMENTED_ROW)
+    u, v = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    return [r0, r1, [u * x + v * y for x, y in zip(r0[:3], r1[:3])] + [draw(HUGE)]]
+
+
+@given(st.one_of(st.lists(AUGMENTED_ROW, min_size=3, max_size=3), singular_systems()))
+@settings(max_examples=300, deadline=None)
+def test_cofactor_step_matches_the_elimination(rows):
+    check_cofactor_step(rows)
+
+
+def test_cofactor_step_on_random_small_and_singular_systems():
+    rng = random.Random(20)
+    solved = 0
+    for trial in range(2000):
+        bound = (3, 10 ** 8, 10 ** 80)[trial % 3]
+        rows = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(3)]
+        if trial % 4 == 0:
+            rows[2][:3] = [rng.randint(-2, 2) * x for x in rows[rng.randint(0, 1)][:3]]
+        solved += check_cofactor_step(rows)
+    assert 1000 < solved < 2000
+
+
+def reference_exact_newton_polish(forms, point):
+    """exact_newton_polish with each Newton step by the fraction-free 3 x 3
+    elimination and the pivot triples scored one det at a time."""
+    p = np.asarray(point, dtype=complex)
+    if np.max(np.abs(p.imag)) > 1e-6 * np.max(np.abs(p)):
+        return None
+    real = p.real / np.linalg.norm(p.real)
+    j = int(np.argmax(np.abs(real)))
+    unknowns = [k for k in range(4) if k != j]
+    jac_float = 2.0 * (sym_floats(np.array([f.floats for f in forms])) @ real)
+    start = [round(math.ldexp(v, 64)) for v in real / real[j]]
+    start[j] = 1 << 64
+    for best in reference_pivot_triples(jac_float[:, unknowns]):
+        triple = [forms[i] for i in best]
+        x, e = start, 64
+        for e_next in (128, 256):
+            jac = [[sum(f.integer_hessian[k][m] * x[m] for m in range(4)) for k in unknowns]
+                   for f in triple]
+            step = reference_integer_solve(jac, [-f.integer_value(x) for f in triple])
+            if step is None:
+                break
+            numerators, d = step
+            x = [v << (e_next - e) for v in x]
+            for k, s in zip(unknowns, numerators):
+                x[k] += (2 * (s << (e_next - e)) * d + d * d) // (2 * d * d)  # nearest, halves up
+            e = e_next
+        else:
+            return x, 1 << e
+    return None
+
+
+@pytest.mark.parametrize("bound", [10, 1000])
+def test_newton_polish_matches_the_elimination_route(bound):
+    from centersvar.datagen import generate_reconstruction
+    from centersvar.loci import quadric_pair_n6
+    polished = 0
+    for seed in range(20):
+        rec = generate_reconstruction(7, seed=seed, coord_bound=bound)
+        quads = [quadric_pair_n6(rec.x.drop(k), rec.y.drop(k))[0] for k in range(7)]
+        for p in solve_quadric_system(quads, expected=3):
+            got = exact_newton_polish(quads, p.array())
+            assert got == reference_exact_newton_polish(quads, p.array())
+            polished += got is not None
+    assert polished >= 40
+
+
+def test_mod_p_rejection_keeps_every_true_zero():
+    rng = random.Random(21)
+
+    def random_form():
+        return Form(2, tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(10)))
+
+    for trial in range(300):
+        snapped = [(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30)) for _ in range(4)]
+        if trial % 5 == 0:  # a denominator divisible by the prime
+            snapped[trial % 4] = (rng.randint(-10 ** 9, 10 ** 9) * 2 + 1,
+                                  _PRIME * rng.randint(1, 10 ** 9))
+        point = [Fraction(p, q) for p, q in snapped]
+        g, m = random_form(), random_form()
+        zero = Form(2, tuple(m(point) * gc - g(point) * mc for gc, mc in zip(g.coeffs, m.coeffs)))
+        assert zero(point) == 0 and not zero.is_zero()
+        cleared = _cleared_mod_p(snapped)
+        assert zero.integer_value(cleared) % _PRIME == 0
+        # a nonzero residue is a nonzero value; a generic form is rejected
+        assert g(point) != 0 and g.integer_value(cleared) % _PRIME
+        if trial % 5:
+            assert m.integer_value(cleared) % _PRIME and m(point) != 0
+
+
+def test_certifies_a_point_whose_denominators_are_the_prime(monkeypatch):
+    # frozen to its largest coordinate the first point is (1 : 1/p : 2/p : 3/p),
+    # so its snap has denominators _PRIME. The forms are products of planes
+    # through the points, which stay independent mod _PRIME.
+    rng = random.Random(22)
+    points = [pp(_PRIME, 1, 2, 3), pp(0, 2, -3, 5), pp(7, -1, 4, 2)]
+
+    def plane_through(*pts):
+        return Form(1, cofactors(*pts, *([rng.randint(-9, 9) for _ in range(4)]
+                                         for _ in range(3 - len(pts)))))
+
+    forms = []
+    for k in range(7):
+        a, b, c = (points[(k + i) % 3].coords for i in range(3))
+        forms.append(plane_through(a, b) * plane_through(c))
+    snaps = []
+    monkeypatch.setattr(numeric, "_cleared_mod_p",
+                        lambda snapped: snaps.append(snapped) or _cleared_mod_p(snapped))
+    found = {certify_rational(forms, p) for p in solve_quadric_system(forms, expected=3)}
+    assert found == set(points)
+    assert ((1, 1), (1, _PRIME), (2, _PRIME), (3, _PRIME)) in snaps
+
+
+def test_random_directions_are_drawn_once_per_seed_and_read_only():
+    rng = np.random.default_rng(5)
+    c, d = _directions(5)
+    assert c.tobytes() == rng.standard_normal(4).tobytes()
+    assert d.tobytes() == rng.standard_normal(4).tobytes()
+    assert _directions(5)[0] is c
+    with pytest.raises(ValueError):
+        c[0] = 0.0
 
 
 class TestCertification:
