@@ -9,10 +9,9 @@ for eight or more by an exact emptiness test that verifies any surviving
 pair.
 """
 
-from .projective import (CameraMatrix, Configuration, ProjectivePoint,
-                         StabilityClass, bracket, canonical_camera,
-                         center_admissible, gale_transform, homography_fit,
-                         pp, project, stability_class)
+from .projective import (Configuration, ProjectivePoint, StabilityClass,
+                         bracket, center_admissible, gale_transform,
+                         homography_fit, pp, project, stability_class)
 from .invariants import (InvariantVector, WeddleQuartic, fano, fano15,
                          fano15_lifted, g5, g5_lifted, igusa_F,
                          lifted_quadrics, morley, t6, t6_lifted,

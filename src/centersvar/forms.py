@@ -4,13 +4,13 @@ Two small algebras used throughout the loci computations:
 
 * quaternary forms (homogeneous polynomials in z_0..z_3) stored as coefficient
   tuples in graded lexicographic monomial order; they are built directly from
-  their linear factors (exact products and linear substitution), and only a
-  form known by its values alone is fitted by interpolation; a form is
-  evaluated in integers, with its coefficients and the point's coordinates
-  each brought to a common denominator (one Fraction per value); a quadric
-  surface is its quadratic form, and the symmetric matrix S of z^T S z is
-  read off the coefficients (sym_from_quad) only where a report or float
-  code needs it;
+  their linear factors (exact products and linear substitution), and no
+  route of the package fits a form by interpolation (``fit_form`` is a
+  reference for the tests); a form is evaluated in integers, with its
+  coefficients and the point's coordinates each brought to a common
+  denominator (one Fraction per value); a quadric surface is its quadratic
+  form, and the symmetric matrix S of z^T S z is read off the coefficients
+  (sym_from_quad) only where a report or float code needs it;
 * binary forms (homogeneous polynomials in a curve parameter (t_0 : t_1))
   with exact arithmetic and gcd.
 """
@@ -78,6 +78,7 @@ def _exact(point: Sequence) -> list:
     return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
 
 
+# Kept for fit_form, which perfbench/tracing.py resolves by name.
 def mono_eval(exp: Sequence[int], point: Sequence) -> Fraction:
     return Fraction(math.prod(x ** e for x, e in zip(_exact(point), exp)))
 
@@ -89,6 +90,7 @@ def scaled_float(c: Fraction, e: int) -> float:
     return (c.numerator << -e) / c.denominator
 
 
+# Kept for fit_form, which perfbench/tracing.py resolves by name.
 @lru_cache(maxsize=None)
 def _node_matrix_inverse(degree: int) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of the evaluation matrix at the lattice nodes.
@@ -103,13 +105,13 @@ def _node_matrix_inverse(degree: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in inv)
 
 
+# No caller in the package: kept because perfbench/tracing.py resolves it by name.
 def fit_form(evaluate: Callable[[Sequence[int]], Fraction], degree: int) -> tuple[Fraction, ...]:
     """Coefficients (graded lex) of the degree-d form with the given values.
 
-    For forms known only by their values, such as a determinant with
-    polynomial entries: the form is evaluated at the lattice nodes and the
-    interpolation system is solved exactly. A form with known factors is
-    built from them instead (``Form.__mul__``, ``Form.compose_linear``).
+    The form is evaluated at the lattice nodes and the interpolation system
+    is solved exactly: a reference for forms the package builds from their
+    factors (``Form.__mul__``, ``Form.compose_linear``).
     """
     values = [Fraction(evaluate(node)) for node in monomials(degree)]
     inv = _node_matrix_inverse(degree)
@@ -215,7 +217,7 @@ class Form:
         return Form(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + other.scaled(-1)
+        return self + Form(other.degree, tuple(-c for c in other.coeffs))
 
     def scaled(self, s) -> "Form":
         s = Fraction(s)
@@ -290,6 +292,7 @@ class BinaryForm:
         s = Fraction(s)
         return BinaryForm(c * s for c in self.coeffs)
 
+    # Kept for binary_gcd, which perfbench/tracing.py resolves by name.
     def _split(self) -> tuple[int, int, list[Fraction]]:
         """Factor t_0^low * t_1^high * core, core with nonzero ends."""
         if self.is_zero():
@@ -300,6 +303,7 @@ class BinaryForm:
         return lo, hi, core
 
 
+# Kept for binary_gcd, which perfbench/tracing.py resolves by name.
 def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
     num = list(num)
     lead = den[-1]
@@ -314,6 +318,7 @@ def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction
     return rem
 
 
+# Kept for binary_gcd, which perfbench/tracing.py resolves by name.
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while any(c != 0 for c in b):
         a, b = b, _poly_rem(a, b)
@@ -321,6 +326,7 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [c / lead for c in a] if lead != 0 else a
 
 
+# No caller in the package: kept because perfbench/tracing.py resolves it by name.
 def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Monic gcd of binary forms; accounts for roots at (0:1) and (1:0)."""
     nonzero = [f for f in forms if not f.is_zero()]
@@ -335,11 +341,3 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
         core_gcd = core if core_gcd is None else _poly_gcd(core_gcd, core)
     assert core_gcd is not None and lo is not None and hi is not None
     return BinaryForm([Fraction(0)] * lo + core_gcd + [Fraction(0)] * hi)
-
-
-def linear_root(f: BinaryForm) -> tuple[Fraction, Fraction]:
-    """The projective root of a degree-1 binary form c_0 T_1 + c_1 T_0."""
-    if f.degree != 1 or f.is_zero():
-        raise InvalidInput("linear_root needs a nonzero linear form")
-    c0, c1 = f.coeffs
-    return (-c0, c1) if c1 != 0 else (Fraction(1), Fraction(0))

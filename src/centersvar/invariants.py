@@ -14,6 +14,8 @@ Each family lifts to a configuration in P^3 with a chosen center a by
 replacing every plane bracket [ijk] with the space bracket [x_i x_j x_k a];
 the lifted vector is proportional to the invariant vector of the projected
 configuration, which is what makes these usable for camera-center loci.
+Lifted, t_5 of six points of P^3 is their Weddle quartic, the centers from
+which the six images lie on a conic (``weddle_quartic``).
 
 A family is written once, over its index table: every value is an integer
 product of brackets taken from a bracket source, which is the plane bracket
@@ -50,15 +52,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from . import linalg
 from .errors import DegenerateInput, InvalidInput
-from .forms import Form, fit_form
-from .projective import (Configuration, ProjectivePoint, bracket,
-                         canonical_coords, normalizing_transform)
+from .forms import Form
+from .projective import Configuration, ProjectivePoint, bracket, canonical_coords
 
 # Bracket index triples (1-based), exactly as printed in the classical tables.
 G5_TRIPLES = (
@@ -292,6 +293,7 @@ def t6_relation(x: Configuration, factors) -> tuple[int, ...]:
             -b1234 * b1356 * b2456, -b1235 * b1246 * b3456, w4)
 
 
+# No caller in the package: kept because perfbench/tracing.py resolves it by name.
 def lifted_quadrics(x: Configuration) -> list[Form]:
     """Symbolic lifted forms of the five quadratic t6 generators on six
     points of P^3, in the graded lex coefficient convention.
@@ -374,26 +376,18 @@ class WeddleQuartic:
 def weddle_quartic(z: Configuration) -> WeddleQuartic:
     """Weddle quartic of six labelled points of P^3 in general position.
 
-    The points are first normalized so the leading five become the standard
-    frame; in that frame the quartic is the determinant with rows
-    (w_i, x_i^2, x_i, w_i x_i), where w is the image of the sixth point, and
-    it is pulled back through the normalizing map. Defined up to scale.
+    It is t_5 lifted: the centers from which the six images lie on a conic,
+    [123z][145z][246z][356z] - [124z][135z][236z][456z], each bracket the
+    linear form of the points' cofactor vector of its triple. The first five
+    points must form a frame. Defined up to scale.
     """
     if z.n != 6 or z.ambient_dim != 3:
         raise InvalidInput("weddle_quartic needs six points in P^3")
-    try:
-        t = normalizing_transform(z.points[:5])
-    except DegenerateInput:
+    if not all(bracket(four) for four in combinations(z.points[:5], 4)):
         raise DegenerateInput("the first five points do not form a frame")
-    w = linalg.mat_vec(t, z[5].fractions())
-
-    def framed_value(x: Sequence) -> Fraction:
-        rows = [[w[i], Fraction(x[i]) ** 2, Fraction(x[i]), w[i] * Fraction(x[i])]
-                for i in range(4)]
-        return linalg.det(rows)
-
-    framed = Form(4, fit_form(framed_value, 4))
-    form = framed.compose_linear(t).primitive()
+    plus, minus = (reduce(mul, (Form(1, z.cofactors_of(*t)) for t in triples))
+                   for triples in (_T5_PLUS, _T5_MINUS))
+    form = (plus - minus).primitive()
     if form.is_zero():
         raise DegenerateInput("six points do not determine a Weddle quartic")
     return WeddleQuartic(form, z.points)

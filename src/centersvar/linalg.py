@@ -75,12 +75,6 @@ def det(rows: Matrix) -> Fraction:
     return Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
 
 
-def mat_vec(a: Matrix, v: Row) -> list[Fraction]:
-    if len(a[0]) != len(v):
-        raise ValueError("shape mismatch in mat_vec")
-    return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
     m, pivots, d, _, _ = _eliminate(a)

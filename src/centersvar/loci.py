@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod, sqrt
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -39,9 +39,10 @@ from . import linalg
 from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InadmissibleCenter, Inconclusive, Inconsistent,
                      InvalidInput, NoRationalImage, ToolkitError)
-from .forms import (BinaryForm, Form, binary_gcd, linear_root, moment_positions,
-                    monomial_indices, monomials, mono_eval, sym_from_quad)
-from .invariants import _EVEN_FANO_SORTED, t6_factors, t6_lifted, t6_relation
+from .forms import (BinaryForm, Form, moment_positions, monomial_indices,
+                    monomials, sym_from_quad)
+from .invariants import (_EVEN_FANO_SORTED, t6_factors, t6_lifted, t6_relation,
+                         weddle_quartic)
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
@@ -211,21 +212,6 @@ def cubic_param_n5(curve: TwistedCubic) -> tuple[BinaryForm, BinaryForm, BinaryF
     if curve.param is None:
         raise DegenerateCurve("the locus is not a smooth twisted cubic")
     return curve.param
-
-
-def param_of_point(param: Sequence[BinaryForm], point: ProjectivePoint) -> tuple[Fraction, Fraction]:
-    """The parameter at which a degree-3 parametrization passes through a point."""
-    minors = []
-    for i, j in combinations(range(4), 2):
-        f = param[i].scaled(point[j]) + param[j].scaled(-point[i])
-        if not f.is_zero():
-            minors.append(f)
-    if not minors:
-        raise DegenerateCurve("parametrization is a single point")
-    g = binary_gcd(minors)
-    if g.degree != 1:
-        raise DegenerateCurve("point is not a simple point of the parametrization")
-    return linear_root(g)
 
 
 def classify_degeneration_n5(x: Configuration, a: ProjectivePoint) -> DegenerationTag:
@@ -590,10 +576,16 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / norms[:, None]
 
 
-def _sines(cosines: Sequence[float]) -> list[float]:
-    """The projective distance sqrt(1 - c^2) of each absolute cosine c of the
-    angle between two unit vectors, c clamped to at most 1."""
-    return [sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)) for c in cosines]
+def _distances(u: np.ndarray, v: np.ndarray) -> list[list[float]]:
+    """Entry [i][j]: the projective distance |u_i - (v_j^H u_i) v_j| between
+    unit rows (as in projective_distance), 1 where u_i is zero (a zero v_j
+    gives 1 by itself). By elementwise products, not a complex matmul: the
+    first complex BLAS call of a process raises its peak memory by about
+    0.4 MiB."""
+    dots = (u[:, None, :] * v[None, :, :].conj()).sum(axis=-1)
+    dist = np.linalg.norm(u[:, None, :] - dots[..., None] * v[None, :, :], axis=-1)
+    dist[~u.any(axis=1)] = 1.0
+    return dist.tolist()
 
 
 @dataclass(frozen=True)
@@ -614,27 +606,23 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     are discarded (they see the seven points on a conic, which does not
     certify equivalence); the rest are matched by minimal projective
     distance between the invariant vectors. Both distances are read off the
-    unit Fano vectors u: the cosine to the all-ones direction is
-    |sum(u)| / sqrt(15), and those of the matches come from the elementwise
-    products of the kept a- and b-vectors; the assignments are searched in
-    Python floats. The
-    pairs follow the order of the a-candidates; their invariant distances
-    are float noise and would give no stable order. An exact b is the
+    unit Fano vectors u as the part of u off the other line (_distances):
+    off the all-ones direction that is |u - mean(u)|, and a match of u and v
+    takes |u - (v^H u) v|; the assignments are searched in Python floats.
+    The pairs follow the order of the a-candidates; their invariant
+    distances are float noise and would give no stable order. An exact b is the
     resected center of an exact a (candidates_n7), so a match of an exact
     with an inexact center raises AmbiguousMatch.
     """
     ua, ub = (_unit_rows(fano15_complex(w, np.reshape([p.coords for p in cands], (-1, 4))))
               for w, cands in ((x, a_candidates), (y, b_candidates)))
-    omega = _sines([abs(s) / sqrt(15) for s in np.vstack([ua, ub]).sum(axis=1).tolist()])
+    omega = [d for (d,) in _distances(np.vstack([ua, ub]), np.full((1, 15), 15 ** -0.5))]
     keep_a = [i for i in range(len(ua)) if omega[i] >= _MATCH_TOL]
     keep_b = [j for j in range(len(ub)) if omega[len(ua) + j] >= _MATCH_TOL]
     if not keep_a or len(keep_a) != len(keep_b):
         raise AmbiguousMatch(
             f"cannot match {len(keep_a)} a-candidates with {len(keep_b)} b-candidates")
-    # elementwise products, not a complex matmul: the first complex BLAS call
-    # of a process raises its peak memory by about 0.4 MiB
-    cosines = (ua[keep_a, None, :] * ub[None, keep_b, :].conj()).sum(axis=-1).tolist()
-    dist = [_sines([abs(c) for c in row]) for row in cosines]
+    dist = _distances(ua[keep_a], ub[keep_b])
     best_perm, best_total = None, float("inf")
     for perm in permutations(range(len(keep_b))):
         total = sum(dist[i][perm[i]] for i in range(len(keep_a)))
@@ -829,9 +817,7 @@ def quadric_net(x: Configuration) -> list[Form]:
     """Exact basis of the net of quadrics through seven points of P^3."""
     if x.n != 7 or x.ambient_dim != 3:
         raise InvalidInput("quadric_net needs seven points in P^3")
-    monos = monomials(2)
-    rows = [[mono_eval(m, p.coords) for m in monos] for p in x.points]
-    kernel = linalg.kernel_basis(rows)
+    kernel = linalg.kernel_basis([p.quadratic_monomials for p in x.points])
     if len(kernel) != 3:
         raise DegenerateInput("quadrics through the seven points do not form a net")
     return [Form(2, tuple(v)) for v in kernel]
@@ -846,7 +832,6 @@ def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, l
     singular quadric; it is returned together with its residuals on the
     seven Weddle quartics.
     """
-    from .invariants import weddle_quartic
     import random as _random
     net = [np.array(sym_from_quad(q), dtype=float) for q in quadric_net(x)]
     rng = _random.Random(seed)

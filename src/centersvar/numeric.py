@@ -103,14 +103,16 @@ class NumericPoint:
 
 
 def projective_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
-    """Sine of the angle between the coordinate lines spanned by u and v."""
+    """Sine of the angle between the coordinate lines spanned by u and v:
+    |u - (v^H u) v| for u and v scaled to unit norm, the part of u off the
+    line of v, with no cancellation near 0; 1 if either is zero."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0 or nv == 0:
         return 1.0
-    c = abs(np.vdot(u, v)) / (nu * nv)
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)))
+    u, v = u / nu, v / nv
+    return float(np.linalg.norm(u - np.vdot(v, u) * v))
 
 
 def _echelon_mod_p(rows: Sequence[Sequence[int]]) -> list[list[int]]:

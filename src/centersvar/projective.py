@@ -1,4 +1,4 @@
-"""Exact projective arithmetic: points, brackets, cameras, homographies.
+"""Exact projective arithmetic: points, brackets, projections, homographies.
 
 Points are stored in canonical form (primitive integer vector, first nonzero
 entry positive), which turns projective equality into tuple equality and
@@ -269,48 +269,6 @@ def project(x: ProjectivePoint, a: ProjectivePoint) -> ProjectivePoint:
     k = d if a[d] != 0 else next(i for i in range(d + 1) if a[i] != 0)
     image = [a[k] * x[j] - x[k] * a[j] for j in range(d + 1) if j != k]
     return ProjectivePoint(image)
-
-
-@dataclass(frozen=True)
-class CameraMatrix:
-    """Full-rank d x (d+1) matrix; its kernel is the camera center."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(_to_fraction(x) for x in row) for row in entries)
-        d = len(rows)
-        if any(len(r) != d + 1 for r in rows):
-            raise InvalidInput("camera matrix must be d x (d+1)")
-        if linalg.rank(rows) != d:
-            raise InvalidInput("camera matrix must have full rank")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def center(self) -> ProjectivePoint:
-        (kernel,) = linalg.kernel_basis(self.entries)
-        return ProjectivePoint(kernel)
-
-    def apply(self, x: ProjectivePoint) -> ProjectivePoint:
-        v = linalg.mat_vec(self.entries, x.fractions())
-        if all(c == 0 for c in v):
-            raise CenterHit("point coincides with the camera center")
-        return ProjectivePoint(v)
-
-
-def canonical_camera(a: ProjectivePoint) -> CameraMatrix:
-    """The camera realizing ``project(., a)`` as a matrix."""
-    d = a.dim
-    k = d if a[d] != 0 else next(i for i in range(d + 1) if a[i] != 0)
-    rows = []
-    for j in range(d + 1):
-        if j == k:
-            continue
-        row = [Fraction(0)] * (d + 1)
-        row[j] = Fraction(a[k])
-        row[k] = Fraction(-a[j])
-        rows.append(row)
-    return CameraMatrix(rows)
 
 
 def _frame_weights(points: Sequence[ProjectivePoint]) -> tuple[int, list[int]]:

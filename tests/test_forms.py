@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centersvar import linalg
 from centersvar.errors import InvalidInput
-from centersvar.forms import (BinaryForm, Form, binary_gcd, fit_form,
-                              linear_root, mono_eval, monomial_indices, monomials,
-                              sym_from_quad)
+from centersvar.forms import (BinaryForm, Form, binary_gcd, fit_form, mono_eval,
+                              monomial_indices, monomials, sym_from_quad)
 from centersvar.projective import ProjectivePoint
+
+
+def mat_vec(a, v):
+    return [sum(Fraction(x) * y for x, y in zip(row, v)) for row in a]
 
 
 def rand_form(rng, degree):
@@ -43,7 +45,7 @@ class TestQuaternaryForms:
             f = rand_form(rng, degree)
             m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
             g = f.compose_linear(m)
-            assert g.coeffs == fit_form(lambda z: f(linalg.mat_vec(m, z)), degree)
+            assert g.coeffs == fit_form(lambda z: f(mat_vec(m, z)), degree)
             for _ in range(10):
                 z = [rng.randint(-7, 7) for _ in range(4)]
                 mz = [sum(m[i][j] * z[j] for j in range(4)) for i in range(4)]
@@ -176,9 +178,3 @@ class TestBinaryForms:
         gcd = binary_gcd([f, g])
         assert gcd.degree == 2
         assert gcd(0, 1) == 0 and gcd(2, 3) == 0 and gcd(1, 0) != 0
-
-    def test_linear_root(self):
-        f = BinaryForm([-7, -3])  # -3 t0 - 7 t1, vanishing at (7 : -3)
-        t = linear_root(f)
-        assert f(*t) == 0
-        assert linear_root(BinaryForm([5, 0])) == (1, 0)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -8,14 +9,15 @@ import pytest
 
 from centersvar import linalg, projective
 from centersvar.errors import DegenerateInput
-from centersvar.forms import fit_form
+from centersvar.forms import Form, fit_form, monomials
 from centersvar.invariants import (EVEN_FANO_PERMS, FANO_LINES, ODD_FANO_PERMS, T5_MINUS,
                                    T5_PLUS, T6_TRIPLES, InvariantVector,
                                    fano, fano15,
                                    fano15_lifted, fano_sum_odd, g5, g5_lifted,
                                    igusa_F, lifted_quadrics, morley, t6,
                                    t6_lifted, weddle_quartic)
-from centersvar.projective import (Configuration, ProjectivePoint, cofactors, pp,
+from centersvar.projective import (Configuration, ProjectivePoint, cofactors,
+                                   normalizing_transform, pp,
                                    project)
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
@@ -380,3 +382,101 @@ class TestWeddleQuartic:
         pts = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
         with pytest.raises(DegenerateInput):
             weddle_quartic(Configuration(pts))
+
+
+def integer_matrix(m):
+    """m times the lcm of its denominators."""
+    d = math.lcm(*(v.denominator for row in m for v in row))
+    return [[int(v * d) for v in row] for row in m]
+
+
+def mat_vec(m, v):
+    return [sum(map(mul, row, v)) for row in m]
+
+
+def weddle_frame(z):
+    """(T, framed) of the interpolation route: T normalizes the first five
+    points to the standard frame, scaled to integers (which scales every
+    value below by one constant), and framed(x) is the determinant with rows
+    (w_i, x_i^2, x_i, w_i x_i), w = T z_6: the Weddle quartic in frame
+    coordinates."""
+    try:
+        t = integer_matrix(normalizing_transform(z.points[:5]))
+    except DegenerateInput:
+        raise DegenerateInput("the first five points do not form a frame")
+    w = mat_vec(t, z[5].coords)
+
+    def framed(x):
+        return linalg.det([[w[i], x[i] ** 2, x[i], w[i] * x[i]] for i in range(4)])
+
+    return t, framed
+
+
+def interpolated_weddle(z):
+    """The Weddle quartic by interpolation: the framed quartic pulled back
+    through T, fitted at the lattice nodes."""
+    t, framed = weddle_frame(z)
+    form = Form(4, fit_form(lambda node: framed(mat_vec(t, node)), 4)).primitive()
+    if form.is_zero():
+        raise DegenerateInput("six points do not determine a Weddle quartic")
+    return form
+
+
+def weddle_outcome(fn, z):
+    try:
+        return fn(z)
+    except DegenerateInput as exc:
+        return type(exc), str(exc)
+
+
+def weddle_sets(seed, count):
+    """Six-point sets: entries in {-1, 0, 1} (many of them degenerate), up to
+    9 and up to 10^6, and sets whose fifth point lies in the plane of three
+    of the first four (no frame); a zero point is replaced by e_4."""
+    rng = random.Random(seed)
+    for k in range(count):
+        bound = (1, 9, 10 ** 6, 9)[k % 4]
+        pts = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(6)]
+        if k % 4 == 3:
+            i, j, l = rng.sample(range(4), 3)
+            pts[4] = [a + 2 * b - c for a, b, c in zip(pts[i], pts[j], pts[l])]
+        yield Configuration([p if any(p) else [0, 0, 0, 1] for p in pts])
+
+
+class TestWeddleMatchesInterpolation:
+    def test_same_form_or_error_on_3000_sets(self):
+        # Compared in frame coordinates, where the framed quartic is cheap:
+        # the 35 lattice nodes are unisolvent for quartics and fit_form is
+        # linear, so proportional values of framed(x) and of the quartic at
+        # T^-1 x over the nodes mean the same primitive coefficients (the
+        # fit itself is checked on a sample below).
+        outcomes = {"form": 0, "error": 0}
+        for z in weddle_sets(2026, 3000):
+            got = weddle_outcome(weddle_quartic, z)
+            try:
+                t, framed = weddle_frame(z)
+            except DegenerateInput as exc:
+                assert got == (DegenerateInput, str(exc))
+                outcomes["error"] += 1
+                continue
+            ref = [framed(node) for node in monomials(4)]
+            if not any(ref):
+                assert got == (DegenerateInput, "six points do not determine a Weddle quartic")
+                outcomes["error"] += 1
+                continue
+            unframe = integer_matrix(linalg.inverse(t))
+            vals = [got.form(mat_vec(unframe, node)) for node in monomials(4)]
+            k = next(i for i, r in enumerate(ref) if r)
+            assert vals[k] != 0
+            assert all(v * ref[k] == r * vals[k] for v, r in zip(vals, ref))
+            outcomes["form"] += 1
+        assert min(outcomes.values()) > 500, outcomes
+
+    def test_same_primitive_coefficients(self):
+        for z in weddle_sets(7, 120):
+            got = weddle_outcome(weddle_quartic, z)
+            want = weddle_outcome(interpolated_weddle, z)
+            if isinstance(got, tuple):
+                assert got == want
+            else:
+                assert got.form.coeffs == want.coeffs

@@ -11,7 +11,7 @@ from centersvar.forms import Form, monomials, same_span
 from centersvar.invariants import g5_lifted
 from centersvar.loci import (DegenerationTag, centers_n_le4,
                              classify_degeneration_n5, cubic_locus_n5,
-                             cubic_param_n5, param_of_point, restrict_to_param)
+                             cubic_param_n5, restrict_to_param)
 from centersvar.projective import (Configuration, apply_matrix, normalizing_transform, pp,
                                    project)
 
@@ -94,7 +94,7 @@ class TestCubicParam:
             assert all(q(pt) == 0 for q in self.curve.quadrics)
 
     def test_hits_all_base_points_at_distinct_parameters(self):
-        params = [param_of_point(self.param, bp) for bp in STD5]
+        params = base_params(STD5, GOLDEN_A)
         assert len({(t0, t1) for t0, t1 in params}) == 5
         for bp, t in zip(STD5, params):
             assert self.curve.at(*t) == bp
@@ -128,6 +128,24 @@ def _ratio(t):
     return t0 / t1 if t1 else None
 
 
+def base_params(x, a):
+    """The documented parameters of the closed form of cubic_locus_n5: with
+    alpha the x-frame image of a, y_j (j = 1..4) sits at (-alpha_j : 1) and
+    y_5 at (0 : 1)."""
+    alpha = apply_matrix(normalizing_transform(x.points), a)
+    return [(-c, 1) for c in alpha.coords] + [(0, 1)]
+
+
+def center_param(x, y, a, b):
+    """The parameter of a point b of the closed form of cubic_locus_n5: with
+    alpha and beta the frame images of a and b, beta_i alpha_k (t0 + alpha_i
+    t1) = beta_k alpha_i (t0 + alpha_k t1) for any i != k; i = 0, k = 1."""
+    alpha = apply_matrix(normalizing_transform(x.points), a)
+    beta = apply_matrix(normalizing_transform(y.points), b)
+    (a0, a1), (b0, b1) = alpha.coords[:2], beta.coords[:2]
+    return (-a0 * a1 * (b0 - b1), b0 * a1 - b1 * a0)
+
+
 class TestClosedFormParam:
     """Generated pairs have x != y, so the frame parametrization is pulled
     back to y through a frame matrix other than the identity."""
@@ -140,13 +158,11 @@ class TestClosedFormParam:
         assert [p.degree for p in param] == [3, 3, 3, 3]
         assert all(restrict_to_param(q, param).is_zero() for q in curve.quadrics)
         points = (rec.b_true,) + rec.y.points
-        params = [param_of_point(param, p) for p in points]
+        params = [center_param(rec.x, rec.y, rec.a_true, rec.b_true)]
+        params += base_params(rec.x, rec.a_true)
         assert len({_ratio(t) for t in params}) == 6
         for p, t in zip(points, params):
             assert curve.at(*t) == p
-        # the documented parameters: y_j at (-alpha_j : 1), y_5 at (0 : 1)
-        alpha = apply_matrix(normalizing_transform(rec.x.points), rec.a_true)
-        assert [_ratio(t) for t in params[1:]] == [-c for c in alpha.coords] + [0]
         base = g5_lifted(rec.x, rec.a_true)
         checked = 0
         for k in range(-10, 10):

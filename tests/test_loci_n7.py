@@ -188,6 +188,17 @@ def test_fano_vectors_of_stacked_centers_match_one_center_at_a_time_bit_for_bit(
             got, np.array([reference_fano15_complex(x, c) for c in centers])) <= 1e-12
 
 
+def test_match_distances_have_no_floor_and_a_zero_row_is_far():
+    u = np.array([[1, 2, -2, 0], [0, 0, 0, 0]], dtype=complex) / 3
+    w = np.array([0, 0, 0, 1j])
+    angles = [10.0 ** -k for k in range(8, 15)]
+    v = np.array([(np.cos(t) * u[0] + np.sin(t) * w) * np.exp(0.7j) for t in angles])
+    dist = loci._distances(u, v)
+    assert all(abs(d - t) <= 1e-16 + 1e-6 * t for d, t in zip(dist[0], angles))
+    assert dist[1] == [1.0] * len(angles)
+    assert loci._distances(v[:1], np.zeros((1, 4))) == [[1.0]]
+
+
 class TestCandidates:
     def setup_method(self):
         self.rec = generate_reconstruction(7, seed=3)
@@ -497,8 +508,9 @@ class TestEightPlus:
         assert result.surviving == ()
 
     def test_window_match_ambiguity_does_not_abort(self, tmp_path):
-        # the 7-point windows of this pair cannot be matched numerically
-        # (AmbiguousMatch), which must not decide the exact n = 8 verdict
+        # each 7-point window of this pair raises DegenerateInput (a common
+        # zero of the leave-one-out quadrics is a world point), which must
+        # not decide the exact n = 8 verdict
         x = Configuration([[1, 2, 2, -2], [-1, 3, -2, 3], [1, -2, 3, -1], [1, -2, -2, -1],
                            [-1, 2, -1, 1], [2, 3, 1, 2], [3, 1, 1, 3], [1, -2, -2, -2]])
         y = Configuration([[1, 1, 3, 2], [-2, 1, 3, -1], [-1, 3, -2, 3], [-1, 2, 1, 2],

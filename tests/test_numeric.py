@@ -581,3 +581,12 @@ class TestDistance:
 
     def test_orthogonal_lines(self):
         assert abs(projective_distance([1, 0, 0, 0], [0, 1, 0, 0]) - 1.0) < 1e-15
+
+    def test_small_angles_have_no_floor(self):
+        # sqrt(1 - c^2) rounds every angle up to about 1.5e-8 to 0
+        u, w = np.array([1, 2, -2, 0]) / 3, np.array([0, 0, 0, 1j])
+        for k in range(8, 15):
+            angle = 10.0 ** -k
+            v = (np.cos(angle) * u + np.sin(angle) * w) * np.exp(0.7j)
+            assert abs(projective_distance(u, v) - angle) <= 1e-16 + 1e-6 * angle
+            assert abs(projective_distance(v, u) - angle) <= 1e-16 + 1e-6 * angle
