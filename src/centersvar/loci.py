@@ -25,6 +25,7 @@ exactly, and the b of each is resected from it over all seven points.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -414,8 +415,7 @@ def sample_surface_point(s: Form, through: ProjectivePoint,
     integer line through a known point p of the surface. With q(p) = 0,
     q(p + t d) = t (q(p + d) - q(d)) + t^2 q(d), so the second point is
     q(d) p - (q(p + d) - q(d)) d, in integers."""
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     p = through.coords
     if s.integer_value(p):
         raise InvalidInput("base point is not on the quadric")
@@ -746,8 +746,7 @@ CentersVariety = EverythingN4 | CubicFibrationN5 | SurfacePairN6 | ThreePairsN7 
 
 def _sample_generic_centers(x: Configuration, y: Configuration, seed: int
                             ) -> tuple[ProjectivePoint, ProjectivePoint]:
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for _ in range(500):
         a = ProjectivePoint([rng.randint(-9, 9) or 1 for _ in range(4)])
         b = ProjectivePoint([rng.randint(-9, 9) or 1 for _ in range(4)])
@@ -832,9 +831,8 @@ def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, l
     singular quadric; it is returned together with its residuals on the
     seven Weddle quartics.
     """
-    import random as _random
     net = [np.array(sym_from_quad(q), dtype=float) for q in quadric_net(x)]
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for _ in range(50):
         c1 = [rng.randint(-9, 9) for _ in range(3)]
         c2 = [rng.randint(-9, 9) for _ in range(3)]

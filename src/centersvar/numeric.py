@@ -27,12 +27,16 @@ integer coefficients scaled by an exact power of two (Form.floats), so no
 coefficient overflows. Each form converts its coefficients once; the solver
 and the certification of every candidate read the same cached floats.
 
-Everything is deterministic for a fixed seed.
+Everything is deterministic for a fixed seed: the directions c and d of the
+eigenvalue method are four standard normal draws each of the standard
+library's random.Random(seed); the n = 7 engine solves the a-side with seed
+and the b-side with seed + 1.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -224,10 +228,14 @@ def _gauss_newton(syms: np.ndarray, point: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _directions(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The random directions (c, d) of the eigenvalue method for a seed,
-    drawn once per seed and read-only, as every call shares them."""
-    rng = np.random.default_rng(seed)
-    c, d = rng.standard_normal(4), rng.standard_normal(4)
+    """The random directions (c, d) of the eigenvalue method for a seed:
+    four standard normal draws of random.Random(seed) each, c first, drawn
+    once per seed and read-only, as every call shares them. The standard
+    library generator keeps numpy.random, and all it imports, out of the
+    process."""
+    rng = random.Random(seed)
+    c = np.array([rng.gauss(0.0, 1.0) for _ in range(4)])
+    d = np.array([rng.gauss(0.0, 1.0) for _ in range(4)])
     c.flags.writeable = d.flags.writeable = False
     return c, d
 
@@ -251,10 +259,12 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     The points come from the degree-2 dual kernel, spanned by v_2(p) of the
     zeros p (the eigenvalue method): each of its H(2) basis vectors lambda,
     read as the moment matrix M[i][j] = lambda[e_i + e_j], gives the column
-    M c of A_c and M d of A_d for random c, d, and each eigenvector v of
-    pinv(A_c) A_d gives the point A_c v. Points are polished by Gauss-Newton
-    on all forms, each form's symmetric matrix scaled to unit coefficient
-    norm and all of them stacked in one k x 4 x 4 array; the iteration stops
+    M c of A_c and M d of A_d for directions c, d drawn from
+    random.Random(seed) (see _directions; the b-side of the n = 7 engine
+    passes seed + 1), and each eigenvector v of pinv(A_c) A_d gives the
+    point A_c v. Points are polished by Gauss-Newton on all forms, each
+    form's symmetric matrix scaled to unit coefficient norm and all of them
+    stacked in one k x 4 x 4 array; the iteration stops
     after the first step no longer than 1e-13 on the unit point, twelve
     steps at most (see _GAUSS_NEWTON_STOP). Points with a residual above tol
     are dropped, and the rest deduplicated projectively. If ``expected`` is

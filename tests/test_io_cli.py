@@ -322,6 +322,33 @@ class TestGenerateCommand:
         assert "tag:" in proc.stdout
 
 
+# generate at n = 7, then centers on its X and Y, in one fresh process; prints
+# which of the modules numpy's generator would bring in are loaded afterwards
+_N7_MODULES_SCRIPT = """
+import json, os, sys
+from centersvar import io as cio
+from centersvar.cli import main
+d = sys.argv[1]
+inst, xf, yf = (os.path.join(d, f) for f in ("inst.json", "x.json", "y.json"))
+assert main(["generate", "--n", "7", "--seed", "0", "-o", inst]) == 0
+doc = json.load(open(inst))
+cio.atomic_write_json(xf, doc["X"])
+cio.atomic_write_json(yf, doc["Y"])
+assert main(["centers", "-i", xf, "-j", yf, "-o", os.path.join(d, "r.json")]) == 0
+assert json.load(open(os.path.join(d, "r.json")))["variant"] == "ThreePairsN7"
+print(json.dumps(sorted(m for m in ("numpy.random", "secrets", "hashlib") if m in sys.modules)))
+"""
+
+
+def test_n7_centers_loads_no_numpy_random(tmp_path):
+    # a subprocess, as pytest and its plugins may import these themselves
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _N7_MODULES_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 class TestMainEntry:
     def test_main_returns_exit_code(self, tmp_path, capsys):
         xfile = tmp_path / "x.json"

@@ -10,7 +10,8 @@ from centersvar import io as cio
 from centersvar import linalg, loci, numeric
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
-from centersvar.errors import DegenerateInput, Inconclusive, Inconsistent, ToolkitError
+from centersvar.errors import (AmbiguousMatch, DegenerateInput, Inconclusive, Inconsistent,
+                              ToolkitError)
 from centersvar.forms import Form, mono_eval, monomials
 from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES, fano15_lifted
 from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
@@ -289,6 +290,39 @@ def test_a_world_point_the_certifier_misses_is_degenerate(tmp_path):
     assert _centers_report(tmp_path, SINGULAR_TRIPLE_X, SINGULAR_TRIPLE_Y) == (2, None)
 
 
+# both have the indices {0, 1, 2, 3} and {1, 3, 5, 6} coplanar on both sides,
+# and two a-candidates with the same Fano vector up to the float floor
+COPLANAR_QUADRUPLE_PAIRS = [
+    (Configuration([[1, 2, -1, -1], [-3, 0, 2, 2], [2, -2, -3, -3], [2, -2, 1, 1],
+                    [-3, 3, 2, 1], [1, 3, -1, -2], [-3, -2, 3, 1]]),
+     Configuration([[-3, 2, 0, 3], [-3, -2, 1, -2], [-1, -2, -1, 2], [-3, 3, 1, 1],
+                    [-3, 3, 0, 3], [0, -1, 3, 0], [0, -3, -1, 3]])),
+    (Configuration([[0, -3, -2, 1], [3, 2, -1, 3], [-3, -1, 2, 3], [0, 1, -2, 0],
+                    [2, 1, -3, -1], [-1, -3, 1, -1], [1, 0, 0, 1]]),
+     Configuration([[-2, 2, -2, 0], [1, -1, 0, 0], [-1, 0, 2, -1], [-2, -2, -2, -3],
+                    [-3, -3, 3, 2], [0, 2, 1, -1], [-2, 0, -1, -3]])),
+]
+
+
+@pytest.mark.xfail(raises=AmbiguousMatch, strict=True,
+                   reason="Fano vectors cannot separate these candidates; pairing by "
+                          "resection can (ROADMAP item 3a)")
+@pytest.mark.parametrize("index", range(len(COPLANAR_QUADRUPLE_PAIRS)))
+def test_coplanar_quadruples_pair_without_ambiguity(index):
+    x, y = COPLANAR_QUADRUPLE_PAIRS[index]
+    result = centers_variety(x, y)
+    assert len(result.pairs) == 3
+    b_candidates = result.candidates.b_candidates
+    assert sorted(b_candidates.index(p.b) for p in result.pairs) == [0, 1, 2]
+
+
+# a float zero of the a-quadrics of SINGULAR_TRIPLE_X, SINGULAR_TRIPLE_Y near
+# (1 : -3 : 2 : 3) at which the float order of the Newton triples puts the two
+# singular ones first; the order moves with the last bits of the point
+SINGULAR_TRIPLE_NEAR = (0.20851441405707474, -0.6255432421712243,
+                        0.41702882811414954, 0.6255432421712244)
+
+
 def test_a_singular_first_newton_triple_does_not_lose_a_rational_zero():
     # the float-best triple (1, 4, 6) of the a-quadrics at (1 : -3 : 2 : 3)
     # has an exactly singular integer Jacobian, and so has (0, 4, 6); the
@@ -296,7 +330,11 @@ def test_a_singular_first_newton_triple_does_not_lose_a_rational_zero():
     x, y = SINGULAR_TRIPLE_X, SINGULAR_TRIPLE_Y
     quads = [loci.quadric_pair_n6(x.drop(k), y.drop(k))[0] for k in range(7)]
     points = numeric.solve_quadric_system(quads, expected=3)
-    (near,) = [p for p in points if projective_distance(p.coords, floats(pp(1, -3, 2, 3))) < 1e-9]
+    (solved,) = [p for p in points if projective_distance(p.coords, floats(pp(1, -3, 2, 3))) < 1e-9]
+    assert numeric.certify_rational(quads, solved) == pp(1, -3, 2, 3)
+    # built directly, so no renormalization moves the pinned point
+    near = numeric.NumericPoint(tuple(map(complex, SINGULAR_TRIPLE_NEAR)), 4.163336342344337e-17,
+                                is_real=True)
     real = near.array().real
     j = int(np.argmax(np.abs(real)))
     jac = 2.0 * (numeric.sym_floats(np.array([f.floats for f in quads])) @ (real / np.linalg.norm(real)))
@@ -519,6 +557,19 @@ class TestEightPlus:
         assert code == 0
         assert report["variant"] == "EmptyN8" and report["span_rank"] == 10
         assert report["surviving"] == [] and report["empty"] is True
+
+    @pytest.mark.xfail(raises=Inconclusive, strict=True,
+                       reason="decided only once the b-side windows are tried (ROADMAP item 4)")
+    def test_a_rank_seven_a_side_is_decided_empty(self, tmp_path):
+        # the a-quadrics of all 28 6-subsets span only 7 of 10 dimensions;
+        # the b-side spans 9, and resecting a from its single candidate fails
+        x = Configuration([[3, 0, -2, 0], [1, -3, 3, 1], [0, 1, -1, -1], [0, 1, 0, -2],
+                           [3, 0, 3, 2], [3, -3, 1, 1], [0, 1, -2, 0], [3, 1, 0, 2]])
+        y = Configuration([[1, -1, 0, 3], [3, -3, -2, 3], [1, -3, -2, 1], [2, 2, -2, 3],
+                           [1, -1, 3, -3], [1, -1, -1, -1], [3, -2, 2, 3], [0, 0, 0, 1]])
+        assert centers_variety(x, y).surviving == ()
+        code, report = _centers_report(tmp_path, x, y)
+        assert code == 0 and report["empty"] is True
 
     def test_verdict_needs_no_numeric_stage(self, monkeypatch):
         def refuse(*args, **kwargs):
