@@ -10,16 +10,17 @@ that line factors through both cameras, so
 
 is an explicit ambiguous pair for X = A' Z, Y = B' Z. The generator samples
 integer scenes and matrices, rejects until one exact genericity predicate
-holds (the same for every n, plus nondegenerate quadric pairs on the
-6-subsets the solvers use), and verifies the projected images by an exact
-witness homography before returning the pair.
+holds (the same for every n, plus, on every 6-subset a solver builds a
+quadric pair for, two bracket relations that are nonzero and not
+proportional), and verifies the projected images by an exact witness
+homography before returning the pair. Each camera's center is its one
+integer kernel vector, from one elimination.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Sequence
@@ -27,6 +28,8 @@ from typing import Sequence
 from . import linalg
 from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import fano15
+from .loci import (DegenerationTag, _quadric_relations_n6, _solver_subsets,
+                   classify_degeneration_n5)
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
                          apply_matrix, collinear, homography_fit,
                          normalizing_transform, on_line, project,
@@ -40,8 +43,8 @@ class Reconstruction:
     """A P^4 scene with two projections and the ambiguous center pair."""
 
     z: Configuration
-    aprime: tuple[tuple[Fraction, ...], ...]
-    bprime: tuple[tuple[Fraction, ...], ...]
+    aprime: tuple[tuple[int, ...], ...]
+    bprime: tuple[tuple[int, ...], ...]
     aprime_center: ProjectivePoint
     bprime_center: ProjectivePoint
     x: Configuration
@@ -92,16 +95,25 @@ def _side_generic(x: Configuration, a: ProjectivePoint) -> bool:
 def _generic_enough(x: Configuration, y: Configuration, a: ProjectivePoint,
                     b: ProjectivePoint, n: int) -> bool:
     """The genericity the solvers rely on: both sides generic, and for n >= 6
-    every 6-subset whose quadric pair a solver builds is nondegenerate."""
-    from .loci import _solver_subsets, quadric_pair_n6
+    every 6-subset whose quadric pair a solver builds has bracket relations
+    w^x, w^y that are nonzero and not proportional (_quadric_relations_n6).
+    No quadric is built: proportional relations always make the pair vanish,
+    and the converse rests on the evidence in loci.quadric_pair_n6."""
     if not (_side_generic(x, a) and _side_generic(y, b)):
         return False
     for c in _solver_subsets(n):
         try:
-            quadric_pair_n6(x.subset(c), y.subset(c))
+            _quadric_relations_n6(x.subset(c), y.subset(c))
         except DegenerateInput:
             return False
     return True
+
+
+def _camera_center(m: list[list[int]]) -> ProjectivePoint | None:
+    """The center of a 4 x 5 integer camera, its one integer kernel vector,
+    or None below rank 4 (a kernel of dimension 5 - rank)."""
+    kernel = linalg.integer_kernel(m)
+    return ProjectivePoint(kernel[0]) if len(kernel) == 1 else None
 
 
 def _certified(x: Configuration, y: Configuration, a: ProjectivePoint,
@@ -132,11 +144,8 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Rec
     for _ in range(_MAX_ATTEMPTS):
         amat = _random_matrix(rng, 4, 5, coord_bound)
         bmat = _random_matrix(rng, 4, 5, coord_bound)
-        if linalg.rank(amat) != 4 or linalg.rank(bmat) != 4:
-            continue
-        aprime = ProjectivePoint(linalg.kernel_basis(amat)[0])
-        bprime = ProjectivePoint(linalg.kernel_basis(bmat)[0])
-        if aprime == bprime:
+        aprime, bprime = _camera_center(amat), _camera_center(bmat)
+        if aprime is None or bprime is None or aprime == bprime:
             continue
         zs = []
         ok = True
@@ -165,8 +174,7 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Rec
             continue
         return Reconstruction(
             z=z,
-            aprime=tuple(tuple(Fraction(v) for v in row) for row in amat),
-            bprime=tuple(tuple(Fraction(v) for v in row) for row in bmat),
+            aprime=tuple(map(tuple, amat)), bprime=tuple(map(tuple, bmat)),
             aprime_center=aprime, bprime_center=bprime,
             x=x, y=y, a_true=a_true, b_true=b_true,
             seed=seed, coord_bound=coord_bound)
@@ -267,7 +275,6 @@ def generate_degenerate(kind: str, seed: int = 0, n: int | None = None):
             if len(nonzero) == 3 and len(set(nonzero)) == 1:
                 return cfg
 
-    from .loci import DegenerationTag, classify_degeneration_n5
     want = {
         "CoplanarCenter": DegenerationTag.LINE_PLUS_CONIC,
         "CollinearCenter": DegenerationTag.LINE_PLUS_PLANE,

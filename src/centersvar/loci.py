@@ -245,6 +245,26 @@ def classify_degeneration_n5(x: Configuration, a: ProjectivePoint) -> Degenerati
 # n = 6
 
 
+def _quadric_relations_n6(x: Configuration, y: Configuration
+                          ) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
+    """(fx, fy, wx, wy): each side's cofactor vectors of the lifted t6
+    quadrics (``invariants.t6_factors``) and their bracket relation
+    (``invariants.t6_relation``). Raises DegenerateInput where
+    quadric_pair_n6 refuses the six pairs as degenerate (see there), so the
+    decision needs no quadric: a relation w = 0, the x side first, or w^x
+    proportional to w^y, every 2 x 2 minor of the two 5-vectors zero."""
+    fx, fy = t6_factors(x), t6_factors(y)
+    wx, wy = t6_relation(x, fx), t6_relation(y, fy)
+    for tag, w in (("x", wx), ("y", wy)):
+        if not any(w):
+            raise DegenerateInput(f"quadric relation on the {tag} side is not unique")
+    if all(p * s == q * r for (p, q), (r, s) in combinations(zip(wx, wy), 2)):
+        # e.g. for projectively equivalent configurations, where the center
+        # locus is not confined to a quadric at all
+        raise DegenerateInput("the weighted quadric combination vanishes identically")
+    return fx, fy, wx, wy
+
+
 def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
     """The two quadric surfaces confining the centers for six point pairs, as
     primitive integer quadratic forms.
@@ -272,7 +292,9 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
     S_beta(a) = s sum_k w^y_k t^y_k(b) = 0: every true a lies on S_beta, and
     every true b on S_alpha.
 
-    The relation is refused as not unique exactly when w = 0. w is always a
+    Degeneracy is decided from the two relations alone
+    (_quadric_relations_n6, which the generator calls too). The relation is
+    refused as not unique exactly when w = 0. w is always a
     relation, so w != 0 makes the kernel of the 10 x 5 coefficient matrix at
     least one-dimensional. That it is then exactly one-dimensional, and that
     w = 0 leaves no one-dimensional kernel, rests on evidence, not a proof:
@@ -280,20 +302,21 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
     dimension 1 exactly when w != 0, and property tests compare the two on
     random, large and degenerate sets (coplanar, collinear, repeated and
     twisted-cubic points).
+
+    The pair is refused as vanishing identically when w^x and w^y are
+    proportional. That direction always holds: S_beta is then a multiple of
+    sum_k w^x_k t^x_k = 0, and S_alpha of the y-relation. The converse rests
+    on the same evidence: S_beta = 0 puts w^y in the kernel of the x-side
+    matrix, spanned by w^x when it is one-dimensional. The is_zero guard
+    stays for that unproven direction.
     """
     if x.n != 6 or y.n != 6 or x.ambient_dim != 3 or y.ambient_dim != 3:
         raise InvalidInput("quadric_pair_n6 needs six points in P^3 on both sides")
-    fx, fy = t6_factors(x), t6_factors(y)
-    wx, wy = t6_relation(x, fx), t6_relation(y, fy)
-    for tag, w in (("x", wx), ("y", wy)):
-        if not any(w):
-            raise DegenerateInput(f"quadric relation on the {tag} side is not unique")
+    fx, fy, wx, wy = _quadric_relations_n6(x, y)
     s_beta, s_alpha = (Form(2, _weighted_products(w, f)).primitive()
                        for w, f in ((wy, fx), (wx, fy)))
     if s_beta.is_zero() or s_alpha.is_zero():
-        # happens exactly when the two relations coincide, e.g. for
-        # projectively equivalent configurations, where the center locus is
-        # not confined to a quadric at all
+        # reached only if a side's relations spanned more than one dimension
         raise DegenerateInput("the weighted quadric combination vanishes identically")
     if any(_quadric_value(s_beta, pt) for pt in x.points):
         raise Inconsistent("S_beta does not contain its world points")

@@ -34,6 +34,7 @@ class TestReconstruction:
     def test_center_formulas(self):
         from centersvar.projective import apply_matrix
         rec = generate_reconstruction(6, seed=3)
+        assert all(type(v) is int for row in rec.aprime + rec.bprime for v in row)
         assert apply_matrix(rec.aprime, rec.bprime_center) == rec.a_true
         assert apply_matrix(rec.bprime, rec.aprime_center) == rec.b_true
 

@@ -2,19 +2,22 @@
 
 Each reference below is the earlier route, kept here only: canonical_coords
 through Fractions, the weighted quadric product as one generator sum per
-coefficient, a quadric's value by Form.integer_value, and the generator's
-side check by projecting every point and testing collinearity.
+coefficient, a quadric's value by Form.integer_value, the generator's
+side check by projecting every point and testing collinearity, and its camera
+center by linalg.rank and a Fraction kernel_basis vector.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centersvar.datagen import _side_generic, generate_reconstruction
+from centersvar import linalg
+from centersvar.datagen import _camera_center, _side_generic, generate_reconstruction
 from centersvar.errors import InvalidInput
 from centersvar.forms import Form, monomial_indices
 from centersvar.invariants import t6_factors, t6_relation
@@ -222,3 +225,35 @@ class TestSideGeneric:
                    + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
             lifted = sum(c * v for c, v in zip(x.cofactors_of(0, 1, 2), a.coords))
             assert abs(det) == a[k] ** 2 * abs(lifted)
+
+
+def reference_camera_center(m):
+    """The center by rank, then the first Fraction kernel_basis vector."""
+    return ProjectivePoint(linalg.kernel_basis(m)[0]) if linalg.rank(m) == 4 else None
+
+
+def camera_matrices(rng):
+    """Random 4 x 5 integer matrices in small and large boxes, and ones whose
+    last row, or last two rows, are combinations of the others."""
+    for bound in (1, 3, 10, 10 ** 6):
+        for _ in range(60):
+            m = [[rng.randint(-bound, bound) for _ in range(5)] for _ in range(4)]
+            yield m
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            m = m[:3] + [[s * p + t * q for p, q in zip(m[0], m[1])]]
+            yield m
+            yield m[:2] + [[s * p for p in m[0]]] + m[3:]
+    for seed in range(3):
+        rec = generate_reconstruction(7, seed=seed)
+        yield [list(row) for row in rec.aprime]
+        yield [list(row) for row in rec.bprime]
+
+
+class TestCameraCenter:
+    def test_matches_rank_and_kernel_basis(self):
+        rng = random.Random(29)
+        ranks = Counter()
+        for m in camera_matrices(rng):
+            assert _camera_center(m) == reference_camera_center(m)
+            ranks[linalg.rank(m)] += 1
+        assert ranks[4] > 100 and ranks[3] > 100 and ranks[2] > 50

@@ -1,5 +1,9 @@
 """The six-point quadric relation from bracket products, checked against the
-10 x 5 integer kernel of the lifted quadrics it replaces."""
+10 x 5 integer kernel of the lifted quadrics it replaces, and the degeneracy
+decision read off two relations against the quadric pair it stands for."""
+
+import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +12,9 @@ from centersvar import linalg
 from centersvar.errors import DegenerateInput, Inconsistent, ToolkitError
 from centersvar.forms import Form
 from centersvar.invariants import lifted_quadrics, t6_factors, t6_relation
-from centersvar.loci import quadric_pair_n6
-from centersvar.projective import Configuration
+from centersvar.datagen import _side_generic
+from centersvar.loci import _quadric_relations_n6, _solver_subsets, quadric_pair_n6
+from centersvar.projective import Configuration, ProjectivePoint
 
 
 def points(bound):
@@ -115,3 +120,49 @@ def test_bracket_relation_is_the_kernel_of_the_lifted_quadrics(pts):
 def test_quadric_pair_matches_the_kernel_route(pair):
     x, y = (Configuration(p) for p in pair)
     assert outcome(quadric_pair_n6, x, y) == outcome(kernel_quadric_pair, x, y)
+
+
+def degenerate_message(route, x, y):
+    try:
+        route(x, y)
+    except DegenerateInput as exc:
+        return str(exc)
+    return None
+
+
+def small_points(rng, n):
+    pts = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(n)]
+    return [p if any(p) else [0, 0, 0, 1] for p in pts]
+
+
+def test_relations_refuse_exactly_where_the_quadric_pair_does():
+    """On every solver subset of random sets in [-3, 3], n = 6..8, with y
+    drawn independently or as M x (relations proportional), the relations
+    alone give the quadric pair's DegenerateInput, message and all."""
+    rng = random.Random(20261019)
+    seen = Counter()
+    for n in (6, 7, 8):
+        for _ in range(150):
+            xs = small_points(rng, n)
+            a, b = (ProjectivePoint(p) for p in small_points(rng, 2))
+            mapped = rng.random() < 0.5
+            if mapped:
+                while True:
+                    m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+                    if linalg.det(m):
+                        break
+                ys = [[sum(r * c for r, c in zip(row, p)) for row in m] for p in xs]
+            else:
+                ys = small_points(rng, n)
+            x, y = Configuration(xs), Configuration(ys)
+            side_generic = _side_generic(x, a) and _side_generic(y, b)
+            for c in _solver_subsets(n):
+                xc, yc = x.subset(c), y.subset(c)
+                got = degenerate_message(_quadric_relations_n6, xc, yc)
+                assert got == degenerate_message(quadric_pair_n6, xc, yc)
+                seen[side_generic, mapped, got] += 1
+    vanishes = "the weighted quadric combination vanishes identically"
+    assert seen[True, True, vanishes] > 100 and seen[True, False, None] > 50
+    assert seen[False, False, "quadric relation on the x side is not unique"]
+    assert seen[False, False, "quadric relation on the y side is not unique"]
+    assert not any(seen[g, True, None] for g in (True, False))
