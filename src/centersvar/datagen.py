@@ -31,7 +31,7 @@ from .invariants import fano15
 from .loci import (DegenerationTag, _quadric_relations_n6, _solver_subsets,
                    classify_degeneration_n5)
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
-                         apply_matrix, collinear, homography_fit,
+                         apply_matrix, cofactors, collinear, homography_fit,
                          normalizing_transform, on_line, project,
                          stability_class)
 
@@ -312,16 +312,12 @@ def _degenerate_center(rng: random.Random, x: Configuration, kind: str) -> Proje
             return None
         return a
     if kind == "BiplanarCenter":
-        # a point of <x1,x2,x3> intersect <x1,x4,x5>, away from lines and points
-        mat = [[x[1][i], x[2][i], -x[0][i], -x[3][i], -x[4][i]] for i in range(4)]
-        kernel = linalg.kernel_basis(mat)
-        if not kernel:
-            return None
-        s, t = kernel[0][0], kernel[0][1]
-        coords = [s * x[1][i] + t * x[2][i] for i in range(4)]
-        if not any(coords):
-            return None
-        q = ProjectivePoint(coords)
+        # a point of <x1,x2,x3> intersect <x1,x4,x5>, away from lines and points,
+        # on the line through x1 and q, the point of <x2,x3> on the plane
+        # pi . z = 0 of x1, x4, x5; x is a frame, so the line meets the plane once
+        pi = cofactors(x[0].coords, x[3].coords, x[4].coords)
+        s, t = sum(map(mul, pi, x[2].coords)), -sum(map(mul, pi, x[1].coords))
+        q = ProjectivePoint([s * x[1][i] + t * x[2][i] for i in range(4)])
         a = combo([x[0], q])
         if a is None or any(on_line(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
             return None

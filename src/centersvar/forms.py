@@ -4,15 +4,15 @@ Two small algebras used throughout the loci computations:
 
 * quaternary forms (homogeneous polynomials in z_0..z_3) stored as coefficient
   tuples in graded lexicographic monomial order; they are built directly from
-  their linear factors (exact products and linear substitution), and no
-  route of the package fits a form by interpolation (``fit_form`` is a
-  reference for the tests); a form is evaluated in integers, with its
-  coefficients and the point's coordinates each brought to a common
-  denominator (one Fraction per value); a quadric surface is its quadratic
-  form, and the symmetric matrix S of z^T S z is read off the coefficients
-  (sym_from_quad) only where a report or float code needs it;
+  their linear factors (exact products and linear substitution, both of which
+  keep int coefficients int), and no route of the package fits a form by
+  interpolation (``fit_form`` is a reference for the tests); a form is
+  evaluated in integers, a rational one at its coefficients and the point's
+  coordinates brought to a common denominator; a quadric surface is its
+  quadratic form, and the symmetric matrix S of z^T S z is read off the
+  coefficients (sym_from_quad) only where a report or float code needs it;
 * binary forms (homogeneous polynomials in a curve parameter (t_0 : t_1))
-  with exact arithmetic and gcd.
+  with exact arithmetic, int coefficients kept int, and gcd.
 """
 
 from __future__ import annotations
@@ -187,11 +187,12 @@ class Form:
 
     def compose_linear(self, m: Sequence[Sequence]) -> "Form":
         """The form z -> self(M z), by direct substitution: the sum over the
-        monomials z^e of c_e * prod_i (M_i . z)^(e_i), M_i the rows of M."""
+        monomials z^e of c_e * prod_i (M_i . z)^(e_i), M_i the rows of M. An
+        integer form composed with an integer matrix keeps int coefficients."""
         if self.degree == 0:
             return self
-        rows = [Form(1, tuple(Fraction(v) for v in row)) for row in m]
-        total = [Fraction(0)] * len(self.coeffs)
+        rows = [Form(1, tuple(row)) for row in m]
+        total = [0] * len(self.coeffs)
         for c, idx in zip(self.coeffs, monomial_indices(self.degree)):
             if c == 0:
                 continue
@@ -251,12 +252,14 @@ def same_span(forms_a: Sequence[Form], forms_b: Sequence[Form]) -> bool:
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous form in (t_0, t_1); coeffs[i] multiplies t_0^i t_1^(d-i)."""
+    """Homogeneous form in (t_0, t_1); coeffs[i] multiplies t_0^i t_1^(d-i).
+    Int coefficients stay ints; any other is converted to a Fraction."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(c if type(c) is int else Fraction(c)
+                                                 for c in coeffs))
         if not self.coeffs:
             raise InvalidInput("binary form needs at least one coefficient")
 
@@ -279,7 +282,7 @@ class BinaryForm:
         return BinaryForm(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
+        out = [0] * (self.degree + other.degree + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -289,7 +292,7 @@ class BinaryForm:
         return BinaryForm(out)
 
     def scaled(self, s) -> "BinaryForm":
-        s = Fraction(s)
+        s = s if type(s) is int else Fraction(s)
         return BinaryForm(c * s for c in self.coeffs)
 
     # Kept for binary_gcd, which perfbench/tracing.py resolves by name.
@@ -305,10 +308,12 @@ class BinaryForm:
 
 # Kept for binary_gcd, which perfbench/tracing.py resolves by name.
 def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
+    """The remainder of num by den (coefficients from the constant term up),
+    dividing exactly in Fractions whether the coefficients are ints or not."""
     num = list(num)
     lead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
-        q = num[k + len(den) - 1] / lead
+        q = Fraction(num[k + len(den) - 1], lead)
         if q != 0:
             for j, d in enumerate(den):
                 num[k + j] -= q * d
@@ -323,7 +328,7 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while any(c != 0 for c in b):
         a, b = b, _poly_rem(a, b)
     lead = a[-1]
-    return [c / lead for c in a] if lead != 0 else a
+    return [Fraction(c, lead) for c in a] if lead != 0 else a
 
 
 # No caller in the package: kept because perfbench/tracing.py resolves it by name.

@@ -99,8 +99,6 @@ EVEN_FANO_PERMS = (
 ODD_FANO_PERMS = tuple(
     tuple({1: 2, 2: 1}.get(v, v) for v in perm) for perm in EVEN_FANO_PERMS)
 
-N6_WEIGHTS = (1, 1, 1, 1, 1, 2)
-
 
 @dataclass(frozen=True)
 class InvariantVector:
@@ -124,9 +122,6 @@ class InvariantVector:
     @property
     def non_semistable(self) -> bool:
         return all(v == 0 for v in self.values)
-
-    def weights(self) -> tuple[int, ...]:
-        return N6_WEIGHTS if self.kind == "N6" else (1,) * len(self.values)
 
     def proportional(self, other: "InvariantVector") -> bool:
         """Scale-aware equality: ordinary proportionality for N5/N7 and the

@@ -8,10 +8,11 @@ by the lcm of its denominators, and every later entry is a minor of that
 integer matrix, so each division by the previous pivot is exact.
 ``integer_kernel`` reads its integer vectors straight off that pass and
 builds no ``Fraction``; ``kernel_basis`` divides the same results out over Q.
-Plane maps are not solved for here: they are built in integers from brackets
-(``projective.frame_matrix``, ``projective.homography_fit``), and neither is
-the 3 x 3 Newton step of the n = 7 certification, which is one cofactor
-vector (``numeric.exact_newton_polish``).
+Projective maps are not solved for here: they are built in integers from
+brackets and cofactor vectors (``projective.normalizing_transform``,
+``projective.homography_fit``), and neither is the 3 x 3 Newton step of the
+n = 7 certification, which is one cofactor vector
+(``numeric.exact_newton_polish``).
 """
 
 from __future__ import annotations

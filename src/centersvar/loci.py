@@ -46,8 +46,8 @@ from .invariants import (_EVEN_FANO_SORTED, t6_factors, t6_lifted, t6_relation,
                          weddle_quartic)
 from .numeric import (NumericPoint, certify_rational, projective_distance,
                       solve_quadric_system)
-from .projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
-                         center_admissible, cofactors, cross, frame_matrix,
+from .projective import (Configuration, ProjectivePoint, _frame_weights, apply_matrix,
+                         bracket, center_admissible, cofactors, cross,
                          homography_fit, no_three_collinear,
                          normalizing_transform, on_line, outer_sum, project)
 
@@ -141,18 +141,21 @@ def centers_n_le4(x: Configuration, y: Configuration, a: ProjectivePoint,
 def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> TwistedCubic:
     """The b-locus for five point pairs and a fixed first center.
 
-    Both configurations are normalized onto the standard frame; in those
-    coordinates the locus is the rank-deficiency set of the 4 x 3 matrix
-    with columns (alpha_i), (b_i), (alpha_i b_i), alpha the x-frame image of
-    a. Row-reducing by the first nonzero alpha_i leaves a 3 x 2 matrix with
-    entries linear in b whose three 2 x 2 minors cut out the curve; they are
-    pulled back to the original coordinates of y.
+    Both configurations are normalized onto the standard frame by the
+    integer maps of normalizing_transform; in those coordinates the locus is
+    the rank-deficiency set of the 4 x 3 matrix with columns (alpha_i),
+    (b_i), (alpha_i b_i), alpha the x-frame image of a. Row-reducing by the
+    first nonzero alpha_i leaves a 3 x 2 matrix with entries linear in b
+    whose three 2 x 2 minors cut out the curve; they are pulled back to the
+    original coordinates of y in integers and made primitive.
 
     When the alpha_i are nonzero and pairwise distinct (a lies on none of
     the ten planes through three world points: the SmoothCubic case) the
     locus is the twisted cubic through the frame points and alpha, with the
     closed form b_i = alpha_i prod_{j != i} (t0 + alpha_j t1) in the y-frame.
-    Pulled back to y it becomes ``param``; y_j (j = 1..4) sits at
+    Pulled back to y it is sum_j y_j c_j b_j / D, with (D, c) the frame
+    weights of y: the integer cubics are checked against the quadrics, and
+    their division by D is ``param``; y_j (j = 1..4) sits at
     (-alpha_j : 1), y_5 at (0 : 1) and the point with y-frame coordinates
     alpha at (1 : 0). Otherwise ``param`` is None.
     """
@@ -160,36 +163,35 @@ def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> Tw
         raise InvalidInput("cubic_locus_n5 needs five points in P^3 on both sides")
     if not center_admissible(x, a, 5, "Moduli"):
         raise InadmissibleCenter("center lies on a line through two world points")
-    u = normalizing_transform(x.points)
+    alpha = apply_matrix(normalizing_transform(x.points), a)
     v = normalizing_transform(y.points)
-    alpha = apply_matrix(u, a)
     p = next(i for i in range(4) if alpha[i] != 0)
     rest = [i for i in range(4) if i != p]
     lin_l = {}
     lin_m = {}
     for i in rest:
-        li = [Fraction(0)] * 4
-        li[i] = Fraction(alpha[p])
-        li[p] = Fraction(-alpha[i])
-        mi = [Fraction(0)] * 4
-        mi[i] = Fraction(alpha[i]) * alpha[p]
-        mi[p] = -Fraction(alpha[i]) * alpha[p]
+        li = [0] * 4
+        li[i], li[p] = alpha[p], -alpha[i]
+        mi = [0] * 4
+        mi[i] = alpha[i] * alpha[p]
+        mi[p] = -mi[i]
         lin_l[i], lin_m[i] = Form(1, tuple(li)), Form(1, tuple(mi))
     quadrics_std = [lin_l[i] * lin_m[j] - lin_l[j] * lin_m[i]
                     for i, j in combinations(rest, 2)]
     quadrics = tuple(q.compose_linear(v).primitive() for q in quadrics_std)
-    for yi in y.points:
-        if any(q(yi.coords) != 0 for q in quadrics):
-            raise Inconsistent("curve does not pass through a base point")
+    if any(_quadric_value(q, yi) for q in quadrics for yi in y.points):
+        raise Inconsistent("curve does not pass through a base point")
     param = None
     if all(alpha.coords) and len(set(alpha.coords)) == 4:
         frame = [prod((BinaryForm([alpha[j], 1]) for j in range(4) if j != i),
                       start=BinaryForm([alpha[i]])) for i in range(4)]
-        param = tuple(BinaryForm(sum(m * f.coeffs[k] for m, f in zip(row, frame))
-                                 for k in range(4))
-                      for row in frame_matrix(y.points))
-        if any(not restrict_to_param(q, param).is_zero() for q in quadrics):
+        denominator, weights = _frame_weights(y.points)
+        cubics = [BinaryForm(sum(yj[k] * c * f.coeffs[m]
+                                 for yj, c, f in zip(y.points[:4], weights, frame))
+                             for m in range(4)) for k in range(4)]
+        if any(not restrict_to_param(q, cubics).is_zero() for q in quadrics):
             raise Inconsistent("parametrization does not satisfy the curve ideal")
+        param = tuple(BinaryForm(Fraction(c, denominator) for c in f.coeffs) for f in cubics)
     return TwistedCubic(quadrics, tuple(y.points), param)
 
 
@@ -673,7 +675,7 @@ def _span_common_zero(quadrics: Sequence[Form]) -> tuple[int, ProjectivePoint | 
     c a a^T if a common zero a exists; M has rank 1 exactly then, and a is
     its nonzero row. A smaller rank raises Inconclusive.
     """
-    kernel = linalg.kernel_basis([q.coeffs for q in quadrics])
+    kernel = linalg.integer_kernel([q.coeffs for q in quadrics])
     rank = 10 - len(kernel)
     if not kernel:
         return rank, None

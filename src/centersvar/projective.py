@@ -286,20 +286,17 @@ def _frame_weights(points: Sequence[ProjectivePoint]) -> tuple[int, list[int]]:
     return denominator, weights
 
 
-def frame_matrix(points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
-    """Matrix sending the standard frame e_1, ..., e_{d+1}, (1:...:1) to the
-    given d+2 points of P^d: column j is p_j c_j / D (_frame_weights). Raises
-    DegenerateInput unless the points are in general position."""
-    denominator, weights = _frame_weights(points)
-    return [[Fraction(p[i] * c, denominator) for p, c in zip(points, weights)]
-            for i in range(len(weights))]
-
-
-def normalizing_transform(points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
-    """Inverse frame matrix: maps the given d+2 points onto the standard frame."""
-    inv = linalg.inverse(frame_matrix(points))
-    assert inv is not None
-    return inv
+def normalizing_transform(points: Sequence[ProjectivePoint]) -> list[list[int]]:
+    """Integer matrix mapping five points of P^3 onto the standard frame
+    e_1, ..., e_4, (1:1:1:1): the inverse of the frame matrix (column j is
+    p_j c_j / D, see _frame_weights) times prod_j c_j. Row i is the cofactor
+    vector pi_i of the frame points other than p_i, with pi_i . p_i =
+    (-1)^(3-i) D, times (-1)^(3-i) prod_{j != i} c_j. Raises DegenerateInput
+    unless the points form a frame."""
+    _, weights = _frame_weights(points)
+    base = [p.coords for p in points[:4]]
+    return [[(-1) ** (3 - i) * math.prod(weights[:i] + weights[i + 1:]) * v
+             for v in cofactors(*(base[:i] + base[i + 1:]))] for i in range(4)]
 
 
 def homography_fit(p: Configuration, q: Configuration) -> list[list[Fraction]] | None:

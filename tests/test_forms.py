@@ -178,3 +178,34 @@ class TestBinaryForms:
         gcd = binary_gcd([f, g])
         assert gcd.degree == 2
         assert gcd(0, 1) == 0 and gcd(2, 3) == 0 and gcd(1, 0) != 0
+
+    def test_int_coefficients_stay_int(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            f, g = (BinaryForm([rng.randint(-9, 9) for _ in range(4)]) for _ in range(2))
+            for h in (f * g, f + g, f.scaled(rng.randint(-5, 5))):
+                assert all(type(c) is int for c in h.coeffs)
+            q = Form(2, tuple(rng.randint(-9, 9) for _ in monomials(2)))
+            m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+            composed = q.compose_linear(m)
+            assert all(type(c) is int for c in composed.coeffs)
+            assert composed == q.compose_linear([[Fraction(v) for v in row] for row in m])
+        assert [type(c) for c in BinaryForm([1, Fraction(1, 2), "3/4", 0.5]).coeffs] == [
+            int, Fraction, Fraction, Fraction]
+
+    def test_gcd_of_int_forms_is_the_gcd_in_fractions(self):
+        rng = random.Random(11)
+
+        def rand_binary(degree):
+            return BinaryForm([rng.randint(-5, 5) for _ in range(degree)] + [rng.randint(1, 5)])
+
+        t0, t1 = BinaryForm([0, 1]), BinaryForm([1, 0])
+        for _ in range(100):
+            common = rand_binary(rng.randint(0, 2))
+            for _ in range(rng.randint(0, 2)):
+                common = common * rng.choice((t0, t1))
+            forms = [common * rand_binary(rng.randint(0, 3)) for _ in range(rng.randint(2, 3))]
+            got = binary_gcd(forms)
+            assert all(type(c) in (int, Fraction) for c in got.coeffs)
+            assert got == binary_gcd([BinaryForm(Fraction(c) for c in f.coeffs) for f in forms])
+            assert got.degree >= common.degree

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 import centersvar
-from centersvar import io as cio
+from centersvar import io as cio, linalg
 from centersvar.cli import main
-from centersvar.datagen import generate_reconstruction
+from centersvar.datagen import CENTER_KINDS, generate_reconstruction
 from centersvar.errors import Inconclusive, InvalidInput
 from centersvar.projective import Configuration, ProjectivePoint, decide_equivalence, pp
 
@@ -494,3 +494,36 @@ def test_reports_are_the_bytes_of_the_chunked_json_dump(tmp_path, monkeypatch):
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         assert open(path, "rb").read() == (tmp_path / "chunked.json").read_bytes()
+
+
+def test_exact_integer_routes_need_no_fraction_elimination(tmp_path, monkeypatch):
+    # n = 5 and n = 8 centers, the center kinds and classify on each run in
+    # integers: no Fraction inverse, echelon form or kernel basis
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction elimination ran")
+
+    for name in ("inverse", "rref", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, refuse)
+
+    def run(*argv, out="report.json"):
+        out = str(tmp_path / out)
+        assert main([*argv, "-o", out]) == 0
+        return json.loads(open(out).read())
+
+    def write(key, value):
+        path = str(tmp_path / f"{key}.json")
+        cio.atomic_write_json(path, value)
+        return path
+
+    for n in (5, 8):
+        doc = run("generate", "--n", str(n), "--seed", "1", "--bound", str(10 ** 6))
+        x, y, a = (write(k, v) for k, v in (("X", doc["X"]), ("Y", doc["Y"]),
+                                            ("a", doc["ground_truth"]["a"])))
+        report = run("centers", "-i", x, "-j", y, *(["--center", a] if n == 5 else []))
+        assert report["variant"] == {5: "CubicFibrationN5", 8: "EmptyN8"}[n]
+    tags = set()
+    for kind in CENTER_KINDS:
+        doc = run("generate", "--degenerate", kind, "--seed", "3", out="world.json")
+        center = ",".join(doc["center"])
+        tags.add(run("classify", "-i", str(tmp_path / "world.json"), "--center", center)["tag"])
+    assert len(tags) == len(CENTER_KINDS)

@@ -1,5 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
+from operator import mul
 
 import pytest
 
@@ -7,13 +10,13 @@ from centersvar import linalg
 from centersvar.datagen import generate_degenerate, generate_reconstruction
 from centersvar.errors import (DegenerateInput, InadmissibleCenter, Inconsistent,
                                ToolkitError)
-from centersvar.forms import Form, monomials, same_span
+from centersvar.forms import BinaryForm, Form, monomials, same_span
 from centersvar.invariants import g5_lifted
-from centersvar.loci import (DegenerationTag, centers_n_le4,
-                             classify_degeneration_n5, cubic_locus_n5,
+from centersvar.loci import (CubicFibrationN5, DegenerationTag, TwistedCubic, centers_n_le4,
+                             centers_variety, classify_degeneration_n5, cubic_locus_n5,
                              cubic_param_n5, restrict_to_param)
-from centersvar.projective import (Configuration, apply_matrix, normalizing_transform, pp,
-                                   project)
+from centersvar.projective import (Configuration, apply_matrix, center_admissible,
+                                   normalizing_transform, pp, project)
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
 GOLDEN_A = pp(43, -50, 6, -5)
@@ -197,6 +200,100 @@ class TestClosedFormParam:
         monkeypatch.setattr(loci, "restrict_to_param", lambda q, param: BinaryForm([1]))
         with pytest.raises(Inconsistent):
             cubic_locus_n5(STD5, STD5, GOLDEN_A)
+
+
+def ref_frame_matrix(points):
+    """The frame matrix in Fractions: its columns are the first four points
+    scaled by the s that solve B s = p_5, B those points as columns."""
+    base = [[Fraction(p[i]) for p in points[:4]] for i in range(4)]
+    inv = linalg.inverse(base)
+    scales = None if inv is None else [sum(map(mul, row, points[4].coords)) for row in inv]
+    if scales is None or 0 in scales:
+        raise DegenerateInput("points do not form a projective frame")
+    return [[v * s for v, s in zip(row, scales)] for row in base]
+
+
+def ref_cubic_locus_n5(x, y, a):
+    """cubic_locus_n5 by the Fraction route: both sides normalized by
+    linalg.inverse of their Fraction frame matrices, the standard-frame
+    quadrics composed in Fractions and the parametrization built and checked
+    in Fraction binary forms."""
+    if not center_admissible(x, a, 5, "Moduli"):
+        raise InadmissibleCenter("center lies on a line through two world points")
+    u = linalg.inverse(ref_frame_matrix(x.points))
+    v = linalg.inverse(ref_frame_matrix(y.points))
+    alpha = [Fraction(c) for c in apply_matrix(u, a).coords]
+    p = next(i for i in range(4) if alpha[i] != 0)
+    rest = [i for i in range(4) if i != p]
+    lin_l, lin_m = {}, {}
+    for i in rest:
+        li, mi = [Fraction(0)] * 4, [Fraction(0)] * 4
+        li[i], li[p] = alpha[p], -alpha[i]
+        mi[i], mi[p] = alpha[i] * alpha[p], -alpha[i] * alpha[p]
+        lin_l[i], lin_m[i] = Form(1, tuple(li)), Form(1, tuple(mi))
+    quadrics = tuple((lin_l[i] * lin_m[j] - lin_l[j] * lin_m[i]).compose_linear(v).primitive()
+                     for i, j in combinations(rest, 2))
+    if any(q(yi.coords) != 0 for yi in y for q in quadrics):
+        raise Inconsistent("curve does not pass through a base point")
+    param = None
+    if all(alpha) and len(set(alpha)) == 4:
+        frame = [prod((BinaryForm([alpha[j], Fraction(1)]) for j in range(4) if j != i),
+                      start=BinaryForm([alpha[i]])) for i in range(4)]
+        param = tuple(BinaryForm(sum(m * f.coeffs[k] for m, f in zip(row, frame))
+                                 for k in range(4))
+                      for row in ref_frame_matrix(y.points))
+        if any(not restrict_to_param(q, param).is_zero() for q in quadrics):
+            raise Inconsistent("parametrization does not satisfy the curve ideal")
+    return CubicFibrationN5(a, TwistedCubic(quadrics, y.points, param),
+                            classify_degeneration_n5(x, a))
+
+
+def locus_outcome(fn, *args):
+    """The report's content with the type of every coefficient, or the
+    error's type and message."""
+    try:
+        result = fn(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    curve = result.cubic
+    param = None if curve.param is None else [
+        [(c, type(c)) for c in f.coeffs] for f in curve.param]
+    return ([[(c, type(c)) for c in q.coeffs] for q in curve.quadrics],
+            curve.base_points, param, result.degeneration)
+
+
+class TestIntegerLocus:
+    """cubic_locus_n5 builds in integers what the Fraction route builds."""
+
+    @pytest.mark.parametrize("bound", [10, 10 ** 3, 10 ** 6, 10 ** 12])
+    def test_generated_instances_match_the_fraction_route(self, bound):
+        for seed in range(8):
+            rec = generate_reconstruction(5, seed=seed, coord_bound=bound)
+            got = locus_outcome(centers_variety, rec.x, rec.y, rec.a_true)
+            assert got == locus_outcome(ref_cubic_locus_n5, rec.x, rec.y, rec.a_true)
+            assert got[2] is not None
+
+    def test_center_kinds_match_the_fraction_route(self):
+        kinds = {}
+        for seed in range(8):
+            y = generate_reconstruction(5, seed=seed).y
+            for kind in ("GenericCenter", "CoplanarCenter", "BiplanarCenter",
+                         "CollinearCenter", "CenterAtWorldPoint"):
+                x, a = generate_degenerate(kind, seed=seed)
+                for pair in ((x, y), (x, x), (y, x)):
+                    got = locus_outcome(centers_variety, *pair, a)
+                    assert got == locus_outcome(ref_cubic_locus_n5, *pair, a)
+                    kinds[got[0] if type(got[0]) is type else got[3]] = True
+        assert set(kinds) == {InadmissibleCenter, *DegenerationTag} - {
+            DegenerationTag.LINE_PLUS_PLANE, DegenerationTag.ALL_OF_P3}
+
+    def test_non_frames_are_refused_alike(self):
+        bad = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                             (0, 0, 1, 0), (0, 0, 0, 1)])
+        for x, y in ((bad, STD5), (STD5, bad)):
+            got = locus_outcome(centers_variety, x, y, GOLDEN_A)
+            assert got == (DegenerateInput, "points do not form a projective frame")
+            assert got == locus_outcome(ref_cubic_locus_n5, x, y, GOLDEN_A)
 
 
 class TestDegenerationClassifier:

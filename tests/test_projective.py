@@ -10,9 +10,9 @@ from centersvar.errors import CenterHit, DegenerateInput, InvalidInput, ToolkitE
 from centersvar.projective import (Configuration, ProjectivePoint,
                                    StabilityClass, apply_matrix, bracket,
                                    center_admissible,
-                                   collinear, frame_matrix, gale_transform,
-                                   homography_fit, on_line, pp, project,
-                                   stability_class)
+                                   collinear, gale_transform,
+                                   homography_fit, normalizing_transform, on_line,
+                                   pp, project, stability_class)
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
 
@@ -296,22 +296,33 @@ class TestIntegerFrames:
             assert outcome(homography_fit, p, q) == outcome(ref_homography_fit, p, q)
             assert outcome(homography_fit, q, q) == outcome(ref_homography_fit, q, q)
 
-    @pytest.mark.parametrize("dim, bound", [(2, 2), (2, 10 ** 6), (3, 2), (3, 10 ** 6)])
-    def test_frame_matrix_matches_the_fraction_route(self, dim, bound):
-        # each random set, then with one point moved onto the line of two others
-        rng = random.Random(dim * bound)
-        frames = 0
+    @pytest.mark.parametrize("bound", [2, 10 ** 6])
+    def test_normalizing_transform_is_the_inverse_frame_up_to_scale(self, bound):
+        # each random set of P^3, then with one point moved onto the line of two others
+        rng = random.Random(bound)
+        frames = refused = 0
         for _ in range(150):
-            c = rand_config(rng, dim + 2, dim=dim, bound=bound)
-            k, i, j = rng.sample(range(dim + 2), 3)
+            c = rand_config(rng, 5, dim=3, bound=bound)
+            k, i, j = rng.sample(range(5), 3)
             r = rng.randint(1, 3)
             line = [r * u - v for u, v in zip(c[i].coords, c[j].coords)]
             for points in (c.points, with_point(c, k, line).points if any(line) else ()):
-                if points:
-                    got = outcome(frame_matrix, points)
-                    assert got == outcome(ref_frame_matrix, points)
-                    frames += got[0] is not DegenerateInput
-        assert 30 <= frames <= 150
+                if not points:
+                    continue
+                try:
+                    ref = linalg.inverse(ref_frame_matrix(points))
+                except DegenerateInput as exc:
+                    with pytest.raises(DegenerateInput, match=str(exc)):
+                        normalizing_transform(points)
+                    refused += 1
+                    continue
+                got = normalizing_transform(points)
+                assert all(type(v) is int for row in got for v in row)
+                g, want = [v for row in got for v in row], [v for row in ref for v in row]
+                m = next(m for m, v in enumerate(want) if v)
+                assert g[m] and all(u * want[m] == v * g[m] for u, v in zip(g, want))
+                frames += 1
+        assert frames >= 90 and refused >= 150
 
 
 class TestStability:
