@@ -91,8 +91,6 @@ def cmd_project(args) -> dict[str, Any]:
 def cmd_invariants(args) -> dict[str, Any]:
     image = cio.load_configuration(args.input)
     kinds = {"N5": (5, g5), "N6": (6, t6), "N7": (7, fano15)}
-    if args.kind not in kinds:
-        raise InvalidInput(f"--kind must be one of {sorted(kinds)}")
     n, fn = kinds[args.kind]
     if image.n != n:
         raise InvalidInput(f"kind {args.kind} needs {n} points, file has {image.n}")

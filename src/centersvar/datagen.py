@@ -32,7 +32,7 @@ from .loci import (DegenerationTag, _quadric_relations_n6, _solver_subsets,
                    classify_degeneration_n5)
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
                          apply_matrix, cofactors, collinear, homography_fit,
-                         normalizing_transform, on_line, project,
+                         normalizing_transform, project,
                          stability_class)
 
 _MAX_ATTEMPTS = 4000
@@ -308,7 +308,7 @@ def _degenerate_center(rng: random.Random, x: Configuration, kind: str) -> Proje
         return a if a is not None and a not in x.points else None
     if kind == "CoplanarCenter":
         a = combo(x.points[:3])
-        if a is None or any(on_line(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
+        if a is None or any(collinear(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
             return None
         return a
     if kind == "BiplanarCenter":
@@ -319,7 +319,7 @@ def _degenerate_center(rng: random.Random, x: Configuration, kind: str) -> Proje
         s, t = sum(map(mul, pi, x[2].coords)), -sum(map(mul, pi, x[1].coords))
         q = ProjectivePoint([s * x[1][i] + t * x[2][i] for i in range(4)])
         a = combo([x[0], q])
-        if a is None or any(on_line(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
+        if a is None or any(collinear(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
             return None
         return a
     return None

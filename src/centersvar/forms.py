@@ -327,8 +327,7 @@ def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while any(c != 0 for c in b):
         a, b = b, _poly_rem(a, b)
-    lead = a[-1]
-    return [Fraction(c, lead) for c in a] if lead != 0 else a
+    return a
 
 
 # No caller in the package: kept because perfbench/tracing.py resolves it by name.
@@ -345,4 +344,6 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
         hi = fhi if hi is None else min(hi, fhi)
         core_gcd = core if core_gcd is None else _poly_gcd(core_gcd, core)
     assert core_gcd is not None and lo is not None and hi is not None
-    return BinaryForm([Fraction(0)] * lo + core_gcd + [Fraction(0)] * hi)
+    lead = core_gcd[-1]
+    return BinaryForm([Fraction(0)] * lo + [Fraction(c, lead) for c in core_gcd]
+                      + [Fraction(0)] * hi)

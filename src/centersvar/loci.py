@@ -44,12 +44,12 @@ from .forms import (BinaryForm, Form, moment_positions, monomial_indices,
                     monomials, sym_from_quad)
 from .invariants import (_EVEN_FANO_SORTED, t6_factors, t6_lifted, t6_relation,
                          weddle_quartic)
-from .numeric import (NumericPoint, certify_rational, projective_distance,
+from .numeric import (NumericPoint, _distances, _unit_rows, certify_rational,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, _frame_weights, apply_matrix,
-                         bracket, center_admissible, cofactors, cross,
+                         bracket, center_admissible, cofactors, collinear, cross,
                          homography_fit, no_three_collinear,
-                         normalizing_transform, on_line, outer_sum, project)
+                         normalizing_transform, outer_sum, project)
 
 
 @dataclass
@@ -231,7 +231,7 @@ def classify_degeneration_n5(x: Configuration, a: ProjectivePoint) -> Degenerati
         raise InvalidInput("the center must be a point of P^3")
     if a in x.points:
         return DegenerationTag.ALL_OF_P3
-    if any(on_line(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
+    if any(collinear(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
         return DegenerationTag.LINE_PLUS_PLANE
     planes = sum(
         1 for i, j, k in combinations(range(5), 3)
@@ -520,7 +520,8 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
         if any(_quadric_value(q, b) for q in b_quads):
             raise Inconsistent("the resected center is not on every b-quadric")
         b_point = _exact_point(b)
-        near = [j for j, c in enumerate(b_pts) if projective_distance(c.coords, b_point.coords) < 1e-6]
+        units = _unit_rows(np.array([c.coords for c in b_pts] + [b_point.coords]))
+        near = [j for j, (d,) in enumerate(_distances(units[:-1], units[-1:])) if d < 1e-6]
         if len(near) != 1 or near[0] in matched:
             raise Inconsistent("the resected center matches no single b-candidate")
         matched.add(near[0])
@@ -591,26 +592,6 @@ def fano15_complex(x: Configuration, a: Sequence) -> np.ndarray:
 
 
 _MATCH_TOL = 1e-7
-
-
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """The rows of v divided by their norms; a zero row stays zero, at
-    distance 1 from every direction, as in projective_distance."""
-    norms = np.linalg.norm(v, axis=1)
-    norms[norms == 0] = np.inf
-    return v / norms[:, None]
-
-
-def _distances(u: np.ndarray, v: np.ndarray) -> list[list[float]]:
-    """Entry [i][j]: the projective distance |u_i - (v_j^H u_i) v_j| between
-    unit rows (as in projective_distance), 1 where u_i is zero (a zero v_j
-    gives 1 by itself). By elementwise products, not a complex matmul: the
-    first complex BLAS call of a process raises its peak memory by about
-    0.4 MiB."""
-    dots = (u[:, None, :] * v[None, :, :].conj()).sum(axis=-1)
-    dist = np.linalg.norm(u[:, None, :] - dots[..., None] * v[None, :, :], axis=-1)
-    dist[~u.any(axis=1)] = 1.0
-    return dist.tolist()
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ triple of forms sharpen a real candidate on dyadic iterates X / 2**e (e = 64,
 128, 256), each step read off the one integer cofactor vector of the
 augmented 3 x 4 system and rounded to the next scale; a triple that meets a
 singular step gives way to the next best one. One continued-fraction pass
-per coordinate then gives the best rational approximations under a ladder
-of denominator bounds. A snapped point at which the first form is nonzero
-modulo 2^61 - 1 is no zero and is skipped; every other distinct snapped
-point is substituted into every form in integers.
+per coordinate then gives its last convergent under each of a ladder of
+denominator bounds, and the snapped point of each rung is substituted into
+every form in integers.
 
 The floats of a quadric, coefficients and symmetric matrix alike, are its
 integer coefficients scaled by an exact power of two (Form.floats), so no
@@ -58,9 +57,13 @@ _GAUSS_NEWTON_STEPS = 12  # the cap; a converged iteration stops earlier
 _GAUSS_NEWTON_STOP = 1e-13
 # exact Newton iterates are ints over 2**64, then 2**128 and 2**256 (two steps)
 _DYADIC_EXPONENTS = (64, 128, 256)
-# the reconstruction bounds 10^4, 10^8, ..., 10^28 and 10^30: fractions with
-# denominators up to 10^30 lie at least 10^-60 apart, far above the 2**-256
-# (about 10^-77) resolution of the polished iterate
+# the reconstruction bounds 10^4, 10^8, ..., 10^28 and 10^30. The iterate
+# over 2**256 is only as good as its polish: the two exact Newton steps from
+# a 53-bit float start give about 4 * 53 = 212 correct bits at best, and
+# certified centers measured at least 167 (medians 203 to 206). Rung b >= q
+# snaps to p/q once the error is below 1 / (2 q b), about 2**-200 for
+# denominators near 10^30, so such points are often missed, and larger
+# ones always (D1)
 _MAX_DENOMINATOR = 10 ** 30
 _LADDER = tuple(10 ** k for k in range(4, 30, 4)) + (_MAX_DENOMINATOR,)
 _MOMENTS = np.array(moment_positions())
@@ -106,17 +109,33 @@ class NumericPoint:
         return np.array(self.coords, dtype=complex)
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of v divided by their norms; a zero row stays zero, at
+    distance 1 from every direction (_distances)."""
+    norms = np.linalg.norm(v, axis=1)
+    norms[norms == 0] = np.inf
+    return v / norms[:, None]
+
+
+def _distances(u: np.ndarray, v: np.ndarray) -> list[list[float]]:
+    """Entry [i][j]: the sine of the angle between the lines of the unit
+    rows u_i and v_j, |u_i - (v_j^H u_i) v_j|, the part of u_i off the line
+    of v_j, with no cancellation near 0; 1 where u_i is zero (a zero v_j
+    gives 1 by itself). By elementwise products, not a complex matmul: the
+    first complex BLAS call of a process raises its peak memory by about
+    0.4 MiB."""
+    dots = (u[:, None, :] * v[None, :, :].conj()).sum(axis=-1)
+    dist = np.linalg.norm(u[:, None, :] - dots[..., None] * v[None, :, :], axis=-1)
+    dist[~u.any(axis=1)] = 1.0
+    return dist.tolist()
+
+
 def projective_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
-    """Sine of the angle between the coordinate lines spanned by u and v:
-    |u - (v^H u) v| for u and v scaled to unit norm, the part of u off the
-    line of v, with no cancellation near 0; 1 if either is zero."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return 1.0
-    u, v = u / nu, v / nv
-    return float(np.linalg.norm(u - np.vdot(v, u) * v))
+    """Sine of the angle between the coordinate lines spanned by u and v
+    (_distances of the two one-row matrices); 1 if either is zero."""
+    uv = _unit_rows(np.array([u, v], dtype=complex))
+    [[d]] = _distances(uv[:1], uv[1:])
+    return d
 
 
 def _echelon_mod_p(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -296,14 +315,16 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
 
     syms = sym_floats(coeffs)
     candidates = [_gauss_newton(syms, p) for p in (a_c @ vecs).T if np.linalg.norm(p) > 0]
+    units = _unit_rows(np.array(candidates, dtype=complex).reshape(-1, 4))
+    dist = _distances(units, units)
 
     survivors: list[NumericPoint] = []
-    for p in candidates:
+    kept: list[int] = []
+    for i, p in enumerate(candidates):
         residual = float(np.max(np.abs((syms @ p) @ p)))
-        if residual > tol:
+        if residual > tol or any(dist[i][j] < 1e-6 for j in kept):
             continue
-        if any(projective_distance(p, q.array()) < 1e-6 for q in survivors):
-            continue
+        kept.append(i)
         survivors.append(NumericPoint.from_vector(p, residual))
     survivors.sort(key=lambda q: tuple(np.round(np.asarray(q.coords).view(float), 6)))
 
@@ -390,16 +411,12 @@ def exact_newton_polish(forms: Sequence[Form], point: np.ndarray) -> tuple[list[
     return None
 
 
-def _limit_denominators(n: int, d: int, bounds: Sequence[int]) -> list[tuple[int, int]]:
-    """Fraction(n, d).limit_denominator(b) as a coprime (p, q), for each b of
-    the ascending bounds, from one continued-fraction pass (d > 0).
-
-    The pass is the one limit_denominator makes, resumed from bound to
-    bound: the convergents p1/q1 are taken while q1 <= b, then the nearer of
-    p1/q1 and the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest
-    denominator <= b wins, the convergent on a tie. An expansion that ends
-    within the bound gives n/d itself.
-    """
+def _last_convergents(n: int, d: int, bounds: Sequence[int]) -> list[tuple[int, int]]:
+    """For each b of the ascending bounds, the last convergent p/q of n/d
+    (d > 0) with q <= b, as a coprime (p, q): n/d itself once its expansion
+    ends within the bound. One continued-fraction pass serves every bound,
+    resumed from bound to bound. No semiconvergent is needed: a fraction
+    within 1/(2 q^2) of n/d is one of its convergents (Legendre)."""
     out = []
     p0, q0, p1, q1 = 0, 1, 1, 0
     num, den = n, d
@@ -411,28 +428,8 @@ def _limit_denominators(n: int, d: int, bounds: Sequence[int]) -> list[tuple[int
                 break
             p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
             num, den = den, num - a * den
-        if not den:
-            out.append((p1, q1))
-            continue
-        k = (b - q0) // q1
-        p2, q2 = p0 + k * p1, q0 + k * q1
-        if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
-            out.append((p1, q1))
-        else:
-            out.append((p2, q2))
+        out.append((p1, q1))
     return out
-
-
-def _cleared_mod_p(snapped: Sequence[tuple[int, int]]) -> list[int]:
-    """The point (p_0/q_0 : ... : p_3/q_3) with its denominators cleared by
-    their product M = q_0 q_1 q_2 q_3, w_i = p_i * prod_{j != i} q_j, reduced
-    mod _PRIME. An integer quadric f has f(w) = M^2 f(p / q) in integers, so
-    f(w) is nonzero mod _PRIME only if f(p / q) is nonzero. This holds for
-    every q; a q_i divisible by _PRIME only makes the test weaker."""
-    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = snapped
-    q01, q23 = q0 * q1 % _PRIME, q2 * q3 % _PRIME
-    return [p0 * q1 * q23 % _PRIME, p1 * q0 * q23 % _PRIME,
-            p2 * q3 * q01 % _PRIME, p3 * q2 * q01 % _PRIME]
 
 
 def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> ProjectivePoint | None:
@@ -443,14 +440,10 @@ def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> Projective
     of them exactly is returned. The bounds climb by factors of 10^4, so
     that some bound is both at least the true denominator q and small enough
     that the polishing error cannot favour another fraction (error below
-    about 1 / (q * bound)). One continued-fraction pass per coordinate of
-    the dyadic iterate of exact_newton_polish gives its limit_denominator
-    at every bound. Each distinct snapped point p / q is first tried modulo
-    _PRIME: where the first form is nonzero at its cleared coordinates
-    (_cleared_mod_p), it is nonzero at p / q and the snap is skipped, before
-    any lcm or big-integer substitution. Every other snap is substituted
-    once into every form, in integers, and only an exact zero of all of
-    them is returned.
+    about 1 / (2 q * bound)). One continued-fraction pass per coordinate of
+    the dyadic iterate of exact_newton_polish gives its last convergent
+    under every bound (_last_convergents), and each rung's snapped point is
+    substituted into every form, in integers.
     """
     if not point.is_real:
         return None
@@ -458,14 +451,7 @@ def certify_rational(forms: Sequence[Form], point: "NumericPoint") -> Projective
     if polished is None:
         return None
     numerators, den = polished
-    first = forms[0]
-    checked = set()
-    for snapped in zip(*(_limit_denominators(v, den, _LADDER) for v in numerators)):
-        if snapped in checked:
-            continue
-        checked.add(snapped)
-        if first.integer_value(_cleared_mod_p(snapped)) % _PRIME:
-            continue
+    for snapped in zip(*(_last_convergents(v, den, _LADDER) for v in numerators)):
         common = math.lcm(*(q for _, q in snapped))
         ints = [p * (common // q) for p, q in snapped]
         if all(f.integer_value(ints) == 0 for f in forms):

@@ -341,11 +341,6 @@ def collinear(a: ProjectivePoint, b: ProjectivePoint, c: ProjectivePoint) -> boo
                for cols in combinations(range(len(a.coords)), 3))
 
 
-def on_line(x: ProjectivePoint, p: ProjectivePoint, q: ProjectivePoint) -> bool:
-    """True iff x lies on the line spanned by the distinct points p, q."""
-    return collinear(x, p, q)
-
-
 def _max_coincidence(points: Sequence[ProjectivePoint]) -> int:
     counts: dict[tuple[int, ...], int] = {}
     for p in points:
@@ -359,7 +354,7 @@ def _max_collinear(points: Sequence[ProjectivePoint]) -> int:
     for i, j in combinations(range(len(points)), 2):
         if points[i] == points[j]:
             continue
-        count = sum(1 for p in points if on_line(p, points[i], points[j]))
+        count = sum(1 for p in points if collinear(p, points[i], points[j]))
         best = max(best, count)
     return best
 
@@ -460,7 +455,7 @@ def center_admissible(x: Configuration, a: ProjectivePoint, n: int | None = None
     if a in x.points:
         return False
     for i, j in combinations(range(n), 2):
-        if x[i] != x[j] and on_line(a, x[i], x[j]):
+        if x[i] != x[j] and collinear(a, x[i], x[j]):
             return False
     return True
 

@@ -179,6 +179,10 @@ class TestBinaryForms:
         assert gcd.degree == 2
         assert gcd(0, 1) == 0 and gcd(2, 3) == 0 and gcd(1, 0) != 0
 
+    def test_gcd_of_one_form_is_monic(self):
+        f = BinaryForm([2, 4])
+        assert binary_gcd([f]).coeffs == (Fraction(1, 2), 1) == binary_gcd([f, f]).coeffs
+
     def test_int_coefficients_stay_int(self):
         rng = random.Random(5)
         for _ in range(40):

@@ -42,6 +42,16 @@ def test_certifies_true_centers_at_large_coordinates(seed, bound):
     assert rec.b_true in [p.exact for p in cand.b_candidates]
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="D1: the polished error and the denominator ladder miss "
+                          "30-39-digit centers (ROADMAP item 2)")
+@pytest.mark.parametrize(("bound", "seed"),
+                         [(10 ** 6, 6), (10 ** 6, 8)] + [(10 ** 8, s) for s in range(4)])
+def test_certifies_the_planted_center_at_huge_coordinates(bound, seed):
+    rec = generate_reconstruction(7, seed=seed, coord_bound=bound)
+    assert rec.a_true in [m.a.exact for m in centers_variety(rec.x, rec.y).pairs]
+
+
 INTERMEDIATE_BOUND = (
     Configuration([(209035, 278236, 705499, 252497), (31900, -1474531, 445591, -13997),
                    (170593, 385248, 486417, 259722), (2088532, 1746179, -1161849, 142003),

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centersvar import linalg, numeric
+from centersvar import linalg
 from centersvar.errors import Inconsistent, NotFinite
 from centersvar.forms import (Form, _product_positions, mono_eval, monomial_index,
                               monomials)
-from centersvar.numeric import (_LADDER, _PRIME, _cleared_mod_p, _directions,
-                                _echelon_mod_p, _hilbert_function,
-                                _limit_denominators, _pivot_triples,
+from centersvar.numeric import (_LADDER, _PRIME, _directions, _echelon_mod_p,
+                                _hilbert_function, _last_convergents, _pivot_triples,
                                 certify_rational, exact_newton_polish,
                                 projective_distance, solve_quadric_system,
                                 sym_floats)
@@ -457,32 +456,9 @@ def test_newton_polish_matches_the_elimination_route(bound):
     assert polished >= 40
 
 
-def test_mod_p_rejection_keeps_every_true_zero():
-    rng = random.Random(21)
-
-    def random_form():
-        return Form(2, tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(10)))
-
-    for trial in range(300):
-        snapped = [(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30)) for _ in range(4)]
-        if trial % 5 == 0:  # a denominator divisible by the prime
-            snapped[trial % 4] = (rng.randint(-10 ** 9, 10 ** 9) * 2 + 1,
-                                  _PRIME * rng.randint(1, 10 ** 9))
-        point = [Fraction(p, q) for p, q in snapped]
-        g, m = random_form(), random_form()
-        zero = Form(2, tuple(m(point) * gc - g(point) * mc for gc, mc in zip(g.coeffs, m.coeffs)))
-        assert zero(point) == 0 and not zero.is_zero()
-        cleared = _cleared_mod_p(snapped)
-        assert zero.integer_value(cleared) % _PRIME == 0
-        # a nonzero residue is a nonzero value; a generic form is rejected
-        assert g(point) != 0 and g.integer_value(cleared) % _PRIME
-        if trial % 5:
-            assert m.integer_value(cleared) % _PRIME and m(point) != 0
-
-
-def test_certifies_a_point_whose_denominators_are_the_prime(monkeypatch):
+def test_certifies_a_point_whose_denominators_are_the_prime():
     # frozen to its largest coordinate the first point is (1 : 1/p : 2/p : 3/p),
-    # so its snap has denominators _PRIME. The forms are products of planes
+    # a snap with denominators _PRIME. The forms are products of planes
     # through the points, which stay independent mod _PRIME.
     rng = random.Random(22)
     points = [pp(_PRIME, 1, 2, 3), pp(0, 2, -3, 5), pp(7, -1, 4, 2)]
@@ -495,12 +471,8 @@ def test_certifies_a_point_whose_denominators_are_the_prime(monkeypatch):
     for k in range(7):
         a, b, c = (points[(k + i) % 3].coords for i in range(3))
         forms.append(plane_through(a, b) * plane_through(c))
-    snaps = []
-    monkeypatch.setattr(numeric, "_cleared_mod_p",
-                        lambda snapped: snaps.append(snapped) or _cleared_mod_p(snapped))
     found = {certify_rational(forms, p) for p in solve_quadric_system(forms, expected=3)}
     assert found == set(points)
-    assert ((1, 1), (1, _PRIME), (2, _PRIME), (3, _PRIME)) in snaps
 
 
 def test_random_directions_are_drawn_once_per_seed_and_read_only():
@@ -537,17 +509,22 @@ class TestCertification:
         assert [certify_rational(forms, p) for p in pts if p.is_real] == [Q]
 
 
-def farey_midpoints(bound):
-    """(n, d) midway between two neighbours a/b < c/e of the Farey sequence of
-    order bound (b c - a e = 1), where limit_denominator(bound) ties."""
-    def midpoint(ab):
-        a, b = ab
-        r = -pow(a, -1, b) % b
-        e = bound - (bound - r) % b  # the largest e <= bound with a e = -1 mod b
-        c = (1 + a * e) // b
-        return a * e + b * c, 2 * b * e
-    return st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, bound)).filter(
-        lambda ab: gcd(*ab) == 1).map(midpoint)
+def reference_last_convergents(x: Fraction, bounds) -> list[Fraction]:
+    """For each bound, the last convergent of x with denominator <= bound:
+    the plain expansion x = a_0 + 1 / (a_1 + 1 / (a_2 + ...)), each
+    convergent evaluated from its partial quotients in Fractions."""
+    quotients, convergents = [], []
+    while not convergents or convergents[-1].denominator <= max(bounds):
+        a = math.floor(x)
+        quotients.append(a)
+        value = Fraction(quotients[-1])
+        for q in reversed(quotients[:-1]):
+            value = q + 1 / value
+        convergents.append(value)
+        if x == a:
+            break
+        x = 1 / (x - a)
+    return [[c for c in convergents if c.denominator <= b][-1] for b in bounds]
 
 
 FRACTIONS = st.one_of(
@@ -559,19 +536,36 @@ FRACTIONS = st.one_of(
     # expansions that end exactly between two bounds, given unreduced
     st.tuples(st.integers(-10 ** 40, 10 ** 40), st.integers(10 ** 4, 10 ** 30),
               st.integers(1, 10 ** 20)).map(lambda t: (t[0] * t[2], t[1] * t[2])),
-    st.sampled_from(_LADDER).flatmap(farey_midpoints),
 )
 
 
 @given(FRACTIONS)
-@example((1, 20000))  # midway between 0/1 and 1/10^4: the convergent 0/1 wins
 @settings(max_examples=400, deadline=None)
-def test_one_pass_matches_limit_denominator_at_every_bound(nd):
+def test_one_pass_matches_the_plain_expansion_at_every_bound(nd):
     n, d = nd
-    snapped = _limit_denominators(n, d, _LADDER)
+    snapped = _last_convergents(n, d, _LADDER)
     assert all(gcd(p, q) == 1 and q > 0 for p, q in snapped)
-    assert [Fraction(p, q) for p, q in snapped] == [
-        Fraction(n, d).limit_denominator(b) for b in _LADDER]
+    assert [Fraction(p, q) for p, q in snapped] == reference_last_convergents(
+        Fraction(n, d), _LADDER)
+
+
+@st.composite
+def near_dyadics(draw):
+    """(b, p, q, X): a bound b of _LADDER, a coprime p/q with q <= b and
+    the numerator X of a dyadic X / 2**256 within 1 / (2 q b) of p/q."""
+    b = draw(st.sampled_from(_LADDER))
+    q = draw(st.integers(1, b))
+    p = draw(st.integers(-10 ** 40, 10 ** 40).filter(lambda p: gcd(p, q) == 1))
+    reach = 2 ** 256 // (2 * q * b) - 1  # |X - p 2**256 / q| < 2**256 / (2 q b)
+    return b, p, q, p * 2 ** 256 // q + draw(st.integers(-reach, reach))
+
+
+@given(near_dyadics())
+@settings(max_examples=400, deadline=None)
+def test_a_dyadic_within_half_over_q_b_snaps_to_p_over_q_at_rung_b(case):
+    b, p, q, x = case
+    assert 2 * b * abs(x * q - p * 2 ** 256) < 2 ** 256
+    assert _last_convergents(x, 2 ** 256, _LADDER)[_LADDER.index(b)] == (p, q)
 
 
 class TestDistance:

@@ -11,7 +11,7 @@ from centersvar.projective import (Configuration, ProjectivePoint,
                                    StabilityClass, apply_matrix, bracket,
                                    center_admissible,
                                    collinear, gale_transform,
-                                   homography_fit, normalizing_transform, on_line,
+                                   homography_fit, normalizing_transform,
                                    pp, project, stability_class)
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
@@ -364,7 +364,7 @@ class TestAdmissibility:
     def test_five_point_center_on_line(self):
         x = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
         a = pp(1, 2, 0, 0)  # on the line through the first two points
-        assert on_line(a, x[0], x[1])
+        assert collinear(a, x[0], x[1])
         assert not center_admissible(x, a, 5)
 
     def test_goepel_generic_admissible(self):
