@@ -70,7 +70,8 @@ class NotFinite(ToolkitError):
 
 
 class AmbiguousMatch(ToolkitError):
-    """Candidate pairing could not be resolved within tolerance."""
+    """n = 7 candidates could not be paired: the omega filter keeps unequal
+    counts, or a resected center has no b-candidate within 1e-6, two, or one taken."""
 
     code = "AmbiguousMatch"
     exit_code = 4

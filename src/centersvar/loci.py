@@ -20,7 +20,7 @@ Everything through n = 6 and every n >= 8 verdict is exact over the rationals;
 points on a quadric are tested and sampled in integers.
 For n = 7 the quadric-system kernel certifies exactly that the zero set is
 finite and locates its points in floats; the rational a's are certified
-exactly, and the b of each is resected from it over all seven points.
+exactly, and resection over all seven points pairs each a with its b.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import prod
 from operator import mul
 from typing import Sequence
@@ -493,8 +493,8 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
     camera sending every y_i to project(x_i, a) is unique and defined over
     Q, so resection over all seven correspondences (_resected_center) gives
     b exactly. It is checked on all seven b-quadrics and attached to the one
-    b-candidate within projective distance 1e-6; no such candidate, or two
-    certified a's on one b-candidate, raises Inconsistent.
+    b-candidate within projective distance 1e-6 (_nearest_candidates); no
+    such candidate, two, or one another certified a took raises Inconsistent.
     """
     if x.n != 7 or y.n != 7:
         raise InvalidInput("candidates_n7 needs seven points on both sides")
@@ -511,21 +511,14 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
            for quads, w in ((a_quads, x), (b_quads, y)) for q, p in zip(quads, w.points)):
         raise DegenerateInput("a common zero of the leave-one-out quadrics is a world point")
     a_pts = [_with_certificate(p, a_quads) for p in a_pts]
+    labels = [i for i, p in enumerate(a_pts) if p.exact is not None]
+    b_exact = [_exact_point(_resected_center(x, y, a_pts[i].exact)) for i in labels]
+    if any(_quadric_value(q, b.exact) for b in b_exact for q in b_quads):
+        raise Inconsistent("the resected center is not on every b-quadric")
     b_pts = list(b_pts)
-    matched = set()
-    for p in a_pts:
-        if p.exact is None:
-            continue
-        b = _resected_center(x, y, p.exact)
-        if any(_quadric_value(q, b) for q in b_quads):
-            raise Inconsistent("the resected center is not on every b-quadric")
-        b_point = _exact_point(b)
-        units = _unit_rows(np.array([c.coords for c in b_pts] + [b_point.coords]))
-        near = [j for j, (d,) in enumerate(_distances(units[:-1], units[-1:])) if d < 1e-6]
-        if len(near) != 1 or near[0] in matched:
-            raise Inconsistent("the resected center matches no single b-candidate")
-        matched.add(near[0])
-        b_pts[near[0]] = b_point
+    near = _nearest_candidates(labels, [b.coords for b in b_exact], b_pts, Inconsistent)
+    for j, b in zip(near, b_exact):
+        b_pts[j] = b
     return CandidateSets(tuple(a_quads), tuple(b_quads), tuple(a_pts), tuple(b_pts))
 
 
@@ -536,6 +529,22 @@ def _exact_point(exact: ProjectivePoint) -> NumericPoint:
 def _with_certificate(p: NumericPoint, quads: Sequence[Form]) -> NumericPoint:
     exact = certify_rational(quads, p)
     return p if exact is None else _exact_point(exact)
+
+
+def _nearest_candidates(labels: Sequence[int], centers, candidates: Sequence[NumericPoint],
+                        error: type[ToolkitError]) -> list[int]:
+    """The index of the one candidate within projective distance 1e-6 of each
+    center (resected from a-candidate labels[i]) that no earlier center took."""
+    units = _unit_rows(np.array([c.coords for c in candidates]).reshape(-1, 4))
+    taken: list[int] = []
+    for label, row in zip(labels, _distances(_unit_rows(np.reshape(centers, (-1, 4))), units)):
+        near = [j for j, d in enumerate(row) if d < 1e-6]
+        if len(near) != 1 or near[0] in taken:
+            raise error(f"a-candidate {label}: its resected center matches no single b-candidate "
+                        f"({len(near)} within 1e-6{', already taken' if len(near) == 1 else ''}; "
+                        f"the nearest at {min(row, default=1.0):.3e})")
+        taken.append(near[0])
+    return taken
 
 
 _TRIPLES = tuple(combinations(range(7), 3))  # the 35 increasing triples of seven points
@@ -592,6 +601,7 @@ def fano15_complex(x: Configuration, a: Sequence) -> np.ndarray:
 
 
 _MATCH_TOL = 1e-7
+_EPS = np.cross(np.eye(3)[:, None], np.eye(3))  # [u, s, r]: (e_u x e_s)_r, the Levi-Civita symbol
 
 
 @dataclass(frozen=True)
@@ -603,22 +613,34 @@ class MatchedPair:
     invariant_distance: float
 
 
+def _resected_centers(x: Configuration, y: Configuration, a: np.ndarray) -> np.ndarray:
+    """_resected_center in floats for each row of the k x 4 complex array a,
+    as unit rows: a complex DLT over all seven unit points (Hartley &
+    Zisserman 7.1) with rows [B x_i]_x (I_3 (x) y_i^T) in the 12 entries of
+    P, B the last three rows of a's conjugate SVD basis, so that B a = 0."""
+    xs, ys = (_unit_rows(np.array([p.coords for p in w.points], dtype=float)) for w in (x, y))
+    images = xs @ np.linalg.svd(a[:, None, :])[2][:, 1:].conj().transpose(0, 2, 1)
+    rows = np.einsum("usr,kiu,it->kirst", _EPS, images, ys).reshape(len(a), -1, 12)
+    cameras = np.linalg.svd(rows, full_matrices=False)[2][:, -1].conj().reshape(-1, 3, 4)
+    return np.linalg.svd(cameras)[2][:, -1].conj()
+
+
 def pair_candidates_n7(x: Configuration, y: Configuration,
                        a_candidates: Sequence[NumericPoint],
                        b_candidates: Sequence[NumericPoint]) -> list[MatchedPair]:
-    """Match a-candidates to b-candidates by their lifted Fano directions.
+    """Pair each a-candidate with the b-candidate at its resected center.
 
     Candidates whose Fano vector is proportional to the all-ones direction
     are discarded (they see the seven points on a conic, which does not
-    certify equivalence); the rest are matched by minimal projective
-    distance between the invariant vectors. Both distances are read off the
-    unit Fano vectors u as the part of u off the other line (_distances):
-    off the all-ones direction that is |u - mean(u)|, and a match of u and v
-    takes |u - (v^H u) v|; the assignments are searched in Python floats.
-    The pairs follow the order of the a-candidates; their invariant
-    distances are float noise and would give no stable order. An exact b is the
-    resected center of an exact a (candidates_n7), so a match of an exact
-    with an inexact center raises AmbiguousMatch.
+    certify equivalence): the part of the unit Fano vector u off that line,
+    |u - mean(u)| (_distances), is below _MATCH_TOL. Each kept a takes the
+    one kept b within 1e-6 of the center of the camera resected from a over
+    all seven correspondences (_resected_centers, the float form of the map
+    that candidates_n7 applies exactly to a rational a); no such b, two, or
+    one that another a took raises AmbiguousMatch, as does an exact center
+    paired with an inexact one. The pairs follow the order of the
+    a-candidates; each carries the sine distance between the two Fano
+    vectors as a diagnostic.
     """
     ua, ub = (_unit_rows(fano15_complex(w, np.reshape([p.coords for p in cands], (-1, 4))))
               for w, cands in ((x, a_candidates), (y, b_candidates)))
@@ -628,18 +650,12 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     if not keep_a or len(keep_a) != len(keep_b):
         raise AmbiguousMatch(
             f"cannot match {len(keep_a)} a-candidates with {len(keep_b)} b-candidates")
+    centers = _resected_centers(x, y, np.array([a_candidates[i].coords for i in keep_a]))
+    match = _nearest_candidates(keep_a, centers, [b_candidates[j] for j in keep_b],
+                                AmbiguousMatch)
     dist = _distances(ua[keep_a], ub[keep_b])
-    best_perm, best_total = None, float("inf")
-    for perm in permutations(range(len(keep_b))):
-        total = sum(dist[i][perm[i]] for i in range(len(keep_a)))
-        if total < best_total:
-            best_perm, best_total = perm, total
-    assert best_perm is not None
     pairs = []
-    for i, j in enumerate(best_perm):
-        row = sorted(dist[i])
-        if len(row) > 1 and row[1] < _MATCH_TOL:
-            raise AmbiguousMatch("two candidate matches within tolerance", distances=dist[i])
+    for i, j in enumerate(match):
         a, b = a_candidates[keep_a[i]], b_candidates[keep_b[j]]
         if (a.exact is None) != (b.exact is None):
             raise AmbiguousMatch("an exact center is matched with an inexact one")

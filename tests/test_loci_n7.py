@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import warnings
@@ -18,7 +19,7 @@ from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
                              centers_variety, fano15_complex, pair_candidates_n7,
                              quadric_net, weddle_curve_point)
 from centersvar.numeric import projective_distance
-from centersvar.projective import Configuration, pp
+from centersvar.projective import Configuration, apply_matrix, pp
 
 
 def rand_config(rng, n):
@@ -300,8 +301,9 @@ def test_a_world_point_the_certifier_misses_is_degenerate(tmp_path):
     assert _centers_report(tmp_path, SINGULAR_TRIPLE_X, SINGULAR_TRIPLE_Y) == (2, None)
 
 
-# both have the indices {0, 1, 2, 3} and {1, 3, 5, 6} coplanar on both sides,
-# and two a-candidates with the same Fano vector up to the float floor
+# each has a four-point index set coplanar on both sides: {0, 1, 2, 3} and
+# {1, 3, 5, 6} in the first two, {0, 3, 4, 6} and {0, 2, 3, 4} in inputs 47 and
+# 381 of random_n7_pairs(600, 7); their Fano vectors cannot pair the candidates
 COPLANAR_QUADRUPLE_PAIRS = [
     (Configuration([[1, 2, -1, -1], [-3, 0, 2, 2], [2, -2, -3, -3], [2, -2, 1, 1],
                     [-3, 3, 2, 1], [1, 3, -1, -2], [-3, -2, 3, 1]]),
@@ -311,19 +313,70 @@ COPLANAR_QUADRUPLE_PAIRS = [
                     [2, 1, -3, -1], [-1, -3, 1, -1], [1, 0, 0, 1]]),
      Configuration([[-2, 2, -2, 0], [1, -1, 0, 0], [-1, 0, 2, -1], [-2, -2, -2, -3],
                     [-3, -3, 3, 2], [0, 2, 1, -1], [-2, 0, -1, -3]])),
+    (Configuration([[3, 2, -2, 0], [2, -2, -1, -3], [3, 2, -1, -1], [0, 3, 1, 1],
+                    [3, -2, -1, 0], [1, 0, 1, -1], [3, -3, 1, 1]]),
+     Configuration([[1, -3, 0, 0], [1, -1, 1, -3], [1, -1, -2, 2], [0, 3, -3, -1],
+                    [2, 1, -2, 1], [2, -1, -2, 3], [3, -3, 0, 2]])),
+    (Configuration([[3, -2, -1, 2], [1, -1, 0, 1], [3, 2, -3, 2], [1, -2, 3, 2],
+                    [2, 2, -1, 2], [2, -1, 1, -1], [2, 0, 1, 3]]),
+     Configuration([[1, 1, 0, 1], [3, -3, -2, 1], [0, 2, -1, 2], [3, 2, 0, 2],
+                    [0, 0, 1, 0], [0, 2, -2, 1], [1, 1, 1, -3]])),
 ]
 
 
-@pytest.mark.xfail(raises=AmbiguousMatch, strict=True,
-                   reason="Fano vectors cannot separate these candidates; pairing by "
-                          "resection can (ROADMAP item 3a)")
 @pytest.mark.parametrize("index", range(len(COPLANAR_QUADRUPLE_PAIRS)))
 def test_coplanar_quadruples_pair_without_ambiguity(index):
     x, y = COPLANAR_QUADRUPLE_PAIRS[index]
     result = centers_variety(x, y)
+    cand = result.candidates
+    assert reference_fano_pairs(x, y, cand.a_candidates, cand.b_candidates) is None
     assert len(result.pairs) == 3
-    b_candidates = result.candidates.b_candidates
-    assert sorted(b_candidates.index(p.b) for p in result.pairs) == [0, 1, 2]
+    assert sorted(cand.b_candidates.index(p.b) for p in result.pairs) == [0, 1, 2]
+
+
+def reference_fano_pairs(x, y, a_candidates, b_candidates):
+    """The Fano assignment search that paired n = 7 candidates before pairing
+    by resection: after the omega filter, the assignment of least total
+    distance between the unit Fano vectors, the first of a tie in
+    permutations order, as (a index, b index) pairs in the order of the
+    a-candidates. None where it is ambiguous: the kept counts differ, or
+    some kept a-candidate has two b-candidates within loci._MATCH_TOL."""
+    ua, ub = (numeric._unit_rows(fano15_complex(w, np.reshape([p.coords for p in c], (-1, 4))))
+              for w, c in ((x, a_candidates), (y, b_candidates)))
+    omega = [d for (d,) in loci._distances(np.vstack([ua, ub]), np.full((1, 15), 15 ** -0.5))]
+    keep_a = [i for i in range(len(ua)) if omega[i] >= loci._MATCH_TOL]
+    keep_b = [j for j in range(len(ub)) if omega[len(ua) + j] >= loci._MATCH_TOL]
+    if not keep_a or len(keep_a) != len(keep_b):
+        return None
+    dist = loci._distances(ua[keep_a], ub[keep_b])
+    if any(len(row) > 1 and sorted(row)[1] < loci._MATCH_TOL for row in dist):
+        return None
+    best = min(itertools.permutations(range(len(keep_b))),
+               key=lambda perm: sum(dist[i][j] for i, j in enumerate(perm)))
+    return [(keep_a[i], keep_b[j]) for i, j in enumerate(best)]
+
+
+def test_resection_pairs_as_the_fano_search_did_wherever_it_was_unambiguous():
+    inputs = itertools.chain(*(_generated_n7(bound) for bound in (10, 10 ** 3, 10 ** 6)),
+                             random_n7_pairs(200, 7))
+    compared, refused = 0, []
+    for index, (x, y) in enumerate(inputs):
+        try:
+            cand = candidates_n7(x, y)
+        except ToolkitError:
+            continue
+        reference = reference_fano_pairs(x, y, cand.a_candidates, cand.b_candidates)
+        pairs = pair_candidates_n7(x, y, cand.a_candidates, cand.b_candidates)
+        if reference is None:
+            refused.append(index - 30)
+            assert len(pairs) == 3
+            continue
+        assert [(m.a, m.b) for m in pairs] == [
+            (cand.a_candidates[i], cand.b_candidates[j]) for i, j in reference]
+        compared += 1
+    # the generated inputs come first; the search refused random inputs 47 and 68
+    assert refused == [47, 68]
+    assert compared >= 200
 
 
 # a float zero of the a-quadrics of SINGULAR_TRIPLE_X, SINGULAR_TRIPLE_Y near
@@ -413,6 +466,67 @@ def test_resected_b_candidates_equal_the_certified_ones(bound):
     assert exact_pairs == (0 if bound is None else 10)
 
 
+def _outcome(x, y):
+    try:
+        return centers_variety(x, y).pairs
+    except ToolkitError as exc:
+        return exc.code
+
+
+def _unimodular(rng):
+    while True:
+        m = [[rng.choice((-1, 0, 1)) for _ in range(4)] for _ in range(4)]
+        if abs(linalg.det(m)) == 1:
+            return m
+
+
+def _relabelled(x, y, rng):
+    perm = rng.sample(range(7), 7)
+    return (Configuration([x[i] for i in perm]), Configuration([y[i] for i in perm]),
+            lambda m: (m.a.coords, m.b.coords, m.a.exact, m.b.exact))
+
+
+def _moved(x, y, rng):
+    hx, hy = _unimodular(rng), _unimodular(rng)
+
+    def image(m):
+        return (np.array(hx) @ m.a.array(), np.array(hy) @ m.b.array(),
+                m.a.exact and apply_matrix(hx, m.a.exact),
+                m.b.exact and apply_matrix(hy, m.b.exact))
+
+    return x.transformed(hx), y.transformed(hy), image
+
+
+def _swapped(x, y, rng):
+    return y, x, lambda m: (m.b.coords, m.a.coords, m.b.exact, m.a.exact)
+
+
+@pytest.mark.parametrize("transform", [_relabelled, _moved, _swapped],
+                         ids=["relabel", "homography", "swap"])
+def test_seven_point_pairs_follow_the_symmetries_of_the_problem(transform):
+    # relabelling both sides alike keeps the pairs, det +-1 homographies
+    # H_X, H_Y map them to (H_X a, H_Y b), and swapping X and Y to (b, a);
+    # an input that is refused is refused alike
+    rng = random.Random(9)
+    inputs = list(itertools.chain(_generated_n7(10), random_n7_pairs(40, 9),
+                                  COPLANAR_QUADRUPLE_PAIRS))
+    paired = 0
+    for x, y in inputs:
+        before = _outcome(x, y)
+        tx, ty, image = transform(x, y, rng)
+        after = _outcome(tx, ty)
+        if isinstance(before, str):
+            assert after == before
+            continue
+        assert not isinstance(after, str) and len(after) == len(before)
+        for a, b, exact_a, exact_b in map(image, before):
+            (hit,) = [m for m in after if projective_distance(m.a.coords, a) < 1e-6
+                      and projective_distance(m.b.coords, b) < 1e-6]
+            assert (hit.a.exact, hit.b.exact) == (exact_a, exact_b)
+        paired += 1
+    assert paired >= 40
+
+
 def test_a_resected_center_off_the_b_quadrics_is_inconsistent(monkeypatch):
     rec = generate_reconstruction(7, seed=3)
     monkeypatch.setattr(loci, "_resected_center", lambda x, y, a: pp(1, 2, 3, 4))
@@ -434,6 +548,22 @@ def test_a_resected_center_far_from_every_b_candidate_is_inconsistent(monkeypatc
     monkeypatch.setattr(loci, "solve_quadric_system", shifted)
     with pytest.raises(Inconsistent, match="no single b-candidate"):
         candidates_n7(rec.x, rec.y)
+
+
+@pytest.mark.parametrize(("a_slots", "b_slots", "message"), [
+    ((0, 1, 2), (1, 1, 2), r"a-candidate 0: .* b-candidate \(0 within 1e-6; the nearest at "),
+    ((0, 1, 2), (0, 0, 2), r"a-candidate 0: .* b-candidate \(2 within 1e-6; the nearest at "),
+    ((0, 0, 2), (0, 1, 2), r"a-candidate 1: .*\(1 within 1e-6, already taken; the nearest at "),
+])
+def test_an_ambiguous_match_names_the_a_candidate_and_the_near_count(a_slots, b_slots, message):
+    # slot k holds the candidate paired with a-candidate k; repeating one
+    # leaves another a with no partner, or two, or one already taken
+    rec = generate_reconstruction(7, seed=3)
+    cand = candidates_n7(rec.x, rec.y)
+    pairs = pair_candidates_n7(rec.x, rec.y, cand.a_candidates, cand.b_candidates)
+    with pytest.raises(AmbiguousMatch, match=message):
+        pair_candidates_n7(rec.x, rec.y, [pairs[k].a for k in a_slots],
+                           [pairs[k].b for k in b_slots])
 
 
 class TestWeddleCurve:
@@ -463,7 +593,6 @@ class TestWeddleCurve:
             img = np.array([av[k] * r[j] - r[k] * av[j] for j in range(4) if j != k])
             images.append(img / np.linalg.norm(img))
         # six points lie on a conic iff the 6x6 matrix of conic monomials drops rank
-        import itertools
         for sub in itertools.combinations(range(7), 6):
             m = []
             for i in sub:
