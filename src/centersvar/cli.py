@@ -307,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
         doc = args.func(args)
     except ToolkitError as exc:
         err = {"error": {"code": exc.code, "message": str(exc)}}
+        if exc.details:
+            err["error"]["details"] = exc.details
         json.dump(err, sys.stdout, indent=2)
         print()
         return exc.exit_code

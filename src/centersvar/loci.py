@@ -18,9 +18,9 @@ projectively equivalent images is
 
 Everything through n = 6 and every n >= 8 verdict is exact over the rationals;
 points on a quadric are tested and sampled in integers.
-For n = 7 the quadric-system kernel certifies exactly that the zero set is
-finite and locates its points in floats; the rational a's are certified
-exactly, and resection over all seven points pairs each a with its b.
+For n = 7 the quadric-system kernel certifies the zero set finite and locates
+its points in floats; rational a's are certified exactly, and resection over
+all seven points, on one overflow-safe float view per side, pairs a with b.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> Tw
     """
     if x.n != 5 or y.n != 5 or x.ambient_dim != 3 or y.ambient_dim != 3:
         raise InvalidInput("cubic_locus_n5 needs five points in P^3 on both sides")
-    if not center_admissible(x, a, 5, "Moduli"):
+    if not center_admissible(x, a):
         raise InadmissibleCenter("center lies on a line through two world points")
     alpha = apply_matrix(normalizing_transform(x.points), a)
     v = normalizing_transform(y.points)
@@ -523,7 +523,8 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
 
 
 def _exact_point(exact: ProjectivePoint) -> NumericPoint:
-    return NumericPoint.from_vector(np.array([float(c) for c in exact.coords]), 0.0, exact=exact)
+    (v,) = _scaled_rows([exact.coords], [max(map(abs, exact.coords)).bit_length()])
+    return NumericPoint.from_vector(v, 0.0, exact=exact)
 
 
 def _with_certificate(p: NumericPoint, quads: Sequence[Form]) -> NumericPoint:
@@ -553,27 +554,28 @@ _TRIPLE_POINTS = np.array(_TRIPLES)
 _FANO_TRIPLES = np.array([[_TRIPLES.index(t) for t in lines] for lines in _EVEN_FANO_SORTED])
 
 
-def _unit_bracket_forms(x: Configuration) -> np.ndarray:
-    """The 35 x 4 floats whose row for the triple (i, j, k) of _TRIPLES is
-    c / (|x_i| |x_j| |x_k|), c the exact cofactor vector of the triple
-    (Configuration.cofactors_of): row . a is the bracket [x_i x_j x_k a] of
-    the points scaled to unit norm. Where some c is past the float range,
-    each point is scaled by 2**-e_i, e_i the bit length of its largest
-    coordinate, and each c exactly by 2**-(e_i + e_j + e_k) before it is
-    rounded."""
-    cofs = [x.cofactors_of(*t) for t in _TRIPLES]
+def _scaled_rows(rows: Sequence[Sequence[int]], exponents: Sequence[int]) -> np.ndarray:
+    """Row r of the integers times 2**-exponents[r], each entry rounded once
+    (int / int), the rule of Form.floats: it commutes with rounding, so it is
+    float(v) * 2**-e bit for bit wherever float(v) is finite and normal."""
+    scales = [1 << e for e in exponents]
+    return np.array([v / s for row, s in zip(rows, scales) for v in row]).reshape(len(scales), -1)
+
+
+def _float_view(x: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    """The unit points (7 x 4) of seven points and their 35 x 4 unit bracket
+    forms, row (i, j, k) of _TRIPLES being c / (|x_i| |x_j| |x_k|), c its exact
+    cofactor vector: row . a = [x_i x_j x_k a] of the unit points. x_i is read
+    at e_i, the bit length of its largest |coordinate|, and c at e_i + e_j +
+    e_k (_scaled_rows), so no entry overflows."""
     coords = [p.coords for p in x.points]
-    try:
-        forms = np.array(cofs, dtype=float)
-        norms = np.linalg.norm(np.array(coords, dtype=float), axis=1)
-    except OverflowError:
-        e = [max(map(abs, c)).bit_length() for c in coords]
-        norms = np.linalg.norm(np.array([[v / (1 << s) for v in c] for c, s in zip(coords, e)]),
-                               axis=1)
-        forms = np.array([[v / (1 << (e[i] + e[j] + e[k])) for v in c]
-                          for c, (i, j, k) in zip(cofs, _TRIPLES)])
+    e = [max(map(abs, c)).bit_length() for c in coords]
+    points = _scaled_rows(coords, e)
+    norms = np.linalg.norm(points, axis=1)
+    forms = _scaled_rows([x.cofactors_of(*t) for t in _TRIPLES],
+                         [e[i] + e[j] + e[k] for i, j, k in _TRIPLES])
     ni, nj, nk = norms[_TRIPLE_POINTS.T, None]
-    return forms / ni / nj / nk
+    return points / norms[:, None], forms / ni / nj / nk
 
 
 def fano15_complex(x: Configuration, a: Sequence) -> np.ndarray:
@@ -582,13 +584,17 @@ def fano15_complex(x: Configuration, a: Sequence) -> np.ndarray:
     array, for the seven points and each center scaled to unit norm.
 
     A lifted bracket [x_i x_j x_k a] is a linear form in a, so the 35
-    brackets of a center are one 35 x 4 matrix (_unit_bracket_forms) applied
-    to it. Each entry is the product of the brackets of the seven sorted
-    lines of its even permutation, as in fano15_lifted: sorting the lines of
-    an even permutation leaves the product's sign as it is. Each center is
-    normalized by its own norm call and its brackets are built elementwise,
-    so its vector is bit for bit the one it gets alone."""
-    forms = _unit_bracket_forms(x)
+    brackets of a center are the 35 x 4 forms of _float_view applied to it.
+    Each entry is the product of the brackets of the seven sorted lines of
+    its even permutation, as in fano15_lifted: sorting the lines of an even
+    permutation leaves the product's sign as it is. Each center is normalized
+    by its own norm call and its brackets are built elementwise, so its
+    vector is bit for bit the one it gets alone."""
+    return _fano15(_float_view(x)[1], a)
+
+
+def _fano15(forms: np.ndarray, a: Sequence) -> np.ndarray:
+    """fano15_complex from the 35 x 4 unit bracket forms of _float_view."""
     av = np.asarray(a, dtype=complex)
     centers = np.array([c / np.linalg.norm(c) for c in av.reshape(-1, 4)], dtype=complex)
     centers = centers.reshape(-1, 4)
@@ -613,12 +619,11 @@ class MatchedPair:
     invariant_distance: float
 
 
-def _resected_centers(x: Configuration, y: Configuration, a: np.ndarray) -> np.ndarray:
+def _resected_centers(xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> np.ndarray:
     """_resected_center in floats for each row of the k x 4 complex array a,
-    as unit rows: a complex DLT over all seven unit points (Hartley &
-    Zisserman 7.1) with rows [B x_i]_x (I_3 (x) y_i^T) in the 12 entries of
-    P, B the last three rows of a's conjugate SVD basis, so that B a = 0."""
-    xs, ys = (_unit_rows(np.array([p.coords for p in w.points], dtype=float)) for w in (x, y))
+    as unit rows: a complex DLT over the unit points xs, ys of _float_view
+    (Hartley & Zisserman 7.1) with rows [B x_i]_x (I_3 (x) y_i^T) in the 12
+    entries of P, B the last three rows of a's conjugate SVD basis: B a = 0."""
     images = xs @ np.linalg.svd(a[:, None, :])[2][:, 1:].conj().transpose(0, 2, 1)
     rows = np.einsum("usr,kiu,it->kirst", _EPS, images, ys).reshape(len(a), -1, 12)
     cameras = np.linalg.svd(rows, full_matrices=False)[2][:, -1].conj().reshape(-1, 3, 4)
@@ -640,17 +645,18 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     one that another a took raises AmbiguousMatch, as does an exact center
     paired with an inexact one. The pairs follow the order of the
     a-candidates; each carries the sine distance between the two Fano
-    vectors as a diagnostic.
+    vectors as a diagnostic. Both read each side's _float_view.
     """
-    ua, ub = (_unit_rows(fano15_complex(w, np.reshape([p.coords for p in cands], (-1, 4))))
-              for w, cands in ((x, a_candidates), (y, b_candidates)))
+    (xs, x_forms), (ys, y_forms) = _float_view(x), _float_view(y)
+    ua, ub = (_unit_rows(_fano15(forms, np.reshape([p.coords for p in cands], (-1, 4))))
+              for forms, cands in ((x_forms, a_candidates), (y_forms, b_candidates)))
     omega = [d for (d,) in _distances(np.vstack([ua, ub]), np.full((1, 15), 15 ** -0.5))]
     keep_a = [i for i in range(len(ua)) if omega[i] >= _MATCH_TOL]
     keep_b = [j for j in range(len(ub)) if omega[len(ua) + j] >= _MATCH_TOL]
     if not keep_a or len(keep_a) != len(keep_b):
         raise AmbiguousMatch(
             f"cannot match {len(keep_a)} a-candidates with {len(keep_b)} b-candidates")
-    centers = _resected_centers(x, y, np.array([a_candidates[i].coords for i in keep_a]))
+    centers = _resected_centers(xs, ys, np.array([a_candidates[i].coords for i in keep_a]))
     match = _nearest_candidates(keep_a, centers, [b_candidates[j] for j in keep_b],
                                 AmbiguousMatch)
     dist = _distances(ua[keep_a], ub[keep_b])

@@ -435,29 +435,20 @@ def decide_equivalence(p: Configuration, q: Configuration) -> Equivalence:
     raise Inconclusive("neither a witness nor invariant separation is available")
 
 
-def center_admissible(x: Configuration, a: ProjectivePoint, n: int | None = None,
-                      mode: str = "Moduli") -> bool:
+def center_admissible(x: Configuration, a: ProjectivePoint, mode: str = "Moduli") -> bool:
     """Whether a avoids the indeterminacy locus of the projection-to-moduli map.
 
     Moduli mode: the locus is the point set itself for n >= 6, and all lines
     through point pairs for n = 5. Goepel mode (n = 7 only): all such lines.
     """
-    n = x.n if n is None else n
-    if n != x.n:
-        raise InvalidInput("n does not match the configuration")
     if mode not in ("Moduli", "Goepel"):
         raise InvalidInput(f"unknown admissibility mode {mode!r}")
-    if mode == "Goepel" and n != 7:
+    if mode == "Goepel" and x.n != 7:
         raise InvalidInput("Goepel admissibility only applies to n = 7")
-    lines = (mode == "Goepel") or n == 5
-    if not lines:
-        return a not in x.points
     if a in x.points:
         return False
-    for i, j in combinations(range(n), 2):
-        if x[i] != x[j] and collinear(a, x[i], x[j]):
-            return False
-    return True
+    return (mode == "Moduli" and x.n != 5) or not any(
+        x[i] != x[j] and collinear(a, x[i], x[j]) for i, j in combinations(range(x.n), 2))
 
 
 def gale_transform(p: Configuration) -> Configuration:

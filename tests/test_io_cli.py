@@ -12,7 +12,8 @@ from centersvar import io as cio, linalg
 from centersvar.cli import main
 from centersvar.datagen import CENTER_KINDS, generate_reconstruction
 from centersvar.errors import Inconclusive, InvalidInput
-from centersvar.projective import Configuration, ProjectivePoint, decide_equivalence, pp
+from centersvar.projective import (Configuration, ProjectivePoint, apply_matrix,
+                                   decide_equivalence, pp)
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(centersvar.__file__)))
@@ -458,6 +459,61 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
         monkeypatch.setenv("CENTERSVAR_SEED", "0")
         assert main(["centers", "-i", xfile, "-j", yfile, "-o", xfile + ".out"]) == 0
+
+
+IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
+SHEAR = [[1, 10 ** 320, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+SHEARED = {"X": (SHEAR, IDENTITY), "Y": (IDENTITY, SHEAR), "both": (SHEAR, SHEAR)}
+
+
+def _sheared_centers_argv(tmp_path, n, side):
+    """centers on generated seed 0 with X, Y or both sheared past the float
+    range; the true a is given for n <= 6 and the true b for n <= 4, moved
+    with their sides."""
+    rec = generate_reconstruction(n, seed=0)
+    hx, hy = SHEARED[side]
+    xfile, yfile = tmp_path / "x.json", tmp_path / "y.json"
+    write_config(xfile, rec.x.transformed(hx))
+    write_config(yfile, rec.y.transformed(hy))
+    argv = ["centers", "-i", str(xfile), "-j", str(yfile)]
+    for flag, h, point, n_max in (("--center", hx, rec.a_true, 6),
+                                  ("--center-b", hy, rec.b_true, 4)):
+        if n <= n_max:
+            argv.append(f"{flag}=" + ",".join(map(str, apply_matrix(h, point).coords)))
+    return argv
+
+
+@pytest.mark.parametrize("side", sorted(SHEARED))
+@pytest.mark.parametrize("n", range(4, 10))
+def test_centers_of_sheared_inputs_end_in_one_json_document(tmp_path, capsys, n, side):
+    # a report, or a ToolkitError document with its exit code: never a traceback
+    code = main(_sheared_centers_argv(tmp_path, n, side))
+    assert code in (0, 2, 3, 4)
+    doc = json.loads(capsys.readouterr().out)
+    assert ("error" in doc) == (code != 0)
+
+
+def test_a_sheared_seven_point_input_writes_no_traceback(tmp_path):
+    proc = run_cli(*_sheared_centers_argv(tmp_path, 7, "X"))
+    assert proc.stderr == ""
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout)["error"]["code"] == "AmbiguousMatch"
+
+
+def test_error_documents_carry_the_details_of_the_error(tmp_path, capsys):
+    # D6: with Y's first coordinate scaled by 10^8 the b-side solver finds
+    # one of the three zeros, and its error says so in its details
+    rec = generate_reconstruction(7, seed=1)
+    xfile, yfile = tmp_path / "x.json", tmp_path / "y.json"
+    write_config(xfile, rec.x)
+    write_config(yfile, rec.y.transformed([[10 ** 8, 0, 0, 0]] + IDENTITY[1:]))
+    assert main(["centers", "-i", str(xfile), "-j", str(yfile)]) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "Inconsistent", "message": "expected 3 isolated zeros, found 1",
+        "details": {"h2": 3, "found": 1}}
+    # an error without details writes code and message only
+    assert main(["centers", "-i", str(xfile), "-j", str(yfile), "--seed", "-1"]) == 2
+    assert set(json.loads(capsys.readouterr().out)["error"]) == {"code", "message"}
 
 
 def test_reports_are_the_bytes_of_the_chunked_json_dump(tmp_path, monkeypatch):

@@ -218,7 +218,7 @@ def ref_cubic_locus_n5(x, y, a):
     linalg.inverse of their Fraction frame matrices, the standard-frame
     quadrics composed in Fractions and the parametrization built and checked
     in Fraction binary forms."""
-    if not center_admissible(x, a, 5, "Moduli"):
+    if not center_admissible(x, a):
         raise InadmissibleCenter("center lies on a line through two world points")
     u = linalg.inverse(ref_frame_matrix(x.points))
     v = linalg.inverse(ref_frame_matrix(y.points))

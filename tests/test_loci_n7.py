@@ -53,6 +53,36 @@ def test_certifies_the_planted_center_at_huge_coordinates(bound, seed):
     assert rec.a_true in [m.a.exact for m in centers_variety(rec.x, rec.y).pairs]
 
 
+IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+def _rescaled_pair(seed, side, m):
+    """Generated seed `seed` with diag(m, 1, 1, 1) applied to X or to Y, and
+    the planted pair moved with it."""
+    rec = generate_reconstruction(7, seed=seed)
+    d = [[m, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    hx, hy = (d, IDENTITY) if side == "X" else (IDENTITY, d)
+    return (rec.x.transformed(hx), rec.y.transformed(hy),
+            (apply_matrix(hx, rec.a_true), apply_matrix(hy, rec.b_true)))
+
+
+@pytest.mark.parametrize("side", ["X", "Y"])
+def test_rescaling_one_coordinate_by_10_to_the_4_keeps_the_planted_pair(side):
+    for seed in range(10):
+        x, y, planted = _rescaled_pair(seed, side, 10 ** 4)
+        assert planted in [(m.a.exact, m.b.exact) for m in centers_variety(x, y).pairs]
+
+
+@pytest.mark.xfail(raises=Inconsistent, strict=True,
+                   reason="D6: the float solver finds 1 of the 3 zeros once one coordinate "
+                          "is 10^8 times the others (the solver's scale sensitivity)")
+@pytest.mark.parametrize("side", ["X", "Y"])
+@pytest.mark.parametrize("seed", range(4))
+def test_rescaling_one_coordinate_by_10_to_the_8_keeps_the_planted_pair(seed, side):
+    x, y, planted = _rescaled_pair(seed, side, 10 ** 8)
+    assert planted in [(m.a.exact, m.b.exact) for m in centers_variety(x, y).pairs]
+
+
 INTERMEDIATE_BOUND = (
     Configuration([(209035, 278236, 705499, 252497), (31900, -1474531, 445591, -13997),
                    (170593, 385248, 486417, 259722), (2088532, 1746179, -1161849, 142003),
@@ -181,6 +211,58 @@ def test_fano_vector_of_points_past_the_float_range():
                            for _ in range(7)])
         a = nrng.standard_normal(4)
         assert max_relative_error(fano15_complex(x, a), reference_fano15_complex(x, a)) <= 1e-12
+
+
+def reference_unit_bracket_forms(x):
+    """The 35 x 4 unit bracket forms as built before the float view: float()
+    of the cofactor vectors and of the points, scaled by powers of two only
+    where that overflows."""
+    cofs = [x.cofactors_of(*t) for t in loci._TRIPLES]
+    coords = [p.coords for p in x.points]
+    try:
+        forms = np.array(cofs, dtype=float)
+        norms = np.linalg.norm(np.array(coords, dtype=float), axis=1)
+    except OverflowError:
+        e = [max(map(abs, c)).bit_length() for c in coords]
+        norms = np.linalg.norm(np.array([[v / (1 << s) for v in c] for c, s in zip(coords, e)]),
+                               axis=1)
+        forms = np.array([[v / (1 << (e[i] + e[j] + e[k])) for v in c]
+                          for c, (i, j, k) in zip(cofs, loci._TRIPLES)])
+    ni, nj, nk = norms[loci._TRIPLE_POINTS.T, None]
+    return forms / ni / nj / nk
+
+
+def test_the_float_view_is_the_unscaled_floats_bit_for_bit():
+    # scaling by a power of two commutes with rounding, so wherever float()
+    # of the integers is finite the view reads the same bits
+    configs = [w for bound in (10, 10 ** 3, 10 ** 6) for x, y in _generated_n7(bound)
+               for w in (x, y)]
+    configs += [w for pair in random_n7_pairs(20, 4) for w in pair]
+    for x in configs:
+        points, forms = loci._float_view(x)
+        assert forms.tobytes() == reference_unit_bracket_forms(x).tobytes()
+        want = numeric._unit_rows(np.array([p.coords for p in x.points], dtype=float))
+        assert points.tobytes() == want.tobytes()
+
+
+def test_the_float_view_of_points_past_the_float_range():
+    # coordinates near 10^320 and their cofactors near 10^960 have no float;
+    # the unit points and brackets stay finite and match the scaled-down input
+    rng = random.Random(14)
+    for _ in range(5):
+        rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)] for _ in range(7)]
+        big = Configuration([[v * 10 ** 314 + rng.randint(-9, 9) for v in r] for r in rows])
+        points, forms = loci._float_view(big)
+        want_points, want_forms = loci._float_view(Configuration(rows))
+        assert np.all(np.isfinite(forms)) and np.all(np.isfinite(points))
+        assert np.max(np.abs(points - want_points)) <= 1e-12
+        assert np.max(np.abs(forms - want_forms)) <= 1e-12
+
+
+def test_an_exact_point_past_the_float_range_is_read_to_its_unit_vector():
+    p = loci._exact_point(pp(4 * 10 ** 400, -3 * 10 ** 400, 10 ** 380, 1))
+    assert p.exact == pp(4 * 10 ** 400, -3 * 10 ** 400, 10 ** 380, 1)
+    assert np.max(np.abs(p.array() - [0.8, -0.6, 0, 0])) <= 1e-15 and p.is_real
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
@@ -709,6 +791,27 @@ class TestEightPlus:
         assert centers_variety(x, y).surviving == ()
         code, report = _centers_report(tmp_path, x, y)
         assert code == 0 and report["empty"] is True
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="D5: the verdict reads the 6-subsets of two windows of the "
+                              "labelled points (ROADMAP item 4)")
+    def test_relabelling_both_sides_keeps_the_verdict(self):
+        # as given, a window subset is degenerate (DegenerateInput); relabelled,
+        # the same points are decided empty at span rank 10
+        x = Configuration([[2, 0, 2, 2], [0, 0, -2, 1], [0, -2, 1, 2], [1, 2, -2, 1],
+                           [3, 3, -1, -1], [1, 2, 3, 0], [2, 2, -2, 0], [-1, -1, 2, -1]])
+        y = Configuration([[0, 2, 0, 0], [2, -2, 1, -1], [1, 1, 0, -3], [1, -3, 0, -3],
+                           [-3, -3, -3, 1], [0, 2, -3, 1], [-1, -1, 1, 1], [-2, -2, -1, -2]])
+        perm = [1, 6, 2, 0, 7, 4, 5, 3]
+
+        def verdict(x, y):
+            try:
+                return set(centers_variety(x, y).surviving)
+            except ToolkitError as exc:
+                return exc.code
+
+        assert verdict(x, y) == verdict(Configuration([x[i] for i in perm]),
+                                        Configuration([y[i] for i in perm]))
 
     def test_verdict_needs_no_numeric_stage(self, monkeypatch):
         def refuse(*args, **kwargs):

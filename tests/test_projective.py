@@ -359,22 +359,22 @@ class TestAdmissibility:
     def test_six_point_center_at_world_point(self):
         rng = random.Random(2)
         x = rand_config(rng, 6, dim=3)
-        assert not center_admissible(x, x[3], 6)
+        assert not center_admissible(x, x[3])
 
     def test_five_point_center_on_line(self):
         x = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
         a = pp(1, 2, 0, 0)  # on the line through the first two points
         assert collinear(a, x[0], x[1])
-        assert not center_admissible(x, a, 5)
+        assert not center_admissible(x, a)
 
     def test_goepel_generic_admissible(self):
         rng = random.Random(4)
         x = rand_config(rng, 7, dim=3)
-        assert center_admissible(x, pp(91, 83, 77, 65), 7, "Goepel")
+        assert center_admissible(x, pp(91, 83, 77, 65), "Goepel")
 
     def test_goepel_needs_seven(self):
         with pytest.raises(InvalidInput):
-            center_admissible(STD5, pp(1, 2, 3, 4), 5, "Goepel")
+            center_admissible(STD5, pp(1, 2, 3, 4), "Goepel")
 
 
 class TestGaleTransform:
