@@ -22,7 +22,7 @@ from typing import Any
 from . import io as cio
 from .datagen import DEGENERATE_KINDS, generate_degenerate, generate_reconstruction
 from .errors import InadmissibleCenter, InvalidInput, ToolkitError
-from .forms import Form, sym_from_quad
+from .forms import Form, moment_positions
 from .invariants import InvariantVector, fano15, g5, t6
 from .loci import (CubicFibrationN5, EmptyN8, EverythingN4, MatchedPair,
                    SurfacePairN6, ThreePairsN7, centers_variety,
@@ -61,6 +61,15 @@ def _pair_json(m: MatchedPair) -> dict[str, Any]:
 
 def _form_json(f: Form) -> list[str]:
     return [cio.format_fraction(c) for c in f.coeffs]
+
+
+def _sym_json(q: Form) -> list[list[str]]:
+    """The symmetric matrix S of z^T S z = q, written straight from the int
+    coefficients c of a quadric: c on the diagonal, c / 2 off it ("c/2"
+    when c is odd), the strings format_fraction gives."""
+    c = q.coeffs
+    return [[str(c[k]) if i == j else f"{c[k]}/2" if c[k] % 2 else str(c[k] // 2)
+             for j, k in enumerate(row)] for i, row in enumerate(moment_positions())]
 
 
 def _invariant_json(v: InvariantVector) -> dict[str, Any]:
@@ -129,8 +138,8 @@ def _centers_payload(result) -> dict[str, Any]:
                 "cubic": cubic}
     if isinstance(result, SurfacePairN6):
         return {"variant": "SurfacePairN6",
-                "S_beta": {"sym": cio.matrix_to_json(sym_from_quad(result.s_beta))},
-                "S_alpha": {"sym": cio.matrix_to_json(sym_from_quad(result.s_alpha))},
+                "S_beta": {"sym": _sym_json(result.s_beta)},
+                "S_alpha": {"sym": _sym_json(result.s_alpha)},
                 "sampled_pairs": [{"a": cio.point_to_json(a), "b": cio.point_to_json(b)}
                                   for a, b in result.sampled_pairs],
                 "given_center": (cio.point_to_json(result.given_center)

@@ -9,8 +9,10 @@ Two small algebras used throughout the loci computations:
   interpolation (``fit_form`` is a reference for the tests); a form is
   evaluated in integers, a rational one at its coefficients and the point's
   coordinates brought to a common denominator; a quadric surface is its
-  quadratic form, and the symmetric matrix S of z^T S z is read off the
-  coefficients (sym_from_quad) only where a report or float code needs it;
+  quadratic form, and no Fraction matrix of it is built: the n = 6 report
+  writes the symmetric matrix S of z^T S z from the int coefficients (c on
+  the diagonal, c / 2 off it), and float code reads S at a power-of-two
+  scale (scaled_float);
 * binary forms (homogeneous polynomials in a curve parameter (t_0 : t_1))
   with exact arithmetic, int coefficients kept int, and gcd.
 """
@@ -230,12 +232,6 @@ class Form:
         if self.is_zero():
             return self
         return Form(self.degree, canonical_coords(self.coeffs))
-
-
-def sym_from_quad(q: Form) -> list[list[Fraction]]:
-    """Symmetric matrix of a quadratic form (off-diagonal halved)."""
-    return [[Fraction(q.coeffs[k], 1 if i == j else 2) for j, k in enumerate(row)]
-            for i, row in enumerate(moment_positions())]
 
 
 def same_span(forms_a: Sequence[Form], forms_b: Sequence[Form]) -> bool:

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from operator import mul
 from typing import Sequence
@@ -41,14 +41,14 @@ from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InadmissibleCenter, Inconclusive, Inconsistent,
                      InvalidInput, NoRationalImage, ToolkitError)
 from .forms import (BinaryForm, Form, moment_positions, monomial_indices,
-                    monomials, sym_from_quad)
+                    monomials, scaled_float)
 from .invariants import (_EVEN_FANO_SORTED, t6_factors, t6_lifted, t6_relation,
                          weddle_quartic)
 from .numeric import (NumericPoint, _distances, _unit_rows, certify_rational,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, _frame_weights, apply_matrix,
-                         bracket, center_admissible, cofactors, collinear, cross,
-                         homography_fit, no_three_collinear,
+                         bracket, canonical_coords, center_admissible, cofactors,
+                         collinear, cross, homography_fit, no_three_collinear,
                          normalizing_transform, outer_sum, project)
 
 
@@ -254,17 +254,36 @@ def _quadric_relations_n6(x: Configuration, y: Configuration
     (``invariants.t6_relation``). Raises DegenerateInput where
     quadric_pair_n6 refuses the six pairs as degenerate (see there), so the
     decision needs no quadric: a relation w = 0, the x side first, or w^x
-    proportional to w^y, every 2 x 2 minor of the two 5-vectors zero."""
+    proportional to w^y, every 2 x 2 minor of the two 5-vectors zero. A
+    side refused for w = 0 is named with its cause (_relation_cause)."""
     fx, fy = t6_factors(x), t6_factors(y)
     wx, wy = t6_relation(x, fx), t6_relation(y, fy)
-    for tag, w in (("x", wx), ("y", wy)):
+    for tag, w, side in (("x", wx, x), ("y", wy, y)):
         if not any(w):
-            raise DegenerateInput(f"quadric relation on the {tag} side is not unique")
+            raise DegenerateInput(f"quadric relation on the {tag} side is not unique"
+                                  + _relation_cause(tag, side))
     if all(p * s == q * r for (p, q), (r, s) in combinations(zip(wx, wy), 2)):
         # e.g. for projectively equivalent configurations, where the center
         # locus is not confined to a quadric at all
         raise DegenerateInput("the weighted quadric combination vanishes identically")
     return fx, fy, wx, wy
+
+
+def _relation_cause(tag: str, c: Configuration) -> str:
+    """Why six points have w = 0, in the labels of the set they were taken
+    from: the first two that coincide, else the first five in a plane, else
+    nothing (no other cause was seen)."""
+    pts, labels = c.points, c._index
+    named = next((pair for pair in combinations(range(c.n), 2)
+                  if pts[pair[0]] == pts[pair[1]]), None)
+    verb = "coincide"
+    if named is None:
+        named = next((five for five in combinations(range(c.n), 5)
+                      if linalg.rank([pts[i].coords for i in five]) < 4), None)
+        verb = "lie in a plane"
+    if named is None:
+        return ""
+    return f": {', '.join(f'{tag}_{labels[i]}' for i in named)} {verb}"
 
 
 def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
@@ -365,9 +384,13 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     space of the 12-unknown linear resection (DLT, Hartley & Zisserman 7.1):
     both kernels have the same dimension, and P is a multiple of the DLT
     camera. lambda is the cofactor vector of the first three rows, in
-    combinations order, that have a nonzero one; it spans the kernel exactly
-    when every row is orthogonal to it (another scale of lambda only rescales
-    P). The images q_i are the integer vectors of project's chart,
+    combinations order, that have a nonzero one, made primitive; it spans
+    the kernel exactly when every row is orthogonal to it (another scale of
+    lambda only rescales P, and the common factor of the cofactor vector,
+    most of its bits, would otherwise run on through P and its center). The
+    first triple is skipped: rows 0-2 are one point y_j's three rows, and
+    sum_r q_j[r] row_r = 0 makes their cofactor vector zero. The images q_i
+    are the integer vectors of project's chart,
     a_k x_i - (x_i)_k a with coordinate k dropped, not made primitive; none
     is zero, as a is no world point. b is the cofactor vector of the rows of
     P, which spans its kernel, and is zero exactly when P has rank below 3.
@@ -388,7 +411,8 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     for j, wj in weights:
         crosses = [cross(q[g], q[j]) for g in f]
         rows.extend([c * v[r] for c, v in zip(wj, crosses)] for r in range(3))
-    lam = next((c for c in (cofactors(*t) for t in combinations(rows, 3)) if any(c)), None)
+    triples = islice(combinations(rows, 3), 1, None)  # not rows 0-2, always dependent
+    lam = next((canonical_coords(c) for c in (cofactors(*t) for t in triples) if any(c)), None)
     if lam is None or any(sum(map(mul, row, lam)) for row in rows):
         dim = 0 if lam is not None else 4 - linalg.rank(rows)
         raise NoRationalImage(f"the resection has a {dim}-dimensional solution space")
@@ -857,9 +881,17 @@ def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, l
     points. Its singular members are at the eigenvalues t of -M2^{-1} M1, and
     the eigenvector of the chosen one is the vertex (kernel vector) of that
     singular quadric; it is returned together with its residuals on the
-    seven Weddle quartics.
+    seven Weddle quartics. The net's symmetric matrices are read in floats
+    at one exponent for the whole net, and each quartic at its own
+    (Form.floats), so no coefficient overflows; the eigenvectors and the
+    normalized quartics do not see those powers of two.
     """
-    net = [np.array(sym_from_quad(q), dtype=float) for q in quadric_net(x)]
+    quads = quadric_net(x)
+    e = max((c.numerator.bit_length() - c.denominator.bit_length()
+             for q in quads for c in q.coeffs if c), default=0)
+    # entry (i, j) is c on the diagonal and c / 2 off it, read at 2**-e
+    net = [np.array([[scaled_float(q.coeffs[k], e + (i != j)) for j, k in enumerate(row)]
+                     for i, row in enumerate(moment_positions())]) for q in quads]
     rng = random.Random(seed)
     for _ in range(50):
         c1 = [rng.randint(-9, 9) for _ in range(3)]
@@ -873,8 +905,7 @@ def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, l
         vertex = vectors[:, min(range(4), key=lambda i: (abs(roots[i].imag), roots[i].real))]
         residuals = []
         for k in range(7):
-            w = weddle_quartic(x.drop(k))
-            coeff = np.array([float(c) for c in w.form.coeffs])
+            coeff = np.array(weddle_quartic(x.drop(k)).form.floats)
             coeff /= np.linalg.norm(coeff)
             vals = np.array([np.prod((vertex / np.linalg.norm(vertex)) ** np.array(m))
                              for m in monomials(4)], dtype=complex)

@@ -305,8 +305,10 @@ def homography_fit(p: Configuration, q: Configuration) -> list[list[Fraction]] |
     H = B_q diag(c^q_j / (D_q c^p_j)) adj(B_p), with B the first three points
     as columns and (D, c) the frame weights of the first four, is built in
     integers over one denominator, and each correspondence is checked by an
-    integer cross product. No weight is zero, so H is invertible. The first
-    four points of p must be in general position.
+    integer cross product. The integer weights c^q_j c^p_{j-1} c^p_{j-2} are
+    divided by their gcd g first, which only rescales H, and g goes back into
+    the numerators of the returned Fractions. No weight is zero, so H is
+    invertible. The first four points of p must be in general position.
     """
     if p.ambient_dim != 2 or q.ambient_dim != 2:
         raise InvalidInput("homography_fit works on plane configurations")
@@ -323,14 +325,15 @@ def homography_fit(p: Configuration, q: Configuration) -> list[list[Fraction]] |
     except DegenerateInput:
         return None
     bp = [pt.coords for pt in p.points[:3]]
-    h = outer_sum([cq[j] * cp[j - 1] * cp[j - 2] for j in range(3)],
-                  [pt.coords for pt in q.points[:3]],
+    weights = [cq[j] * cp[j - 1] * cp[j - 2] for j in range(3)]
+    g = math.gcd(*weights)
+    h = outer_sum([v // g for v in weights], [pt.coords for pt in q.points[:3]],
                   [cross(bp[j - 2], bp[j - 1]) for j in range(3)])
     if any(any(cross([sum(map(mul, row, pi.coords)) for row in h], qi.coords))
            for pi, qi in zip(p.points, q.points)):
         return None
     denominator = dq * cp[0] * cp[1] * cp[2]
-    return [[Fraction(v, denominator) for v in row] for row in h]
+    return [[Fraction(v * g, denominator) for v in row] for row in h]
 
 
 def collinear(a: ProjectivePoint, b: ProjectivePoint, c: ProjectivePoint) -> bool:

@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centersvar import io as cio
+from centersvar.cli import _sym_json
 from centersvar.errors import InvalidInput
-from centersvar.forms import (BinaryForm, Form, binary_gcd, fit_form, mono_eval,
-                              monomial_indices, monomials, sym_from_quad)
+from centersvar.forms import (BinaryForm, Form, binary_gcd, fit_form, moment_positions,
+                              mono_eval, monomial_indices, monomials)
 from centersvar.projective import ProjectivePoint
+
+
+def sym_from_quad(q):
+    """The symmetric matrix of a quadratic form in Fractions (off-diagonal
+    halved): the reference for the report's integer strings (cli._sym_json)."""
+    return [[Fraction(q.coeffs[k], 1 if i == j else 2) for j, k in enumerate(row)]
+            for i, row in enumerate(moment_positions())]
 
 
 def mat_vec(a, v):
@@ -128,6 +137,15 @@ class TestExactEvaluation:
             pt = ProjectivePoint(point)
             d = f.integer_terms[0]
             assert Fraction(f.integer_value(pt.coords), d) == reference_value(f, pt.coords)
+
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.integers(-10 ** 30, 10 ** 30),
+                              st.sampled_from([0, 10 ** 300, -10 ** 300, 10 ** 300 + 1,
+                                               -10 ** 300 - 1])),
+                    min_size=10, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_report_sym_strings_are_the_fraction_matrix(self, coeffs):
+        q = Form(2, tuple(coeffs))
+        assert _sym_json(q) == cio.matrix_to_json(sym_from_quad(q))
 
     @given(st.integers(1, 4).flatmap(
                lambda d: st.tuples(st.just(d), st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30),

@@ -6,17 +6,19 @@ from operator import mul
 
 import pytest
 
-from centersvar import linalg
+from centersvar import linalg, loci, projective
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import (DegenerateInput, InadmissibleCenter, Inconsistent,
                                NoRationalImage, ToolkitError)
-from centersvar.forms import Form, sym_from_quad
+from centersvar.forms import Form
 from centersvar.invariants import lifted_quadrics, t6_lifted
-from centersvar.loci import (_resected_center, cubic_locus_n5, map_a_to_b_n6,
-                             map_b_to_a_n6, quadric_pair_n6, sample_surface_point)
+from centersvar.loci import (_resected_center, candidates_n7, centers_n_ge8, centers_variety,
+                             cubic_locus_n5, map_a_to_b_n6, map_b_to_a_n6, quadric_pair_n6,
+                             sample_surface_point)
 from centersvar.projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
-                                   canonical_coords, cofactors, cross, homography_fit,
-                                   outer_sum, pp, project)
+                                   canonical_coords, cofactors, cross, decide_equivalence,
+                                   homography_fit, outer_sum, pp, project)
+from test_forms import sym_from_quad
 
 
 def rand_config(rng, n):
@@ -190,8 +192,25 @@ Y_FIRST_FOUR_COPLANAR = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                                        (1, 1, 1, 1), (2, -1, 3, 5), (4, 1, -2, 3), (1, -3, 2, 2)])
 
 
+def certified_n7_probes():
+    """(x, y, a) for the certified a-candidates of generated n = 7 instances."""
+    for seed in range(3):
+        rec = generate_reconstruction(7, seed=seed)
+        for p in candidates_n7(rec.x, rec.y).a_candidates:
+            if p.exact is not None:
+                yield rec.x, rec.y, p.exact
+
+
+def n9_survivor_probe():
+    """(x, y, a) for the one surviving pair of a generated n = 9 instance."""
+    rec = generate_reconstruction(9, seed=0)
+    ((a, _),) = centers_n_ge8(rec.x, rec.y).surviving
+    return rec.x, rec.y, a
+
+
 def test_resected_center_matches_the_fraction_reference():
-    cases = [*generated_probes(6, 10), *generated_probes(6, 1000), *generated_probes(8, 10)]
+    cases = [*generated_probes(6, 10), *generated_probes(6, 1000), *generated_probes(6, 10 ** 6),
+             *generated_probes(8, 10), *certified_n7_probes(), n9_survivor_probe()]
     for n in (6, 8):
         y = Configuration(Y_FIRST_FOUR_COPLANAR.points[:n])
         x = y.transformed(T)
@@ -203,7 +222,7 @@ def test_resected_center_matches_the_fraction_reference():
         got = outcome(_resected_center, x, y, a)
         assert got == outcome(ref_resected_center, x, y, a)
         centers += isinstance(got, ProjectivePoint)
-    assert centers >= 60
+    assert centers >= 90
 
 
 def test_resection_refuses_coplanar_world_points():
@@ -313,6 +332,36 @@ def test_resected_center_matches_the_integer_kernel_reference():
     assert (InadmissibleCenter, "the center map is undefined at a world point") in messages
     assert (NoRationalImage,
             "the world points lie in a plane, so the resection is not unique") in messages
+
+
+def test_frame_maps_are_built_from_primitive_weights(monkeypatch):
+    # every outer_sum call of the resection (loci) and of homography_fit
+    # (projective) gets weights with gcd 1
+    weights = {"loci": [], "projective": []}
+
+    def recording(module):
+        def recorded(w, columns, rows):
+            weights[module].append(tuple(w))
+            return outer_sum(w, columns, rows)
+        return recorded
+
+    monkeypatch.setattr(loci, "outer_sum", recording("loci"))
+    monkeypatch.setattr(projective, "outer_sum", recording("projective"))
+    for n in (6, 7):
+        for seed in range(3):
+            rec = generate_reconstruction(n, seed=seed)
+            centers_variety(rec.x, rec.y, a=rec.a_true if n == 6 else None)
+    for x, y, a in kernel_parity_cases():
+        outcome(_resected_center, x, y, a)
+    rng = random.Random(28)
+    for _ in range(20):
+        p, q = (Configuration([[rng.randint(-9, 9) or 1 for _ in range(3)] for _ in range(5)])
+                for _ in range(2))
+        decide_equivalence(p, p.transformed([[rng.randint(-3, 3) for _ in range(3)]
+                                             for _ in range(3)]))
+        decide_equivalence(p, q)
+    assert len(weights["loci"]) >= 30 and len(weights["projective"]) >= 40
+    assert all(gcd(*w) == 1 for calls in weights.values() for w in calls)
 
 
 class TestCenterMap:

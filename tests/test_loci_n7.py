@@ -14,12 +14,13 @@ from centersvar.datagen import generate_reconstruction
 from centersvar.errors import (AmbiguousMatch, DegenerateInput, Inconclusive, Inconsistent,
                               ToolkitError)
 from centersvar.forms import Form, mono_eval, monomials
-from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES, fano15_lifted
+from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES, fano15_lifted, weddle_quartic
 from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
                              centers_variety, fano15_complex, pair_candidates_n7,
                              quadric_net, weddle_curve_point)
-from centersvar.numeric import projective_distance
+from centersvar.numeric import NumericPoint, projective_distance
 from centersvar.projective import Configuration, apply_matrix, pp
+from test_forms import sym_from_quad
 
 
 def rand_config(rng, n):
@@ -682,6 +683,58 @@ class TestWeddleCurve:
                 m.append([u * u, v * v, w * w, u * v, u * w, v * w])
             sv = np.linalg.svd(np.array(m), compute_uv=False)
             assert abs(sv[-1]) / sv[0] < 1e-7
+
+
+def reference_weddle_curve_point(x, seed=0):
+    """weddle_curve_point as it read the net and the quartics before: float()
+    of the Fraction symmetric matrices and of each quartic's coefficients."""
+    net = [np.array(sym_from_quad(q), dtype=float) for q in quadric_net(x)]
+    rng = random.Random(seed)
+    for _ in range(50):
+        c1 = [rng.randint(-9, 9) for _ in range(3)]
+        c2 = [rng.randint(-9, 9) for _ in range(3)]
+        m1 = sum(c * m for c, m in zip(c1, net))
+        m2 = sum(c * m for c, m in zip(c2, net))
+        try:
+            roots, vectors = np.linalg.eig(np.linalg.solve(m2, -m1))
+        except np.linalg.LinAlgError:
+            continue
+        vertex = vectors[:, min(range(4), key=lambda i: (abs(roots[i].imag), roots[i].real))]
+        residuals = []
+        for k in range(7):
+            coeff = np.array([float(c) for c in weddle_quartic(x.drop(k)).form.coeffs])
+            coeff /= np.linalg.norm(coeff)
+            vals = np.array([np.prod((vertex / np.linalg.norm(vertex)) ** np.array(m))
+                             for m in monomials(4)], dtype=complex)
+            residuals.append(float(abs(coeff @ vals)))
+        if max(residuals) < 1e-7:
+            return vertex, residuals
+    return None
+
+
+def test_the_weddle_point_is_the_unscaled_reading_bit_for_bit():
+    # one power of two for the whole net and one per quartic commute with
+    # the eigen-solve and the normalization
+    for seed in range(10):
+        x = generate_reconstruction(7, seed=seed).x
+        point, residuals = weddle_curve_point(x)
+        vertex, want = reference_weddle_curve_point(x)
+        assert np.array(point.coords).tobytes() == np.array(
+            NumericPoint.from_vector(vertex, 0.0).coords).tobytes()
+        assert np.array(residuals).tobytes() == np.array(want).tobytes()
+
+
+def test_a_weddle_point_of_a_set_past_the_float_range_ends_in_a_point_or_an_error():
+    # the net of this sheared set has coefficients past 10^308
+    shear = [[1, 10 ** 320, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    x = generate_reconstruction(7, seed=0).x.transformed(shear)
+    with pytest.raises(OverflowError):
+        np.array(sym_from_quad(quadric_net(x)[0]), dtype=float)
+    try:
+        point, residuals = weddle_curve_point(x)
+    except ToolkitError:
+        return
+    assert np.all(np.isfinite(point.array())) and max(residuals) < 1e-7
 
 
 def _quadrics_vanishing_on(rows):

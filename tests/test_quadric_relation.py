@@ -3,6 +3,7 @@
 decision read off two relations against the quadric pair it stands for."""
 
 import random
+import re
 from collections import Counter
 
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from centersvar.errors import DegenerateInput, Inconsistent, ToolkitError
 from centersvar.forms import Form
 from centersvar.invariants import lifted_quadrics, t6_factors, t6_relation
 from centersvar.datagen import _side_generic
-from centersvar.loci import _quadric_relations_n6, _solver_subsets, quadric_pair_n6
+from centersvar.loci import (_quadric_relations_n6, _solver_subsets, candidates_n7,
+                             quadric_pair_n6)
 from centersvar.projective import Configuration, ProjectivePoint
+from test_loci_n7 import random_n7_pairs
 
 
 def points(bound):
@@ -100,6 +103,25 @@ def outcome(route, x, y):
         return type(exc), str(exc)
 
 
+def checked_cause(message, sides):
+    """The refusal message with the cause it names cut off, once the cause
+    is checked: "x_i, x_j coincide" names two equal points of the set
+    sides["x"], "... lie in a plane" five distinct points of rank 3 or less."""
+    if message is None or ": " not in message:
+        return message
+    message, cause = message.split(": ")
+    tag = message.split(" side")[0][-1]
+    named = re.fullmatch(r"((?:[xy]_\d+, )*[xy]_\d+) (coincide|lie in a plane)", cause)
+    labels = [name.split("_") for name in named[1].split(", ")]
+    assert all(t == tag for t, _ in labels)
+    pts = [sides[tag].points[int(i)] for _, i in labels]
+    if named[2] == "coincide":
+        assert len(pts) == 2 and pts[0] == pts[1]
+    else:
+        assert len(set(pts)) == 5 and linalg.rank([p.coords for p in pts]) < 4
+    return message
+
+
 @given(six_points())
 @settings(max_examples=400, deadline=None)
 def test_bracket_relation_is_the_kernel_of_the_lifted_quadrics(pts):
@@ -119,7 +141,10 @@ def test_bracket_relation_is_the_kernel_of_the_lifted_quadrics(pts):
 @settings(max_examples=400, deadline=None)
 def test_quadric_pair_matches_the_kernel_route(pair):
     x, y = (Configuration(p) for p in pair)
-    assert outcome(quadric_pair_n6, x, y) == outcome(kernel_quadric_pair, x, y)
+    got = outcome(quadric_pair_n6, x, y)
+    if isinstance(got[0], type):
+        got = got[0], checked_cause(got[1], {"x": x, "y": y})
+    assert got == outcome(kernel_quadric_pair, x, y)
 
 
 def degenerate_message(route, x, y):
@@ -160,9 +185,27 @@ def test_relations_refuse_exactly_where_the_quadric_pair_does():
                 xc, yc = x.subset(c), y.subset(c)
                 got = degenerate_message(_quadric_relations_n6, xc, yc)
                 assert got == degenerate_message(quadric_pair_n6, xc, yc)
-                seen[side_generic, mapped, got] += 1
+                seen[side_generic, mapped, checked_cause(got, {"x": x, "y": y})] += 1
     vanishes = "the weighted quadric combination vanishes identically"
     assert seen[True, True, vanishes] > 100 and seen[True, False, None] > 50
     assert seen[False, False, "quadric relation on the x side is not unique"]
     assert seen[False, False, "quadric relation on the y side is not unique"]
     assert not any(seen[g, True, None] for g in (True, False))
+
+
+def test_each_refused_relation_names_its_cause():
+    """The "not unique" refusals of the seven-point stress name two
+    coincident world points or five coplanar ones of the refused 6-subset,
+    in the labels of the seven points."""
+    causes = Counter()
+    for x, y in random_n7_pairs(600, 7):
+        try:
+            candidates_n7(x, y)
+        except DegenerateInput as exc:
+            message = str(exc)
+            if message.startswith("quadric relation"):
+                assert checked_cause(message, {"x": x, "y": y}) != message
+                causes[message.split()[-1]] += 1
+        except ToolkitError:
+            pass
+    assert causes == {"coincide": 20, "plane": 34}
