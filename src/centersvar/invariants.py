@@ -59,7 +59,7 @@ from typing import Callable, Sequence
 
 from .errors import DegenerateInput, InvalidInput
 from .forms import Form
-from .projective import Configuration, ProjectivePoint, bracket, canonical_coords
+from .projective import Configuration, ProjectivePoint, _det3, bracket, canonical_coords
 
 # Bracket index triples (1-based), exactly as printed in the classical tables.
 G5_TRIPLES = (
@@ -184,7 +184,8 @@ def _product(brackets: Callable[[tuple[int, ...]], int], triples) -> int:
 
 def _plane_brackets(p: Configuration) -> Callable[[tuple[int, ...]], int]:
     """The bracket source of plane points: [ijk] = bracket(p_i, p_j, p_k)."""
-    return lambda t: bracket([p[i] for i in t])
+    rows = [q.coords for q in p.points]
+    return lambda t: _det3([rows[i] for i in t])
 
 
 def _lifted_brackets(x: Configuration, a) -> Callable[[tuple[int, ...]], int]:
@@ -193,15 +194,6 @@ def _lifted_brackets(x: Configuration, a) -> Callable[[tuple[int, ...]], int]:
     vector of the triple dotted with a."""
     coords = a.coords if isinstance(a, ProjectivePoint) else a
     return lambda t: sum(map(mul, x.cofactors_of(*t), coords))
-
-
-def _g5_values(brackets) -> tuple[int, ...]:
-    return tuple(_product(brackets, t) for t in _G5)
-
-
-def _t6_values(brackets) -> tuple[int, ...]:
-    head = tuple(_product(brackets, t) for t in _T6)
-    return head + (_product(brackets, _T5_PLUS) - _product(brackets, _T5_MINUS),)
 
 
 def _fano_lines(perm: Sequence[int]) -> list[tuple[int, ...]]:
@@ -215,6 +207,19 @@ def _fano_lines(perm: Sequence[int]) -> list[tuple[int, ...]]:
 # sign of the permutation, so for an even one the value is unchanged.
 _EVEN_FANO_SORTED = tuple([tuple(sorted(t)) for t in _fano_lines(perm)]
                           for perm in EVEN_FANO_PERMS)
+
+
+def _g5_values(brackets) -> tuple[int, ...]:
+    return tuple(_product(brackets, t) for t in _G5)
+
+
+def _t6_values(brackets) -> tuple[int, ...]:
+    head = tuple(_product(brackets, t) for t in _T6)
+    return head + (_product(brackets, _T5_PLUS) - _product(brackets, _T5_MINUS),)
+
+
+def _fano15_values(brackets) -> tuple[int, ...]:
+    return tuple(_product(brackets, lines) for lines in _EVEN_FANO_SORTED)
 
 
 def g5(p: Configuration) -> InvariantVector:
@@ -324,7 +329,9 @@ def fano15(p: Configuration) -> InvariantVector:
     Seven points on a conic map to the all-ones direction; two coincident
     points give the zero vector.
     """
-    return InvariantVector("N7", tuple(fano(p, perm) for perm in EVEN_FANO_PERMS))
+    if p.n != 7 or p.ambient_dim != 2:
+        raise InvalidInput("fano needs seven points in the plane")
+    return InvariantVector("N7", _fano15_values(_plane_brackets(p)))
 
 
 def fano15_lifted(x: Configuration, a) -> InvariantVector:
@@ -332,8 +339,7 @@ def fano15_lifted(x: Configuration, a) -> InvariantVector:
     in P^3; proportional to ``fano15(project(X, a))`` for admissible a."""
     if x.n != 7 or x.ambient_dim != 3:
         raise InvalidInput("fano15_lifted needs seven points in P^3")
-    brackets = _lifted_brackets(x, a)
-    return InvariantVector("N7", tuple(_product(brackets, lines) for lines in _EVEN_FANO_SORTED))
+    return InvariantVector("N7", _fano15_values(_lifted_brackets(x, a)))
 
 
 def fano_sum_odd(p: Configuration) -> int:
@@ -349,7 +355,7 @@ def morley(p: Configuration) -> int:
     """
     if p.n != 7 or p.ambient_dim != 2:
         raise InvalidInput("morley needs seven points in the plane")
-    return 2 * sum(fano(p, perm) for perm in EVEN_FANO_PERMS)
+    return 2 * sum(fano15(p).values)
 
 
 @dataclass(frozen=True)

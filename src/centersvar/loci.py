@@ -9,9 +9,9 @@ projectively equivalent images is
   in closed form in the standard frame),
 * a surface for n = 6: each center is confined to a quadric, held as its
   primitive integer quadratic form, and the two quadrics are in exact
-  birational correspondence; b is the center of the camera that resection
-  on a four-point frame of the world points finds from the correspondences
-  y_i -> project(x_i, a),
+  birational correspondence; b is the center of the camera sending each y_i
+  to project(x_i, a), read in closed form from the frame weights that
+  resection on a four-point frame of the world points finds,
 * three isolated pairs for n = 7,
 * generically empty for n >= 8 (a common zero of the windows' quadrics,
   resected on a frame and checked against all n points).
@@ -46,7 +46,7 @@ from .invariants import (_EVEN_FANO_SORTED, t6_factors, t6_lifted, t6_relation,
                          weddle_quartic)
 from .numeric import (NumericPoint, _distances, _unit_rows, certify_rational,
                       solve_quadric_system)
-from .projective import (Configuration, ProjectivePoint, _frame_weights, apply_matrix,
+from .projective import (Configuration, ProjectivePoint, _det3, _frame_weights, apply_matrix,
                          bracket, canonical_coords, center_admissible, cofactors,
                          collinear, cross, homography_fit, no_three_collinear,
                          normalizing_transform, outer_sum, project)
@@ -373,30 +373,26 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     """The center b of the camera P with P y_i proportional to q_i =
     project(x_i, a) for every i, by exact resection on a four-point frame.
 
-    The frame (f_0, ..., f_3) and its vectors w_k are derived data of y
-    (``Configuration.resection_frame``): the cofactor vector w_k of the other
-    three frame points vanishes on them and not on y_{f_k}, so the cameras
-    that fit the frame are P = sum_k lambda_k q_{f_k} w_k^T (that is
-    Q Lambda A^T, A the frame's integer adjugate up to column signs). Each
-    other point y_j adds the three integer rows
-    sum_k lambda_k (w_k . y_j) (q_{f_k} x q_j) = 0, a 3(n - 4) x 4 system in
-    lambda. No q_f is zero, so lambda -> P is injective onto the solution
-    space of the 12-unknown linear resection (DLT, Hartley & Zisserman 7.1):
-    both kernels have the same dimension, and P is a multiple of the DLT
-    camera. lambda is the cofactor vector of the first three rows, in
-    combinations order, that have a nonzero one, made primitive; it spans
-    the kernel exactly when every row is orthogonal to it (another scale of
-    lambda only rescales P, and the common factor of the cofactor vector,
-    most of its bits, would otherwise run on through P and its center). The
-    first triple is skipped: rows 0-2 are one point y_j's three rows, and
-    sum_r q_j[r] row_r = 0 makes their cofactor vector zero. The images q_i
-    are the integer vectors of project's chart,
-    a_k x_i - (x_i)_k a with coordinate k dropped, not made primitive; none
-    is zero, as a is no world point. b is the cofactor vector of the rows of
-    P, which spans its kernel, and is zero exactly when P has rank below 3.
-    Raises InadmissibleCenter at a world point a, and NoRationalImage when
-    the world points lie in a plane, or unless P is one rank-3 camera whose
-    center is no world point."""
+    On the frame f of y (``Configuration.resection_frame``), w_k, the
+    cofactor vector of the other three frame points, vanishes on them and
+    w_k . y_{f_k} = (-1)^(k+1) D, D = [y_{f_0} ... y_{f_3}] != 0. The cameras
+    that fit the frame are P = sum_k lambda_k q_{f_k} w_k^T, and each other
+    y_j adds the integer rows sum_k lambda_k (w_k . y_j) (q_{f_k} x q_j) = 0;
+    no q_f is zero, so lambda -> P is injective onto the solution space of
+    the 12-unknown DLT (Hartley & Zisserman 7.1). lambda is the first
+    nonzero cofactor vector of three rows, in combinations order, made
+    primitive, and spans the kernel exactly when every row is orthogonal to
+    it; rows 0-2, one point's three rows, are always dependent and skipped.
+    q_i is a_k x_i - (x_i)_k a with coordinate k dropped (project's chart).
+
+    P is not built. Its center is b = sum_k M_k prod_{j != k} lambda_j
+    y_{f_k}, M_k the bracket of the frame images other than q_{f_k}: P b =
+    D prod_k lambda_k sum_k (-1)^(k+1) M_k q_{f_k} = 0. So b is zero exactly
+    when P has rank below 3, a single lambda_k = 0 gives y_{f_k}, and once
+    lambda passes the rows P fits every correspondence. Raises
+    InadmissibleCenter at a world point a, and NoRationalImage when the world
+    points lie in a plane, or unless P is one rank-3 camera whose center is
+    no world point."""
     if a in x.points:
         raise InadmissibleCenter("the center map is undefined at a world point")
     ac = a.coords
@@ -406,7 +402,7 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     frame = y.resection_frame
     if frame is None:
         raise NoRationalImage("the world points lie in a plane, so the resection is not unique")
-    f, w, weights = frame
+    f, weights = frame
     rows = []
     for j, wj in weights:
         crosses = [cross(q[g], q[j]) for g in f]
@@ -416,17 +412,14 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     if lam is None or any(sum(map(mul, row, lam)) for row in rows):
         dim = 0 if lam is not None else 4 - linalg.rank(rows)
         raise NoRationalImage(f"the resection has a {dim}-dimensional solution space")
-    camera = outer_sum(lam, [q[g] for g in f], w)
-    center = cofactors(*camera)
+    qf = [q[g] for g in f]
+    beta = [_det3(qf[:i] + qf[i + 1:]) * prod(lam[:i] + lam[i + 1:]) for i in range(4)]
+    center = [sum(map(mul, beta, col)) for col in zip(*(y.points[g].coords for g in f))]
     if not any(center):
         raise NoRationalImage("the resected camera has rank below 3")
     b = ProjectivePoint(center)
     if b in y.points:
         raise NoRationalImage("the matched center is a world point")
-    # b is not a world point, so every image P y_i is a nonzero vector
-    if any(any(cross([sum(map(mul, row, yi.coords)) for row in camera], qi))
-           for yi, qi in zip(y.points, q)):
-        raise Inconsistent("the resected camera misses a correspondence")
     return b
 
 
@@ -435,11 +428,11 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
     """The unique second center matching a first center on its quadric.
 
     The images are projectively equivalent exactly when some camera P sends
-    every y_i to a multiple of q_i = project(x_i, a); P is found in integers
-    by resection on a four-point frame of the world points (the other two
-    points fix its four frame weights) and b is its center. The result is
-    verified point by point, on the companion quadric, and against the full
-    weighted proportionality of the lifted six-point invariants.
+    every y_i to a multiple of q_i = project(x_i, a); resection on a frame
+    of four world points fixes P's frame weights from the other two, and b,
+    P's center, is read from them in closed form (_resected_center). It is
+    verified on the companion quadric and against the full weighted
+    proportionality of the lifted six-point invariants.
     """
     s_beta, s_alpha = pair if pair is not None else quadric_pair_n6(x, y)
     if s_beta.integer_value(a.coords):
@@ -849,7 +842,7 @@ def centers_variety(x: Configuration, y: Configuration,
                 sa = sample_surface_point(pair[0], x[0], seed=seed + attempt,
                                           avoid=list(x.points))
                 sampled.append((sa, map_a_to_b_n6(x, y, sa, pair=pair)))
-            except (DegenerateInput, NoRationalImage, InadmissibleCenter, Inconsistent):
+            except (DegenerateInput, NoRationalImage, InadmissibleCenter):
                 pass
             attempt += 1
         return SurfacePairN6(pair[0], pair[1], tuple(sampled), a, matched)

@@ -158,14 +158,13 @@ class Configuration:
         return c
 
     @cached_property
-    def resection_frame(self) -> tuple[tuple[int, ...], list[tuple[int, ...]],
-                                       list[tuple[int, list[int]]]] | None:
-        """(f, w, weights) for points y of P^3, or None when they lie in a plane.
+    def resection_frame(self) -> tuple[tuple[int, ...], list[tuple[int, list[int]]]] | None:
+        """(f, weights) for points y of P^3, or None when they lie in a plane.
 
         f is the first 4-subset of indices, in combinations order, with a
-        nonzero bracket; w_k is the cofactor vector of the other three frame
-        points, which vanishes on them and not on y_{f_k}; weights lists
-        (j, [w_k . y_j for each k]) for every j outside the frame.
+        nonzero bracket; weights lists (j, [w_k . y_j for each k]) for every j
+        outside the frame, w_k the cofactor vector of the frame points other
+        than y_{f_k}, which vanishes on them and not on y_{f_k}.
         """
         ys = [p.coords for p in self.points]
         frame = next((f for f in combinations(range(len(ys)), 4)
@@ -173,8 +172,8 @@ class Configuration:
         if frame is None:
             return None
         w = [self.cofactors_of(*(g for g in frame if g != f)) for f in frame]
-        return frame, w, [(j, [sum(map(mul, wk, yj)) for wk in w])
-                          for j, yj in enumerate(ys) if j not in frame]
+        return frame, [(j, [sum(map(mul, wk, yj)) for wk in w])
+                       for j, yj in enumerate(ys) if j not in frame]
 
     def coordinate_matrix(self) -> list[list[int]]:
         """(d+1) x n matrix whose columns are the canonical points."""

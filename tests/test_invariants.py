@@ -333,9 +333,19 @@ class TestMorley:
             assert sum(fano15(p).values) + fano_sum_odd(p) == 0
 
     def test_morley_is_twice_even_sum(self):
+        # reference: fano(p, perm) keeps each permuted line in its own order
         rng = random.Random(63)
-        p = rand_config(rng, 7)
-        assert morley(p) == 2 * sum(fano15(p).values)
+        for bound in (9, 10 ** 6):
+            for _ in range(50):
+                p = rand_config(rng, 7, bound=bound)
+                assert morley(p) == 2 * sum(fano(p, perm) for perm in EVEN_FANO_PERMS)
+
+    @pytest.mark.parametrize("bound", [9, 10 ** 6])
+    def test_fano15_matches_the_per_permutation_route(self, bound):
+        rng = random.Random(64)
+        for _ in range(50):
+            p = rand_config(rng, 7, bound=bound)
+            assert fano15(p).values == tuple(fano(p, perm) for perm in EVEN_FANO_PERMS)
 
     def test_conic_value(self):
         p = conic_points((0, 1, 2, 3, 5, 7, 11))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,8 @@ from operator import mul
 
 import pytest
 
-from centersvar import linalg, loci, projective
+from centersvar import io as cio, linalg, loci, projective
+from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import (DegenerateInput, InadmissibleCenter, Inconsistent,
                                NoRationalImage, ToolkitError)
@@ -314,6 +316,16 @@ def kernel_parity_cases():
                                for s, t in zip(range(1, n + 1), (2, -1, 5, 3, -4, 7, 1))])
         yield line, y, a
         yield plane, y, a
+    # the camera P with center y_0 fits every correspondence, x_0 is free as
+    # P y_0 = 0, and the fitted lambda has lambda_0 = 0: the center is y_0
+    y = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1),
+                       (2, -1, 3, 5)])
+    camera = [[0, 1, 2, 3], [0, -1, 0, 4], [0, 2, 5, -1]]
+    a = pp(1, 2, 3, 1)
+    images = [[sum(map(mul, row, yi.coords)) for row in camera] + [0] for yi in y.points]
+    x = Configuration([(3, -1, 2, 7)] + [[v + (i + 1) * c for v, c in zip(images[i], a.coords)]
+                                         for i in range(1, 6)])
+    yield x, y, a
 
 
 def test_resected_center_matches_the_integer_kernel_reference():
@@ -332,27 +344,23 @@ def test_resected_center_matches_the_integer_kernel_reference():
     assert (InadmissibleCenter, "the center map is undefined at a world point") in messages
     assert (NoRationalImage,
             "the world points lie in a plane, so the resection is not unique") in messages
+    assert (NoRationalImage, "the resected camera has rank below 3") in messages
+    assert (NoRationalImage, "the matched center is a world point") in messages
 
 
 def test_frame_maps_are_built_from_primitive_weights(monkeypatch):
-    # every outer_sum call of the resection (loci) and of homography_fit
-    # (projective) gets weights with gcd 1
-    weights = {"loci": [], "projective": []}
+    # every outer_sum call of homography_fit gets weights with gcd 1
+    weights = []
 
-    def recording(module):
-        def recorded(w, columns, rows):
-            weights[module].append(tuple(w))
-            return outer_sum(w, columns, rows)
-        return recorded
+    def recorded(w, columns, rows):
+        weights.append(tuple(w))
+        return outer_sum(w, columns, rows)
 
-    monkeypatch.setattr(loci, "outer_sum", recording("loci"))
-    monkeypatch.setattr(projective, "outer_sum", recording("projective"))
+    monkeypatch.setattr(projective, "outer_sum", recorded)
     for n in (6, 7):
         for seed in range(3):
             rec = generate_reconstruction(n, seed=seed)
             centers_variety(rec.x, rec.y, a=rec.a_true if n == 6 else None)
-    for x, y, a in kernel_parity_cases():
-        outcome(_resected_center, x, y, a)
     rng = random.Random(28)
     for _ in range(20):
         p, q = (Configuration([[rng.randint(-9, 9) or 1 for _ in range(3)] for _ in range(5)])
@@ -360,8 +368,25 @@ def test_frame_maps_are_built_from_primitive_weights(monkeypatch):
         decide_equivalence(p, p.transformed([[rng.randint(-3, 3) for _ in range(3)]
                                              for _ in range(3)]))
         decide_equivalence(p, q)
-    assert len(weights["loci"]) >= 30 and len(weights["projective"]) >= 40
-    assert all(gcd(*w) == 1 for calls in weights.values() for w in calls)
+    assert len(weights) >= 40
+    assert all(gcd(*w) == 1 for w in weights)
+
+
+def test_a_failed_check_on_a_sampled_point_ends_the_run(monkeypatch, tmp_path, capsys):
+    # the map of every sampled center returns a b off the companion quadric;
+    # the given center maps as before
+    rec = generate_reconstruction(6, seed=1)
+    resect = loci._resected_center
+    monkeypatch.setattr(loci, "_resected_center",
+                        lambda x, y, a: resect(x, y, a) if a == rec.a_true else pp(1, 2, 3, 4))
+    with pytest.raises(Inconsistent, match="matched center is not on the companion quadric"):
+        centers_variety(rec.x, rec.y, a=rec.a_true)
+    paths = [str(tmp_path / name) for name in ("x.json", "y.json")]
+    for path, cfg in zip(paths, (rec.x, rec.y)):
+        cio.atomic_write_json(path, cio.configuration_to_json(cfg))
+    center = ",".join(map(str, rec.a_true.coords))
+    assert main(["centers", "-i", paths[0], "-j", paths[1], "--center", center]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "Inconsistent"
 
 
 class TestCenterMap:
