@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from functools import cache
@@ -164,13 +163,13 @@ def cmd_centers(args) -> dict[str, Any]:
     y = cio.load_configuration(args.second)
     a = cio.load_point(args.center) if args.center else None
     b = cio.load_point(args.center_b) if args.center_b else None
-    result = centers_variety(x, y, a=a, b=b, tol=args.tol, seed=args.seed)
+    result = centers_variety(x, y, a=a, b=b, seed=args.seed)
     doc = _centers_payload(result)
     doc["n"] = x.n
     doc["config"] = {"command": "centers", "input": args.input, "second": args.second,
                      "center": cio.point_to_json(a) if a else None,
                      "center_b": cio.point_to_json(b) if b else None,
-                     "tol": args.tol, "seed": args.seed}
+                     "seed": args.seed}
     return doc
 
 
@@ -234,25 +233,27 @@ def _render_text(doc: dict[str, Any], indent: str = "") -> str:
 
 
 def _emit(args, doc: dict[str, Any]) -> None:
-    if args.format == "text":
-        text = _render_text(doc)
-        if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return
-    if getattr(args, "out", None):
-        cio.atomic_write_json(args.out, doc)
+    out = getattr(args, "out", None)
+    if out and args.format == "json":
+        cio.atomic_write_json(out, doc)
+    elif out:
+        cio._atomic_write(out, _render_text(doc) + "\n")
     else:
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        print(_render_text(doc) if args.format == "text" else json.dumps(doc, indent=2))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise InvalidInput, so a bad command
+    line ends in an error document; its subcommand parsers share its class."""
+
+    def error(self, message: str):
+        raise InvalidInput(f"{self.prog}: {message}")
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it is."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="centersvar",
         description="Ambiguous camera-center loci for point configurations in P^3.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centers", help="compute the centers-variety report")
     common(p, second=True, center=True)
     p.add_argument("--center-b", help="second center (n <= 4 witness)")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_centers)
 
@@ -303,29 +303,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "require_center", False) and not args.center:
             raise InvalidInput(f"{args.command} needs --center")
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()
         if hasattr(args, "seed") and args.seed < 0:
             raise InvalidInput("the seed (--seed or CENTERSVAR_SEED) must be non-negative")
-        if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
-            raise InvalidInput("--tol must be a positive finite number")
-        doc = args.func(args)
-    except ToolkitError as exc:
-        err = {"error": {"code": exc.code, "message": str(exc)}}
-        if exc.details:
-            err["error"]["details"] = exc.details
-        json.dump(err, sys.stdout, indent=2)
-        print()
-        return exc.exit_code
-    except OSError as exc:
-        json.dump({"error": {"code": "IOError", "message": str(exc)}}, sys.stdout)
-        print()
-        return 2
-    _emit(args, doc)
+        _emit(args, args.func(args))
+    except (ToolkitError, OSError) as exc:
+        toolkit = isinstance(exc, ToolkitError)
+        err = {"code": exc.code if toolkit else "IOError", "message": str(exc)}
+        if toolkit and exc.details:
+            err["details"] = exc.details
+        print(json.dumps({"error": err}, indent=2))
+        return exc.exit_code if toolkit else 2
     return 0
 
 

@@ -105,17 +105,23 @@ def load_point(text_or_path: str) -> ProjectivePoint:
     return parse_inline_point(text_or_path)
 
 
-def atomic_write_json(path: str, doc: Any) -> None:
-    """Write JSON to a temporary file and rename it into place. The document
-    is encoded in one string and written in one call; json.dump with an
-    indent would write it chunk by chunk."""
+def _atomic_write(path: str, text: str) -> None:
+    """Write text to a temporary file in the directory of path, in one call,
+    and rename it into place: path holds the old file or the whole text,
+    never a part of it, and no temporary file is left behind."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_json(path: str, doc: Any) -> None:
+    """Write JSON atomically (_atomic_write). The document is encoded in one
+    string; json.dump with an indent would write it chunk by chunk."""
+    _atomic_write(path, json.dumps(doc, indent=2) + "\n")

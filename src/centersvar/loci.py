@@ -497,21 +497,22 @@ class CandidateSets:
     b_candidates: tuple[NumericPoint, ...]
 
 
-def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
-                  seed: int = 0) -> CandidateSets:
+def candidates_n7(x: Configuration, y: Configuration) -> CandidateSets:
     """Candidate centers for seven point pairs.
 
     Each leave-one-out six-point subproblem confines a to a quadric surface;
     the seven quadrics intersect in three isolated points (and likewise for
-    b), which both sides locate numerically. A world point among the common
-    zeros raises DegenerateInput: it is no center, and the seven quadrics of
-    such an input do not cut out its center pairs. Rational a-candidates are
-    certified exactly. The b of a certified a is not certified again: the
-    camera sending every y_i to project(x_i, a) is unique and defined over
-    Q, so resection over all seven correspondences (_resected_center) gives
-    b exactly. It is checked on all seven b-quadrics and attached to the one
-    b-candidate within projective distance 1e-6 (_nearest_candidates); no
-    such candidate, two, or one another certified a took raises Inconsistent.
+    b), which both sides locate numerically by one solve with no settings,
+    so the candidates depend on the input alone. A world point among the
+    common zeros raises DegenerateInput: it is no center, and the seven
+    quadrics of such an input do not cut out its center pairs. Rational
+    a-candidates are certified exactly. The b of a certified a is not
+    certified again: the camera sending every y_i to project(x_i, a) is
+    unique and defined over Q, so resection over all seven correspondences
+    (_resected_center) gives b exactly. It is checked on all seven
+    b-quadrics and attached to the one b-candidate within projective
+    distance 1e-6 (_nearest_candidates); no such candidate, two, or one
+    another certified a took raises Inconsistent.
     """
     if x.n != 7 or y.n != 7:
         raise InvalidInput("candidates_n7 needs seven points on both sides")
@@ -520,8 +521,8 @@ def candidates_n7(x: Configuration, y: Configuration, tol: float = 1e-9,
         s_beta, s_alpha = quadric_pair_n6(x.drop(k), y.drop(k))
         a_quads.append(s_beta)
         b_quads.append(s_alpha)
-    a_pts = solve_quadric_system(a_quads, expected=3, tol=tol, seed=seed)
-    b_pts = solve_quadric_system(b_quads, expected=3, tol=tol, seed=seed + 1)
+    a_pts = solve_quadric_system(a_quads, expected=3)
+    b_pts = solve_quadric_system(b_quads, expected=3)
     # every quadric contains the six world points of its subset, so x_k is a
     # common zero exactly when the quadric of the subset without it vanishes there
     if any(_quadric_value(q, p) == 0
@@ -810,8 +811,9 @@ def _sample_generic_centers(x: Configuration, y: Configuration, seed: int
 def centers_variety(x: Configuration, y: Configuration,
                     a: ProjectivePoint | None = None,
                     b: ProjectivePoint | None = None,
-                    tol: float = 1e-9, seed: int = 0) -> CentersVariety:
-    """Compute the centers-variety description appropriate to n = |X| = |Y|."""
+                    seed: int = 0) -> CentersVariety:
+    """Compute the centers-variety description appropriate to n = |X| = |Y|.
+    The seed draws only the sampled centers of n <= 4 and surface points of n = 6."""
     if x.n != y.n:
         raise InvalidInput("configurations must have the same number of points")
     if x.ambient_dim != 3 or y.ambient_dim != 3:
@@ -847,7 +849,7 @@ def centers_variety(x: Configuration, y: Configuration,
             attempt += 1
         return SurfacePairN6(pair[0], pair[1], tuple(sampled), a, matched)
     if n == 7:
-        cand = candidates_n7(x, y, tol=tol, seed=seed)
+        cand = candidates_n7(x, y)
         pairs = pair_candidates_n7(x, y, cand.a_candidates, cand.b_candidates)
         return ThreePairsN7(tuple(pairs), cand)
     return centers_n_ge8(x, y)

@@ -26,10 +26,10 @@ integer coefficients scaled by an exact power of two (Form.floats), so no
 coefficient overflows. Each form converts its coefficients once; the solver
 and the certification of every candidate read the same cached floats.
 
-Everything is deterministic for a fixed seed: the directions c and d of the
-eigenvalue method are four standard normal draws each of the standard
-library's random.Random(seed); the n = 7 engine solves the a-side with seed
-and the b-side with seed + 1.
+The solver has no settings: the directions c and d of the eigenvalue method
+are one fixed pair, the first eight standard normal draws of the standard
+library's random.Random(0), and the residual cut is a constant, so the
+points found depend on the forms alone.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -49,6 +48,7 @@ from .projective import ProjectivePoint, canonical_coords, cofactors
 
 _PRIME = 2 ** 61 - 1
 _REAL_TOL = 1e-9  # largest imaginary part of a unit vector that counts as real
+_RESIDUAL_TOL = 1e-9  # largest residual of a polished zero that is kept
 _GAUSS_NEWTON_STEPS = 12  # the cap; a converged iteration stops earlier
 # A Gauss-Newton step on a unit point this short has converged: the error it
 # leaves is far below rounding. Shorter steps are no test of convergence, as
@@ -68,6 +68,11 @@ _MAX_DENOMINATOR = 10 ** 30
 _LADDER = tuple(10 ** k for k in range(4, 30, 4)) + (_MAX_DENOMINATOR,)
 _MOMENTS = np.array(moment_positions())
 _HALVE = np.where(np.eye(4, dtype=bool), 1.0, 0.5)
+# The rows c, d of the eigenvalue method: the first eight standard normal draws
+# of random.Random(0), shared by every solve and read-only. The standard library
+# generator keeps numpy.random, and all it imports, out of the process.
+_DIRECTIONS = np.reshape([g(0.0, 1.0) for g in [random.Random(0).gauss] for _ in range(8)], (2, 4))
+_DIRECTIONS.flags.writeable = False
 
 
 def sym_floats(coeffs: np.ndarray) -> np.ndarray:
@@ -245,22 +250,7 @@ def _gauss_newton(syms: np.ndarray, point: np.ndarray) -> np.ndarray:
     return p
 
 
-@lru_cache(maxsize=64)
-def _directions(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The random directions (c, d) of the eigenvalue method for a seed:
-    four standard normal draws of random.Random(seed) each, c first, drawn
-    once per seed and read-only, as every call shares them. The standard
-    library generator keeps numpy.random, and all it imports, out of the
-    process."""
-    rng = random.Random(seed)
-    c = np.array([rng.gauss(0.0, 1.0) for _ in range(4)])
-    d = np.array([rng.gauss(0.0, 1.0) for _ in range(4)])
-    c.flags.writeable = d.flags.writeable = False
-    return c, d
-
-
-def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
-                         tol: float = 1e-9, seed: int = 0) -> list[NumericPoint]:
+def solve_quadric_system(forms: Sequence[Form], expected: int | None = None) -> list[NumericPoint]:
     """All common zeros (real and complex) of quadrics in P^3 whose zero set
     is certified finite.
 
@@ -278,16 +268,16 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     The points come from the degree-2 dual kernel, spanned by v_2(p) of the
     zeros p (the eigenvalue method): each of its H(2) basis vectors lambda,
     read as the moment matrix M[i][j] = lambda[e_i + e_j], gives the column
-    M c of A_c and M d of A_d for directions c, d drawn from
-    random.Random(seed) (see _directions; the b-side of the n = 7 engine
-    passes seed + 1), and each eigenvector v of pinv(A_c) A_d gives the
-    point A_c v. Points are polished by Gauss-Newton on all forms, each
-    form's symmetric matrix scaled to unit coefficient norm and all of them
-    stacked in one k x 4 x 4 array; the iteration stops
-    after the first step no longer than 1e-13 on the unit point, twelve
-    steps at most (see _GAUSS_NEWTON_STOP). Points with a residual above tol
-    are dropped, and the rest deduplicated projectively. If ``expected`` is
-    given, a mismatch in the number of surviving points raises Inconsistent.
+    M c of A_c and M d of A_d for the fixed directions c, d (_DIRECTIONS),
+    and each eigenvector v of pinv(A_c) A_d gives the point A_c v. Points
+    are polished by Gauss-Newton on all forms, each form's symmetric matrix
+    scaled to unit coefficient norm and all of them stacked in one
+    k x 4 x 4 array; the iteration stops after the first step no longer
+    than 1e-13 on the unit point, twelve steps at most (see
+    _GAUSS_NEWTON_STOP). Points with a residual above _RESIDUAL_TOL are
+    dropped, and the rest deduplicated projectively. The result depends on
+    the forms alone. If ``expected`` is given, a mismatch in the number of
+    surviving points raises Inconsistent.
     """
     if len(forms) < 3:
         raise NotFinite("need at least three quadrics for a finite locus")
@@ -308,7 +298,7 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     coeffs = coeffs / scales[:, None]
     kernel = np.linalg.svd(coeffs)[2][len(monomials(2)) - h2:]
     moments = kernel[:, _MOMENTS]  # h2 x 4 x 4
-    c, d = _directions(seed)
+    c, d = _DIRECTIONS
     a_c = (moments @ c).T
     a_d = (moments @ d).T
     _, vecs = np.linalg.eig(np.linalg.pinv(a_c) @ a_d)
@@ -322,7 +312,7 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None,
     kept: list[int] = []
     for i, p in enumerate(candidates):
         residual = float(np.max(np.abs((syms @ p) @ p)))
-        if residual > tol or any(dist[i][j] < 1e-6 for j in kept):
+        if residual > _RESIDUAL_TOL or any(dist[i][j] < 1e-6 for j in kept):
             continue
         kept.append(i)
         survivors.append(NumericPoint.from_vector(p, residual))

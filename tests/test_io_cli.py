@@ -413,12 +413,42 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
     def test_non_finite_or_nonpositive_tol_is_invalid(self, tmp_path, capsys, tol):
+        # centers has no --tol flag: any value of it is an argument error
         xfile = tmp_path / "x.json"
         write_config(xfile, STD5)
         code = main(["centers", "-i", str(xfile), "-j", str(xfile),
                      "--center", "43,-50,6,-5", f"--tol={tol}"])
         assert code == 2
-        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "InvalidInput"
+        assert f"unrecognized arguments: --tol={tol}" in error["message"]
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--center", "-43,50,-6,5"], "argument --center: expected one argument"),
+        (["--center", "43,-50,6,-5", "--format", "yaml"], "argument --format: invalid choice"),
+        (["--center", "43,-50,6,-5", "--seed", "x"], "argument --seed: invalid int value"),
+    ], ids=["negative-center", "choice", "type"])
+    def test_argument_errors_end_in_an_invalid_input_document(self, tmp_path, capsys, extra,
+                                                              message):
+        xfile = tmp_path / "x.json"
+        write_config(xfile, STD5)
+        assert main(["centers", "-i", str(xfile), "-j", str(xfile), *extra]) == 2
+        out, err = capsys.readouterr()
+        error = json.loads(out)["error"]
+        assert error["code"] == "InvalidInput" and message in error["message"]
+        assert err == ""
+
+    def test_a_negative_center_is_read_after_an_equals_sign(self, tmp_path, capsys):
+        xfile = tmp_path / "x.json"
+        write_config(xfile, STD5)
+        assert main(["classify", "-i", str(xfile), "--center=-43,50,-6,5"]) == 0
+        assert json.loads(capsys.readouterr().out)["tag"] == "SmoothCubic"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["centers", "-h"])
+        assert caught.value.code == 0
+        assert "--center" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text, argv", [
         ('{"ambient_dim": 2, "points": [["1", "0"', ["invariants", "-i", "BAD", "--kind", "N5"]),
@@ -583,3 +613,70 @@ def test_exact_integer_routes_need_no_fraction_elimination(tmp_path, monkeypatch
         center = ",".join(doc["center"])
         tags.add(run("classify", "-i", str(tmp_path / "world.json"), "--center", center)["tag"])
     assert len(tags) == len(CENTER_KINDS)
+
+
+def _output_argv(tmp_path, command):
+    """A centers run (n = 5, with a center) or a generate run, without -o."""
+    if command == "generate":
+        return ["generate", "--n", "5", "--seed", "1"]
+    xfile = tmp_path / "x.json"
+    write_config(xfile, STD5)
+    return ["centers", "-i", str(xfile), "-j", str(xfile), "--center", "43,-50,6,-5"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["centers", "generate"])
+def test_output_into_a_missing_directory_ends_in_an_io_error_document(tmp_path, capsys,
+                                                                      command, fmt):
+    argv = _output_argv(tmp_path, command)
+    assert main([*argv, "--format", fmt, "-o", str(tmp_path / "nodir" / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["code"] == "IOError"
+    assert err == ""
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_every_error_document_is_written_alike(tmp_path, capsys):
+    # an OSError and a ToolkitError: indented, with the keys code and message
+    xfile = tmp_path / "x.json"
+    write_config(xfile, STD5)
+    for argv, code in ((["classify", "-i", str(tmp_path / "missing.json"), "--center", "1,2,3,4"],
+                        "IOError"),
+                       (["classify", "-i", str(xfile)], "InvalidInput")):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert set(doc["error"]) == {"code", "message"} and doc["error"]["code"] == code
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, capsys,
+                                                                  monkeypatch, fmt):
+    # the file object writes half of the report, then fails
+    argv = _output_argv(tmp_path, "centers")
+    target = tmp_path / "report"
+    target.write_text("old\n")
+    before = sorted(os.listdir(tmp_path))
+    fdopen = os.fdopen
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", lambda *a, **k: HalfWriter(fdopen(*a, **k)))
+    assert main([*argv, "--format", fmt, "-o", str(target)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "IOError"
+    assert target.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == before

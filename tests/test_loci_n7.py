@@ -501,10 +501,10 @@ def reference_integer_hessian(form):
     return h
 
 
-def reference_b_candidates(cand, seed=0):
+def reference_b_candidates(cand):
     """The b-candidates as certified on their own: the solve of the b-quadrics
     with every rational candidate certified by the denominator ladder."""
-    points = numeric.solve_quadric_system(list(cand.b_quadrics), expected=3, seed=seed + 1)
+    points = numeric.solve_quadric_system(list(cand.b_quadrics), expected=3)
     return [loci._with_certificate(p, cand.b_quadrics) for p in points]
 
 
@@ -620,10 +620,12 @@ def test_a_resected_center_off_the_b_quadrics_is_inconsistent(monkeypatch):
 def test_a_resected_center_far_from_every_b_candidate_is_inconsistent(monkeypatch):
     rec = generate_reconstruction(7, seed=3)
     solve = numeric.solve_quadric_system
+    b_quads = [loci.quadric_pair_n6(rec.x.drop(k), rec.y.drop(k))[1] for k in range(7)]
 
-    def shifted(forms, expected=None, tol=1e-9, seed=0):
-        points = solve(forms, expected=expected, tol=tol, seed=seed)
-        if seed == 0:
+    def shifted(forms, expected=None):
+        # the solve of the b-quadrics is told apart by its forms; only b moves
+        points = solve(forms, expected=expected)
+        if list(forms) != b_quads:
             return points
         return [numeric.NumericPoint.from_vector(p.array() + [0, 0, 0, 1e-3], p.residual)
                 for p in points]

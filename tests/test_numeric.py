@@ -13,7 +13,7 @@ from centersvar import linalg
 from centersvar.errors import Inconsistent, NotFinite
 from centersvar.forms import (Form, _product_positions, mono_eval, monomial_index,
                               monomials)
-from centersvar.numeric import (_LADDER, _PRIME, _directions, _echelon_mod_p,
+from centersvar.numeric import (_DIRECTIONS, _LADDER, _PRIME, _echelon_mod_p,
                                 _hilbert_function, _last_convergents, _pivot_triples,
                                 certify_rational, exact_newton_polish,
                                 projective_distance, solve_quadric_system,
@@ -61,14 +61,14 @@ class TestSolver:
     def test_three_rational_points(self):
         forms = rational_system()
         assert len(forms) == 7
-        pts = solve_quadric_system(forms, expected=3, tol=1e-9, seed=0)
+        pts = solve_quadric_system(forms, expected=3)
         for p in pts:
             assert p.is_real and p.residual <= 1e-9
         for true in RATIONAL:
             assert min(projective_distance(p.coords, true.coords) for p in pts) < 1e-12
 
     def test_conjugate_pair_and_a_real_point(self):
-        pts = solve_quadric_system(conjugate_system(), expected=3, tol=1e-9, seed=0)
+        pts = solve_quadric_system(conjugate_system(), expected=3)
         assert sorted(p.is_real for p in pts) == [False, False, True]
         complex_point = np.array(U) + 1j * np.array(W)
         for true in (complex_point, complex_point.conj(), np.array(Q.coords)):
@@ -76,14 +76,14 @@ class TestSolver:
 
     def test_expected_count_enforced(self):
         with pytest.raises(Inconsistent) as caught:
-            solve_quadric_system(rational_system(), expected=2, tol=1e-9, seed=0)
+            solve_quadric_system(rational_system(), expected=2)
         assert caught.value.details == {"h2": 3, "found": 3}
 
     def test_positive_dimensional_detected(self):
         forms = line_system()
         assert len(forms) == 7
         with pytest.raises(NotFinite) as caught:
-            solve_quadric_system(forms, tol=1e-9, seed=0)
+            solve_quadric_system(forms)
         assert caught.value.details == {"h2": 3, "h3": 4}
 
     def test_degree_six_corank_from_singular_values_rejects_the_line(self):
@@ -99,28 +99,28 @@ class TestSolver:
                 mono_form({(1, 0, 0, 1): 1}),
                 mono_form({(0, 1, 1, 0): 1})]
         with pytest.raises(NotFinite) as caught:
-            solve_quadric_system(line, tol=1e-9, seed=0)
+            solve_quadric_system(line)
         assert caught.value.details == {"h2": 7, "h3": 8}
 
     def test_deterministic_and_permutation_invariant(self):
         for forms in (rational_system(), conjugate_system()):
-            first = solve_quadric_system(forms, tol=1e-9, seed=3)
-            again = solve_quadric_system(forms, tol=1e-9, seed=3)
+            first = solve_quadric_system(forms)
+            again = solve_quadric_system(forms)
             assert [p.coords for p in first] == [p.coords for p in again]
             shuffled = list(forms)
             random.Random(0).shuffle(shuffled)
-            other = solve_quadric_system(shuffled, tol=1e-9, seed=4)
+            other = solve_quadric_system(shuffled)
             assert len(other) == len(first) == 3
             for p in first:
                 assert min(projective_distance(p.coords, q.coords) for q in other) < 1e-9
 
     def test_needs_three_forms(self):
         with pytest.raises(NotFinite):
-            solve_quadric_system(rational_system()[:2], tol=1e-9, seed=0)
+            solve_quadric_system(rational_system()[:2])
 
     def test_empty_locus(self):
         forms = [unit(k) for k in range(10)]
-        assert solve_quadric_system(forms, tol=1e-9, seed=0) == []
+        assert solve_quadric_system(forms) == []
 
 
 def _rank_mod_p(rows):
@@ -475,26 +475,26 @@ def test_certifies_a_point_whose_denominators_are_the_prime():
     assert found == set(points)
 
 
-def test_random_directions_are_drawn_once_per_seed_and_read_only():
-    rng = random.Random(5)
-    c, d = _directions(5)
+def test_directions_are_the_first_eight_draws_of_seed_zero_and_read_only():
+    rng = random.Random(0)
+    c, d = _DIRECTIONS
     assert c.tobytes() == np.array([rng.gauss(0.0, 1.0) for _ in range(4)]).tobytes()
     assert d.tobytes() == np.array([rng.gauss(0.0, 1.0) for _ in range(4)]).tobytes()
-    assert _directions(5)[0] is c
-    with pytest.raises(ValueError):
-        c[0] = 0.0
+    for row in (_DIRECTIONS, c, d):
+        with pytest.raises(ValueError):
+            row[0] = 0.0
 
 
 class TestCertification:
     def test_certifies_rational_points(self):
         forms = rational_system()
-        pts = solve_quadric_system(forms, tol=1e-9, seed=0)
+        pts = solve_quadric_system(forms)
         assert {certify_rational(forms, p) for p in pts} == set(RATIONAL)
 
     def test_certifies_with_non_integral_coefficients(self):
         # the Newton steps run on d * form, d the lcm of the denominators; a
         # form rounded to integers would move the zeros and certify nothing
-        pts = solve_quadric_system(rational_system(), tol=1e-9, seed=0)
+        pts = solve_quadric_system(rational_system())
         scaled = [f.scaled(Fraction(1, 3) if i % 2 else Fraction(5, 7))
                   for i, f in enumerate(rational_system())]
         assert any(c.denominator % 3 == 0 for f in scaled for c in f.coeffs)
@@ -502,7 +502,7 @@ class TestCertification:
 
     def test_refuses_complex_points(self):
         forms = conjugate_system()
-        pts = solve_quadric_system(forms, tol=1e-9, seed=1)
+        pts = solve_quadric_system(forms)
         complex_pts = [p for p in pts if not p.is_real]
         assert len(complex_pts) == 2
         assert all(certify_rational(forms, p) is None for p in complex_pts)
