@@ -106,19 +106,21 @@ def load_point(text_or_path: str) -> ProjectivePoint:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text to a temporary file in the directory of path, in one call,
-    and rename it into place: path holds the old file or the whole text,
-    never a part of it, and no temporary file is left behind."""
+    """Write text in one call to a temporary file beside path and rename it
+    into place: path holds the old file or the whole text, never a part of
+    it. No temporary file is left behind, and an OSError names path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_json(path: str, doc: Any) -> None:

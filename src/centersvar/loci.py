@@ -42,8 +42,7 @@ from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
                      InvalidInput, NoRationalImage, ToolkitError)
 from .forms import (BinaryForm, Form, moment_positions, monomial_indices,
                     monomials, scaled_float)
-from .invariants import (_EVEN_FANO_SORTED, t6_factors, t6_lifted, t6_relation,
-                         weddle_quartic)
+from .invariants import _EVEN_FANO_SORTED, t6_factors, t6_relation, weddle_quartic
 from .numeric import (NumericPoint, _distances, _unit_rows, certify_rational,
                       solve_quadric_system)
 from .projective import (Configuration, ProjectivePoint, _det3, _frame_weights, apply_matrix,
@@ -428,27 +427,25 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
     """The unique second center matching a first center on its quadric.
 
     The images are projectively equivalent exactly when some camera P sends
-    every y_i to a multiple of q_i = project(x_i, a); resection on a frame
-    of four world points fixes P's frame weights from the other two, and b,
-    P's center, is read from them in closed form (_resected_center). It is
-    verified on the companion quadric and against the full weighted
-    proportionality of the lifted six-point invariants.
+    every y_i to a multiple of q_i = project(x_i, a); b is P's center, read
+    in closed form from a resection on a frame of four world points
+    (_resected_center). Only a is checked, on S_beta: the resection proves
+    the pair true. It returns b only for a rank-3 P with P y_i = mu_i q_i,
+    i = 1..6, and mu_i != 0, as neither a nor b is a world point. So
+    [y_i y_j y_k b] = c mu_i mu_j mu_k [x_i x_j x_k a], c != 0; t_0 .. t_4
+    hold every point once and t_5 twice, so t6_lifted(y, b) is
+    t6_lifted(x, a) weighted by sigma and sigma^2, sigma != 0, and
+    S_alpha(b) = sigma sum_k w^x_k t^x_k(a) = 0 (quadric_pair_n6).
     """
-    s_beta, s_alpha = pair if pair is not None else quadric_pair_n6(x, y)
+    s_beta, _ = pair if pair is not None else quadric_pair_n6(x, y)
     if s_beta.integer_value(a.coords):
         raise NoRationalImage("center is not exactly on its quadric surface")
-    b = _resected_center(x, y, a)
-    if s_alpha.integer_value(b.coords):
-        raise Inconsistent("matched center is not on the companion quadric")
-    if not t6_lifted(x, a).proportional(t6_lifted(y, b)):
-        raise Inconsistent("lifted invariants of the matched pair disagree")
-    return b
+    return _resected_center(x, y, a)
 
 
 def map_b_to_a_n6(x: Configuration, y: Configuration, b: ProjectivePoint) -> ProjectivePoint:
-    """Inverse direction of map_a_to_b_n6 (roles of the two sides swapped)."""
-    s_beta, s_alpha = quadric_pair_n6(x, y)
-    return map_a_to_b_n6(y, x, b, pair=(s_alpha, s_beta))
+    """Inverse of map_a_to_b_n6, the sides swapped: b is checked on S_alpha."""
+    return map_a_to_b_n6(y, x, b, pair=quadric_pair_n6(x, y)[::-1])
 
 
 def sample_surface_point(s: Form, through: ProjectivePoint,

@@ -6,6 +6,8 @@ from math import gcd
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centersvar import io as cio, linalg, loci, projective
 from centersvar.cli import main
@@ -20,7 +22,9 @@ from centersvar.loci import (_resected_center, candidates_n7, centers_n_ge8, cen
 from centersvar.projective import (Configuration, ProjectivePoint, apply_matrix, bracket,
                                    canonical_coords, cofactors, cross, decide_equivalence,
                                    homography_fit, outer_sum, pp, project)
+from test_centers_property import _check_pair
 from test_forms import sym_from_quad
+from test_loci_n7 import _unimodular
 
 
 def rand_config(rng, n):
@@ -373,20 +377,32 @@ def test_frame_maps_are_built_from_primitive_weights(monkeypatch):
 
 
 def test_a_failed_check_on_a_sampled_point_ends_the_run(monkeypatch, tmp_path, capsys):
-    # the map of every sampled center returns a b off the companion quadric;
-    # the given center maps as before
+    # S_beta reads 1 too many at every point the sampler finds, so the
+    # sampler's own check fails; its base point, its line probes (lists) and
+    # the given center read true
     rec = generate_reconstruction(6, seed=1)
-    resect = loci._resected_center
-    monkeypatch.setattr(loci, "_resected_center",
-                        lambda x, y, a: resect(x, y, a) if a == rec.a_true else pp(1, 2, 3, 4))
-    with pytest.raises(Inconsistent, match="matched center is not on the companion quadric"):
+    known = (rec.x[0].coords, rec.a_true.coords)
+
+    class Faulty(Form):
+        def integer_value(self, ints):
+            return super().integer_value(ints) + (type(ints) is tuple and ints not in known)
+
+    quadric_pair = loci.quadric_pair_n6
+
+    def faulty_pair(x, y):
+        s_beta, s_alpha = quadric_pair(x, y)
+        return Faulty(s_beta.degree, s_beta.coeffs), s_alpha
+
+    monkeypatch.setattr(loci, "quadric_pair_n6", faulty_pair)
+    with pytest.raises(Inconsistent, match="the sampled point is not on the quadric"):
         centers_variety(rec.x, rec.y, a=rec.a_true)
     paths = [str(tmp_path / name) for name in ("x.json", "y.json")]
     for path, cfg in zip(paths, (rec.x, rec.y)):
         cio.atomic_write_json(path, cio.configuration_to_json(cfg))
     center = ",".join(map(str, rec.a_true.coords))
     assert main(["centers", "-i", paths[0], "-j", paths[1], "--center", center]) == 4
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == "Inconsistent"
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "Inconsistent", "message": "the sampled point is not on the quadric"}
 
 
 class TestCenterMap:
@@ -481,3 +497,105 @@ class TestCenterMap:
                 if done == 3:
                     break
             assert done == 3
+
+
+def _sampled(s, w, attempts):
+    """Points sampled on the quadric s through w's first point, off w's points."""
+    points = []
+    for attempt in range(attempts):
+        try:
+            points.append(sample_surface_point(s, w[0], seed=attempt, avoid=list(w.points)))
+        except DegenerateInput:
+            pass
+    return points
+
+
+def _mapped_pairs(rec, pair, attempts):
+    """Every (a, b) the two maps return from the true centers, from points
+    sampled on S_beta (mapped to b) and from points sampled on S_alpha
+    (mapped back to a); a refused center gives no pair."""
+    x, y = rec.x, rec.y
+    pairs = []
+    for a in [rec.a_true, *_sampled(pair[0], x, attempts)]:
+        try:
+            pairs.append((a, map_a_to_b_n6(x, y, a, pair=pair)))
+        except NoRationalImage:
+            pass
+    for b in [rec.b_true, *_sampled(pair[1], y, attempts)]:
+        try:
+            pairs.append((map_b_to_a_n6(x, y, b), b))
+        except NoRationalImage:
+            pass
+    return pairs
+
+
+@settings(deadline=None, max_examples=12)
+@given(seed=st.integers(0, 10 ** 6), bound=st.sampled_from([10, 1000]))
+def test_every_mapped_pair_passes_the_checks_its_resection_proves(seed, bound):
+    # the map checks only a on S_beta; b on S_alpha, the weighted
+    # proportionality of the lifted invariants and the projection oracle
+    # over all six points follow from the resection
+    rec = generate_reconstruction(6, seed=seed, coord_bound=bound)
+    s_beta, s_alpha = pair = quadric_pair_n6(rec.x, rec.y)
+    pairs = _mapped_pairs(rec, pair, 3)
+    assert (rec.a_true, rec.b_true) in pairs and len(pairs) >= 4
+    for a, b in pairs:
+        assert s_beta(a) == 0 and s_alpha(b) == 0
+        assert t6_lifted(rec.x, a).proportional(t6_lifted(rec.y, b))
+        _check_pair(rec.x, rec.y, a, b)
+
+
+def _map_outcome(x, y, a):
+    try:
+        return map_a_to_b_n6(x, y, a)
+    except ToolkitError as exc:
+        return exc.code, str(exc)
+
+
+def _relabelled(x, y, rng):
+    perm = rng.sample(range(6), 6)
+    return (Configuration([x[i] for i in perm]), Configuration([y[i] for i in perm]),
+            lambda pair: pair, lambda a, b: (a, b))
+
+
+def _moved_x(x, y, rng):
+    h = _unimodular(rng)
+    return (x.transformed(h), y, lambda pair: (pair[0].compose_linear(h).primitive(), pair[1]),
+            lambda a, b: (apply_matrix(h, a), b))
+
+
+def _moved_y(x, y, rng):
+    h = _unimodular(rng)
+    return (x, y.transformed(h), lambda pair: (pair[0], pair[1].compose_linear(h).primitive()),
+            lambda a, b: (a, apply_matrix(h, b) if isinstance(b, ProjectivePoint) else b))
+
+
+def _swapped(x, y, rng):
+    return (y, x, lambda pair: pair[::-1],
+            lambda a, b: (b, a) if isinstance(b, ProjectivePoint) else None)
+
+
+@pytest.mark.parametrize("transform", [_relabelled, _moved_x, _moved_y, _swapped],
+                         ids=["relabel", "homography-x", "homography-y", "swap"])
+def test_six_point_pairs_follow_the_symmetries_of_the_problem(transform):
+    # relabelling both sides alike keeps the quadric pair and the map; a
+    # det +-1 homography H on X pulls S_beta back to S_beta o H and sends a
+    # to H a, and on Y the same for S_alpha and b; swapping X and Y swaps
+    # the pair and maps b to a.
+    # A refused center (a world point, a point off S_beta) is refused alike.
+    rng = random.Random(31)
+    matched = refused = 0
+    for seed in range(10):
+        rec = generate_reconstruction(6, seed=seed)
+        x, y = rec.x, rec.y
+        pair = quadric_pair_n6(x, y)
+        tx, ty, pull_back, move = transform(x, y, rng)
+        assert pull_back(quadric_pair_n6(tx, ty)) == pair
+        for a in [rec.a_true, x[2], pp(3, 1, 4, 1), *_sampled(pair[0], x, 4)]:
+            b = _map_outcome(x, y, a)
+            moved = move(a, b)
+            if moved is not None:
+                assert _map_outcome(tx, ty, moved[0]) == moved[1]
+            matched += isinstance(b, ProjectivePoint)
+            refused += not isinstance(b, ProjectivePoint)
+    assert matched >= 40 and refused == 20
