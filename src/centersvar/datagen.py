@@ -10,11 +10,10 @@ that line factors through both cameras, so
 
 is an explicit ambiguous pair for X = A' Z, Y = B' Z. The generator samples
 integer scenes and matrices, rejects until one exact genericity predicate
-holds (the same for every n, plus, on every 6-subset a solver builds a
-quadric pair for, two bracket relations that are nonzero and not
-proportional), and verifies the projected images by an exact witness
-homography before returning the pair. Each camera's center is its one
-integer kernel vector, from one elimination.
+holds (the same for every n, plus, on every 6-subset, two bracket
+relations that are nonzero and not proportional), and verifies the
+projected images by an exact witness homography before returning the pair.
+Each camera's center is its one integer kernel vector, from one elimination.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import fano15
-from .loci import (DegenerationTag, _quadric_relations_n6, _solver_subsets,
-                   classify_degeneration_n5)
+from .loci import DegenerationTag, _quadric_relations_n6, classify_degeneration_n5
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
                          apply_matrix, cofactors, collinear, homography_fit,
                          normalizing_transform, project,
@@ -95,13 +93,13 @@ def _side_generic(x: Configuration, a: ProjectivePoint) -> bool:
 def _generic_enough(x: Configuration, y: Configuration, a: ProjectivePoint,
                     b: ProjectivePoint, n: int) -> bool:
     """The genericity the solvers rely on: both sides generic, and for n >= 6
-    every 6-subset whose quadric pair a solver builds has bracket relations
-    w^x, w^y that are nonzero and not proportional (_quadric_relations_n6).
+    every 6-subset has bracket relations w^x, w^y that are nonzero and not
+    proportional (_quadric_relations_n6), so each builds its quadric pair.
     No quadric is built: proportional relations always make the pair vanish,
     and the converse rests on the evidence in loci.quadric_pair_n6."""
     if not (_side_generic(x, a) and _side_generic(y, b)):
         return False
-    for c in _solver_subsets(n):
+    for c in combinations(range(n), 6):
         try:
             _quadric_relations_n6(x.subset(c), y.subset(c))
         except DegenerateInput:

@@ -13,8 +13,8 @@ projectively equivalent images is
   to project(x_i, a), read in closed form from the frame weights that
   resection on a four-point frame of the world points finds,
 * three isolated pairs for n = 7,
-* generically empty for n >= 8 (a common zero of the windows' quadrics,
-  resected on a frame and checked against all n points).
+* generically empty for n >= 8 (a common zero of one side's quadrics over
+  all usable 6-subsets, resected across and checked against all n points).
 
 Everything through n = 6 and every n >= 8 verdict is exact over the rationals;
 points on a quadric are tested and sampled in integers.
@@ -684,54 +684,70 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     return pairs
 
 
-def _span_common_zero(quadrics: Sequence[Form]) -> tuple[int, ProjectivePoint | None]:
-    """The rank of the span W of quadrics in P^3 and their one common zero.
-
-    A common zero a gives the Veronese vector v_2(a) = (a^m)_m in the dual
-    kernel of W. Rank 10 leaves no common zero. At rank 9 the kernel vector
-    lambda, read as the symmetric matrix M[i][j] = lambda[e_i + e_j], equals
-    c a a^T if a common zero a exists; M has rank 1 exactly then, and a is
-    its nonzero row. A smaller rank raises Inconclusive.
-    """
-    kernel = linalg.integer_kernel([q.coeffs for q in quadrics])
-    rank = 10 - len(kernel)
-    if not kernel:
-        return rank, None
-    if len(kernel) > 1:
-        raise Inconclusive(f"the quadrics span only {rank} of 10 dimensions")
-    m = [[kernel[0][k] for k in row] for row in moment_positions()]
-    a = ProjectivePoint(next(row for row in m if any(row)))
-    return rank, a if linalg.rank(m) == 1 else None
-
-
-def _solver_subsets(n: int) -> list[tuple[int, ...]]:
-    """The 6-subsets of n points whose quadric pairs the solvers build: every
-    one for n = 6 and 7, the thirteen distinct ones of the windows {1..7} and
-    {2..8} for n >= 8, and none for n < 6."""
-    windows = [range(n)] if n <= 7 else [range(7), range(1, 8)]
-    return sorted({c for w in windows for c in combinations(w, 6)})
+def _span_common_zero(kernel: Sequence[int]) -> ProjectivePoint:
+    """The one common zero of a span W of quadrics in P^3 of rank 9, read off
+    the vector lambda spanning its dual kernel. A common zero a puts the
+    Veronese vector v_2(a) = (a^m)_m in that kernel, so the symmetric matrix
+    M[i][j] = lambda[e_i + e_j] equals c a a^T if a exists; M has rank 1
+    exactly then, and a is its nonzero row. Raises NoRationalImage if not."""
+    m = [[kernel[k] for k in row] for row in moment_positions()]
+    if linalg.rank(m) != 1:
+        raise NoRationalImage("the quadrics have no common zero")
+    return ProjectivePoint(next(row for row in m if any(row)))
 
 
 def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
     """Centers-variety for n >= 8 points, decided exactly.
 
-    Every valid a lies on the S_beta quadric of each 6-subset, so on the
-    common zeros of the span of the a-quadrics of the thirteen distinct
-    6-subsets of the windows {1..7} and {2..8}; {2..7} lies in both and is
-    counted once (see _span_common_zero). A candidate a is kept only if
-    resection over all n points finds its b.
+    Every valid a lies on the S_beta quadric of each usable 6-subset (its
+    quadric_pair_n6 raises no DegenerateInput), and every valid b on its
+    S_alpha. The walk takes the 6-subsets in colex order, those of the first
+    seven points first; a quadric joins its side's span only off the span's
+    dual kernel (off a one-dimensional one, it leaves rank 10). It stops at
+    the first proof: rank 10 on either side leaves no center; at rank 9 the
+    side's one possible zero (_span_common_zero) is resected across over all
+    n points, and a pair that passes is the only one, while a failure makes
+    the verdict empty and the walk goes on only to tell rank 9 from 10 (a
+    side not ranked yet is ranked at the end). So the verdict and span_rank,
+    the larger full-span rank, depend on neither the order nor the labels.
+    Both sides below rank 9 raise Inconclusive with both ranks; no usable
+    subset, the first subset's DegenerateInput.
     """
     if x.n < 8 or y.n != x.n:
         raise InvalidInput("centers_n_ge8 needs at least eight points")
-    quadrics = [quadric_pair_n6(x.subset(c), y.subset(c))[0] for c in _solver_subsets(x.n)]
-    span_rank, a = _span_common_zero(quadrics)
-    surviving = ()
-    if a is not None:
+    rows, kernels, empty, refusal = ([], []), [[], []], False, None
+    for c in sorted(combinations(range(x.n), 6), key=lambda c: c[::-1]):
         try:
-            surviving = ((a, _resected_center(x, y, a)),)
-        except (NoRationalImage, InadmissibleCenter):
-            pass
-    return EmptyN8(span_rank, surviving)
+            pair = quadric_pair_n6(x.subset(c), y.subset(c))
+        except DegenerateInput as exc:
+            refusal = refusal or exc
+            continue
+        for side, q in enumerate(pair):
+            kernel = kernels[side]
+            if kernel and not any(sum(map(mul, q.coeffs, k)) for k in kernel):
+                continue
+            rows[side].append(q.coeffs)
+            if len(rows[side]) < 9 or (empty and not kernel):
+                continue
+            kernel = kernels[side] = [] if len(kernel) == 1 else linalg.integer_kernel(rows[side])
+            if not kernel:
+                return EmptyN8(10, ())
+            if len(kernel) > 1 or empty:
+                continue
+            try:
+                zero = _span_common_zero(kernel[0])
+                if side == 0:
+                    return EmptyN8(9, ((zero, _resected_center(x, y, zero)),))
+                return EmptyN8(9, ((_resected_center(y, x, zero), zero),))
+            except (NoRationalImage, InadmissibleCenter):
+                empty = True
+    if not rows[0]:
+        raise refusal
+    rank_a, rank_b = map(linalg.rank, rows)
+    if empty:
+        return EmptyN8(max(rank_a, rank_b), ())
+    raise Inconclusive(f"the quadrics span only {rank_a} (a-side) and {rank_b} (b-side) "
+                       "of 10 dimensions", rank_a=rank_a, rank_b=rank_b)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +793,7 @@ class ThreePairsN7:
 
 @dataclass(frozen=True)
 class EmptyN8:
-    """n >= 8: the rank of the span of the windows' a-quadrics and the
+    """n >= 8: the larger rank of the two sides' spans of quadrics and the
     exactly verified center pair (a, b), if one survives."""
 
     span_rank: int

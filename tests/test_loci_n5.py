@@ -17,6 +17,7 @@ from centersvar.loci import (CubicFibrationN5, DegenerationTag, TwistedCubic, ce
                              cubic_param_n5, restrict_to_param)
 from centersvar.projective import (Configuration, apply_matrix, center_admissible,
                                    normalizing_transform, pp, project)
+from test_loci_n7 import _unimodular
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
 GOLDEN_A = pp(43, -50, 6, -5)
@@ -438,3 +439,88 @@ class TestSmallN:
         # the first three x-points are collinear in P^3, hence in any image
         with pytest.raises(DegenerateInput):
             centers_n_le4(x, y, a, a)
+
+
+def _five_point_inputs():
+    """(x, y, a): generated instances at their true center and at a random
+    one, and each special center kind against a generated y."""
+    rng = random.Random(55)
+    for seed in range(6):
+        rec = generate_reconstruction(5, seed=seed)
+        yield rec.x, rec.y, rec.a_true
+        yield rec.x, rec.y, pp(*(rng.randint(-9, 9) or 1 for _ in range(4)))
+        for kind in ("CoplanarCenter", "BiplanarCenter", "CollinearCenter",
+                     "CenterAtWorldPoint"):
+            x, a = generate_degenerate(kind, seed=seed)
+            yield x, rec.y, a
+
+
+def _ideal(x, y, a):
+    """The quadrics of the b-locus of a, or the code of the refusal."""
+    try:
+        return cubic_locus_n5(x, y, a).quadrics
+    except ToolkitError as exc:
+        return exc.code
+
+
+def _same_ideal(got, want):
+    if isinstance(want, str):
+        return got == want
+    return not isinstance(got, str) and same_span(got, want)
+
+
+def _relabelled(x, y, a, rng):
+    perm = rng.sample(range(5), 5)
+    return (Configuration([x[i] for i in perm]), Configuration([y[i] for i in perm]), a,
+            lambda quadrics: quadrics)
+
+
+def _moved_x(x, y, a, rng):
+    h = _unimodular(rng)
+    return x.transformed(h), y, apply_matrix(h, a), lambda quadrics: quadrics
+
+
+def _moved_y(x, y, a, rng):
+    h = _unimodular(rng)
+    return x, y.transformed(h), a, lambda quadrics: [q.compose_linear(h) for q in quadrics]
+
+
+@pytest.mark.parametrize("transform", [_relabelled, _moved_x, _moved_y],
+                         ids=["relabel", "homography-x", "homography-y"])
+def test_five_point_loci_follow_the_symmetries_of_the_problem(transform):
+    # relabelling both sides alike keeps the ideal of the b-locus; a det +-1
+    # homography H on X moves a to H a and keeps it, and one on Y pulls it
+    # back along H; a refused center is refused alike
+    rng = random.Random(5)
+    kinds = set()
+    for x, y, a in _five_point_inputs():
+        before = _ideal(x, y, a)
+        tx, ty, ta, pull_back = transform(x, y, a, rng)
+        after = _ideal(tx, ty, ta)
+        assert _same_ideal(after if isinstance(after, str) else pull_back(after), before)
+        kinds.add(before if isinstance(before, str) else classify_degeneration_n5(x, a))
+    assert kinds == {"InadmissibleCenter", *DegenerationTag} - {
+        DegenerationTag.LINE_PLUS_PLANE, DegenerationTag.ALL_OF_P3}
+
+
+def test_swapping_the_sides_swaps_the_loci():
+    # b lies on the b-locus of a exactly when a lies on the a-locus of b, for
+    # b on the curve (its parametrization at small integer t) and off it
+    rng = random.Random(6)
+    on = off = 0
+    for x, y, a in _five_point_inputs():
+        try:
+            curve = cubic_locus_n5(x, y, a)
+        except ToolkitError:
+            continue
+        if curve.param is None:
+            continue
+        bs = [curve.at(t, 1) for t in range(1, 4)]
+        bs += [pp(*(rng.randint(-9, 9) or 1 for _ in range(4))) for _ in range(3)]
+        for b in bs:
+            if not center_admissible(y, b):
+                continue
+            assert cubic_locus_n5(y, x, b).contains(a) == curve.contains(b)
+            on += curve.contains(b)
+            off += not curve.contains(b)
+    assert on == off == 36

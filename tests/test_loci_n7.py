@@ -1,8 +1,8 @@
+import collections
 import itertools
 import json
 import random
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from centersvar import linalg, loci, numeric
 from centersvar.cli import main
 from centersvar.datagen import generate_reconstruction
 from centersvar.errors import (AmbiguousMatch, DegenerateInput, Inconclusive, Inconsistent,
-                              ToolkitError)
+                              NoRationalImage, ToolkitError)
 from centersvar.forms import Form, mono_eval, monomials
 from centersvar.invariants import EVEN_FANO_PERMS, FANO_LINES, fano15_lifted, weddle_quartic
 from centersvar.loci import (_span_common_zero, candidates_n7, centers_n_ge8,
@@ -508,7 +508,8 @@ def reference_b_candidates(cand):
     return [loci._with_certificate(p, cand.b_quadrics) for p in points]
 
 
-def random_n7_pairs(count, seed):
+def random_n7_pairs(count, seed, n=7):
+    """count random pairs of n points (seven by default) with entries in [-3, 3]."""
     rng = random.Random(seed)
 
     def vector():
@@ -516,7 +517,7 @@ def random_n7_pairs(count, seed):
         return v if any(v) else [0, 0, 0, 1]
 
     for _ in range(count):
-        yield Configuration([vector() for _ in range(7)]), Configuration([vector() for _ in range(7)])
+        yield Configuration([vector() for _ in range(n)]), Configuration([vector() for _ in range(n)])
 
 
 def _generated_n7(bound):
@@ -748,30 +749,47 @@ def _veronese(point):
     return [mono_eval(m, point.coords) for m in monomials(2)]
 
 
+def _dual_vector(quadrics):
+    """The one vector spanning the dual kernel of a rank-9 span of quadrics."""
+    (kernel,) = linalg.integer_kernel([q.coeffs for q in quadrics])
+    return kernel
+
+
+def _walk_over(monkeypatch, quadrics):
+    """centers_n_ge8 on a generated n = 8 instance whose 6-subsets each give
+    the next of the quadrics, cyclically, on both sides."""
+    feed = itertools.cycle(quadrics)
+    monkeypatch.setattr(loci, "quadric_pair_n6", lambda x, y: (next(feed),) * 2)
+    rec = generate_reconstruction(8, seed=0)
+    return centers_n_ge8(rec.x, rec.y)
+
+
 class TestSpanCommonZero:
     POINTS = [pp(0, 2, -3, 5), pp(7, -1, 4, 2), pp(1, 0, 0, 0), pp(3, 3, -8, 0)]
 
-    def test_all_quadrics_have_no_common_zero(self):
-        units = [Form(2, tuple(Fraction(int(i == j)) for j in range(10))) for i in range(10)]
-        assert _span_common_zero(units) == (10, None)
+    def test_all_quadrics_have_no_common_zero(self, monkeypatch):
+        units = [Form(2, tuple(int(i == j) for j in range(10))) for i in range(10)]
+        assert _walk_over(monkeypatch, units) == loci.EmptyN8(10, ())
 
     @pytest.mark.parametrize("p", POINTS)
     def test_the_quadrics_through_a_point_give_it_back(self, p):
         quadrics = _quadrics_vanishing_on([_veronese(p)])
         assert len(quadrics) == 9
-        assert _span_common_zero(quadrics) == (9, p)
+        assert _span_common_zero(_dual_vector(quadrics)) == p
+
+    @pytest.mark.parametrize("p, q", list(zip(POINTS, POINTS[1:])))
+    def test_two_common_zeros_are_inconclusive(self, p, q, monkeypatch):
+        quadrics = _quadrics_vanishing_on([_veronese(p), _veronese(q)])
+        assert len(quadrics) == 8
+        with pytest.raises(Inconclusive) as caught:
+            _walk_over(monkeypatch, quadrics)
+        assert caught.value.details == {"rank_a": 8, "rank_b": 8}
 
     @pytest.mark.parametrize("p, q", list(zip(POINTS, POINTS[1:])))
     def test_a_kernel_off_the_veronese_has_no_common_zero(self, p, q):
         kernel = [u + v for u, v in zip(_veronese(p), _veronese(q))]
-        assert _span_common_zero(_quadrics_vanishing_on([kernel])) == (9, None)
-
-    @pytest.mark.parametrize("p, q", list(zip(POINTS, POINTS[1:])))
-    def test_two_common_zeros_are_inconclusive(self, p, q):
-        quadrics = _quadrics_vanishing_on([_veronese(p), _veronese(q)])
-        assert len(quadrics) == 8
-        with pytest.raises(Inconclusive):
-            _span_common_zero(quadrics)
+        with pytest.raises(NoRationalImage):
+            _span_common_zero(_dual_vector(_quadrics_vanishing_on([kernel])))
 
 
 def _ninth_point_pair():
@@ -791,6 +809,27 @@ def _centers_report(tmp_path, x, y):
     return code, json.loads(out.read_text()) if code == 0 else None
 
 
+# the a-quadrics of all 28 6-subsets span only 7 of 10 dimensions; the
+# b-side spans 9, and resecting a from its single candidate fails
+D4_PAIR = (Configuration([[3, 0, -2, 0], [1, -3, 3, 1], [0, 1, -1, -1], [0, 1, 0, -2],
+                          [3, 0, 3, 2], [3, -3, 1, 1], [0, 1, -2, 0], [3, 1, 0, 2]]),
+           Configuration([[1, -1, 0, 3], [3, -3, -2, 3], [1, -3, -2, 1], [2, 2, -2, 3],
+                          [1, -1, 3, -3], [1, -1, -1, -1], [3, -2, 2, 3], [0, 0, 0, 1]]))
+
+# inputs whose spans both stay below rank 9: the first has 15 usable
+# 6-subsets, the second (x_5 = x_6 and y_2 = y_4) has 4
+BELOW_RANK_NINE = [
+    (Configuration([[-1, -1, 2, -2], [1, 3, -2, 2], [3, 3, 3, -1], [3, -2, 3, -1],
+                    [-1, -3, -1, -3], [2, 3, -2, -2], [-1, 2, 1, 1], [2, -2, 1, -3]]),
+     Configuration([[3, -2, 3, 2], [-1, -3, 3, 3], [3, 2, -2, 2], [3, -2, -1, 2],
+                    [-3, 3, -3, -2], [-3, -2, -1, -2], [1, 2, -1, -3], [3, -2, 2, 2]])),
+    (Configuration([[-1, 1, -3, -1], [1, 1, 3, -1], [2, 2, -3, -1], [-1, 2, 1, 1],
+                    [1, 3, 3, -1], [-3, -1, 3, 2], [-3, -1, 3, 2], [1, -3, -1, -1]]),
+     Configuration([[-1, 3, 2, -2], [2, 2, -3, -3], [-2, -2, -3, 2], [3, -2, -2, -1],
+                    [-2, -2, -3, 2], [-1, -3, 2, 2], [-3, -2, 1, 1], [-3, 3, -2, 2]])),
+]
+
+
 class TestEightPlus:
     def test_generic_pairs_share_nothing(self):
         rng = random.Random(17)
@@ -806,10 +845,11 @@ class TestEightPlus:
         assert result.surviving == ((rec.a_true, rec.b_true),)
 
     def test_ninth_point_pair_is_checked(self, tmp_path):
-        # the windows see only the first eight points, so nothing may survive
+        # only the first eight pairs share a reconstruction, so nothing may
+        # survive; the subsets with the ninth point lift the span to rank 10
         code, report = _centers_report(tmp_path, *_ninth_point_pair())
         assert code == 0
-        assert report["variant"] == "EmptyN8" and report["span_rank"] == 9
+        assert report["variant"] == "EmptyN8" and report["span_rank"] == 10
         assert report["surviving"] == [] and report["empty"] is True
 
     def test_shared_seven_prefix_only_is_empty(self):
@@ -821,10 +861,10 @@ class TestEightPlus:
         result = centers_n_ge8(x, y)
         assert result.surviving == ()
 
-    def test_window_match_ambiguity_does_not_abort(self, tmp_path):
-        # each 7-point window of this pair raises DegenerateInput (a common
-        # zero of the leave-one-out quadrics is a world point), which must
-        # not decide the exact n = 8 verdict
+    def test_a_degenerate_seven_point_subproblem_does_not_abort(self, tmp_path):
+        # the first seven pairs and the last seven, each solved alone, raise
+        # DegenerateInput (a common zero of their leave-one-out quadrics is a
+        # world point), which must not decide the exact n = 8 verdict
         x = Configuration([[1, 2, 2, -2], [-1, 3, -2, 3], [1, -2, 3, -1], [1, -2, -2, -1],
                            [-1, 2, -1, 1], [2, 3, 1, 2], [3, 1, 1, 3], [1, -2, -2, -2]])
         y = Configuration([[1, 1, 3, 2], [-2, 1, 3, -1], [-1, 3, -2, 3], [-1, 2, 1, 2],
@@ -834,25 +874,16 @@ class TestEightPlus:
         assert report["variant"] == "EmptyN8" and report["span_rank"] == 10
         assert report["surviving"] == [] and report["empty"] is True
 
-    @pytest.mark.xfail(raises=Inconclusive, strict=True,
-                       reason="decided only once the b-side windows are tried (ROADMAP item 4)")
     def test_a_rank_seven_a_side_is_decided_empty(self, tmp_path):
-        # the a-quadrics of all 28 6-subsets span only 7 of 10 dimensions;
-        # the b-side spans 9, and resecting a from its single candidate fails
-        x = Configuration([[3, 0, -2, 0], [1, -3, 3, 1], [0, 1, -1, -1], [0, 1, 0, -2],
-                           [3, 0, 3, 2], [3, -3, 1, 1], [0, 1, -2, 0], [3, 1, 0, 2]])
-        y = Configuration([[1, -1, 0, 3], [3, -3, -2, 3], [1, -3, -2, 1], [2, 2, -2, 3],
-                           [1, -1, 3, -3], [1, -1, -1, -1], [3, -2, 2, 3], [0, 0, 0, 1]])
-        assert centers_variety(x, y).surviving == ()
+        x, y = D4_PAIR
+        result = centers_variety(x, y)
+        assert result.span_rank == 9 and result.surviving == ()
         code, report = _centers_report(tmp_path, x, y)
         assert code == 0 and report["empty"] is True
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="D5: the verdict reads the 6-subsets of two windows of the "
-                              "labelled points (ROADMAP item 4)")
     def test_relabelling_both_sides_keeps_the_verdict(self):
-        # as given, a window subset is degenerate (DegenerateInput); relabelled,
-        # the same points are decided empty at span rank 10
+        # some 6-subsets are degenerate and skipped; in either labelling the
+        # same points are decided empty at span rank 10
         x = Configuration([[2, 0, 2, 2], [0, 0, -2, 1], [0, -2, 1, 2], [1, 2, -2, 1],
                            [3, 3, -1, -1], [1, 2, 3, 0], [2, 2, -2, 0], [-1, -1, 2, -1]])
         y = Configuration([[0, 2, 0, 0], [2, -2, 1, -1], [1, 1, 0, -3], [1, -3, 0, -3],
@@ -861,12 +892,33 @@ class TestEightPlus:
 
         def verdict(x, y):
             try:
-                return set(centers_variety(x, y).surviving)
+                result = centers_variety(x, y)
             except ToolkitError as exc:
                 return exc.code
+            return result.span_rank, set(result.surviving)
 
         assert verdict(x, y) == verdict(Configuration([x[i] for i in perm]),
-                                        Configuration([y[i] for i in perm]))
+                                        Configuration([y[i] for i in perm])) == (10, set())
+
+    @pytest.mark.parametrize(("index", "swap", "ranks"),
+                             [(0, False, (7, 8)), (0, True, (8, 7)), (1, False, (4, 4))],
+                             ids=["ranks-7-8", "ranks-8-7", "ranks-4-4"])
+    def test_spans_below_rank_nine_are_inconclusive(self, index, swap, ranks, tmp_path, capsys):
+        # every usable 6-subset is read and both spans stay below rank 9, so
+        # each side may have many common zeros; the refusal names both exact
+        # ranks, swapping X and Y swaps them, and the CLI exits 3 with them
+        x, y = BELOW_RANK_NINE[index]
+        x, y = (y, x) if swap else (x, y)
+        with pytest.raises(Inconclusive) as caught:
+            centers_n_ge8(x, y)
+        details = {"rank_a": ranks[0], "rank_b": ranks[1]}
+        assert caught.value.details == details
+        assert str(caught.value) == (f"the quadrics span only {ranks[0]} (a-side) and "
+                                     f"{ranks[1]} (b-side) of 10 dimensions")
+        capsys.readouterr()
+        assert _centers_report(tmp_path, x, y) == (3, None)
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "Inconclusive" and error["details"] == details
 
     def test_verdict_needs_no_numeric_stage(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -877,3 +929,86 @@ class TestEightPlus:
         rec = generate_reconstruction(8, seed=2)
         assert centers_variety(rec.x, rec.y).surviving == ((rec.a_true, rec.b_true),)
         assert centers_variety(*_ninth_point_pair()).surviving == ()
+
+
+def _eight_plus_inputs():
+    """Random n = 8 and n = 9 pairs in [-3, 3], generated n = 8, 9 and 12
+    instances, the inputs below rank nine and one decided empty at rank 9."""
+    generated = [generate_reconstruction(n, seed=seed)
+                 for n, seed in [(8, 0), (8, 1), (8, 2), (9, 0), (9, 1), (12, 0)]]
+    return [*random_n7_pairs(50, 88, n=8), *random_n7_pairs(50, 99, n=9),
+            *((rec.x, rec.y) for rec in generated), *BELOW_RANK_NINE, D4_PAIR]
+
+
+def _n8_outcome(x, y):
+    """(span_rank, surviving) of centers_n_ge8, or (code, details) of its refusal."""
+    try:
+        result = centers_n_ge8(x, y)
+    except ToolkitError as exc:
+        return exc.code, exc.details
+    return result.span_rank, result.surviving
+
+
+def _n8_relabelled(x, y, rng):
+    perm = rng.sample(range(x.n), x.n)
+    return Configuration([x[i] for i in perm]), Configuration([y[i] for i in perm]), lambda o: o
+
+
+def _n8_moved(side):
+    def transform(x, y, rng):
+        h = _unimodular(rng)
+
+        def image(outcome):
+            rank, pairs = outcome
+            if isinstance(rank, str):
+                return outcome
+            return rank, tuple((apply_matrix(h, a), b) if side == "x" else (a, apply_matrix(h, b))
+                               for a, b in pairs)
+
+        return (x.transformed(h), y, image) if side == "x" else (x, y.transformed(h), image)
+
+    return transform
+
+
+def _n8_swapped(x, y, rng):
+    def image(outcome):
+        first, second = outcome
+        if first == "Inconclusive":
+            return first, {"rank_a": second["rank_b"], "rank_b": second["rank_a"]}
+        return outcome if isinstance(first, str) else (first, tuple((b, a) for a, b in second))
+
+    return y, x, image
+
+
+@pytest.mark.parametrize("transform", [_n8_relabelled, _n8_moved("x"), _n8_moved("y"),
+                                       _n8_swapped],
+                         ids=["relabel", "homography-x", "homography-y", "swap"])
+def test_eight_plus_points_follow_the_symmetries_of_the_problem(transform):
+    # relabelling both sides alike keeps the verdict, det +-1 homographies
+    # H_X, H_Y map the surviving pair to (H_X a, H_Y b), and swapping X and
+    # Y to (b, a); a refusal keeps its code and swaps or keeps its ranks
+    rng = random.Random(32)
+    seen = collections.Counter()
+    for x, y in _eight_plus_inputs():
+        before = _n8_outcome(x, y)
+        tx, ty, image = transform(x, y, rng)
+        assert _n8_outcome(tx, ty) == image(before)
+        seen[before[0] if isinstance(before[0], str) else (before[0], len(before[1]))] += 1
+    assert seen == {(10, 0): 99, (9, 1): 6, (9, 0): 1, "Inconclusive": 3}
+
+
+def test_planted_pairs_are_decided_within_thirteen_quadric_pairs(monkeypatch):
+    built = []
+    quadric_pair = loci.quadric_pair_n6
+
+    def recording(x, y):
+        built.append((x, y))
+        return quadric_pair(x, y)
+
+    monkeypatch.setattr(loci, "quadric_pair_n6", recording)
+    for n in (8, 9, 12):
+        for bound in (10, 10 ** 3, 10 ** 6):
+            rec = generate_reconstruction(n, seed=1, coord_bound=bound)
+            built.clear()
+            assert centers_n_ge8(rec.x, rec.y).surviving == ((rec.a_true, rec.b_true),)
+            assert len(built) <= 13

@@ -5,6 +5,7 @@ decision read off two relations against the quadric pair it stands for."""
 import random
 import re
 from collections import Counter
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,7 @@ from centersvar.errors import DegenerateInput, Inconsistent, ToolkitError
 from centersvar.forms import Form
 from centersvar.invariants import lifted_quadrics, t6_factors, t6_relation
 from centersvar.datagen import _side_generic
-from centersvar.loci import (_quadric_relations_n6, _solver_subsets, candidates_n7,
-                             quadric_pair_n6)
+from centersvar.loci import _quadric_relations_n6, candidates_n7, quadric_pair_n6
 from centersvar.projective import Configuration, ProjectivePoint
 from test_loci_n7 import random_n7_pairs
 
@@ -161,7 +161,7 @@ def small_points(rng, n):
 
 
 def test_relations_refuse_exactly_where_the_quadric_pair_does():
-    """On every solver subset of random sets in [-3, 3], n = 6..8, with y
+    """On every 6-subset of random sets in [-3, 3], n = 6..8, with y
     drawn independently or as M x (relations proportional), the relations
     alone give the quadric pair's DegenerateInput, message and all."""
     rng = random.Random(20261019)
@@ -181,7 +181,7 @@ def test_relations_refuse_exactly_where_the_quadric_pair_does():
                 ys = small_points(rng, n)
             x, y = Configuration(xs), Configuration(ys)
             side_generic = _side_generic(x, a) and _side_generic(y, b)
-            for c in _solver_subsets(n):
+            for c in combinations(range(n), 6):
                 xc, yc = x.subset(c), y.subset(c)
                 got = degenerate_message(_quadric_relations_n6, xc, yc)
                 assert got == degenerate_message(quadric_pair_n6, xc, yc)
