@@ -239,7 +239,18 @@ def _emit(args, doc: dict[str, Any]) -> None:
     elif out:
         cio._atomic_write(out, _render_text(doc) + "\n")
     else:
-        print(_render_text(doc) if args.format == "text" else json.dumps(doc, indent=2))
+        print(_render_text(doc) if args.format == "text" else json.dumps(doc, indent=2),
+              flush=True)
+
+
+def _stdout_closed() -> int:
+    """The exit code of a run whose reader closed stdout: 2, as for any
+    IOError. No document can reach the reader, so none is written, and stdout
+    is pointed at os.devnull so that the flush at exit cannot fail again."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+    return 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,12 +323,17 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "seed") and args.seed < 0:
             raise InvalidInput("the seed (--seed or CENTERSVAR_SEED) must be non-negative")
         _emit(args, args.func(args))
+    except BrokenPipeError:
+        return _stdout_closed()
     except (ToolkitError, OSError) as exc:
         toolkit = isinstance(exc, ToolkitError)
         err = {"code": exc.code if toolkit else "IOError", "message": str(exc)}
         if toolkit and exc.details:
             err["details"] = exc.details
-        print(json.dumps({"error": err}, indent=2))
+        try:
+            print(json.dumps({"error": err}, indent=2), flush=True)
+        except BrokenPipeError:
+            return _stdout_closed()
         return exc.exit_code if toolkit else 2
     return 0
 

@@ -9,11 +9,14 @@ that line factors through both cameras, so
     a = A' b'   and   b = B' a'
 
 is an explicit ambiguous pair for X = A' Z, Y = B' Z. The generator samples
-integer scenes and matrices, rejects until one exact genericity predicate
-holds (the same for every n, plus, on every 6-subset, two bracket
-relations that are nonzero and not proportional), and verifies the
-projected images by an exact witness homography before returning the pair.
-Each camera's center is its one integer kernel vector, from one elimination.
+integer scenes and matrices and rejects a draw until its exact predicates
+hold. Each is read off one table per side, the brackets [x_i x_j x_k x_l]
+and the lifted brackets [x_i x_j x_k a] (of Y and b on the other side):
+every bracket is nonzero, on every 6-subset the two bracket relations are
+nonzero and not proportional, and a frame identity of the lifted brackets
+proves that a homography maps the image of X from a onto that of Y from b.
+No image is projected and no homography is fit. Each camera's center is
+its one integer kernel vector, from one elimination.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DegenerateInput, GenerationFailed, InvalidInput
-from .invariants import fano15
-from .loci import DegenerationTag, _quadric_relations_n6, classify_degeneration_n5
+from .invariants import _T6_QUADS, fano15, t6_relation_of_brackets
+from .loci import DegenerationTag, _relations_defect, classify_degeneration_n5
 from .projective import (Configuration, ProjectivePoint, StabilityClass,
-                         apply_matrix, cofactors, collinear, homography_fit,
-                         normalizing_transform, project,
-                         stability_class)
+                         apply_matrix, cofactors, collinear,
+                         normalizing_transform, stability_class)
 
 _MAX_ATTEMPTS = 4000
 
@@ -68,43 +70,94 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> list
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
-def _all_quadruples_independent(c: Configuration) -> bool:
-    """Every bracket [ijkl] = c_ijk . x_l of the points is nonzero, read from
-    the cofactor vectors the solvers' quadric pairs read too."""
-    return all(sum(map(mul, c.cofactors_of(i, j, k), c[l].coords))
-               for i, j, k, l in combinations(range(c.n), 4))
+def _bracket_table(x: Configuration, a: ProjectivePoint) -> dict[tuple[int, int, int, int], int]:
+    """Every bracket the generator's predicates read, keyed by increasing
+    index quadruples, with a as point n after the n points of X: [ijkl] =
+    [x_i x_j x_k x_l] for l < n, and [ijkn] = [x_i x_j x_k a], the lifted
+    bracket [ijk] of the side. Each is one dot product with the cofactor
+    vector c_ijk that the solvers' quadric pairs read too
+    (Configuration.cofactors_of)."""
+    n = x.n
+    pts = [p.coords for p in x.points] + [a.coords]
+    table = {}
+    for i, j, k in combinations(range(n), 3):
+        c = x.cofactors_of(i, j, k)
+        for l in range(k + 1, n + 1):
+            table[i, j, k, l] = sum(map(mul, c, pts[l]))
+    return table
 
 
-def _side_generic(x: Configuration, a: ProjectivePoint) -> bool:
-    """a is off X, every four points of X span P^3, and no three images from a
-    are collinear. So the points are distinct, a lies on no line through two
-    of them, and for n = 5, 6, 7 the image is STABLE.
+def _side_generic(table: dict[tuple[int, int, int, int], int]) -> bool:
+    """Every bracket of the side's table is nonzero: every four points of X
+    span P^3, and no three images from a are collinear. So, for n >= 3, a is
+    off X (a = x_i zeroes every [ijk]), the points are distinct, a lies on
+    no line through two of them, and for n = 5, 6, 7 the image is STABLE.
 
     The images are not built. On project's chart k (a_k != 0) the image of
     x_i is a_k x_i - (x_i)_k a with coordinate k dropped, and
     det(images of x_i, x_j, x_l) = +-a_k^2 [x_i x_j x_l a]: three images are
-    collinear exactly when the lifted bracket, the cofactor vector c_ijl
-    (filled by _all_quadruples_independent) dotted with a, vanishes."""
-    return (a not in x.points and _all_quadruples_independent(x)
-            and all(sum(map(mul, x.cofactors_of(*t), a.coords))
-                    for t in combinations(range(x.n), 3)))
+    collinear exactly when their lifted bracket vanishes."""
+    return all(table.values())
 
 
-def _generic_enough(x: Configuration, y: Configuration, a: ProjectivePoint,
-                    b: ProjectivePoint, n: int) -> bool:
-    """The genericity the solvers rely on: both sides generic, and for n >= 6
-    every 6-subset has bracket relations w^x, w^y that are nonzero and not
-    proportional (_quadric_relations_n6), so each builds its quadric pair.
-    No quadric is built: proportional relations always make the pair vanish,
-    and the converse rests on the evidence in loci.quadric_pair_n6."""
-    if not (_side_generic(x, a) and _side_generic(y, b)):
-        return False
+def _relations_usable(tx: dict, ty: dict, n: int) -> bool:
+    """Every 6-subset has bracket relations w^x, w^y that pass
+    loci._relations_defect (nonzero and not proportional), so each builds
+    its quadric pair. Each w is t6_relation_of_brackets of the subset's ten
+    brackets, read off the side's table. No quadric is built: proportional
+    relations always make the pair vanish, and the converse rests on the
+    evidence in loci.quadric_pair_n6."""
     for c in combinations(range(n), 6):
-        try:
-            _quadric_relations_n6(x.subset(c), y.subset(c))
-        except DegenerateInput:
+        keys = [(c[i], c[j], c[k], c[l]) for i, j, k, l in _T6_QUADS]
+        if _relations_defect(t6_relation_of_brackets([tx[q] for q in keys]),
+                             t6_relation_of_brackets([ty[q] for q in keys])) is not None:
             return False
     return True
+
+
+def _certified(tx: dict, ty: dict, n: int) -> bool:
+    """Whether a homography maps the image of X from a onto the image of Y
+    from b, over all n points, decided by the frame identity on each side's
+    lifted brackets [ijk] (both tables pass _side_generic).
+
+    Proof, 1-based. Let p_i be the images from a. On project's chart,
+    det(p_i, p_j, p_k) = s p_i' p_j' p_k' [ijk] for nonzero scalars s (the
+    chart) and p_i' (each image's scale). No three p_i are collinear, so
+    p_1 .. p_4 is a frame, and by Cramer's rule
+    p_j = (det(p_j p_2 p_3) p_1 + det(p_1 p_j p_3) p_2 + det(p_1 p_2 p_j) p_3)
+    / det(p_1 p_2 p_3). So p_j has the coordinates
+    ([j23] / [423], [1j3] / [143], [12j] / [124]) in that frame; times
+    [423][143][124] they are
+
+        v_j = ([j23][143][124], [423][1j3][124], [423][143][12j]).
+
+    Every index appears equally often in each entry, so the scalars s and
+    p_i' scale v_j as a whole. A homography H with H p_i = q_i for all i (the
+    images from b) keeps frame coordinates, so v_j^x is proportional to
+    v_j^y for every j >= 5. Conversely one H maps the frame p_1 .. p_4 onto
+    the frame q_1 .. q_4, and it sends p_j to the point with p_j's frame
+    coordinates, which is q_j exactly when v_j^x and v_j^y are proportional.
+    Below five points there is no j to check: the frames, or fewer points in
+    general position, always have a homography.
+
+    The code reads 0-based increasing keys, [1 2 j] for [j23] and so on;
+    the one sign this takes out of each entry is common to all three."""
+    def frame_coordinates(t):
+        a, b, c = t[1, 2, 3, n], t[0, 2, 3, n], t[0, 1, 3, n]
+        return [(t[1, 2, j, n] * b * c, a * t[0, 2, j, n] * c, a * b * t[0, 1, j, n])
+                for j in range(4, n)]
+
+    return n < 5 or all(p * s == q * r
+                        for u, v in zip(frame_coordinates(tx), frame_coordinates(ty))
+                        for (p, q), (r, s) in combinations(zip(u, v), 2))
+
+
+def _accepted(x: Configuration, y: Configuration, a: ProjectivePoint, b: ProjectivePoint) -> bool:
+    """Whether the generator keeps a draw: its exact predicates, each read off
+    one bracket table per side."""
+    tx, ty = _bracket_table(x, a), _bracket_table(y, b)
+    return (_side_generic(tx) and _side_generic(ty) and _relations_usable(tx, ty, x.n)
+            and _certified(tx, ty, x.n))
 
 
 def _camera_center(m: list[list[int]]) -> ProjectivePoint | None:
@@ -114,25 +167,14 @@ def _camera_center(m: list[list[int]]) -> ProjectivePoint | None:
     return ProjectivePoint(kernel[0]) if len(kernel) == 1 else None
 
 
-def _certified(x: Configuration, y: Configuration, a: ProjectivePoint,
-               b: ProjectivePoint, n: int) -> bool:
-    """Whether an exact witness homography maps the image of X from a onto
-    the image of Y from b, over all n points; below four points general
-    position, already checked, is enough. Both sides pass _side_generic, so
-    the first four images of each form a frame."""
-    if n < 4:
-        return True
-    return homography_fit(Configuration([project(pt, a) for pt in x]),
-                          Configuration([project(pt, b) for pt in y])) is not None
-
-
 def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Reconstruction:
     """Sample a self-certifying ambiguous instance with n points.
 
     Deterministic per (n, seed, coord_bound). Scene points and camera
     matrices have integer entries within the bound; candidates are rejected
-    until the exact genericity predicate holds and an exact
-    witness homography maps the image of X from a onto that of Y from b.
+    until the exact genericity predicates hold and the frame identity proves
+    that a homography maps the image of X from a onto that of Y from b
+    (_accepted).
     """
     if n < 3:
         raise InvalidInput("generate_reconstruction needs n >= 3")
@@ -166,9 +208,7 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Rec
             continue
         a_true = apply_matrix(amat, bprime)
         b_true = apply_matrix(bmat, aprime)
-        if not _generic_enough(x, y, a_true, b_true, n):
-            continue
-        if not _certified(x, y, a_true, b_true, n):
+        if not _accepted(x, y, a_true, b_true):
             continue
         return Reconstruction(
             z=z,

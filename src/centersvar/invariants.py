@@ -78,6 +78,10 @@ T6_TRIPLES = (
     ((1, 3, 4), (2, 5, 6)),  # t3
     ((1, 3, 5), (2, 4, 6)),  # t4
 )
+# The ten 4-brackets [ijkl] of six points that their relation w reads (see the
+# module docstring), in the order t6_relation_of_brackets takes them.
+T6_RELATION_QUADS = ((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5), (1, 2, 4, 6), (1, 2, 5, 6),
+                     (1, 3, 4, 6), (1, 3, 5, 6), (2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6))
 T5_PLUS = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))
 T5_MINUS = ((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6))
 
@@ -167,7 +171,8 @@ def _zero_based(table):
 
 
 # The tables above with 0-based indices, as the bracket sources read them.
-_G5, _T6, _T5_PLUS, _T5_MINUS = map(_zero_based, (G5_TRIPLES, T6_TRIPLES, T5_PLUS, T5_MINUS))
+_G5, _T6, _T5_PLUS, _T5_MINUS, _T6_QUADS = map(
+    _zero_based, (G5_TRIPLES, T6_TRIPLES, T5_PLUS, T5_MINUS, T6_RELATION_QUADS))
 
 
 def _product(brackets: Callable[[tuple[int, ...]], int], triples) -> int:
@@ -274,20 +279,25 @@ def t6_factors(x: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
 
 def t6_relation(x: Configuration, factors) -> tuple[int, ...]:
     """The weights w with sum_k w_k t_k(z) = 0 for the lifted quadrics t_k of
-    six points of P^3, from their brackets (see the module docstring);
-    ``factors`` is ``t6_factors(x)``, whose cofactor vectors give every
-    bracket as one dot product. w = 0 exactly when the relation is not
-    unique (see the module docstring for the evidence)."""
+    six points of P^3 (t6_relation_of_brackets); ``factors`` is
+    ``t6_factors(x)``, whose cofactor vectors give every bracket as one dot
+    product."""
     p = [pt.coords for pt in x.points]
     (c123, c456), (c124, _), (c125, _), (c134, c256), (c135, c246) = factors
 
     def b(c, i):
         return sum(map(mul, c, p[i - 1]))
 
-    b1234, b1235, b3456 = b(c123, 4), b(c123, 5), -b(c456, 3)
-    b1245, b1246, b1256 = b(c124, 5), b(c124, 6), b(c125, 6)
-    b1346, b2356 = b(c134, 6), b(c256, 3)
-    b1356, b2456 = b(c135, 6), -b(c246, 5)
+    return t6_relation_of_brackets((b(c123, 4), b(c123, 5), b(c124, 5), b(c124, 6), b(c125, 6),
+                                    b(c134, 6), b(c135, 6), b(c256, 3), -b(c246, 5), -b(c456, 3)))
+
+
+def t6_relation_of_brackets(brackets: Sequence[int]) -> tuple[int, ...]:
+    """The relation w of six points of P^3 (see the module docstring) from
+    their ten brackets of T6_RELATION_QUADS, in that order. w = 0 exactly
+    when the relation is not unique (see the module docstring for the
+    evidence)."""
+    b1234, b1235, b1245, b1246, b1256, b1346, b1356, b2356, b2456, b3456 = brackets
     w4 = b1234 * b1256 * b3456
     return (-w4 - b1245 * b1346 * b2356, b1235 * b1346 * b2456,
             -b1234 * b1356 * b2456, -b1235 * b1246 * b3456, w4)

@@ -251,21 +251,34 @@ def _quadric_relations_n6(x: Configuration, y: Configuration
     """(fx, fy, wx, wy): each side's cofactor vectors of the lifted t6
     quadrics (``invariants.t6_factors``) and their bracket relation
     (``invariants.t6_relation``). Raises DegenerateInput where
-    quadric_pair_n6 refuses the six pairs as degenerate (see there), so the
-    decision needs no quadric: a relation w = 0, the x side first, or w^x
-    proportional to w^y, every 2 x 2 minor of the two 5-vectors zero. A
-    side refused for w = 0 is named with its cause (_relation_cause)."""
+    quadric_pair_n6 refuses the six pairs as degenerate (_relations_defect),
+    so the decision needs no quadric. A side refused for w = 0 is named with
+    its cause (_relation_cause)."""
     fx, fy = t6_factors(x), t6_factors(y)
     wx, wy = t6_relation(x, fx), t6_relation(y, fy)
-    for tag, w, side in (("x", wx, x), ("y", wy, y)):
-        if not any(w):
-            raise DegenerateInput(f"quadric relation on the {tag} side is not unique"
-                                  + _relation_cause(tag, side))
-    if all(p * s == q * r for (p, q), (r, s) in combinations(zip(wx, wy), 2)):
+    defect = _relations_defect(wx, wy)
+    if defect == "proportional":
         # e.g. for projectively equivalent configurations, where the center
         # locus is not confined to a quadric at all
         raise DegenerateInput("the weighted quadric combination vanishes identically")
+    if defect is not None:
+        raise DegenerateInput(f"quadric relation on the {defect} side is not unique"
+                              + _relation_cause(defect, x if defect == "x" else y))
     return fx, fy, wx, wy
+
+
+def _relations_defect(wx: Sequence[int], wy: Sequence[int]) -> str | None:
+    """Why the six pairs with bracket relations wx, wy are degenerate, or None
+    when they are usable: "x" or "y" for a relation w = 0, the x side first,
+    and "proportional" for w^x proportional to w^y, every 2 x 2 minor of the
+    two 5-vectors zero. quadric_pair_n6 and the generator both decide by it."""
+    if not any(wx):
+        return "x"
+    if not any(wy):
+        return "y"
+    if all(p * s == q * r for (p, q), (r, s) in combinations(zip(wx, wy), 2)):
+        return "proportional"
+    return None
 
 
 def _relation_cause(tag: str, c: Configuration) -> str:
@@ -313,7 +326,7 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
     every true b on S_alpha.
 
     Degeneracy is decided from the two relations alone
-    (_quadric_relations_n6, which the generator calls too). The relation is
+    (_relations_defect, which the generator calls too). The relation is
     refused as not unique exactly when w = 0. w is always a
     relation, so w != 0 makes the kernel of the 10 x 5 coefficient matrix at
     least one-dimensional. That it is then exactly one-dimensional, and that

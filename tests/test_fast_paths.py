@@ -3,28 +3,33 @@
 Each reference below is the earlier route, kept here only: canonical_coords
 through Fractions, the weighted quadric product as one generator sum per
 coefficient, a quadric's value by Form.integer_value, the generator's
-side check by projecting every point and testing collinearity, and its camera
-center by linalg.rank and a Fraction kernel_basis vector.
+side check by projecting every point and testing collinearity, its 6-subset
+relations through subset configurations, its certificate by projecting
+every point and fitting the witness homography, and its camera center by
+linalg.rank and a Fraction kernel_basis vector.
 """
 
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centersvar import linalg
-from centersvar.datagen import _camera_center, _side_generic, generate_reconstruction
-from centersvar.errors import InvalidInput
+from centersvar import datagen, linalg
+from centersvar.datagen import (_bracket_table, _camera_center, _certified, _side_generic,
+                                generate_reconstruction)
+from centersvar.errors import DegenerateInput, InvalidInput
 from centersvar.forms import Form, monomial_indices
 from centersvar.invariants import t6_factors, t6_relation
-from centersvar.loci import _quadric_value, _weighted_products, quadric_pair_n6
-from centersvar.projective import (Configuration, ProjectivePoint, _to_fraction,
-                                   canonical_coords, no_three_collinear, pp,
-                                   project)
+from centersvar.loci import (_quadric_relations_n6, _quadric_value, _weighted_products,
+                             quadric_pair_n6)
+from centersvar.projective import (Configuration, ProjectivePoint, _to_fraction, bracket,
+                                   canonical_coords, homography_fit, no_three_collinear,
+                                   pp, project)
 
 
 def reference_canonical_coords(coords):
@@ -51,10 +56,37 @@ def reference_weighted_products(weights, factors):
 
 
 def reference_side_generic(x, a):
-    """The side check with the images built: project, then test every triple."""
-    from centersvar.datagen import _all_quadruples_independent
-    return (a not in x.points and _all_quadruples_independent(x)
+    """The side check with the images built: a off X, every bracket of four
+    points nonzero, then project and test every triple."""
+    return (a not in x.points
+            and all(bracket([x[i] for i in q]) for q in combinations(range(x.n), 4))
             and no_three_collinear([project(p, a) for p in x]))
+
+
+def reference_relations_usable(x, y):
+    """Every 6-subset's relations decided through two subset configurations
+    and _quadric_relations_n6."""
+    for c in combinations(range(x.n), 6):
+        try:
+            _quadric_relations_n6(x.subset(c), y.subset(c))
+        except DegenerateInput:
+            return False
+    return True
+
+
+def reference_certified(x, y, a, b):
+    """The witness homography fit to the projected images, over all n points;
+    below four points general position is enough."""
+    if x.n < 4:
+        return True
+    return homography_fit(Configuration([project(pt, a) for pt in x]),
+                          Configuration([project(pt, b) for pt in y])) is not None
+
+
+def reference_accepted(x, y, a, b):
+    """The generator's predicates on one draw, by the references above."""
+    return (reference_side_generic(x, a) and reference_side_generic(y, b)
+            and reference_relations_usable(x, y) and reference_certified(x, y, a, b))
 
 
 BIG = 10 ** 40
@@ -204,7 +236,7 @@ class TestSideGeneric:
         outcomes = set()
         for x, a in side_cases(rng):
             x, a = Configuration(x), ProjectivePoint(a)
-            got = _side_generic(x, a)
+            got = _side_generic(_bracket_table(x, a))
             assert got == reference_side_generic(x, a)
             outcomes.add(got)
         assert outcomes == {True, False}
@@ -225,6 +257,67 @@ class TestSideGeneric:
                    + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
             lifted = sum(c * v for c, v in zip(x.cofactors_of(0, 1, 2), a.coords))
             assert abs(det) == a[k] ** 2 * abs(lifted)
+
+
+def bumped(c, j, k):
+    """The configuration with coordinate k of point j raised by one."""
+    pts = [list(p.coords) for p in c]
+    pts[j][k] += 1
+    return Configuration(pts)
+
+
+def certificate_cases(rng, n, bound):
+    """(x, y, a, b): planted pairs, the same with one Y coordinate bumped, and
+    random pairs, all in the box of the bound."""
+    def box(count):
+        return [[rng.randint(-bound, bound) or 1 for _ in range(4)] for _ in range(count)]
+
+    for seed in range(6):
+        rec = generate_reconstruction(n, seed=seed, coord_bound=bound)
+        yield rec.x, rec.y, rec.a_true, rec.b_true
+        y = bumped(rec.y, rng.randrange(n), rng.randrange(4))
+        yield rec.x, y, rec.a_true, rec.b_true
+        yield (Configuration(box(n)), Configuration(box(n)),
+               ProjectivePoint(box(1)[0]), ProjectivePoint(box(1)[0]))
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("bound", [10, 10 ** 3])
+    def test_frame_identity_matches_the_witness_homography(self, bound):
+        rng = random.Random(bound)
+        outcomes = Counter()
+        for n in range(4, 10):
+            for x, y, a, b in certificate_cases(rng, n, bound):
+                tx, ty = _bracket_table(x, a), _bracket_table(y, b)
+                if not (_side_generic(tx) and _side_generic(ty)):
+                    continue
+                got = _certified(tx, ty, n)
+                assert got == reference_certified(x, y, a, b)
+                outcomes[n, got] += 1
+        assert all(outcomes[n, True] >= 6 for n in range(4, 10))
+        assert all(outcomes[n, False] >= 6 for n in range(5, 10))
+        assert not outcomes[4, False]
+
+    @pytest.mark.parametrize("bound", [10, 10 ** 3])
+    def test_generator_returns_the_reference_instance(self, bound, monkeypatch):
+        """Every draw of seeds 0-39 (0-9 at n = 9) gets the reference verdict,
+        and the instance kept is the one the reference keeps."""
+        draws = Counter()
+        accepted = datagen._accepted
+
+        def checked(x, y, a, b):
+            got = reference_accepted(x, y, a, b)
+            assert accepted(x, y, a, b) == got
+            draws[got] += 1
+            return got
+
+        for n in range(4, 10):
+            for seed in range(40 if n < 9 else 10):
+                rec = generate_reconstruction(n, seed=seed, coord_bound=bound)
+                with monkeypatch.context() as m:
+                    m.setattr(datagen, "_accepted", checked)
+                    assert generate_reconstruction(n, seed=seed, coord_bound=bound) == rec
+        assert draws[True] == 5 * 40 + 10
 
 
 def reference_camera_center(m):

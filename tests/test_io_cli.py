@@ -642,6 +642,23 @@ def test_output_into_a_missing_directory_ends_in_an_io_error_document(tmp_path, 
     assert not (tmp_path / "nodir").exists()
 
 
+@pytest.mark.parametrize("argv", [["generate", "--n", "7", "--seed", "1"],
+                                  ["generate", "--n", "2"],
+                                  ["generate", "--n", "5", "--format", "text"]])
+def test_a_closed_stdout_ends_in_exit_2_and_no_traceback(argv):
+    # a report and an error document alike: the reader is gone before either
+    # is written, so neither is, and the exit-time flush stays quiet
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "centersvar", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
+
+
 def test_every_error_document_is_written_alike(tmp_path, capsys):
     # an OSError and a ToolkitError: indented, with the keys code and message
     xfile = tmp_path / "x.json"

@@ -353,7 +353,8 @@ def test_resected_center_matches_the_integer_kernel_reference():
 
 
 def test_frame_maps_are_built_from_primitive_weights(monkeypatch):
-    # every outer_sum call of homography_fit gets weights with gcd 1
+    # every outer_sum call of homography_fit gets weights with gcd 1, here
+    # also on the projected images of each generated pair
     weights = []
 
     def recorded(w, columns, rows):
@@ -365,6 +366,9 @@ def test_frame_maps_are_built_from_primitive_weights(monkeypatch):
         for seed in range(3):
             rec = generate_reconstruction(n, seed=seed)
             centers_variety(rec.x, rec.y, a=rec.a_true if n == 6 else None)
+            assert homography_fit(
+                Configuration([project(p, rec.a_true) for p in rec.x]),
+                Configuration([project(p, rec.b_true) for p in rec.y])) is not None
     rng = random.Random(28)
     for _ in range(20):
         p, q = (Configuration([[rng.randint(-9, 9) or 1 for _ in range(3)] for _ in range(5)])

@@ -14,7 +14,7 @@ from centersvar import linalg
 from centersvar.errors import DegenerateInput, Inconsistent, ToolkitError
 from centersvar.forms import Form
 from centersvar.invariants import lifted_quadrics, t6_factors, t6_relation
-from centersvar.datagen import _side_generic
+from centersvar.datagen import _bracket_table, _relations_usable, _side_generic
 from centersvar.loci import _quadric_relations_n6, candidates_n7, quadric_pair_n6
 from centersvar.projective import Configuration, ProjectivePoint
 from test_loci_n7 import random_n7_pairs
@@ -163,7 +163,9 @@ def small_points(rng, n):
 def test_relations_refuse_exactly_where_the_quadric_pair_does():
     """On every 6-subset of random sets in [-3, 3], n = 6..8, with y
     drawn independently or as M x (relations proportional), the relations
-    alone give the quadric pair's DegenerateInput, message and all."""
+    alone give the quadric pair's DegenerateInput, message and all, and the
+    generator's relations read off the bracket tables refuse a set exactly
+    when one of its subsets is refused."""
     rng = random.Random(20261019)
     seen = Counter()
     for n in (6, 7, 8):
@@ -180,17 +182,23 @@ def test_relations_refuse_exactly_where_the_quadric_pair_does():
             else:
                 ys = small_points(rng, n)
             x, y = Configuration(xs), Configuration(ys)
-            side_generic = _side_generic(x, a) and _side_generic(y, b)
+            tx, ty = _bracket_table(x, a), _bracket_table(y, b)
+            side_generic = _side_generic(tx) and _side_generic(ty)
+            usable = True
             for c in combinations(range(n), 6):
                 xc, yc = x.subset(c), y.subset(c)
                 got = degenerate_message(_quadric_relations_n6, xc, yc)
                 assert got == degenerate_message(quadric_pair_n6, xc, yc)
                 seen[side_generic, mapped, checked_cause(got, {"x": x, "y": y})] += 1
+                usable = usable and got is None
+            assert _relations_usable(tx, ty, n) == usable
+            seen[usable] += 1
     vanishes = "the weighted quadric combination vanishes identically"
     assert seen[True, True, vanishes] > 100 and seen[True, False, None] > 50
     assert seen[False, False, "quadric relation on the x side is not unique"]
     assert seen[False, False, "quadric relation on the y side is not unique"]
     assert not any(seen[g, True, None] for g in (True, False))
+    assert seen[True] > 50 and seen[False] > 50
 
 
 def test_each_refused_relation_names_its_cause():
