@@ -26,10 +26,9 @@ from .loci import (CandidateSets, CentersVariety, CubicFibrationN5,
 from .numeric import NumericPoint, projective_distance, solve_quadric_system
 from .datagen import (Reconstruction, generate_degenerate,
                       generate_reconstruction)
-from .errors import (AmbiguousMatch, CenterHit, DegenerateCurve,
-                     DegenerateInput, GenerationFailed, InadmissibleCenter,
-                     Inconclusive, Inconsistent, InvalidInput, NoRationalImage,
-                     NotFinite, ToolkitError)
+from .errors import (CenterHit, DegenerateCurve, DegenerateInput, GenerationFailed,
+                     InadmissibleCenter, Inconclusive, Inconsistent, InvalidInput,
+                     NoRationalImage, NotFinite, ToolkitError)
 
 __version__ = "0.1.0"
 

@@ -31,11 +31,8 @@ from .projective import Configuration, decide_equivalence, project
 
 
 def _seed_default() -> int:
-    env = os.environ.get("CENTERSVAR_SEED")
-    if env is None:
-        return 0
     try:
-        return int(env)
+        return int(os.environ.get("CENTERSVAR_SEED", 0))
     except ValueError:
         raise InvalidInput("CENTERSVAR_SEED must be an integer")
 
@@ -269,18 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ambiguous camera-center loci for point configurations in P^3.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, second=False, center=False):
+    def common(p, second=False, center=None):  # center: "required", "optional" or None
         p.add_argument("--input", "-i", required=True, help="point-set JSON file")
         if second:
             p.add_argument("--second", "-j", required=True, help="second point-set JSON file")
         if center:
-            p.add_argument("--center", help="center: inline coords or JSON file")
+            p.add_argument("--center", required=center == "required",
+                           help="center: inline coords or JSON file")
         p.add_argument("--out", "-o", help="output file (default: stdout)")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("project", help="project a world configuration through a center")
-    common(p, center=True)
-    p.set_defaults(func=cmd_project, require_center=True)
+    common(p, center="required")
+    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("invariants", help="invariant vector of a plane configuration")
     common(p)
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("centers", help="compute the centers-variety report")
-    common(p, second=True, center=True)
+    common(p, second=True, center="optional")
     p.add_argument("--center-b", help="second center (n <= 4 witness)")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_centers)
@@ -307,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("classify", help="classify the five-point locus degeneration")
-    common(p, center=True)
-    p.set_defaults(func=cmd_classify, require_center=True)
+    common(p, center="required")
+    p.set_defaults(func=cmd_classify)
 
     return parser
 
@@ -316,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "require_center", False) and not args.center:
-            raise InvalidInput(f"{args.command} needs --center")
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()
         if hasattr(args, "seed") and args.seed < 0:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Every error carries a short machine-readable ``code`` that the CLI maps to
-exit codes (2 = invalid/inadmissible input, 3 = inconclusive,
-4 = internal inconsistency).
+exit codes (2 = invalid/inadmissible input, 3 = inconclusive, 4 = a failed
+exact verification, raised as Inconsistent alone).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class NoRationalImage(ToolkitError):
     """A first center has no unique rational matched center."""
 
     code = "NoRationalImage"
-    exit_code = 2
 
 
 class Inconsistent(ToolkitError):
@@ -69,14 +68,6 @@ class NotFinite(ToolkitError):
     code = "NotFinite"
 
 
-class AmbiguousMatch(ToolkitError):
-    """n = 7 candidates could not be paired: the omega filter keeps unequal
-    counts, or a resected center has no b-candidate within 1e-6, two, or one taken."""
-
-    code = "AmbiguousMatch"
-    exit_code = 4
-
-
 class GenerationFailed(ToolkitError):
     """Rejection sampling exhausted its budget."""
 
@@ -84,7 +75,9 @@ class GenerationFailed(ToolkitError):
 
 
 class Inconclusive(ToolkitError):
-    """Neither the exact witness path nor invariants can decide."""
+    """No verdict, though no exact check failed: equiv with neither a witness
+    nor invariant separation, n >= 8 with both spans below rank 9, or an
+    n = 7 float stage that cannot place all H(3) zeros or pair them one to one."""
 
     code = "Inconclusive"
     exit_code = 3

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from fractions import Fraction
 from typing import Any, Sequence
@@ -105,15 +106,27 @@ def load_point(text_or_path: str) -> ProjectivePoint:
     return parse_inline_point(text_or_path)
 
 
+def _mode_for(path: str) -> int:
+    """The mode open(path, "w") leaves: path's own, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write text in one call to a temporary file beside path and rename it
     into place: path holds the old file or the whole text, never a part of
-    it. No temporary file is left behind, and an OSError names path."""
+    it, with the mode of open(path, "w") (_mode_for), not mkstemp's 0o600.
+    No temporary file is left behind, and an OSError names path."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, _mode_for(path))
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:

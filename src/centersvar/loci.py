@@ -37,9 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (AmbiguousMatch, DegenerateCurve, DegenerateInput,
-                     InadmissibleCenter, Inconclusive, Inconsistent,
-                     InvalidInput, NoRationalImage, ToolkitError)
+from .errors import (DegenerateCurve, DegenerateInput, InadmissibleCenter, Inconclusive,
+                     Inconsistent, InvalidInput, NoRationalImage, ToolkitError)
 from .forms import (BinaryForm, Form, moment_positions, monomial_indices,
                     monomials, scaled_float)
 from .invariants import _EVEN_FANO_SORTED, t6_factors, t6_relation, weddle_quartic
@@ -522,17 +521,13 @@ def candidates_n7(x: Configuration, y: Configuration) -> CandidateSets:
     (_resected_center) gives b exactly. It is checked on all seven
     b-quadrics and attached to the one b-candidate within projective
     distance 1e-6 (_nearest_candidates); no such candidate, two, or one
-    another certified a took raises Inconsistent.
+    another certified a took raises Inconclusive, as does a short solve.
     """
     if x.n != 7 or y.n != 7:
         raise InvalidInput("candidates_n7 needs seven points on both sides")
-    a_quads, b_quads = [], []
-    for k in range(7):
-        s_beta, s_alpha = quadric_pair_n6(x.drop(k), y.drop(k))
-        a_quads.append(s_beta)
-        b_quads.append(s_alpha)
-    a_pts = solve_quadric_system(a_quads, expected=3)
-    b_pts = solve_quadric_system(b_quads, expected=3)
+    a_quads, b_quads = map(list, zip(*(quadric_pair_n6(x.drop(k), y.drop(k)) for k in range(7))))
+    a_pts = solve_quadric_system(a_quads)
+    b_pts = solve_quadric_system(b_quads)
     # every quadric contains the six world points of its subset, so x_k is a
     # common zero exactly when the quadric of the subset without it vanishes there
     if any(_quadric_value(q, p) == 0
@@ -543,8 +538,7 @@ def candidates_n7(x: Configuration, y: Configuration) -> CandidateSets:
     b_exact = [_exact_point(_resected_center(x, y, a_pts[i].exact)) for i in labels]
     if any(_quadric_value(q, b.exact) for b in b_exact for q in b_quads):
         raise Inconsistent("the resected center is not on every b-quadric")
-    b_pts = list(b_pts)
-    near = _nearest_candidates(labels, [b.coords for b in b_exact], b_pts, Inconsistent)
+    near = _nearest_candidates(labels, [b.coords for b in b_exact], b_pts)
     for j, b in zip(near, b_exact):
         b_pts[j] = b
     return CandidateSets(tuple(a_quads), tuple(b_quads), tuple(a_pts), tuple(b_pts))
@@ -560,8 +554,8 @@ def _with_certificate(p: NumericPoint, quads: Sequence[Form]) -> NumericPoint:
     return p if exact is None else _exact_point(exact)
 
 
-def _nearest_candidates(labels: Sequence[int], centers, candidates: Sequence[NumericPoint],
-                        error: type[ToolkitError]) -> list[int]:
+def _nearest_candidates(labels: Sequence[int], centers,
+                        candidates: Sequence[NumericPoint]) -> list[int]:
     """The index of the one candidate within projective distance 1e-6 of each
     center (resected from a-candidate labels[i]) that no earlier center took."""
     units = _unit_rows(np.array([c.coords for c in candidates]).reshape(-1, 4))
@@ -569,9 +563,10 @@ def _nearest_candidates(labels: Sequence[int], centers, candidates: Sequence[Num
     for label, row in zip(labels, _distances(_unit_rows(np.reshape(centers, (-1, 4))), units)):
         near = [j for j, d in enumerate(row) if d < 1e-6]
         if len(near) != 1 or near[0] in taken:
-            raise error(f"a-candidate {label}: its resected center matches no single b-candidate "
-                        f"({len(near)} within 1e-6{', already taken' if len(near) == 1 else ''}; "
-                        f"the nearest at {min(row, default=1.0):.3e})")
+            raise Inconclusive(
+                f"a-candidate {label}: its resected center matches no single b-candidate "
+                f"({len(near)} within 1e-6{', already taken' if len(near) == 1 else ''}; "
+                f"the nearest at {min(row, default=1.0):.3e})")
         taken.append(near[0])
     return taken
 
@@ -670,7 +665,7 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     one kept b within 1e-6 of the center of the camera resected from a over
     all seven correspondences (_resected_centers, the float form of the map
     that candidates_n7 applies exactly to a rational a); no such b, two, or
-    one that another a took raises AmbiguousMatch, as does an exact center
+    one that another a took raises Inconclusive, as does an exact center
     paired with an inexact one. The pairs follow the order of the
     a-candidates; each carries the sine distance between the two Fano
     vectors as a diagnostic. Both read each side's _float_view.
@@ -682,17 +677,16 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     keep_a = [i for i in range(len(ua)) if omega[i] >= _MATCH_TOL]
     keep_b = [j for j in range(len(ub)) if omega[len(ua) + j] >= _MATCH_TOL]
     if not keep_a or len(keep_a) != len(keep_b):
-        raise AmbiguousMatch(
+        raise Inconclusive(
             f"cannot match {len(keep_a)} a-candidates with {len(keep_b)} b-candidates")
     centers = _resected_centers(xs, ys, np.array([a_candidates[i].coords for i in keep_a]))
-    match = _nearest_candidates(keep_a, centers, [b_candidates[j] for j in keep_b],
-                                AmbiguousMatch)
+    match = _nearest_candidates(keep_a, centers, [b_candidates[j] for j in keep_b])
     dist = _distances(ua[keep_a], ub[keep_b])
     pairs = []
     for i, j in enumerate(match):
         a, b = a_candidates[keep_a[i]], b_candidates[keep_b[j]]
         if (a.exact is None) != (b.exact is None):
-            raise AmbiguousMatch("an exact center is matched with an inexact one")
+            raise Inconclusive("an exact center is matched with an inexact one")
         pairs.append(MatchedPair(a, b, dist[i][j]))
     return pairs
 
@@ -839,7 +833,8 @@ def centers_variety(x: Configuration, y: Configuration,
                     b: ProjectivePoint | None = None,
                     seed: int = 0) -> CentersVariety:
     """Compute the centers-variety description appropriate to n = |X| = |Y|.
-    The seed draws only the sampled centers of n <= 4 and surface points of n = 6."""
+    The seed draws only the sampled centers of n <= 4 and surface points of n = 6.
+    a is read for n <= 6 and b for n <= 4; a center no step reads is refused."""
     if x.n != y.n:
         raise InvalidInput("configurations must have the same number of points")
     if x.ambient_dim != 3 or y.ambient_dim != 3:
@@ -847,6 +842,9 @@ def centers_variety(x: Configuration, y: Configuration,
     if any(c is not None and c.dim != 3 for c in (a, b)):
         raise InvalidInput("centers are points of P^3")
     n = x.n
+    for name, flag, center, n_max in (("a", "--center", a, 6), ("b", "--center-b", b, 4)):
+        if center is not None and n > n_max:
+            raise InvalidInput(f"n = {n} reads no center {name} ({flag}), only n <= {n_max}")
     if n <= 4:
         if a is None or b is None:
             sa, sb = _sample_generic_centers(x, y, seed)

@@ -10,7 +10,8 @@ locate the points: the degree-2 dual kernel of the system is spanned by the
 Veronese vectors v_2(p) of its zeros, and the eigenvalue method reads the
 points off the moment matrices of a kernel basis. Candidates are polished by
 Gauss-Newton on all input forms, which stops at the first step shorter than
-1e-13 (twelve at most), and deduplicated projectively.
+1e-13 (twelve at most), and deduplicated projectively: exactly H(3) distinct
+points, or Inconclusive.
 
 Certification runs in Python ints and builds no Fraction. Newton steps on a
 triple of forms sharpen a real candidate on dyadic iterates X / 2**e (e = 64,
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Inconsistent, NotFinite
+from .errors import Inconclusive, NotFinite
 from .forms import Form, _product_positions, moment_positions, monomials
 from .projective import ProjectivePoint, canonical_coords, cofactors
 
@@ -250,7 +251,7 @@ def _gauss_newton(syms: np.ndarray, point: np.ndarray) -> np.ndarray:
     return p
 
 
-def solve_quadric_system(forms: Sequence[Form], expected: int | None = None) -> list[NumericPoint]:
+def solve_quadric_system(forms: Sequence[Form]) -> list[NumericPoint]:
     """All common zeros (real and complex) of quadrics in P^3 whose zero set
     is certified finite.
 
@@ -276,8 +277,8 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None) -> 
     than 1e-13 on the unit point, twelve steps at most (see
     _GAUSS_NEWTON_STOP). Points with a residual above _RESIDUAL_TOL are
     dropped, and the rest deduplicated projectively. The result depends on
-    the forms alone. If ``expected`` is given, a mismatch in the number of
-    surviving points raises Inconsistent.
+    the forms alone. Fewer than H(3) survivors (a multiple zero, or zeros the
+    floats cannot tell apart) raise Inconclusive with h3 and found.
     """
     if len(forms) < 3:
         raise NotFinite("need at least three quadrics for a finite locus")
@@ -291,8 +292,6 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None) -> 
     if h2 != h3 or h3 > 3:
         raise NotFinite(f"H(2) = {h2} and H(3) = {h3}: the zero set is not certified finite",
                         h2=h2, h3=h3)
-    if h2 == 0:
-        return []
 
     # no rank cut: the exact H(2) says how many right singular vectors span the kernel
     coeffs = coeffs / scales[:, None]
@@ -318,10 +317,9 @@ def solve_quadric_system(forms: Sequence[Form], expected: int | None = None) -> 
         survivors.append(NumericPoint.from_vector(p, residual))
     survivors.sort(key=lambda q: tuple(np.round(np.asarray(q.coords).view(float), 6)))
 
-    if expected is not None and len(survivors) != expected:
-        raise Inconsistent(
-            f"expected {expected} isolated zeros, found {len(survivors)}",
-            h2=h2, found=len(survivors))
+    if len(survivors) != h3:
+        raise Inconclusive(f"the floats placed {len(survivors)} of the H(3) = {h3} zeros",
+                           h3=h3, found=len(survivors))
     return survivors
 
 

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +13,9 @@ import centersvar
 from centersvar import io as cio, linalg
 from centersvar.cli import main
 from centersvar.datagen import CENTER_KINDS, generate_reconstruction
-from centersvar.errors import Inconclusive, InvalidInput
+from centersvar import errors
+from centersvar.errors import Inconclusive, InvalidInput, ToolkitError
+from centersvar.loci import centers_variety
 from centersvar.projective import (Configuration, ProjectivePoint, apply_matrix,
                                    decide_equivalence, pp)
 
@@ -249,6 +253,28 @@ class TestCentersCommand:
             env={"CENTERSVAR_SEED": "7", "PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
         assert proc.returncode == 0
         assert json.loads(out.read_text())["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_a_center_the_computation_does_not_read_is_refused(tmp_path, capsys, n):
+    # a is read for n <= 6 and b for n <= 4; the true a rides along where it is read
+    rec = generate_reconstruction(n, seed=0)
+    xfile, yfile = tmp_path / "x.json", tmp_path / "y.json"
+    write_config(xfile, rec.x)
+    write_config(yfile, rec.y)
+    given_a = {"a": rec.a_true} if n <= 6 else {}
+    unread = [("b", "--center-b", rec.b_true)] + ([("a", "--center", rec.a_true)] if n >= 7 else [])
+    for name, flag, point in unread:
+        message = f"n = {n} reads no center {name} ({flag})"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            centers_variety(rec.x, rec.y, **{**given_a, name: point})
+        argv = ["centers", "-i", str(xfile), "-j", str(yfile), f"{flag}=" + ",".join(
+            map(str, point.coords))]
+        if given_a and name == "b":
+            argv.append("--center=" + ",".join(map(str, rec.a_true.coords)))
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "InvalidInput" and error["message"].startswith(message)
 
 
 class TestCentersOracleRuns:
@@ -526,8 +552,8 @@ def test_centers_of_sheared_inputs_end_in_one_json_document(tmp_path, capsys, n,
 def test_a_sheared_seven_point_input_writes_no_traceback(tmp_path):
     proc = run_cli(*_sheared_centers_argv(tmp_path, 7, "X"))
     assert proc.stderr == ""
-    assert proc.returncode == 4
-    assert json.loads(proc.stdout)["error"]["code"] == "AmbiguousMatch"
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"]["code"] == "Inconclusive"
 
 
 def test_error_documents_carry_the_details_of_the_error(tmp_path, capsys):
@@ -537,10 +563,10 @@ def test_error_documents_carry_the_details_of_the_error(tmp_path, capsys):
     xfile, yfile = tmp_path / "x.json", tmp_path / "y.json"
     write_config(xfile, rec.x)
     write_config(yfile, rec.y.transformed([[10 ** 8, 0, 0, 0]] + IDENTITY[1:]))
-    assert main(["centers", "-i", str(xfile), "-j", str(yfile)]) == 4
+    assert main(["centers", "-i", str(xfile), "-j", str(yfile)]) == 3
     assert json.loads(capsys.readouterr().out)["error"] == {
-        "code": "Inconsistent", "message": "expected 3 isolated zeros, found 1",
-        "details": {"h2": 3, "found": 1}}
+        "code": "Inconclusive", "message": "the floats placed 1 of the H(3) = 3 zeros",
+        "details": {"h3": 3, "found": 1}}
     # an error without details writes code and message only
     assert main(["centers", "-i", str(xfile), "-j", str(yfile), "--seed", "-1"]) == 2
     assert set(json.loads(capsys.readouterr().out)["error"]) == {"code", "message"}
@@ -703,3 +729,64 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, caps
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "IOError"
     assert target.read_text() == "old\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_new_report_gets_the_mode_open_gives_it(tmp_path, umask, fmt):
+    old = os.umask(umask)
+    try:
+        assert main(["generate", "--n", "4", "--format", fmt, "-o", str(tmp_path / "r")]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert _mode(tmp_path / "r") == _mode(tmp_path / "plain") == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o664])
+def test_an_overwritten_report_keeps_its_mode(tmp_path, mode):
+    out = tmp_path / "r.json"
+    out.write_text("old\n")
+    os.chmod(out, mode)
+    old = os.umask(0o077)
+    try:
+        assert main(["generate", "--n", "4", "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert _mode(out) == mode
+    assert json.loads(out.read_text())["config"]["n"] == 4
+    assert os.listdir(tmp_path) == ["r.json"]
+
+
+def _error_classes():
+    found, todo = [], [ToolkitError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return [cls for cls in found if cls.__module__.startswith("centersvar")]
+
+
+def test_the_error_contract():
+    # one code per error, exit 4 for a failed exact verification alone, and
+    # the README's exit-code paragraph names every error that exits 3 or 4
+    classes = _error_classes()
+    assert {cls.__name__ for cls in classes} >= {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, ToolkitError)}
+    codes = [cls.code for cls in classes] + ["IOError"]
+    assert len(codes) == len(set(codes))
+    assert all(cls.exit_code in (2, 3, 4) for cls in classes)
+    assert [cls for cls in classes if cls.exit_code == 4] == [errors.Inconsistent]
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    paragraph = text[text.index("Exit codes"):].split("\n\n")[0]
+    for cls in classes:
+        if cls.exit_code in (3, 4):
+            assert f"`{cls.code}`" in paragraph, cls.code

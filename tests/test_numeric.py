@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centersvar import linalg
-from centersvar.errors import Inconsistent, NotFinite
+from centersvar.errors import Inconclusive, NotFinite
 from centersvar.forms import (Form, _product_positions, mono_eval, monomial_index,
                               monomials)
 from centersvar.numeric import (_DIRECTIONS, _LADDER, _PRIME, _echelon_mod_p,
@@ -61,23 +61,33 @@ class TestSolver:
     def test_three_rational_points(self):
         forms = rational_system()
         assert len(forms) == 7
-        pts = solve_quadric_system(forms, expected=3)
+        pts = solve_quadric_system(forms)
         for p in pts:
             assert p.is_real and p.residual <= 1e-9
         for true in RATIONAL:
             assert min(projective_distance(p.coords, true.coords) for p in pts) < 1e-12
 
     def test_conjugate_pair_and_a_real_point(self):
-        pts = solve_quadric_system(conjugate_system(), expected=3)
+        pts = solve_quadric_system(conjugate_system())
         assert sorted(p.is_real for p in pts) == [False, False, True]
         complex_point = np.array(U) + 1j * np.array(W)
         for true in (complex_point, complex_point.conj(), np.array(Q.coords)):
             assert min(projective_distance(p.coords, true) for p in pts) < 1e-12
 
     def test_expected_count_enforced(self):
-        with pytest.raises(Inconsistent) as caught:
-            solve_quadric_system(rational_system(), expected=2)
-        assert caught.value.details == {"h2": 3, "found": 3}
+        # exactly H(3) points, or Inconclusive with H(3) and the count placed
+        from centersvar.loci import quadric_pair_n6
+        from test_loci_n7 import shortfall_pair
+
+        for forms in (rational_system(), conjugate_system()):
+            assert _hilbert_function(forms) == (3, 3)
+            assert len(solve_quadric_system(forms)) == 3
+        x, y = shortfall_pair(1493)
+        a_quads = [quadric_pair_n6(x.drop(k), y.drop(k))[0] for k in range(7)]
+        assert _hilbert_function(a_quads) == (3, 3)
+        with pytest.raises(Inconclusive) as caught:
+            solve_quadric_system(a_quads)
+        assert caught.value.details == {"h3": 3, "found": 1}
 
     def test_positive_dimensional_detected(self):
         forms = line_system()
@@ -449,7 +459,7 @@ def test_newton_polish_matches_the_elimination_route(bound):
     for seed in range(20):
         rec = generate_reconstruction(7, seed=seed, coord_bound=bound)
         quads = [quadric_pair_n6(rec.x.drop(k), rec.y.drop(k))[0] for k in range(7)]
-        for p in solve_quadric_system(quads, expected=3):
+        for p in solve_quadric_system(quads):
             got = exact_newton_polish(quads, p.array())
             assert got == reference_exact_newton_polish(quads, p.array())
             polished += got is not None
@@ -471,7 +481,7 @@ def test_certifies_a_point_whose_denominators_are_the_prime():
     for k in range(7):
         a, b, c = (points[(k + i) % 3].coords for i in range(3))
         forms.append(plane_through(a, b) * plane_through(c))
-    found = {certify_rational(forms, p) for p in solve_quadric_system(forms, expected=3)}
+    found = {certify_rational(forms, p) for p in solve_quadric_system(forms)}
     assert found == set(points)
 
 
