@@ -15,19 +15,19 @@ and the lifted brackets [x_i x_j x_k a] (of Y and b on the other side):
 every bracket is nonzero, on every 6-subset the two bracket relations are
 nonzero and not proportional, and a frame identity of the lifted brackets
 proves that a homography maps the image of X from a onto that of Y from b.
-No image is projected and no homography is fit. Each camera's center is
-its one integer kernel vector, from one elimination.
+No image is projected and no homography is fit. Each camera's center is the
+vector of its signed maximal minors.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
-from . import linalg
 from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import _T6_QUADS, fano15, t6_relation_of_brackets
 from .loci import DegenerationTag, _relations_defect, classify_degeneration_n5
@@ -74,16 +74,17 @@ def _bracket_table(x: Configuration, a: ProjectivePoint) -> dict[tuple[int, int,
     """Every bracket the generator's predicates read, keyed by increasing
     index quadruples, with a as point n after the n points of X: [ijkl] =
     [x_i x_j x_k x_l] for l < n, and [ijkn] = [x_i x_j x_k a], the lifted
-    bracket [ijk] of the side. Each is one dot product with the cofactor
-    vector c_ijk that the solvers' quadric pairs read too
-    (Configuration.cofactors_of)."""
+    bracket [ijk] of the side. Each is one four-term dot product with the
+    cofactor vector c_ijk, built from the coordinates (projective.cofactors)
+    once per triple; no Configuration cache is read or filled."""
     n = x.n
     pts = [p.coords for p in x.points] + [a.coords]
     table = {}
     for i, j, k in combinations(range(n), 3):
-        c = x.cofactors_of(i, j, k)
+        c0, c1, c2, c3 = cofactors(pts[i], pts[j], pts[k])
         for l in range(k + 1, n + 1):
-            table[i, j, k, l] = sum(map(mul, c, pts[l]))
+            z0, z1, z2, z3 = pts[l]
+            table[i, j, k, l] = c0 * z0 + c1 * z1 + c2 * z2 + c3 * z3
     return table
 
 
@@ -100,6 +101,15 @@ def _side_generic(table: dict[tuple[int, int, int, int], int]) -> bool:
     return all(table.values())
 
 
+@lru_cache(maxsize=1)
+def _subset_brackets(n: int) -> tuple[itemgetter, ...]:
+    """For each 6-subset of range(n), in combinations order, the getter of its
+    ten bracket keys (_T6_QUADS on the subset) from a side's table. Built
+    once for the n last drawn."""
+    return tuple(itemgetter(*((c[i], c[j], c[k], c[l]) for i, j, k, l in _T6_QUADS))
+                 for c in combinations(range(n), 6))
+
+
 def _relations_usable(tx: dict, ty: dict, n: int) -> bool:
     """Every 6-subset has bracket relations w^x, w^y that pass
     loci._relations_defect (nonzero and not proportional), so each builds
@@ -107,12 +117,9 @@ def _relations_usable(tx: dict, ty: dict, n: int) -> bool:
     brackets, read off the side's table. No quadric is built: proportional
     relations always make the pair vanish, and the converse rests on the
     evidence in loci.quadric_pair_n6."""
-    for c in combinations(range(n), 6):
-        keys = [(c[i], c[j], c[k], c[l]) for i, j, k, l in _T6_QUADS]
-        if _relations_defect(t6_relation_of_brackets([tx[q] for q in keys]),
-                             t6_relation_of_brackets([ty[q] for q in keys])) is not None:
-            return False
-    return True
+    return all(_relations_defect(t6_relation_of_brackets(brackets(tx)),
+                                 t6_relation_of_brackets(brackets(ty))) is None
+               for brackets in _subset_brackets(n))
 
 
 def _certified(tx: dict, ty: dict, n: int) -> bool:
@@ -161,10 +168,30 @@ def _accepted(x: Configuration, y: Configuration, a: ProjectivePoint, b: Project
 
 
 def _camera_center(m: list[list[int]]) -> ProjectivePoint | None:
-    """The center of a 4 x 5 integer camera, its one integer kernel vector,
-    or None below rank 4 (a kernel of dimension 5 - rank)."""
-    kernel = linalg.integer_kernel(m)
-    return ProjectivePoint(kernel[0]) if len(kernel) == 1 else None
+    """The center of a 4 x 5 integer camera, or None below rank 4.
+
+    Entry k of the center is (-1)^k times the 4 x 4 minor of m without
+    column k: its dot product with any row r of m is the 5 x 5 determinant
+    with r stacked on m, which repeats a row. The five minors vanish
+    together exactly below rank 4, and at rank 4 they span the kernel. They
+    expand along the last row in the 3 x 3 minors of the first three rows,
+    and those along the third row in the 2 x 2 minors of the first two, so
+    each lower minor is built once (as in projective.cofactors)."""
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), (d0, d1, d2, d3, d4) = m
+    m01, m02, m03, m04 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0, a0 * b4 - a4 * b0
+    m12, m13, m14 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a1 * b4 - a4 * b1
+    m23, m24, m34 = a2 * b3 - a3 * b2, a2 * b4 - a4 * b2, a3 * b4 - a4 * b3
+    t012, t013 = c0 * m12 - c1 * m02 + c2 * m01, c0 * m13 - c1 * m03 + c3 * m01
+    t014, t023 = c0 * m14 - c1 * m04 + c4 * m01, c0 * m23 - c2 * m03 + c3 * m02
+    t024, t034 = c0 * m24 - c2 * m04 + c4 * m02, c0 * m34 - c3 * m04 + c4 * m03
+    t123, t124 = c1 * m23 - c2 * m13 + c3 * m12, c1 * m24 - c2 * m14 + c4 * m12
+    t134, t234 = c1 * m34 - c3 * m14 + c4 * m13, c2 * m34 - c3 * m24 + c4 * m23
+    v = (d2 * t134 - d1 * t234 - d3 * t124 + d4 * t123,
+         d0 * t234 - d2 * t034 + d3 * t024 - d4 * t023,
+         d1 * t034 - d0 * t134 - d3 * t014 + d4 * t013,
+         d0 * t124 - d1 * t024 + d2 * t014 - d4 * t012,
+         d1 * t023 - d0 * t123 - d2 * t013 + d3 * t012)
+    return ProjectivePoint(v) if any(v) else None
 
 
 def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Reconstruction:

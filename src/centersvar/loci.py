@@ -513,26 +513,29 @@ def candidates_n7(x: Configuration, y: Configuration) -> CandidateSets:
     the seven quadrics intersect in three isolated points (and likewise for
     b), which both sides locate numerically by one solve with no settings,
     so the candidates depend on the input alone. A world point among the
-    common zeros raises DegenerateInput: it is no center, and the seven
-    quadrics of such an input do not cut out its center pairs. Rational
-    a-candidates are certified exactly. The b of a certified a is not
-    certified again: the camera sending every y_i to project(x_i, a) is
-    unique and defined over Q, so resection over all seven correspondences
-    (_resected_center) gives b exactly. It is checked on all seven
-    b-quadrics and attached to the one b-candidate within projective
-    distance 1e-6 (_nearest_candidates); no such candidate, two, or one
-    another certified a took raises Inconclusive, as does a short solve.
+    common zeros raises DegenerateInput before either solve: it is no
+    center, and the seven quadrics of such an input do not cut out its
+    center pairs. The check is exact and reads only the quadrics, so it
+    refuses such an input even where the floats cannot place its zeros
+    (a multiple world point). Rational a-candidates are certified exactly.
+    The b of a certified a is not certified again: the camera sending every
+    y_i to project(x_i, a) is unique and defined over Q, so resection over
+    all seven correspondences (_resected_center) gives b exactly. It is
+    checked on all seven b-quadrics and attached to the one b-candidate
+    within projective distance 1e-6 (_nearest_candidates); no such
+    candidate, two, or one another certified a took raises Inconclusive, as
+    does a short solve.
     """
     if x.n != 7 or y.n != 7:
         raise InvalidInput("candidates_n7 needs seven points on both sides")
     a_quads, b_quads = map(list, zip(*(quadric_pair_n6(x.drop(k), y.drop(k)) for k in range(7))))
-    a_pts = solve_quadric_system(a_quads)
-    b_pts = solve_quadric_system(b_quads)
     # every quadric contains the six world points of its subset, so x_k is a
     # common zero exactly when the quadric of the subset without it vanishes there
     if any(_quadric_value(q, p) == 0
            for quads, w in ((a_quads, x), (b_quads, y)) for q, p in zip(quads, w.points)):
         raise DegenerateInput("a common zero of the leave-one-out quadrics is a world point")
+    a_pts = solve_quadric_system(a_quads)
+    b_pts = solve_quadric_system(b_quads)
     a_pts = [_with_certificate(p, a_quads) for p in a_pts]
     labels = [i for i, p in enumerate(a_pts) if p.exact is not None]
     b_exact = [_exact_point(_resected_center(x, y, a_pts[i].exact)) for i in labels]

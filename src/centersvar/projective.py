@@ -249,7 +249,7 @@ def apply_matrix(m: Sequence[Sequence], x: ProjectivePoint) -> ProjectivePoint:
     int and Fraction entries are multiplied as they are."""
     if len(m[0]) != len(x.coords):
         raise ValueError("shape mismatch in apply_matrix")
-    return ProjectivePoint([sum(r * c for r, c in zip(row, x.coords)) for row in m])
+    return ProjectivePoint([sum(map(mul, row, x.coords)) for row in m])
 
 
 def project(x: ProjectivePoint, a: ProjectivePoint) -> ProjectivePoint:

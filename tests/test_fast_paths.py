@@ -3,10 +3,11 @@
 Each reference below is the earlier route, kept here only: canonical_coords
 through Fractions, the weighted quadric product as one generator sum per
 coefficient, a quadric's value by Form.integer_value, the generator's
-side check by projecting every point and testing collinearity, its 6-subset
-relations through subset configurations, its certificate by projecting
-every point and fitting the witness homography, and its camera center by
-linalg.rank and a Fraction kernel_basis vector.
+side check by projecting every point and testing collinearity, its bracket
+table through the Configuration cofactor cache, its 6-subset relations
+through subset configurations, its certificate by projecting every point and
+fitting the witness homography, its camera center by linalg.rank and a
+Fraction kernel_basis vector, and apply_matrix as one generator sum per row.
 """
 
 import math
@@ -14,6 +15,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +29,9 @@ from centersvar.forms import Form, monomial_indices
 from centersvar.invariants import t6_factors, t6_relation
 from centersvar.loci import (_quadric_relations_n6, _quadric_value, _weighted_products,
                              quadric_pair_n6)
-from centersvar.projective import (Configuration, ProjectivePoint, _to_fraction, bracket,
-                                   canonical_coords, homography_fit, no_three_collinear,
-                                   pp, project)
+from centersvar.projective import (Configuration, ProjectivePoint, _to_fraction, apply_matrix,
+                                   bracket, canonical_coords, homography_fit,
+                                   no_three_collinear, pp, project)
 
 
 def reference_canonical_coords(coords):
@@ -61,6 +63,19 @@ def reference_side_generic(x, a):
     return (a not in x.points
             and all(bracket([x[i] for i in q]) for q in combinations(range(x.n), 4))
             and no_three_collinear([project(p, a) for p in x]))
+
+
+def reference_bracket_table(x, a):
+    """The bracket table with each cofactor vector read through
+    Configuration.cofactors_of, which builds and caches it."""
+    pts = [p.coords for p in x.points] + [a.coords]
+    return {(i, j, k, l): sum(map(mul, x.cofactors_of(i, j, k), pts[l]))
+            for i, j, k in combinations(range(x.n), 3) for l in range(k + 1, x.n + 1)}
+
+
+def reference_apply_matrix(m, x):
+    """The image of x with each row as a generator sum of products."""
+    return ProjectivePoint([sum(r * c for r, c in zip(row, x.coords)) for row in m])
 
 
 def reference_relations_usable(x, y):
@@ -259,6 +274,89 @@ class TestSideGeneric:
             assert abs(det) == a[k] ** 2 * abs(lifted)
 
 
+def bracket_table_cases(rng, bound):
+    """(x, a): random sides of n = 3..9 points in the box of the bound, the
+    same with a at a point of X, and with four points of X in one plane."""
+    def box(count):
+        return [[rng.randint(-bound, bound) or 1 for _ in range(4)] for _ in range(count)]
+
+    for n in range(3, 10):
+        for _ in range(6):
+            x, (a,) = box(n), box(1)
+            yield x, a
+            yield x, x[rng.randrange(n)]
+            if n >= 4:
+                i, j, k, l = rng.sample(range(n), 4)
+                s, t = rng.randint(-3, 3) or 1, rng.randint(-3, 3)
+                plane = [s * p + t * q + r for p, q, r in zip(x[i], x[j], x[k])]
+                if any(plane):
+                    yield x[:l] + [plane] + x[l + 1:], a
+
+
+class TestBracketTable:
+    @pytest.mark.parametrize("bound", [10, 10 ** 3, 10 ** 6])
+    def test_matches_the_cached_cofactor_route(self, bound):
+        rng = random.Random(bound + 31)
+        zeros = Counter()
+        for x, a in bracket_table_cases(rng, bound):
+            x, a = Configuration(x), ProjectivePoint(a)
+            table = _bracket_table(x, a)
+            assert table == reference_bracket_table(x, a)
+            zeros[0 in table.values()] += 1
+        assert zeros[True] > 60 and zeros[False] > 30
+
+    def test_matches_the_cached_cofactor_route_on_generated_sides(self):
+        for n in range(3, 10):
+            for seed in range(4):
+                rec = generate_reconstruction(n, seed=seed, coord_bound=10 ** (1 + seed % 3))
+                for x, a in ((rec.x, rec.a_true), (rec.y, rec.b_true)):
+                    assert _bracket_table(x, a) == reference_bracket_table(x, a)
+
+    def test_fills_no_configuration_cache(self):
+        rec = generate_reconstruction(7, seed=2)
+        x = Configuration(rec.x.points)
+        _bracket_table(x, rec.a_true)
+        assert x._table[0] == {}
+
+
+INT_ENTRIES = st.integers(-10 ** 12, 10 ** 12)
+MIXED_ENTRIES = st.one_of(INT_ENTRIES, st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                                    max_denominator=10 ** 6))
+
+
+@st.composite
+def matrices_and_points(draw):
+    """A rows x cols int matrix, or one of ints and Fractions, and a point of
+    P^(cols-1)."""
+    rows, cols = draw(st.sampled_from([(3, 4), (4, 4), (4, 5), (3, 3)]))
+    entries = draw(st.sampled_from([INT_ENTRIES, MIXED_ENTRIES]))
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    coords = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=cols, max_size=cols)
+                  .filter(any))
+    return m, ProjectivePoint(coords)
+
+
+class TestApplyMatrix:
+    @given(matrices_and_points())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_generator_sum(self, case):
+        m, x = case
+        try:
+            expected = reference_apply_matrix(m, x)
+        except InvalidInput:
+            with pytest.raises(InvalidInput):
+                apply_matrix(m, x)
+            return
+        assert apply_matrix(m, x) == expected
+
+    def test_a_kernel_point_is_invalid(self):
+        m = [[1, 0, 0, 0], [0, 1, 0, 0], [Fraction(1, 2), 0, 0, 0]]
+        with pytest.raises(InvalidInput):
+            apply_matrix(m, pp(0, 0, 1, 5))
+        assert apply_matrix(m, pp(2, 3, 0, 1)) == pp(2, 3, 1)
+
+
 def bumped(c, j, k):
     """The configuration with coordinate k of point j raised by one."""
     pts = [list(p.coords) for p in c]
@@ -300,8 +398,13 @@ class TestCertificate:
 
     @pytest.mark.parametrize("bound", [10, 10 ** 3])
     def test_generator_returns_the_reference_instance(self, bound, monkeypatch):
-        """Every draw of seeds 0-39 (0-9 at n = 9) gets the reference verdict,
-        and the instance kept is the one the reference keeps."""
+        """Every draw of seeds 0-39 (0-9 at n = 9; 0-4 at n = 10 and 12, bound
+        10 only) gets the reference verdict, and the instance kept is the one
+        the reference keeps."""
+        seeds = {n: range(40) for n in range(4, 9)}
+        seeds[9] = range(10)
+        if bound == 10:
+            seeds[10] = seeds[12] = range(5)
         draws = Counter()
         accepted = datagen._accepted
 
@@ -311,13 +414,13 @@ class TestCertificate:
             draws[got] += 1
             return got
 
-        for n in range(4, 10):
-            for seed in range(40 if n < 9 else 10):
+        for n, ns in seeds.items():
+            for seed in ns:
                 rec = generate_reconstruction(n, seed=seed, coord_bound=bound)
                 with monkeypatch.context() as m:
                     m.setattr(datagen, "_accepted", checked)
                     assert generate_reconstruction(n, seed=seed, coord_bound=bound) == rec
-        assert draws[True] == 5 * 40 + 10
+        assert draws[True] == sum(map(len, seeds.values()))
 
 
 def reference_camera_center(m):

@@ -669,9 +669,11 @@ def test_unequal_counts_and_an_exact_center_with_an_inexact_one_are_inconclusive
 
 # pairs of random_n7_pairs(3000, 1, bound=1) whose a-quadrics certify
 # H(2) = H(3) = 3 while the floats place only 1 or 2 distinct zeros: the
-# zeros are world points, x_5 triple for 1493, x_4 double and x_1 simple for
-# 2301 (by Groebner bases over Q in the affine charts)
-SHORTFALLS = {1493: 1, 2301: 2}
+# zeros are world points with multiplicity, x_5 triple for 1493, x_4 double
+# and x_1 simple for 2301 (0-based, by Groebner bases over Q in the affine
+# charts). Each maps to the 0-based labels of the world points that are
+# common zeros on the a-side and on the b-side.
+SHORTFALLS = {1493: ([5], [1]), 2301: ([1, 4], [3, 6])}
 
 
 def shortfall_pair(index):
@@ -679,17 +681,21 @@ def shortfall_pair(index):
     return next(itertools.islice(random_n7_pairs(index + 1, 1, bound=1), index, None))
 
 
-@pytest.mark.parametrize(("index", "found"), sorted(SHORTFALLS.items()))
-def test_zeros_the_floats_cannot_place_are_inconclusive(tmp_path, capsys, index, found):
-    # no exact check fails on these valid inputs, so they exit 3, not 4
+@pytest.mark.parametrize("index", sorted(SHORTFALLS))
+def test_world_points_the_floats_cannot_place_are_degenerate(tmp_path, capsys, index):
+    # the exact world-point check reads only the quadrics and runs before the
+    # solves, so these inputs exit 2, not with the solver's shortfall (exit 3,
+    # test_numeric.py::TestSolver::test_expected_count_enforced)
     x, y = shortfall_pair(index)
-    with pytest.raises(Inconclusive) as caught:
+    quads = list(zip(*(loci.quadric_pair_n6(x.drop(k), y.drop(k)) for k in range(7))))
+    assert tuple([k for k in range(7) if not loci._quadric_value(q[k], w[k])]
+                 for q, w in zip(quads, (x, y))) == SHORTFALLS[index]
+    with pytest.raises(DegenerateInput, match="common zero .* is a world point"):
         centers_variety(x, y)
-    assert caught.value.details == {"h3": 3, "found": found}
-    assert _centers_report(tmp_path, x, y) == (3, None)
+    assert _centers_report(tmp_path, x, y) == (2, None)
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["code"] == "Inconclusive"
-    assert error["details"] == {"h3": 3, "found": found}
+    assert error["code"] == "DegenerateInput"
+    assert "is a world point" in error["message"]
 
 
 class TestWeddleCurve:
