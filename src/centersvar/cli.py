@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 invalid or inadmissible input, 3 inconclusive,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -236,7 +235,7 @@ def _emit(args, doc: dict[str, Any]) -> None:
     elif out:
         cio._atomic_write(out, _render_text(doc) + "\n")
     else:
-        print(_render_text(doc) if args.format == "text" else json.dumps(doc, indent=2),
+        print(_render_text(doc) if args.format == "text" else cio.json_text(doc),
               flush=True)
 
 
@@ -327,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         if toolkit and exc.details:
             err["details"] = exc.details
         try:
-            print(json.dumps({"error": err}, indent=2), flush=True)
+            print(cio.json_text({"error": err}), flush=True)
         except BrokenPipeError:
             return _stdout_closed()
         return exc.exit_code if toolkit else 2

@@ -42,7 +42,9 @@ def parse_fraction(s: str) -> int | Fraction:
 
 
 def point_to_json(p: ProjectivePoint) -> list[str]:
-    return [format_fraction(c) for c in p.coords]
+    """The coordinates as strings: they are ints (canonical_coords), and str
+    of an int is its format_fraction."""
+    return [str(c) for c in p.coords]
 
 
 def point_from_json(coords: Sequence) -> ProjectivePoint:
@@ -117,7 +119,8 @@ def _mode_for(path: str) -> int:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text in one call to a temporary file beside path and rename it
+    """Write text as UTF-8 to a temporary file beside path, through an
+    unbuffered file that is written until every byte is in, and rename it
     into place: path holds the old file or the whole text, never a part of
     it, with the mode of open(path, "w") (_mode_for), not mkstemp's 0o600.
     No temporary file is left behind, and an OSError names path."""
@@ -125,9 +128,11 @@ def _atomic_write(path: str, text: str) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb", buffering=0) as fh:
             os.fchmod(fd, _mode_for(path))
-            fh.write(text)
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[fh.write(data):]
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
@@ -136,7 +141,59 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _encode(value: Any, newline: str) -> str:
+    """The indent-2 text of value, nested at the indent newline ends with.
+    A value of any other type, or a dict key that is not a string, raises
+    TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _ESCAPE(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join([
+            _ESCAPE(key) + ": " + _encode(item, inner) for key, item in value.items()])
+            + newline + "}")
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if type(value[0]) is str:
+            try:  # a list of strings, escaped and joined in one call
+                return "[" + inner + ("," + inner).join(map(_ESCAPE, value)) + newline + "]"
+            except TypeError:
+                pass
+        return ("[" + inner + ("," + inner).join([_encode(item, inner) for item in value])
+                + newline + "]")
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    raise TypeError(kind)
+
+
+def json_text(doc: Any) -> str:
+    """json.dumps(doc, indent=2), byte for byte, built in one pass.
+
+    On Python 3.11 the C encoder runs only without an indent, so
+    json.dumps(doc, indent=2) runs the pure-Python one, generator by
+    generator. A report is nested dicts with str keys, lists and tuples of
+    strings, ints, bools and None; those are written here with the C string
+    escaper json.dumps itself uses, each list of strings escaped in one
+    call. Anything else (a float, a subclass, a non-str key, a value
+    json.dumps refuses, a nesting too deep) sends the whole document to
+    json.dumps, so the text or the error is always that of json.dumps."""
+    try:
+        return _encode(doc, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(doc, indent=2)
+
+
 def atomic_write_json(path: str, doc: Any) -> None:
-    """Write JSON atomically (_atomic_write). The document is encoded in one
-    string; json.dump with an indent would write it chunk by chunk."""
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    """Write json_text(doc) and a newline atomically (_atomic_write)."""
+    _atomic_write(path, json_text(doc) + "\n")

@@ -706,27 +706,49 @@ def _span_common_zero(kernel: Sequence[int]) -> ProjectivePoint:
     return ProjectivePoint(next(row for row in m if any(row)))
 
 
+def _colex(k: int, n: int):
+    """The k-subsets of range(n) in colex order (by largest element, then the
+    next, ...), generated lazily: c + (m,) for m = k - 1 .. n - 1 over the
+    colex (k - 1)-subsets c of range(m)."""
+    if not k:
+        yield ()
+        return
+    for m in range(k - 1, n):
+        for c in _colex(k - 1, m):
+            yield c + (m,)
+
+
+def _subset_walk(n: int):
+    """Every 6-subset of range(n) once, as a sorted tuple: first the cyclic
+    windows {i, i + 1, .., i + 5 mod n} for i = 0 .. n - 1, then the rest in
+    colex order. No list of the C(n, 6) subsets is built."""
+    windows = dict.fromkeys(tuple(sorted((i + j) % n for j in range(6))) for i in range(n))
+    yield from windows
+    yield from (c for c in _colex(6, n) if c not in windows)
+
+
 def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
     """Centers-variety for n >= 8 points, decided exactly.
 
     Every valid a lies on the S_beta quadric of each usable 6-subset (its
     quadric_pair_n6 raises no DegenerateInput), and every valid b on its
-    S_alpha. The walk takes the 6-subsets in colex order, those of the first
-    seven points first; a quadric joins its side's span only off the span's
-    dual kernel (off a one-dimensional one, it leaves rank 10). It stops at
-    the first proof: rank 10 on either side leaves no center; at rank 9 the
-    side's one possible zero (_span_common_zero) is resected across over all
-    n points, and a pair that passes is the only one, while a failure makes
-    the verdict empty and the walk goes on only to tell rank 9 from 10 (a
-    side not ranked yet is ranked at the end). So the verdict and span_rank,
-    the larger full-span rank, depend on neither the order nor the labels.
-    Both sides below rank 9 raise Inconclusive with both ranks; no usable
-    subset, the first subset's DegenerateInput.
+    S_alpha. The walk (_subset_walk) takes the n cyclic windows first, so
+    that every point enters within n subsets, then the other 6-subsets in
+    colex order, generated lazily; a quadric joins its side's span only off
+    the span's dual kernel (off a one-dimensional one, it leaves rank 10).
+    It stops at the first proof: rank 10 on either side leaves no center; at
+    rank 9 the side's one possible zero (_span_common_zero) is resected
+    across over all n points, and a pair that passes is the only one, while
+    a failure makes the verdict empty and the walk goes on only to tell rank
+    9 from 10 (a side not ranked yet is ranked at the end). So the verdict
+    and span_rank, the larger full-span rank, depend on neither the order
+    nor the labels. Both sides below rank 9 raise Inconclusive with both
+    ranks; no usable subset, the first subset's DegenerateInput.
     """
     if x.n < 8 or y.n != x.n:
         raise InvalidInput("centers_n_ge8 needs at least eight points")
     rows, kernels, empty, refusal = ([], []), [[], []], False, None
-    for c in sorted(combinations(range(x.n), 6), key=lambda c: c[::-1]):
+    for c in _subset_walk(x.n):
         try:
             pair = quadric_pair_n6(x.subset(c), y.subset(c))
         except DegenerateInput as exc:

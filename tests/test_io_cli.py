@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import centersvar
 from centersvar import io as cio, linalg
@@ -606,6 +608,75 @@ def test_reports_are_the_bytes_of_the_chunked_json_dump(tmp_path, monkeypatch):
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         assert open(path, "rb").read() == (tmp_path / "chunked.json").read_bytes()
+
+
+JSON_LEAVES = st.one_of(
+    st.text(), st.text(alphabet='a"\\/\n\t\x00\x1f\x7fé€\U0001f600'),
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner),
+    st.lists(st.text(), min_size=1)), max_leaves=20)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_the_indented_json_dumps(value):
+    assert cio.json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_leaves_what_it_does_not_write_to_json_dumps():
+    # non-str keys are converted by json.dumps; a value it refuses raises
+    # its error
+    for value in ({1: "a", "b": [True, {None: 2.5}]}, [{"a": 1}, {2.5: []}], ("x", {False: ()})):
+        assert cio.json_text(value) == json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        cio.json_text({"a": [Fraction(1, 2)]})
+    loop = ["a"]
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        cio.json_text({"a": loop})
+
+
+def test_a_write_that_takes_a_few_bytes_at_a_time_completes_the_file(tmp_path, monkeypatch):
+    fdopen = os.fdopen
+    writes = []
+
+    class FewBytes:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(len(data))
+            return self.fh.write(data[:3])
+
+    monkeypatch.setattr(os, "fdopen", lambda *a, **k: FewBytes(fdopen(*a, **k)))
+    text = "é€ " * 40 + "\n"
+    cio._atomic_write(str(tmp_path / "r"), text)
+    assert (tmp_path / "r").read_bytes() == text.encode("utf-8")
+    assert len(writes) == -(-len(text.encode("utf-8")) // 3)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_a_report_on_stdout_is_the_indented_json_dumps(tmp_path, capsys, monkeypatch, n):
+    # written by json_text alone: a report never falls back to json.dumps
+    rec = generate_reconstruction(n, seed=1)
+    files = []
+    for name, side in (("x", rec.x), ("y", rec.y)):
+        files.append(str(tmp_path / f"{name}.json"))
+        write_config(files[-1], side)
+    center = ["--center", ",".join(cio.point_to_json(rec.a_true))] if n in (5, 6) else []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: pytest.fail("json.dumps ran"))
+    assert main(["centers", "-i", files[0], "-j", files[1], *center]) == 0
+    out = capsys.readouterr().out
+    assert out == dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_exact_integer_routes_need_no_fraction_elimination(tmp_path, monkeypatch):

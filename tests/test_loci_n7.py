@@ -966,6 +966,35 @@ class TestEightPlus:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == "Inconclusive" and error["details"] == details
 
+    def test_the_walk_is_every_subset_once_windows_then_colex(self):
+        for n in range(8, 16):
+            walk = list(loci._subset_walk(n))
+            windows = {tuple(sorted((i + j) % n for j in range(6))) for i in range(n)}
+            assert set(walk[:n]) == windows
+            assert walk[n:] == sorted(set(itertools.combinations(range(n), 6)) - windows,
+                                      key=lambda c: c[::-1])
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_large_inputs_are_decided_after_at_most_n_quadric_pairs(self, n, monkeypatch):
+        # ROADMAP item 14 (D7): a random pair at n = 40 and a generated pair
+        # at n = 20 whose last y point is moved, so that only subsets with
+        # that point show the planted pair is gone; the cyclic windows bring
+        # it in early, and no list of the C(n, 6) subsets is built
+        if n == 40:
+            rng = random.Random(40)
+            x, y = rand_config(rng, n), rand_config(rng, n)
+        else:
+            rec = generate_reconstruction(n, seed=0)
+            moved = [list(p.coords) for p in rec.y.points]
+            moved[-1][0] += 1
+            x, y = rec.x, Configuration(moved)
+        calls = []
+        pair = loci.quadric_pair_n6
+        monkeypatch.setattr(loci, "quadric_pair_n6", lambda *a: calls.append(1) or pair(*a))
+        result = centers_n_ge8(x, y)
+        assert result.span_rank == 10 and result.surviving == ()
+        assert len(calls) <= n
+
     def test_verdict_needs_no_numeric_stage(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a numeric stage ran for n >= 8")

@@ -165,7 +165,8 @@ def test_relations_refuse_exactly_where_the_quadric_pair_does():
     drawn independently or as M x (relations proportional), the relations
     alone give the quadric pair's DegenerateInput, message and all, and the
     generator's relations read off the bracket tables refuse a set exactly
-    when one of its subsets is refused."""
+    when one of its subsets is refused; at n = 10 and 12 they refuse sets
+    whose only refused subsets hold the last point."""
     rng = random.Random(20261019)
     seen = Counter()
     for n in (6, 7, 8):
@@ -199,6 +200,25 @@ def test_relations_refuse_exactly_where_the_quadric_pair_does():
     assert seen[False, False, "quadric relation on the y side is not unique"]
     assert not any(seen[g, True, None] for g in (True, False))
     assert seen[True] > 50 and seen[False] > 50
+    # n = 10 and 12, one side made degenerate only through its last point:
+    # it coincides with point 0, or points 3 and n - 1 are moved into the
+    # plane of points 0-2; every refused 6-subset then holds the last point
+    for n in (10, 12):
+        for side, move in [("x", "coincide"), ("y", "coincide"), ("x", "plane"), ("y", "plane")]:
+            sides = {t: [[rng.randint(-10, 10) for _ in range(4)] for _ in range(n)] for t in "xy"}
+            pts = sides[side]
+            if move == "coincide":
+                pts[-1] = pts[0][:]
+            else:
+                for i in (3, n - 1):
+                    k = [rng.randint(1, 3) for _ in range(3)]
+                    pts[i] = [sum(k[t] * pts[t][r] for t in range(3)) for r in range(4)]
+            x, y = Configuration(sides["x"]), Configuration(sides["y"])
+            a, b = (ProjectivePoint(p) for p in small_points(rng, 2))
+            refused = [c for c in combinations(range(n), 6)
+                       if degenerate_message(quadric_pair_n6, x.subset(c), y.subset(c))]
+            assert refused and all(n - 1 in c for c in refused)
+            assert not _relations_usable(_bracket_table(x, a), _bracket_table(y, b), n)
 
 
 def test_each_refused_relation_names_its_cause():
