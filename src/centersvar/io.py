@@ -48,8 +48,17 @@ def point_to_json(p: ProjectivePoint) -> list[str]:
 
 
 def point_from_json(coords: Sequence) -> ProjectivePoint:
+    """The point of a list of coordinates, each read as parse_fraction(str(c))
+    reads it. When every coordinate is a string that int accepts, int gives
+    what parse_fraction would (it strips the same whitespace, and such a
+    string holds no "/"), so the point is read with int alone."""
     if not isinstance(coords, (list, tuple)):
         raise InvalidInput(f"a point must be a list of coordinates, not {coords!r}")
+    if all(type(c) is str for c in coords):
+        try:
+            return ProjectivePoint(list(map(int, coords)))
+        except ValueError:
+            pass
     return ProjectivePoint([parse_fraction(str(c)) for c in coords])
 
 
@@ -85,11 +94,15 @@ def parse_inline_point(text: str) -> ProjectivePoint:
 
 
 def _read_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
-            raise InvalidInput(f"{path} is not a JSON document: {exc}") from exc
+    """The JSON document in a UTF-8 file, read as open(path, encoding="utf-8")
+    reads it: the bytes are decoded once, a BOM is kept (and refused by
+    json), and every line ending becomes a newline."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise InvalidInput(f"{path} is not a JSON document: {exc}") from exc
 
 
 def load_configuration(path: str) -> Configuration:
@@ -134,6 +147,7 @@ def _atomic_write(path: str, text: str) -> None:
             while data:
                 data = data[fh.write(data):]
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:

@@ -317,8 +317,8 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
     y-relation, and S_alpha the y-quadrics by the x-relation; each is read
     off one 4 x 4 integer matrix sum_k w_k u_k v_k^T (_weighted_products)
     and made primitive. Each is checked on its six world points, each check
-    one dot product with the point's cached degree-2 monomials
-    (_quadric_value). Soundness: for a
+    one ten-term expression in the point's coordinates (_quadric_value).
+    Soundness: for a
     true pair (a, b) the lifted invariants agree up to a scalar s,
     t^x_k(a) = s t^y_k(b), so any relation of the y-quadrics gives
     S_beta(a) = s sum_k w^y_k t^y_k(b) = 0: every true a lies on S_beta, and
@@ -359,25 +359,41 @@ def quadric_pair_n6(x: Configuration, y: Configuration) -> tuple[Form, Form]:
 
 def _weighted_products(weights: Sequence[int], factors) -> tuple[int, ...]:
     """The graded lex coefficients of sum_k w_k (u_k . z)(v_k . z), read off
-    the integer matrix M = sum_k w_k u_k v_k^T, accumulated once (row-major,
-    16 entries): M_ii for z_i^2 and M_ij + M_ji for z_i z_j."""
-    outer = []
-    for w, (u, v) in zip(weights, factors):
-        u0, u1, u2, u3 = [w * c for c in u]
-        v0, v1, v2, v3 = v
-        outer.append((u0 * v0, u0 * v1, u0 * v2, u0 * v3, u1 * v0, u1 * v1, u1 * v2, u1 * v3,
-                      u2 * v0, u2 * v1, u2 * v2, u2 * v3, u3 * v0, u3 * v1, u3 * v2, u3 * v3))
-    m = list(map(sum, zip(*outer)))
-    return (m[0], m[1] + m[4], m[2] + m[8], m[3] + m[12], m[5], m[6] + m[9], m[7] + m[13],
-            m[10], m[11] + m[14], m[15])
+    the integer matrix M = sum_k w_k u_k v_k^T in ten running sums: M_ii for
+    z_i^2 and M_ij + M_ji for z_i z_j."""
+    s00 = s01 = s02 = s03 = s11 = s12 = s13 = s22 = s23 = s33 = 0
+    for w, ((u0, u1, u2, u3), (v0, v1, v2, v3)) in zip(weights, factors):
+        u0, u1, u2, u3 = w * u0, w * u1, w * u2, w * u3
+        s00 += u0 * v0
+        s01 += u0 * v1 + u1 * v0
+        s02 += u0 * v2 + u2 * v0
+        s03 += u0 * v3 + u3 * v0
+        s11 += u1 * v1
+        s12 += u1 * v2 + u2 * v1
+        s13 += u1 * v3 + u3 * v1
+        s22 += u2 * v2
+        s23 += u2 * v3 + u3 * v2
+        s33 += u3 * v3
+    return s00, s01, s02, s03, s11, s12, s13, s22, s23, s33
+
+
+def _quadric_at(c: Sequence[int], z: Sequence[int]) -> int:
+    """The quadric with graded lex coefficients c at the coordinates z, in
+    ten terms grouped by the first coordinate of each monomial."""
+    c00, c01, c02, c03, c11, c12, c13, c22, c23, c33 = c
+    z0, z1, z2, z3 = z
+    return (z0 * (c00 * z0 + c01 * z1 + c02 * z2 + c03 * z3) + z1 * (c11 * z1 + c12 * z2 + c13 * z3)
+            + z2 * (c22 * z2 + c23 * z3) + c33 * z3 * z3)
 
 
 def _quadric_value(q: Form, p: ProjectivePoint) -> int:
-    """The integer form q at a point, as the dot product of q's int
-    coefficients with the point's degree-2 monomials, built once per point
-    (ProjectivePoint.quadratic_monomials): Form.integer_value of a primitive
-    quadric, with no per-form set-up."""
-    return sum(map(mul, q.coeffs, p.quadratic_monomials))
+    """The integer form q at a point (_quadric_at): Form.integer_value of a
+    primitive quadric, with no loop over its terms."""
+    return _quadric_at(q.coeffs, p.coords)
+
+
+# project's chart for the dropped coordinate k: (k, the three kept coordinates)
+_CHARTS = ((0, 1, 2, 3), (1, 0, 2, 3), (2, 0, 1, 3), (3, 0, 1, 2))
 
 
 def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> ProjectivePoint:
@@ -394,7 +410,8 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     nonzero cofactor vector of three rows, in combinations order, made
     primitive, and spans the kernel exactly when every row is orthogonal to
     it; rows 0-2, one point's three rows, are always dependent and skipped.
-    q_i is a_k x_i - (x_i)_k a with coordinate k dropped (project's chart).
+    q_i is a_k x_i - (x_i)_k a on the three coordinates project keeps, k
+    the one it drops (_CHARTS).
 
     P is not built. Its center is b = sum_k M_k prod_{j != k} lambda_j
     y_{f_k}, M_k the bracket of the frame images other than q_{f_k}: P b =
@@ -403,29 +420,45 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     lambda passes the rows P fits every correspondence. Raises
     InadmissibleCenter at a world point a, and NoRationalImage when the world
     points lie in a plane, or unless P is one rank-3 camera whose center is
-    no world point."""
+    no world point.
+
+    The kernel is unrolled on the frame: the four frame images and the
+    weights w_k . y_j of each other point are unpacked once, each row is a
+    4-tuple, and the four leave-one-out products of lambda come from
+    lambda_0 lambda_1 and lambda_2 lambda_3."""
     if a in x.points:
         raise InadmissibleCenter("the center map is undefined at a world point")
     ac = a.coords
-    k = 3 if ac[3] else next(i for i in range(4) if ac[i])
-    q = [[ac[k] * xi[j] - xi[k] * ac[j] for j in range(4) if j != k]
-         for xi in (p.coords for p in x.points)]
+    k, i, j, m = _CHARTS[3 if ac[3] else 0 if ac[0] else 1 if ac[1] else 2]
+    ak, ai, aj, am = ac[k], ac[i], ac[j], ac[m]
+    q = [(ak * c[i] - c[k] * ai, ak * c[j] - c[k] * aj, ak * c[m] - c[k] * am)
+         for c in (p.coords for p in x.points)]
     frame = y.resection_frame
     if frame is None:
         raise NoRationalImage("the world points lie in a plane, so the resection is not unique")
     f, weights = frame
+    q0, q1, q2, q3 = [q[g] for g in f]
     rows = []
-    for j, wj in weights:
-        crosses = [cross(q[g], q[j]) for g in f]
-        rows.extend([c * v[r] for c, v in zip(wj, crosses)] for r in range(3))
+    for g, (w0, w1, w2, w3) in weights:
+        qg = q[g]
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22), (c30, c31, c32) = (
+            cross(q0, qg), cross(q1, qg), cross(q2, qg), cross(q3, qg))
+        rows += ((w0 * c00, w1 * c10, w2 * c20, w3 * c30),
+                 (w0 * c01, w1 * c11, w2 * c21, w3 * c31),
+                 (w0 * c02, w1 * c12, w2 * c22, w3 * c32))
     triples = islice(combinations(rows, 3), 1, None)  # not rows 0-2, always dependent
     lam = next((canonical_coords(c) for c in (cofactors(*t) for t in triples) if any(c)), None)
-    if lam is None or any(sum(map(mul, row, lam)) for row in rows):
-        dim = 0 if lam is not None else 4 - linalg.rank(rows)
-        raise NoRationalImage(f"the resection has a {dim}-dimensional solution space")
-    qf = [q[g] for g in f]
-    beta = [_det3(qf[:i] + qf[i + 1:]) * prod(lam[:i] + lam[i + 1:]) for i in range(4)]
-    center = [sum(map(mul, beta, col)) for col in zip(*(y.points[g].coords for g in f))]
+    if lam is None:
+        raise NoRationalImage(
+            f"the resection has a {4 - linalg.rank(rows)}-dimensional solution space")
+    l0, l1, l2, l3 = lam
+    if any(r0 * l0 + r1 * l1 + r2 * l2 + r3 * l3 for r0, r1, r2, r3 in rows):
+        raise NoRationalImage("the resection has a 0-dimensional solution space")
+    l01, l23 = l0 * l1, l2 * l3
+    b0, b1, b2, b3 = (_det3((q1, q2, q3)) * l1 * l23, _det3((q0, q2, q3)) * l0 * l23,
+                      _det3((q0, q1, q3)) * l01 * l3, _det3((q0, q1, q2)) * l01 * l2)
+    center = [b0 * s + b1 * t + b2 * u + b3 * v
+              for s, t, u, v in zip(*(y.points[g].coords for g in f))]
     if not any(center):
         raise NoRationalImage("the resected camera has rank below 3")
     b = ProjectivePoint(center)
@@ -450,7 +483,7 @@ def map_a_to_b_n6(x: Configuration, y: Configuration, a: ProjectivePoint,
     S_alpha(b) = sigma sum_k w^x_k t^x_k(a) = 0 (quadric_pair_n6).
     """
     s_beta, _ = pair if pair is not None else quadric_pair_n6(x, y)
-    if s_beta.integer_value(a.coords):
+    if _quadric_value(s_beta, a):
         raise NoRationalImage("center is not exactly on its quadric surface")
     return _resected_center(x, y, a)
 
@@ -465,17 +498,20 @@ def sample_surface_point(s: Form, through: ProjectivePoint,
     """A rational point of the quadric: the residual intersection of a random
     integer line through a known point p of the surface. With q(p) = 0,
     q(p + t d) = t (q(p + d) - q(d)) + t^2 q(d), so the second point is
-    q(d) p - (q(p + d) - q(d)) d, in integers."""
+    q(d) p - (q(p + d) - q(d)) d, in integers. The two probes q(d) and
+    q(p + d) are read off the coefficients in ten terms each (_quadric_at);
+    p and the point found are checked with Form.integer_value."""
     rng = random.Random(seed)
     p = through.coords
     if s.integer_value(p):
         raise InvalidInput("base point is not on the quadric")
+    c = s.coeffs
     for _ in range(200):
         d = [rng.randint(-9, 9) for _ in range(4)]
-        qd = s.integer_value(d)
+        qd = _quadric_at(c, d)
         if qd == 0:
             continue
-        mixed = s.integer_value([u + v for u, v in zip(p, d)]) - qd
+        mixed = _quadric_at(c, [u + v for u, v in zip(p, d)]) - qd
         coords = [qd * u - mixed * v for u, v in zip(p, d)]
         if not any(coords):
             continue
@@ -744,6 +780,11 @@ def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
     and span_rank, the larger full-span rank, depend on neither the order
     nor the labels. Both sides below rank 9 raise Inconclusive with both
     ranks; no usable subset, the first subset's DegenerateInput.
+
+    What span_rank costs: once a rank-9 candidate fails, the verdict is
+    fixed, yet the walk goes on through up to all C(n, 6) subsets, one
+    quadric_pair_n6 each, only to tell rank 9 from rank 10. The Inconclusive
+    ending also comes only after the last subset.
     """
     if x.n < 8 or y.n != x.n:
         raise InvalidInput("centers_n_ge8 needs at least eight points")

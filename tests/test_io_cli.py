@@ -62,6 +62,21 @@ class TestFormats:
                 cio.parse_fraction(bad)
             with pytest.raises(InvalidInput):
                 cio.point_from_json([bad, "1", "0", "0"])
+        # each coordinate is read as parse_fraction(str(c)) reads it, JSON
+        # numbers and bools included
+        coords = json.loads('[" 7 ", "-0", "1_000", "007", "3/6", 5, 2.0, true]')
+        read = {" 7 ": 7, "-0": 0, "1_000": 1000, "007": 7, "3/6": Fraction(1, 2), 5: 5}
+        for c in coords:
+            try:
+                expected = ProjectivePoint([cio.parse_fraction(str(c)), 1, 0, 0])
+            except InvalidInput as exc:
+                assert c not in read
+                with pytest.raises(InvalidInput, match=f"^{re.escape(str(exc))}$"):
+                    cio.point_from_json([c, "1", "0", "0"])
+            else:
+                assert expected == ProjectivePoint([read[c], 1, 0, 0])
+                assert cio.point_from_json([c, "1", "0", "0"]) == expected
+                assert cio.point_from_json(["1", c, "0", "0"]) == ProjectivePoint([1, read[c], 0, 0])
 
     def test_configuration_round_trip(self, tmp_path):
         rng = random.Random(1)
@@ -70,6 +85,26 @@ class TestFormats:
         path = tmp_path / "c.json"
         write_config(path, cfg)
         assert cio.load_configuration(str(path)) == cfg
+
+    @pytest.mark.parametrize("data", [
+        b'{"point": ["1", "2", "3", "4"]}', b'{"point":\r\n ["1",\r\n "2"]}',
+        b'{"point":\r ["1",\r "2"]}', b'{"a": "\xc3\xa9"}', b'{"point":\r\n ["1",\r\n "2"',
+        b'{"point":\r ["1",\r "2" 3]}', b'{"a": "x\ry"}', b'\xef\xbb\xbf{}', b'{"a": "\xc3"}',
+        b'[1,\r\n\xff]', b''])
+    def test_json_files_are_read_as_text_mode_reads_them(self, tmp_path, data):
+        # the value, or the InvalidInput message, of a file read with
+        # open(path, encoding="utf-8"): line endings, BOM and bad bytes alike
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                expected = json.load(fh)
+            except ValueError as exc:
+                with pytest.raises(InvalidInput) as caught:
+                    cio._read_json(str(path))
+                assert str(caught.value) == f"{path} is not a JSON document: {exc}"
+                return
+        assert cio._read_json(str(path)) == expected
 
     def test_inline_point_parsing(self):
         assert cio.parse_inline_point("43,-50,6,-5") == pp(43, -50, 6, -5)
@@ -485,10 +520,14 @@ class TestMainEntry:
         ('{"ambient_dim": 2, "points": [1, 2]}', ["invariants", "-i", "BAD", "--kind", "N5"]),
         ('{"point": 5}', ["project", "-i", "WORLD", "--center", "BAD"]),
         ('{"point": [1, 2', ["project", "-i", "WORLD", "--center", "BAD"]),
-    ], ids=["truncated", "ambient-dim", "points", "center-point", "center-truncated"])
+        (b'{"ambient_dim": 3, "points": [["1\xff", "0", "0", "0"]]}',
+         ["invariants", "-i", "BAD", "--kind", "N5"]),
+        (b'\xef\xbb\xbf{"point": ["1", "2", "3", "4"]}', ["project", "-i", "WORLD", "--center", "BAD"]),
+    ], ids=["truncated", "ambient-dim", "points", "center-point", "center-truncated", "not-utf8",
+            "bom"])
     def test_malformed_input_file_is_invalid(self, tmp_path, capsys, text, argv):
         bad, world = tmp_path / "bad.json", tmp_path / "w.json"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         write_config(world, STD5)
         files = {"BAD": str(bad), "WORLD": str(world)}
         assert main([files.get(arg, arg) for arg in argv]) == 2

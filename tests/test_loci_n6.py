@@ -286,9 +286,51 @@ def random_point(rng, bound):
             return v
 
 
+def chart(a):
+    """The coordinate project drops at the center a."""
+    return 3 if a[3] else next(k for k in range(4) if a[k])
+
+
+def sending_to_axis(p, k):
+    """An integer matrix of rank 4 that sends p to a multiple of e_k: up to
+    row signs, the adjugate of the matrix whose column k is p and whose other
+    columns are unit vectors that complete it to a basis."""
+    r = next(i for i in range(4) if p[i])
+    units = [tuple(int(i == j) for i in range(4)) for j in range(4) if j != r]
+    cols = units[:k] + [p.coords] + units[k:]
+    return [cofactors(*(cols[:i] + cols[i + 1:])) for i in range(4)]
+
+
+# sends e_1 to (0 : 2 : -3 : 0), a chart-1 point off the axis
+CHART1_SPREAD = [[1, 0, 0, 0], [0, 2, 0, 0], [0, -3, 1, 0], [0, 0, 0, 1]]
+
+
+def off_chart_cases(rng):
+    """(x, y, a) with a off chart 3 of project: random sets at (0 : 0 : 1 : 0),
+    (0 : 1 : 0 : 0) and (0 : 3 : -2 : 0), and the true centers of generated
+    n = 6 and 8 instances, moved with their side by an integer map of P^3 to
+    (0 : 0 : 1 : 0), (0 : 1 : 0 : 0), (0 : 2 : -3 : 0) and (1 : 0 : 0 : 0);
+    the other center is unchanged."""
+    for n in (6, 8):
+        for center in (pp(0, 0, 1, 0), pp(0, 1, 0, 0), pp(0, 3, -2, 0)):
+            for _ in range(3):
+                yield (Configuration([random_point(rng, 10) for _ in range(n)]),
+                       Configuration([random_point(rng, 10) for _ in range(n)]), center)
+        for seed in range(3):
+            rec = generate_reconstruction(n, seed=seed)
+            for x, y, a in ((rec.x, rec.y, rec.a_true), (rec.y, rec.x, rec.b_true)):
+                for k in (2, 1, 0):
+                    t = sending_to_axis(a, k)
+                    yield x.transformed(t), y, apply_matrix(t, a)
+                    if k == 1:
+                        yield (x.transformed(t).transformed(CHART1_SPREAD), y,
+                               apply_matrix(CHART1_SPREAD, apply_matrix(t, a)))
+
+
 def kernel_parity_cases():
     """(x, y, a): random sets with random centers, generated instances with
-    their true centers (through subsets too), and degenerate inputs."""
+    their true centers (through subsets too), centers on every chart of
+    project, and degenerate inputs."""
     rng = random.Random(20261019)
     for n in (6, 7, 8):
         for bound in (3, 10 ** 6):
@@ -330,19 +372,20 @@ def kernel_parity_cases():
     x = Configuration([(3, -1, 2, 7)] + [[v + (i + 1) * c for v, c in zip(images[i], a.coords)]
                                          for i in range(1, 6)])
     yield x, y, a
+    yield from off_chart_cases(random.Random(20261020))
 
 
 def test_resected_center_matches_the_integer_kernel_reference():
     messages = set()
-    centers = 0
+    centers = [0] * 4
     for x, y, a in kernel_parity_cases():
         got = outcome(_resected_center, x, y, a)
         assert got == outcome(kernel_resected_center, x, y, a)
         if isinstance(got, ProjectivePoint):
-            centers += 1
+            centers[chart(a)] += 1
         else:
             messages.add(got)
-    assert centers >= 12
+    assert min(centers) >= 12
     for k in (0, 2, 4):
         assert (NoRationalImage, f"the resection has a {k}-dimensional solution space") in messages
     assert (InadmissibleCenter, "the center map is undefined at a world point") in messages
