@@ -159,13 +159,11 @@ def cmd_centers(args) -> dict[str, Any]:
     y = cio.load_configuration(args.second)
     a = cio.load_point(args.center) if args.center else None
     b = cio.load_point(args.center_b) if args.center_b else None
-    result = centers_variety(x, y, a=a, b=b, seed=args.seed)
-    doc = _centers_payload(result)
+    doc = _centers_payload(centers_variety(x, y, a=a, b=b))
     doc["n"] = x.n
     doc["config"] = {"command": "centers", "input": args.input, "second": args.second,
                      "center": cio.point_to_json(a) if a else None,
-                     "center_b": cio.point_to_json(b) if b else None,
-                     "seed": args.seed}
+                     "center_b": cio.point_to_json(b) if b else None}
     return doc
 
 
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centers", help="compute the centers-variety report")
     common(p, second=True, center="optional")
     p.add_argument("--center-b", help="second center (n <= 4 witness)")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_centers)
 
     p = sub.add_parser("generate", help="generate a ground-truth instance")

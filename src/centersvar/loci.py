@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import prod
 from operator import mul
 from typing import Sequence
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (DegenerateCurve, DegenerateInput, InadmissibleCenter, Inconclusive,
-                     Inconsistent, InvalidInput, NoRationalImage, ToolkitError)
+                     Inconsistent, InvalidInput, NoRationalImage)
 from .forms import (BinaryForm, Form, moment_positions, monomial_indices,
                     monomials, scaled_float)
 from .invariants import _EVEN_FANO_SORTED, t6_factors, t6_relation, weddle_quartic
@@ -426,13 +426,12 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     weights w_k . y_j of each other point are unpacked once, each row is a
     4-tuple, and the four leave-one-out products of lambda come from
     lambda_0 lambda_1 and lambda_2 lambda_3."""
-    if a in x.points:
+    ac, world = a.coords, [p.coords for p in x.points]
+    if ac in world:
         raise InadmissibleCenter("the center map is undefined at a world point")
-    ac = a.coords
     k, i, j, m = _CHARTS[3 if ac[3] else 0 if ac[0] else 1 if ac[1] else 2]
     ak, ai, aj, am = ac[k], ac[i], ac[j], ac[m]
-    q = [(ak * c[i] - c[k] * ai, ak * c[j] - c[k] * aj, ak * c[m] - c[k] * am)
-         for c in (p.coords for p in x.points)]
+    q = [(ak * c[i] - c[k] * ai, ak * c[j] - c[k] * aj, ak * c[m] - c[k] * am) for c in world]
     frame = y.resection_frame
     if frame is None:
         raise NoRationalImage("the world points lie in a plane, so the resection is not unique")
@@ -462,7 +461,7 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     if not any(center):
         raise NoRationalImage("the resected camera has rank below 3")
     b = ProjectivePoint(center)
-    if b in y.points:
+    if b.coords in [p.coords for p in y.points]:
         raise NoRationalImage("the matched center is a world point")
     return b
 
@@ -493,35 +492,39 @@ def map_b_to_a_n6(x: Configuration, y: Configuration, b: ProjectivePoint) -> Pro
     return map_a_to_b_n6(y, x, b, pair=quadric_pair_n6(x, y)[::-1])
 
 
-def sample_surface_point(s: Form, through: ProjectivePoint,
-                         seed: int = 0, avoid: Sequence[ProjectivePoint] = ()) -> ProjectivePoint:
-    """A rational point of the quadric: the residual intersection of a random
-    integer line through a known point p of the surface. With q(p) = 0,
-    q(p + t d) = t (q(p + d) - q(d)) + t^2 q(d), so the second point is
-    q(d) p - (q(p + d) - q(d)) d, in integers. The two probes q(d) and
-    q(p + d) are read off the coefficients in ten terms each (_quadric_at);
-    p and the point found are checked with Form.integer_value."""
-    rng = random.Random(seed)
+def _directions():
+    """The fixed walk of small integer vectors: every d in {-r..r}^4 with
+    max |d_i| = r, for r = 1, 2, 3 in turn (80, 544 and 1776 of them), each
+    shell in itertools.product order. The sampled points of n <= 4 and n = 6
+    are read off it, so a report depends on its input alone."""
+    for r in (1, 2, 3):
+        for d in product(range(-r, r + 1), repeat=4):
+            if max(map(abs, d)) == r:
+                yield d
+
+
+def sample_surface_point(s: Form, through: ProjectivePoint):
+    """Rational points of the quadric: for each d of the walk (_directions),
+    the residual intersection of the line p + t d through a known point p of
+    the surface. With q(p) = 0, q(p + t d) = t (q(p + d) - q(d)) + t^2 q(d),
+    so the second point is q(d) p - (q(p + d) - q(d)) d, in integers. A d
+    with q(d) = 0 yields nothing; q(d) != 0 keeps d off p, so no point is
+    zero, but one may be p (d tangent there) or repeat an earlier one. The
+    probes q(d) and q(p + d) are ten terms each (_quadric_at); p, on the
+    first request, and each point found are checked with Form.integer_value."""
     p = through.coords
     if s.integer_value(p):
         raise InvalidInput("base point is not on the quadric")
     c = s.coeffs
-    for _ in range(200):
-        d = [rng.randint(-9, 9) for _ in range(4)]
+    for d in _directions():
         qd = _quadric_at(c, d)
         if qd == 0:
             continue
         mixed = _quadric_at(c, [u + v for u, v in zip(p, d)]) - qd
-        coords = [qd * u - mixed * v for u, v in zip(p, d)]
-        if not any(coords):
-            continue
-        pt = ProjectivePoint(coords)
-        if pt == through or pt in avoid:
-            continue
+        pt = ProjectivePoint([qd * u - mixed * v for u, v in zip(p, d)])
         if s.integer_value(pt.coords):
             raise Inconsistent("the sampled point is not on the quadric")
-        return pt
-    raise DegenerateInput("could not sample a rational point on the quadric")
+        yield pt
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +554,10 @@ def candidates_n7(x: Configuration, y: Configuration) -> CandidateSets:
     so the candidates depend on the input alone. A world point among the
     common zeros raises DegenerateInput before either solve: it is no
     center, and the seven quadrics of such an input do not cut out its
-    center pairs. The check is exact and reads only the quadrics, so it
-    refuses such an input even where the floats cannot place its zeros
-    (a multiple world point). Rational a-candidates are certified exactly.
+    center pairs. The check is exact and reads only the quadrics (x_k is a
+    common zero exactly when the quadric of the subset without it vanishes
+    there), so it refuses such an input even where the floats cannot place
+    its zeros (a multiple world point). Rational a-candidates are certified exactly.
     The b of a certified a is not certified again: the camera sending every
     y_i to project(x_i, a) is unique and defined over Q, so resection over
     all seven correspondences (_resected_center) gives b exactly. It is
@@ -707,7 +711,9 @@ def pair_candidates_n7(x: Configuration, y: Configuration,
     one that another a took raises Inconclusive, as does an exact center
     paired with an inexact one. The pairs follow the order of the
     a-candidates; each carries the sine distance between the two Fano
-    vectors as a diagnostic. Both read each side's _float_view.
+    vectors as a diagnostic. Both read each side's _float_view, every
+    integer scaled by an exact power of two and rounded once, so coordinates
+    past the float range end in a report or an error, never an overflow.
     """
     (xs, x_forms), (ys, y_forms) = _float_view(x), _float_view(y)
     ua, ub = (_unit_rows(_fano15(forms, np.reshape([p.coords for p in cands], (-1, 4))))
@@ -876,31 +882,28 @@ class EmptyN8:
 CentersVariety = EverythingN4 | CubicFibrationN5 | SurfacePairN6 | ThreePairsN7 | EmptyN8
 
 
-def _sample_generic_centers(x: Configuration, y: Configuration, seed: int
-                            ) -> tuple[ProjectivePoint, ProjectivePoint]:
-    rng = random.Random(seed)
-    for _ in range(500):
-        a = ProjectivePoint([rng.randint(-9, 9) or 1 for _ in range(4)])
-        b = ProjectivePoint([rng.randint(-9, 9) or 1 for _ in range(4)])
-        if a in x.points or b in y.points:
-            continue
-        try:
-            p = Configuration([project(xi, a) for xi in x])
-            q = Configuration([project(yi, b) for yi in y])
-        except ToolkitError:
-            continue
-        if _general_position_image(p) and _general_position_image(q):
-            return a, b
+def _generic_center(w: Configuration) -> ProjectivePoint:
+    """The first of the walk's first 500 vectors (_directions), read as a
+    point, that is no world point of w and from which w's images are in
+    general position; DegenerateInput when there is none."""
+    world = {p.coords for p in w.points}
+    for d in islice(_directions(), 500):
+        c = ProjectivePoint(d)
+        if c.coords not in world and _general_position_image(
+                Configuration([project(p, c) for p in w])):
+            return c
     raise DegenerateInput("could not sample generic centers")
 
 
 def centers_variety(x: Configuration, y: Configuration,
                     a: ProjectivePoint | None = None,
-                    b: ProjectivePoint | None = None,
-                    seed: int = 0) -> CentersVariety:
+                    b: ProjectivePoint | None = None) -> CentersVariety:
     """Compute the centers-variety description appropriate to n = |X| = |Y|.
-    The seed draws only the sampled centers of n <= 4 and surface points of n = 6.
-    a is read for n <= 6 and b for n <= 4; a center no step reads is refused."""
+    a is read for n <= 6 and b for n <= 4; a center no step reads is refused.
+    The sampled centers of n <= 4 and surface points of n = 6 come from one
+    fixed walk (_directions), so the result depends on the input alone; at
+    n = 6 its points on S_beta are read in one pass, world points and repeats
+    skipped, until three map to a b or 40 have been tried."""
     if x.n != y.n:
         raise InvalidInput("configurations must have the same number of points")
     if x.ambient_dim != 3 or y.ambient_dim != 3:
@@ -912,10 +915,8 @@ def centers_variety(x: Configuration, y: Configuration,
         if center is not None and n > n_max:
             raise InvalidInput(f"n = {n} reads no center {name} ({flag}), only n <= {n_max}")
     if n <= 4:
-        if a is None or b is None:
-            sa, sb = _sample_generic_centers(x, y, seed)
-            a = a if a is not None else sa
-            b = b if b is not None else sb
+        a = a if a is not None else _generic_center(x)
+        b = b if b is not None else _generic_center(y)
         witness = centers_n_le4(x, y, a, b)
         return EverythingN4(a, b, tuple(tuple(row) for row in witness))
     if n == 5:
@@ -924,19 +925,20 @@ def centers_variety(x: Configuration, y: Configuration,
         return CubicFibrationN5(a, cubic_locus_n5(x, y, a), classify_degeneration_n5(x, a))
     if n == 6:
         pair = quadric_pair_n6(x, y)
-        matched = None
-        if a is not None:
-            matched = map_a_to_b_n6(x, y, a, pair=pair)
-        sampled = []
-        attempt = 0
-        while len(sampled) < 3 and attempt < 40:
+        matched = None if a is None else map_a_to_b_n6(x, y, a, pair=pair)
+        seen = {p.coords for p in x.points}
+        sampled, tries = [], 0
+        for sa in sample_surface_point(pair[0], x[0]):
+            if sa.coords in seen:
+                continue
+            seen.add(sa.coords)
+            tries += 1
             try:
-                sa = sample_surface_point(pair[0], x[0], seed=seed + attempt,
-                                          avoid=list(x.points))
                 sampled.append((sa, map_a_to_b_n6(x, y, sa, pair=pair)))
-            except (DegenerateInput, NoRationalImage, InadmissibleCenter):
+            except NoRationalImage:
                 pass
-            attempt += 1
+            if len(sampled) == 3 or tries == 40:
+                break
         return SurfacePairN6(pair[0], pair[1], tuple(sampled), a, matched)
     if n == 7:
         cand = candidates_n7(x, y)
@@ -953,7 +955,8 @@ def quadric_net(x: Configuration) -> list[Form]:
     """Exact basis of the net of quadrics through seven points of P^3."""
     if x.n != 7 or x.ambient_dim != 3:
         raise InvalidInput("quadric_net needs seven points in P^3")
-    kernel = linalg.kernel_basis([p.quadratic_monomials for p in x.points])
+    kernel = linalg.kernel_basis([[c[i] * c[j] for i, j in monomial_indices(2)]
+                                  for c in (p.coords for p in x.points)])
     if len(kernel) != 3:
         raise DegenerateInput("quadrics through the seven points do not form a net")
     return [Form(2, tuple(v)) for v in kernel]

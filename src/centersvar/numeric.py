@@ -257,9 +257,10 @@ def solve_quadric_system(forms: Sequence[Form]) -> list[NumericPoint]:
 
     The certificate is exact. Write H(d) for the codimension of the degree-d
     part of the ideal the forms generate; H(2) and H(3) come from ranks over
-    GF(2^61 - 1). A rank mod p is at most the rank over Q, so an unlucky
-    prime can only overstate H and reject a good system, never accept a
-    positive-dimensional one. Unless H(2) = H(3) <= 3 this raises NotFinite.
+    GF(2^61 - 1), of a reduced echelon basis of the forms and of its products
+    z_k * (basis row) as sparse rows (_hilbert_function). A rank mod p is at
+    most the rank over Q, so an unlucky prime can only overstate H and reject
+    a good system, never accept a positive-dimensional one. Unless H(2) = H(3) <= 3 this raises NotFinite.
     When H(3) <= 3, Macaulay's bound gives H(d + 1) <= H(d) for every d >= 3,
     so the zero set is finite, of at most H(3) points counted with
     multiplicity (exactly H(3) once H(4) = H(3), by Gotzmann persistence).
@@ -277,8 +278,9 @@ def solve_quadric_system(forms: Sequence[Form]) -> list[NumericPoint]:
     than 1e-13 on the unit point, twelve steps at most (see
     _GAUSS_NEWTON_STOP). Points with a residual above _RESIDUAL_TOL are
     dropped, and the rest deduplicated projectively. The result depends on
-    the forms alone. Fewer than H(3) survivors (a multiple zero, or zeros the
-    floats cannot tell apart) raise Inconclusive with h3 and found.
+    the forms alone: there is no tolerance option and no seed. Fewer than
+    H(3) survivors (a multiple zero, or zeros the floats cannot tell apart)
+    raise Inconclusive with h3 and found.
     """
     if len(forms) < 3:
         raise NotFinite("need at least three quadrics for a finite locus")

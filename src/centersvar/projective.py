@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -63,15 +63,6 @@ class ProjectivePoint:
     @property
     def dim(self) -> int:
         return len(self.coords) - 1
-
-    @cached_property
-    def quadratic_monomials(self) -> tuple[int, ...]:
-        """The products c_i c_j (i <= j) of the coordinates, lexicographic in
-        (i, j): for a point of P^3 that is the graded lex order of a
-        quadric's coefficients (forms.monomial_indices(2)), so an int
-        quadric's value here is one dot product. Built once per point."""
-        c = self.coords
-        return tuple(c[i] * c[j] for i, j in combinations_with_replacement(range(len(c)), 2))
 
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c) for c in self.coords)

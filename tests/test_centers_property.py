@@ -69,7 +69,7 @@ def test_every_exact_pair_passes_the_projection_oracle(n, generated, seed, data)
             y = Configuration([data.draw(VECTORS) for _ in range(n)])
             a = ProjectivePoint(data.draw(VECTORS)) if n == 5 else None
             b = None
-        result = centers_variety(x, y, a=a, b=b, seed=seed % 100)
+        result = centers_variety(x, y, a=a, b=b)
     except ToolkitError as exc:
         # n >= 8 is decided by exact algebra alone, so no verification may fail there
         assert n < 8 or exc.exit_code != 4, exc

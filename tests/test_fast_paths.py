@@ -28,7 +28,7 @@ from centersvar.errors import DegenerateInput, InvalidInput
 from centersvar.forms import Form, monomial_indices
 from centersvar.invariants import t6_factors, t6_relation
 from centersvar.loci import (_quadric_relations_n6, _quadric_value, _weighted_products,
-                             quadric_pair_n6)
+                             quadric_net, quadric_pair_n6)
 from centersvar.projective import (Configuration, ProjectivePoint, _to_fraction, apply_matrix,
                                    bracket, canonical_coords, homography_fit,
                                    no_three_collinear, pp, project)
@@ -214,11 +214,20 @@ class TestQuadricValue:
                     checked += 1
         assert checked == 720
 
-    def test_monomials_are_built_once_per_point(self):
-        p = pp(2, -3, 5, 7)
-        assert p.quadratic_monomials is p.quadratic_monomials
-        assert p.quadratic_monomials == tuple(p[i] * p[j] for i, j in monomial_indices(2))
-        assert p == pp(2, -3, 5, 7) and hash(p) == hash(pp(2, -3, 5, 7))
+    def test_monomials_are_built_once_per_point(self, monkeypatch):
+        # quadric_net reads each of its seven points once, as one row of the
+        # products c_i c_j in the graded lex order of a quadric's coefficients
+        x = generate_reconstruction(7, seed=0).x
+        rows = []
+        kernel_basis = linalg.kernel_basis
+        monkeypatch.setattr(linalg, "kernel_basis", lambda m: rows.append(m) or kernel_basis(m))
+        net = quadric_net(x)
+        assert len(rows) == 1
+        assert [tuple(r) for r in rows[0]] == [tuple(p[i] * p[j] for i, j in monomial_indices(2))
+                                               for p in x.points]
+        assert all(q(p.coords) == 0 for q in net for p in x.points)
+        p = x[0]
+        assert p == ProjectivePoint(p.coords) and hash(p) == hash(ProjectivePoint(p.coords))
 
 
 def side_cases(rng):

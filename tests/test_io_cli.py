@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centersvar
-from centersvar import io as cio, linalg
+from centersvar import io as cio, linalg, loci
 from centersvar.cli import main
 from centersvar.datagen import CENTER_KINDS, generate_reconstruction
 from centersvar import errors
@@ -277,19 +277,22 @@ class TestCentersCommand:
         assert o1.read_text() == o2.read_text()
         doc = json.loads(o1.read_text())
         assert doc["config"]["command"] == "centers"
-        assert doc["config"]["seed"] == 0
+        assert "seed" not in doc["config"]
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
+    def test_seed_env_fallback(self, tmp_path):
+        # in a fresh process CENTERSVAR_SEED seeds generate; centers reads no seed
         xfile = tmp_path / "x.json"
         write_config(xfile, STD5)
-        out = tmp_path / "r.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "centersvar.cli", "centers", "-i", str(xfile),
-             "-j", str(xfile), "--center", "43,-50,6,-5", "-o", str(out)],
-            capture_output=True, text=True,
-            env={"CENTERSVAR_SEED": "7", "PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
-        assert proc.returncode == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 7
+        inst, out = tmp_path / "inst.json", tmp_path / "r.json"
+        for argv in (["generate", "--n", "5", "-o", str(inst)],
+                     ["centers", "-i", str(xfile), "-j", str(xfile), "--center", "43,-50,6,-5",
+                      "-o", str(out)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "centersvar.cli", *argv], capture_output=True, text=True,
+                env={"CENTERSVAR_SEED": "7", "PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+            assert proc.returncode == 0
+        assert json.loads(inst.read_text())["config"]["seed"] == 7
+        assert "seed" not in json.loads(out.read_text())["config"]
 
 
 @pytest.mark.parametrize("n", range(5, 9))
@@ -486,16 +489,18 @@ class TestMainEntry:
         assert error["code"] == "InvalidInput"
         assert f"unrecognized arguments: --tol={tol}" in error["message"]
 
-    @pytest.mark.parametrize("extra, message", [
-        (["--center", "-43,50,-6,5"], "argument --center: expected one argument"),
-        (["--center", "43,-50,6,-5", "--format", "yaml"], "argument --format: invalid choice"),
-        (["--center", "43,-50,6,-5", "--seed", "x"], "argument --seed: invalid int value"),
+    @pytest.mark.parametrize("argv, message", [
+        (["centers", "-i", "X", "-j", "X", "--center", "-43,50,-6,5"],
+         "argument --center: expected one argument"),
+        (["centers", "-i", "X", "-j", "X", "--center", "43,-50,6,-5", "--format", "yaml"],
+         "argument --format: invalid choice"),
+        (["generate", "--n", "5", "--seed", "x"], "argument --seed: invalid int value"),
     ], ids=["negative-center", "choice", "type"])
-    def test_argument_errors_end_in_an_invalid_input_document(self, tmp_path, capsys, extra,
+    def test_argument_errors_end_in_an_invalid_input_document(self, tmp_path, capsys, argv,
                                                               message):
         xfile = tmp_path / "x.json"
         write_config(xfile, STD5)
-        assert main(["centers", "-i", str(xfile), "-j", str(xfile), *extra]) == 2
+        assert main([str(xfile) if arg == "X" else arg for arg in argv]) == 2
         out, err = capsys.readouterr()
         error = json.loads(out)["error"]
         assert error["code"] == "InvalidInput" and message in error["message"]
@@ -542,19 +547,22 @@ class TestMainEntry:
         return str(xfile), str(yfile)
 
     def test_negative_seed_is_invalid(self, seven_point_files, capsys):
+        # generate alone takes a seed; centers has no --seed flag at all
         xfile, yfile = seven_point_files
-        assert main(["centers", "-i", xfile, "-j", yfile, "--seed", "-1"]) == 2
-        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
         assert main(["generate", "--n", "7", "--seed", "-3"]) == 2
-        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "InvalidInput" and "must be non-negative" in error["message"]
+        assert main(["centers", "-i", xfile, "-j", yfile, "--seed", "-1"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "InvalidInput" and "unrecognized arguments" in error["message"]
 
     def test_negative_seed_from_the_environment_is_invalid(self, seven_point_files, capsys,
                                                            monkeypatch):
         xfile, yfile = seven_point_files
         monkeypatch.setenv("CENTERSVAR_SEED", "-5")
-        assert main(["centers", "-i", xfile, "-j", yfile]) == 2
+        assert main(["generate", "--n", "7"]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
-        monkeypatch.setenv("CENTERSVAR_SEED", "0")
+        # centers reads no seed, so the bad value does not stop it
         assert main(["centers", "-i", xfile, "-j", yfile, "-o", xfile + ".out"]) == 0
 
 
@@ -597,6 +605,49 @@ def test_a_sheared_seven_point_input_writes_no_traceback(tmp_path):
     assert json.loads(proc.stdout)["error"]["code"] == "Inconclusive"
 
 
+def _generated_centers_argv(tmp_path, rec, swapped=False):
+    """centers on a generated instance, its sides swapped or not, with the
+    first center given for n = 5 alone, the one n that needs it."""
+    x, y, a = (rec.y, rec.x, rec.b_true) if swapped else (rec.x, rec.y, rec.a_true)
+    xfile, yfile = tmp_path / "x.json", tmp_path / "y.json"
+    write_config(xfile, x)
+    write_config(yfile, y)
+    argv = ["centers", "-i", str(xfile), "-j", str(yfile), "-o", str(tmp_path / "r.json")]
+    return argv + (["--center=" + ",".join(map(str, a.coords))] if x.n == 5 else [])
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_centers_report_does_not_depend_on_the_seed(tmp_path, capsys, monkeypatch, n):
+    # ROADMAP item 17: every report is a function of its input alone, so the
+    # file is the same bytes with CENTERSVAR_SEED unset, 0 and 5
+    for seed in range(3):
+        rec = generate_reconstruction(n, seed=seed)
+        for swapped in (False, True):
+            argv = _generated_centers_argv(tmp_path, rec, swapped)
+            reports = set()
+            for value in (None, "0", "5"):
+                monkeypatch.delenv("CENTERSVAR_SEED", raising=False)
+                if value is not None:
+                    monkeypatch.setenv("CENTERSVAR_SEED", value)
+                assert main(argv) == 0, (seed, swapped, value)
+                reports.add((tmp_path / "r.json").read_bytes())
+            assert len(reports) == 1, (seed, swapped)
+    assert main(argv + ["--seed", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_centers_draws_no_random_number(tmp_path, monkeypatch, n):
+    # loci.random raises on any use, so a draw put back on the centers path fails here
+    class NoRandom:
+        def __getattr__(self, name):
+            raise AssertionError(f"centers used random.{name}")
+
+    argv = _generated_centers_argv(tmp_path, generate_reconstruction(n, seed=0))
+    monkeypatch.setattr(loci, "random", NoRandom())
+    assert main(argv) == 0
+
+
 def test_error_documents_carry_the_details_of_the_error(tmp_path, capsys):
     # D6: with Y's first coordinate scaled by 10^8 the b-side solver finds
     # one of the three zeros, and its error says so in its details
@@ -608,8 +659,8 @@ def test_error_documents_carry_the_details_of_the_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == {
         "code": "Inconclusive", "message": "the floats placed 1 of the H(3) = 3 zeros",
         "details": {"h3": 3, "found": 1}}
-    # an error without details writes code and message only
-    assert main(["centers", "-i", str(xfile), "-j", str(yfile), "--seed", "-1"]) == 2
+    # an error without details writes code and message only: n = 7 reads no center a
+    assert main(["centers", "-i", str(xfile), "-j", str(yfile), "--center", "1,2,3,4"]) == 2
     assert set(json.loads(capsys.readouterr().out)["error"]) == {"code", "message"}
 
 

@@ -432,6 +432,19 @@ class TestSmallN:
         h = centers_n_le4(rec.x, rec.y, rec.a_true, rec.b_true)
         assert h is not None
 
+    def test_sampled_centers_are_the_first_generic_points_of_the_walk(self):
+        # each side on its own: (1:1:1:1) is a world point of X, and from
+        # (1:1:1:0) three images of X lie on one line, so a is the third
+        # walk point and b the first
+        x = Configuration([(1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        y = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+        result = centers_variety(x, y)
+        assert (result.a, result.b) == (pp(-1, -1, -1, 1), pp(1, 1, 1, 1))
+        assert centers_variety(x, y, b=pp(1, 2, 3, 4)).a == result.a
+        collinear = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])
+        with pytest.raises(DegenerateInput, match="could not sample generic centers"):
+            centers_variety(collinear, collinear)
+
     def test_collinear_image_rejected(self):
         x = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)])
         y = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, product
 from math import gcd
 from operator import mul
 
@@ -92,30 +92,33 @@ def test_integer_quadric_pair_matches_the_fraction_reference(bound):
             assert surface == ref
 
 
-def ref_sample_surface_point(s, through, seed, avoid):
+# the walk of loci._directions: the nonzero vectors of {-3..3}^4 by max |d_i|,
+# lexicographic within each value (a stable sort of the product order)
+REF_WALK = sorted((d for d in product(range(-3, 4), repeat=4) if any(d)),
+                  key=lambda d: max(map(abs, d)))
+
+
+def ref_sample_surface_point(s, through):
     """sample_surface_point with the line p + t d met in Fractions through the
-    symmetric matrix S: t = -2 p^T S d / q(d); None where it finds no point."""
-    rng = random.Random(seed)
+    symmetric matrix S: t = -2 p^T S d / q(d), for each d of the walk with
+    q(d) != 0."""
     sym = sym_from_quad(s)
-    for _ in range(200):
-        d = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
-        if all(v == 0 for v in d):
-            continue
+    for d in REF_WALK:
         qd = s(d)
         if qd == 0:
             continue
         cross = sum((Fraction(through[i]) * sym[i][j] * d[j]
                      for i in range(4) for j in range(4)), Fraction(0))
         t = -2 * cross / qd
-        coords = [Fraction(through[i]) + t * d[i] for i in range(4)]
-        if all(c == 0 for c in coords):
-            continue
-        pt = ProjectivePoint(coords)
-        if pt == through or pt in avoid:
-            continue
+        pt = ProjectivePoint([Fraction(through[i]) + t * d[i] for i in range(4)])
         assert s(pt.coords) == 0
-        return pt
-    return None
+        yield pt
+
+
+def test_the_walk_is_the_fixed_list_of_small_directions():
+    walk = list(loci._directions())
+    assert len(walk) == len(set(walk)) == 2400 and walk == REF_WALK
+    assert walk[:3] == [(-1, -1, -1, -1), (-1, -1, -1, 0), (-1, -1, -1, 1)]
 
 
 @pytest.mark.parametrize("bound", [10, 1000])
@@ -123,11 +126,49 @@ def test_integer_sampler_matches_the_fraction_line_intersection(bound):
     for seed in range(5):
         rec = generate_reconstruction(6, seed=seed, coord_bound=bound)
         for s, w in zip(quadric_pair_n6(rec.x, rec.y), (rec.x, rec.y)):
-            for attempt in range(5):
-                avoid = list(w.points)
-                expected = ref_sample_surface_point(s, w[0], attempt, avoid)
-                assert expected is not None
-                assert sample_surface_point(s, w[0], seed=attempt, avoid=avoid) == expected
+            expected = list(islice(ref_sample_surface_point(s, w[0]), 60))
+            assert len(expected) == 60
+            assert list(islice(sample_surface_point(s, w[0]), 60)) == expected
+
+
+@pytest.mark.parametrize("bound", [10, 1000])
+def test_sampled_pairs_are_the_first_three_mapped_points_of_the_walk(bound):
+    # centers takes the walk's points on S_beta in one pass, skipping world
+    # points and repeats, and keeps the first three that map, within 40 tries;
+    # here the points are met in Fractions and b is resected from Fraction rrefs
+    for seed in range(5):
+        rec = generate_reconstruction(6, seed=seed, coord_bound=bound)
+        s_beta, _ = quadric_pair_n6(rec.x, rec.y)
+        expected, tried = [], []
+        for a in ref_sample_surface_point(s_beta, rec.x[0]):
+            if a in rec.x.points or a in tried:
+                continue
+            tried.append(a)
+            try:
+                expected.append((a, ref_resected_center(rec.x, rec.y, a)))
+            except NoRationalImage:
+                pass
+            if len(expected) == 3 or len(tried) == 40:
+                break
+        assert len(expected) == 3
+        assert centers_variety(rec.x, rec.y).sampled_pairs == tuple(expected)
+
+
+def test_samples_that_never_map_are_tried_once_each(monkeypatch):
+    # a random [-3, 3] pair whose resected cameras all have rank below 3; the
+    # walk meets the same points again and again there, and each of the 40
+    # tries is a new point off X
+    x = Configuration([(1, 3, 3, 2), (1, 3, 1, -1), (1, -1, -1, -1), (0, 1, 0, 3), (3, 1, 1, 0),
+                       (2, 2, 2, 3)])
+    y = Configuration([(2, 0, -1, -1), (2, 1, -2, -1), (1, 0, -3, 2), (3, 1, 0, 3), (2, 1, -2, 2),
+                       (1, 0, -2, 1)])
+    tried = []
+    map_a_to_b = loci.map_a_to_b_n6
+    monkeypatch.setattr(loci, "map_a_to_b_n6",
+                        lambda x, y, a, pair: tried.append(a) or map_a_to_b(x, y, a, pair))
+    assert centers_variety(x, y).sampled_pairs == ()
+    assert len(tried) == len(set(tried)) == 40
+    assert not set(tried) & set(x.points)
 
 
 def ref_resected_center(x, y, a):
@@ -181,12 +222,7 @@ def generated_probes(n, bound):
         probes = [rec.a_true, rec.x[1], pp(3, 1, 4, 1)]
         if n == 6:
             s_beta, _ = quadric_pair_n6(rec.x, rec.y)
-            for attempt in range(6):
-                try:
-                    probes.append(sample_surface_point(s_beta, rec.x[0], seed=attempt,
-                                                       avoid=list(rec.x.points)))
-                except DegenerateInput:
-                    pass
+            probes += _sampled(s_beta, rec.x, 6)
         for a in probes:
             yield rec.x, rec.y, a
 
@@ -487,12 +523,10 @@ class TestCenterMap:
         rec = generate_reconstruction(6, seed=8)
         s_beta, s_alpha = quadric_pair_n6(rec.x, rec.y)
         done = 0
-        for attempt in range(20):
+        for a in _sampled(s_beta, rec.x, 20):
             try:
-                a = sample_surface_point(s_beta, rec.x[0], seed=attempt,
-                                         avoid=list(rec.x.points))
                 b = map_a_to_b_n6(rec.x, rec.y, a, pair=(s_beta, s_alpha))
-            except (NoRationalImage, InadmissibleCenter):
+            except NoRationalImage:
                 continue
             assert s_alpha(b) == 0
             assert t6_lifted(rec.x, a).proportional(t6_lifted(rec.y, b))
@@ -508,11 +542,8 @@ class TestCenterMap:
         s_beta, s_alpha = quadric_pair_n6(rec.x, rec.y)
         va = t6_lifted(rec.x, rec.a_true)
         checked = 0
-        for attempt in range(30):
-            try:
-                b = sample_surface_point(s_alpha, rec.y[0], seed=100 + attempt,
-                                         avoid=list(rec.y.points) + [rec.b_true])
-            except Exception:
+        for b in _sampled(s_alpha, rec.y, 30):
+            if b == rec.b_true:
                 continue
             vb = t6_lifted(rec.y, b)
             assert vb.non_semistable or not va.proportional(vb)
@@ -528,12 +559,10 @@ class TestCenterMap:
             rec = generate_reconstruction(6, seed=seed)
             pair = quadric_pair_n6(rec.x, rec.y)
             done = 0
-            for attempt in range(20):
+            for a in _sampled(pair[0], rec.x, 20):
                 try:
-                    a = sample_surface_point(pair[0], rec.x[0], seed=attempt,
-                                             avoid=list(rec.x.points))
                     b = map_a_to_b_n6(rec.x, rec.y, a, pair=pair)
-                except (NoRationalImage, InadmissibleCenter):
+                except NoRationalImage:
                     continue
                 for k in range(6):
                     assert cubic_locus_n5(rec.x.drop(k), rec.y.drop(k), a).contains(b)
@@ -546,29 +575,32 @@ class TestCenterMap:
             assert done == 3
 
 
-def _sampled(s, w, attempts):
-    """Points sampled on the quadric s through w's first point, off w's points."""
+def _sampled(s, w, count):
+    """The first count distinct points sampled on the quadric s through w's
+    first point, off w's points."""
+    seen = {p.coords for p in w.points}
     points = []
-    for attempt in range(attempts):
-        try:
-            points.append(sample_surface_point(s, w[0], seed=attempt, avoid=list(w.points)))
-        except DegenerateInput:
-            pass
+    for pt in sample_surface_point(s, w[0]):
+        if pt.coords not in seen:
+            seen.add(pt.coords)
+            points.append(pt)
+            if len(points) == count:
+                break
     return points
 
 
-def _mapped_pairs(rec, pair, attempts):
+def _mapped_pairs(rec, pair, count):
     """Every (a, b) the two maps return from the true centers, from points
     sampled on S_beta (mapped to b) and from points sampled on S_alpha
     (mapped back to a); a refused center gives no pair."""
     x, y = rec.x, rec.y
     pairs = []
-    for a in [rec.a_true, *_sampled(pair[0], x, attempts)]:
+    for a in [rec.a_true, *_sampled(pair[0], x, count)]:
         try:
             pairs.append((a, map_a_to_b_n6(x, y, a, pair=pair)))
         except NoRationalImage:
             pass
-    for b in [rec.b_true, *_sampled(pair[1], y, attempts)]:
+    for b in [rec.b_true, *_sampled(pair[1], y, count)]:
         try:
             pairs.append((map_b_to_a_n6(x, y, b), b))
         except NoRationalImage:

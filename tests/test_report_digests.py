@@ -16,11 +16,11 @@ from centersvar.cli import main
 
 DIGESTS = {
     "generate n=4 seed=0": "1582b8c27e6cb8f5442c084b97378baeece344eb126f45f04762aa0f62f0b254",
-    "centers n=4 seed=0": "0ec8b7dfe706d3bd2bc60a564b8cbded6c01a1fd130bfc547fe3e6451e67bf6c",
+    "centers n=4 seed=0": "63f0b4495509ce74532c77d955dbc3fbdf4477b5d870bb8b23032c4efca2be06",
     "generate n=4 seed=1": "dfd69e9d148d7037843e0c04d730421ab550e75368984b6ddddb8a46c6235165",
-    "centers n=4 seed=1": "462686b5dd1192e44dd9866a02539d7fbdcda2361d1bb8d3380f1ed2edbe0166",
+    "centers n=4 seed=1": "94f8f5a6768ae4c1ebcdecc84a6c09f937657b99db156d6ef96c9c7adaaf83a5",
     "generate n=4 seed=2": "37dde108195aa054d9071184a409274ef8d0394ee81b1a712fe70448f3a0ca4b",
-    "centers n=4 seed=2": "cbf30f99bbd902535385fe8a10da56aff72824aecfe19d946c93e4dcf15a1d33",
+    "centers n=4 seed=2": "f64ca1b0a73f43a9725d00e92835fc7df7c3621f37c7c006ffb521fc71b8d888",
     "generate n=5 seed=0": "1ec081ddf3f5c388343fc65580cab42bb848a693d99bb00e1473fd17312ea333",
     "centers n=5 seed=0": "00d1fdb6aebc6221e212e71d35ac4f960eff2620e2af13f14d733cb12d9c3b2f",
     "generate n=5 seed=1": "0ee765544229227dff5bb14635e344c40a9e00b3119915726d0f1bf4ca07bcde",
@@ -28,11 +28,11 @@ DIGESTS = {
     "generate n=5 seed=2": "29434caebd79d2d36de7ae3e920a75e6a1b44b0c8aeb3a40c745c52981eab355",
     "centers n=5 seed=2": "73bf822dc70a9287ab1c4cfd55908cf21ea608c95f3bac24b19813796c7fecef",
     "generate n=6 seed=0": "328d3f5d76322cb3c3e00646c6448bb85fda6d4349f5d21b1dcc02de06fb2f15",
-    "centers n=6 seed=0": "6ef3f7cb26ee52359be3c26b54b6d91af48606f35b91b8191b645be14d979970",
+    "centers n=6 seed=0": "0e149397a6bd925bdc9bc1fcceed5c6228ef2ab6db1ce32dd5e835a0c788288a",
     "generate n=6 seed=1": "cfa73199621d5b56610b365f9d22711e179717f128cb27b462e89a1a8d0b5583",
-    "centers n=6 seed=1": "340b87ffc0a9c69dc06421bd1dc565b3aaef5c1137650ef64aff2c83c26d8b03",
+    "centers n=6 seed=1": "62fed491c10a50c7e3452a21c24003843065d9a9e14c67376f0854d8e881711d",
     "generate n=6 seed=2": "13d04daa139509e17dcfab489b9cd950ffac6b68f2c3a93109e0cac39b01dea9",
-    "centers n=6 seed=2": "4fc74bc1d4793b45e4fe72f94ddb69de9e1955ffe1b1822500cc7f8d16553ee3",
+    "centers n=6 seed=2": "20e5f63ead28096b28e178173cc2aeb5a76d0585e760d6f7daf9bb88f8bb8939",
     "generate n=7 seed=0": "ade910d7e7981b05521507419e813e68217e84f0765b0be7df1c5f91ddded2a1",
     "generate n=7 seed=1": "fc5ad892c883a85e5647030b7a8d79913f0696799930bbf39cce12755d44df87",
     "generate n=7 seed=2": "6db171dbb9f7eb5ee217ba61dc620da9191c6b9c05884f875a126389f6581830",
