@@ -6,7 +6,8 @@ report on a generated instance with its ``config`` and every float field
 (``coords_real``, ``coords_imag``, ``residual``, ``invariant_distance``)
 removed, dumped with sorted keys: it pins the exact points, ``is_real``, the
 pair order and the quadrics. The coordinates are pinned separately, each
-pair as (a real, a imag, b real, b imag).
+pair as (a real, a imag, b real, b imag). The whole report, floats
+included, is the same whatever ``CENTERSVAR_SEED`` holds.
 """
 
 import hashlib
@@ -15,6 +16,8 @@ import json
 import pytest
 
 from centersvar.cli import main
+from centersvar.datagen import generate_reconstruction
+from centersvar.io import configuration_to_json
 
 FLOAT_FIELDS = ("coords_real", "coords_imag", "residual", "invariant_distance")
 
@@ -130,3 +133,24 @@ def test_n7_report_matches_its_pinned_fields(tmp_path, monkeypatch, label):
         for got, want in zip(got_pair, want_pair):
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (got, want)
     assert all(r <= 1e-9 for r in residuals)
+
+
+@pytest.mark.parametrize("bound", [10, 10 ** 6])
+def test_n7_payload_does_not_depend_on_the_seed(tmp_path, monkeypatch, bound):
+    # the whole report, floats included; generated seed 8 at bound 10^6 once
+    # certified its planted a under one seed alone, while the b-side solve
+    # drew from another
+    xfile, yfile, out = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "r.json"
+    argv = ["centers", "-i", str(xfile), "-j", str(yfile), "-o", str(out)]
+    for seed in range(10):
+        rec = generate_reconstruction(7, seed=seed, coord_bound=bound)
+        xfile.write_text(json.dumps(configuration_to_json(rec.x)))
+        yfile.write_text(json.dumps(configuration_to_json(rec.y)))
+        reports = set()
+        for value in (None, "0", "5"):
+            monkeypatch.delenv("CENTERSVAR_SEED", raising=False)
+            if value is not None:
+                monkeypatch.setenv("CENTERSVAR_SEED", value)
+            assert main(argv) == 0, (seed, value)
+            reports.add(out.read_bytes())
+        assert len(reports) == 1, seed
