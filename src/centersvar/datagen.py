@@ -31,9 +31,8 @@ from typing import Sequence
 from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import _T6_QUADS, fano15, t6_relation_of_brackets
 from .loci import DegenerationTag, _relations_defect, classify_degeneration_n5
-from .projective import (Configuration, ProjectivePoint, StabilityClass,
-                         apply_matrix, cofactors, collinear,
-                         normalizing_transform, stability_class)
+from .projective import (Configuration, ProjectivePoint, StabilityClass, _frame_weights,
+                         apply_matrix, cofactors, collinear, stability_class)
 
 _MAX_ATTEMPTS = 4000
 
@@ -282,11 +281,13 @@ def _distinct_plane_points(rng: random.Random, points: Sequence) -> list[Project
     return out
 
 
-def _random_space_five(rng: random.Random, bound: int = 9) -> Configuration:
+def _random_space_five(rng: random.Random) -> Configuration:
+    """Five points of [-9, 9]^4 that form a projective frame, redrawn until
+    they do."""
     while True:
-        c = Configuration([_random_point(rng, 3, bound) for _ in range(5)])
+        c = Configuration([_random_point(rng, 3, 9) for _ in range(5)])
         try:
-            normalizing_transform(c.points)
+            _frame_weights(c.points)
             return c
         except DegenerateInput:
             continue
@@ -357,6 +358,10 @@ def generate_degenerate(kind: str, seed: int = 0, n: int | None = None):
 
 
 def _degenerate_center(rng: random.Random, x: Configuration, kind: str) -> ProjectivePoint | None:
+    """A candidate center of the kind, or None. Only the construction is
+    made here: generate_degenerate classifies every candidate, and one on a
+    line through two world points (AllOfP3 or LinePlusPlane) is redrawn
+    there unless that is the kind wanted."""
     def combo(points: Sequence[ProjectivePoint]):
         cs = [rng.randint(-9, 9) for _ in points]
         if not any(cs):
@@ -369,22 +374,15 @@ def _degenerate_center(rng: random.Random, x: Configuration, kind: str) -> Proje
     if kind == "GenericCenter":
         return ProjectivePoint(_random_point(rng, 3, 9))
     if kind == "CollinearCenter":
-        a = combo(x.points[:2])
-        return a if a is not None and a not in x.points else None
+        return combo(x.points[:2])
     if kind == "CoplanarCenter":
-        a = combo(x.points[:3])
-        if a is None or any(collinear(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
-            return None
-        return a
+        return combo(x.points[:3])
     if kind == "BiplanarCenter":
-        # a point of <x1,x2,x3> intersect <x1,x4,x5>, away from lines and points,
-        # on the line through x1 and q, the point of <x2,x3> on the plane
-        # pi . z = 0 of x1, x4, x5; x is a frame, so the line meets the plane once
+        # a point of <x1,x2,x3> intersect <x1,x4,x5>: on the line through x1
+        # and q, the point of <x2,x3> on the plane pi . z = 0 of x1, x4, x5;
+        # x is a frame, so the line meets the plane once
         pi = cofactors(x[0].coords, x[3].coords, x[4].coords)
         s, t = sum(map(mul, pi, x[2].coords)), -sum(map(mul, pi, x[1].coords))
         q = ProjectivePoint([s * x[1][i] + t * x[2][i] for i in range(4)])
-        a = combo([x[0], q])
-        if a is None or any(collinear(a, x[i], x[j]) for i, j in combinations(range(5), 2)):
-            return None
-        return a
+        return combo([x[0], q])
     return None

@@ -143,9 +143,13 @@ def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> Tw
     integer maps of normalizing_transform; in those coordinates the locus is
     the rank-deficiency set of the 4 x 3 matrix with columns (alpha_i),
     (b_i), (alpha_i b_i), alpha the x-frame image of a. Row-reducing by the
-    first nonzero alpha_i leaves a 3 x 2 matrix with entries linear in b
-    whose three 2 x 2 minors cut out the curve; they are pulled back to the
-    original coordinates of y in integers and made primitive.
+    first nonzero alpha_p leaves a 3 x 2 matrix with entries linear in b
+    whose three 2 x 2 minors cut out the curve. Read in y's own coordinates
+    through the rows v_i of its map, row i (i != p) is the pair of integer
+    linear forms l_i = alpha_p v_i - alpha_i v_p, m_i = alpha_i (v_i - v_p)
+    (the common factor alpha_p of m_i dropped), and each minor
+    l_i m_j - l_j m_i is read off sum_k w_k u_k v_k^T by the builder of the
+    n = 6 surfaces (_weighted_products) and made primitive.
 
     When the alpha_i are nonzero and pairwise distinct (a lies on none of
     the ten planes through three world points: the SmoothCubic case) the
@@ -164,19 +168,11 @@ def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> Tw
     alpha = apply_matrix(normalizing_transform(x.points), a)
     v = normalizing_transform(y.points)
     p = next(i for i in range(4) if alpha[i] != 0)
-    rest = [i for i in range(4) if i != p]
-    lin_l = {}
-    lin_m = {}
-    for i in rest:
-        li = [0] * 4
-        li[i], li[p] = alpha[p], -alpha[i]
-        mi = [0] * 4
-        mi[i] = alpha[i] * alpha[p]
-        mi[p] = -mi[i]
-        lin_l[i], lin_m[i] = Form(1, tuple(li)), Form(1, tuple(mi))
-    quadrics_std = [lin_l[i] * lin_m[j] - lin_l[j] * lin_m[i]
-                    for i, j in combinations(rest, 2)]
-    quadrics = tuple(q.compose_linear(v).primitive() for q in quadrics_std)
+    ap, vp = alpha[p], v[p]
+    rows = [([ap * s - alpha[i] * t for s, t in zip(v[i], vp)],
+             [alpha[i] * (s - t) for s, t in zip(v[i], vp)]) for i in range(4) if i != p]
+    quadrics = tuple(Form(2, _weighted_products((1, -1), ((li, mj), (lj, mi)))).primitive()
+                     for (li, mi), (lj, mj) in combinations(rows, 2))
     if any(_quadric_value(q, yi) for q in quadrics for yi in y.points):
         raise Inconsistent("curve does not pass through a base point")
     param = None
@@ -981,6 +977,7 @@ def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, l
     net = [np.array([[scaled_float(q.coeffs[k], e + (i != j)) for j, k in enumerate(row)]
                      for i, row in enumerate(moment_positions())]) for q in quads]
     rng = random.Random(seed)
+    quartics = None  # the normalized leave-one-out quartics, read once
     for _ in range(50):
         c1 = [rng.randint(-9, 9) for _ in range(3)]
         c2 = [rng.randint(-9, 9) for _ in range(3)]
@@ -991,13 +988,13 @@ def weddle_curve_point(x: Configuration, seed: int = 0) -> tuple[NumericPoint, l
         except np.linalg.LinAlgError:
             continue
         vertex = vectors[:, min(range(4), key=lambda i: (abs(roots[i].imag), roots[i].real))]
-        residuals = []
-        for k in range(7):
-            coeff = np.array(weddle_quartic(x.drop(k)).form.floats)
-            coeff /= np.linalg.norm(coeff)
-            vals = np.array([np.prod((vertex / np.linalg.norm(vertex)) ** np.array(m))
-                             for m in monomials(4)], dtype=complex)
-            residuals.append(float(abs(coeff @ vals)))
+        if quartics is None:
+            quartics = [np.array(weddle_quartic(x.drop(k)).form.floats) for k in range(7)]
+            for coeff in quartics:
+                coeff /= np.linalg.norm(coeff)
+        unit = vertex / np.linalg.norm(vertex)
+        vals = np.array([np.prod(unit ** np.array(m)) for m in monomials(4)], dtype=complex)
+        residuals = [float(abs(coeff @ vals)) for coeff in quartics]
         if max(residuals) < 1e-7:
             return NumericPoint.from_vector(vertex, max(residuals)), residuals
     raise DegenerateInput("could not locate a Weddle-curve point at tolerance")

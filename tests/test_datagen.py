@@ -1,11 +1,13 @@
+import hashlib
+import json
 import random
 from itertools import product
 
 import pytest
 
 from centersvar import linalg
-from centersvar.datagen import (_PLANE_BOX_POINTS, _random_point, generate_degenerate,
-                                generate_reconstruction)
+from centersvar.datagen import (_PLANE_BOX_POINTS, DEGENERATE_KINDS, _random_point,
+                                generate_degenerate, generate_reconstruction)
 from centersvar.errors import InvalidInput
 from centersvar.invariants import fano15, fano15_lifted, g5_lifted, t6, t6_lifted
 from centersvar.projective import ProjectivePoint, StabilityClass, stability_class
@@ -135,3 +137,28 @@ class TestDegenerate:
         for n in (0, 4, 6, 7):
             with pytest.raises(InvalidInput, match="cannot be realized"):
                 generate_degenerate(kind, seed=3, n=n)
+
+    @pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+    def test_draws_match_their_pinned_digests(self, kind):
+        # the SHA-256 of the JSON list of (point coordinates, center
+        # coordinates or None) drawn for seeds 0-19 at the default n
+        draws = []
+        for seed in range(20):
+            out = generate_degenerate(kind, seed=seed)
+            cfg, center = out if isinstance(out, tuple) else (out, None)
+            draws.append([[p.coords for p in cfg.points],
+                          None if center is None else center.coords])
+        assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == DRAW_DIGESTS[kind]
+
+
+DRAW_DIGESTS = {
+    "CoincidentPair": "0c615a34dd073f27f68600ae15fa4769a078cc7d1761b5601022f0cd5edcce9f",
+    "FourCollinear": "169090b07d2b4748b236b613f82eca62bdd28c009b8dfebf20800de2018c88cd",
+    "FiveCollinear": "0e1f60bfda96e0dbe134aae8083744d15af1fb5852b1690e7521ef73be603662",
+    "OnConic": "976e5651c7cb052949807868975edcc69c1b9bf64c3cc154282d6c8534786ed5",
+    "CoplanarCenter": "4deefae7198552a6cd3bcaa6c72f5b9baa7da7edc68c0dd419d4e2d9e420d97b",
+    "CollinearCenter": "1e0902aad9e792283b544d363474f8994a3b7296b51cc4dcf6e9f1578a75400c",
+    "BiplanarCenter": "1907d1ada6a0e99f2fb8ee82a4a62b0e8caccf253316495b6cb14eac36f25f7b",
+    "CenterAtWorldPoint": "6373604b93cb4a9ca00c4c58d9c37ac748fbc10c0edc547389f6aa6df71bcf4b",
+    "GenericCenter": "0e381b71d1bd3c722149ec68943ca3d4ac612f80c3de8a9638d7c978f5b5a580",
+}

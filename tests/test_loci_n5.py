@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 
 from centersvar import linalg
-from centersvar.datagen import generate_degenerate, generate_reconstruction
+from centersvar.datagen import CENTER_KINDS, generate_degenerate, generate_reconstruction
 from centersvar.errors import (DegenerateInput, InadmissibleCenter, Inconsistent,
                                ToolkitError)
 from centersvar.forms import BinaryForm, Form, monomials, same_span
@@ -537,3 +537,65 @@ def test_swapping_the_sides_swaps_the_loci():
             on += curve.contains(b)
             off += not curve.contains(b)
     assert on == off == 36
+
+
+def _composed_quadrics(x, y, a):
+    """The b-locus quadrics by the composed route: the minors of the reduced
+    matrix as Form products in y's standard frame, pulled back to y's own
+    coordinates by compose_linear and made primitive, with the checks of
+    cubic_locus_n5 before and after."""
+    if not center_admissible(x, a):
+        raise InadmissibleCenter("center lies on a line through two world points")
+    alpha = apply_matrix(normalizing_transform(x.points), a)
+    v = normalizing_transform(y.points)
+    p = next(i for i in range(4) if alpha[i] != 0)
+    lin = {}
+    for i in range(4):
+        if i != p:
+            li, mi = [0] * 4, [0] * 4
+            li[i], li[p] = alpha[p], -alpha[i]
+            mi[i] = alpha[i] * alpha[p]
+            mi[p] = -mi[i]
+            lin[i] = Form(1, tuple(li)), Form(1, tuple(mi))
+    quadrics = tuple((li * mj - lj * mi).compose_linear(v).primitive()
+                     for (li, mi), (lj, mj) in combinations(lin.values(), 2))
+    if any(q(yi.coords) for q in quadrics for yi in y):
+        raise Inconsistent("curve does not pass through a base point")
+    return quadrics
+
+
+def _outcome(locus, x, y, a):
+    try:
+        return locus(x, y, a)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def test_the_quadrics_are_the_composed_ones():
+    # generated pairs with their true a at three coordinate bounds, and every
+    # degenerate center kind read on both sides (refusals included)
+    inputs = [(rec.x, rec.y, rec.a_true)
+              for bound in (10, 10 ** 3, 10 ** 6) for seed in range(20)
+              for rec in [generate_reconstruction(5, seed=seed, coord_bound=bound)]]
+    inputs += [(x, x, a) for kind in CENTER_KINDS for seed in range(10)
+               for x, a in [generate_degenerate(kind, seed=seed)]]
+    refused = 0
+    for x, y, a in inputs:
+        want = _outcome(_composed_quadrics, x, y, a)
+        got = _outcome(lambda *args: cubic_locus_n5(*args).quadrics, x, y, a)
+        assert got == want
+        assert isinstance(want, tuple) and len(want) in (2, 3)
+        refused += len(want) == 2
+    assert refused == 20  # CollinearCenter and CenterAtWorldPoint
+
+
+def test_centers_runs_no_form_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("centers ran Form algebra")
+
+    for name in ("__mul__", "__add__", "__sub__", "scaled", "compose_linear"):
+        monkeypatch.setattr(Form, name, refuse)
+    for n in range(4, 9):
+        rec = generate_reconstruction(n, seed=0)
+        a = rec.a_true if n in (5, 6) else None
+        assert centers_variety(rec.x, rec.y, a=a) is not None
