@@ -31,8 +31,8 @@ from typing import Sequence
 from .errors import DegenerateInput, GenerationFailed, InvalidInput
 from .invariants import _T6_QUADS, fano15, t6_relation_of_brackets
 from .loci import DegenerationTag, _relations_defect, classify_degeneration_n5
-from .projective import (Configuration, ProjectivePoint, StabilityClass, _frame_weights,
-                         apply_matrix, cofactors, collinear, stability_class)
+from .projective import (Configuration, ProjectivePoint, _frame_weights, _max_collinear,
+                         apply_matrix, cofactors)
 
 _MAX_ATTEMPTS = 4000
 
@@ -200,7 +200,8 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Rec
     matrices have integer entries within the bound; candidates are rejected
     until the exact genericity predicates hold and the frame identity proves
     that a homography maps the image of X from a onto that of Y from b
-    (_accepted).
+    (_accepted). A scene point s a' + t b' on the center line images to t a
+    and s b, which _side_generic rejects, or to zero, which apply_matrix does.
     """
     if n < 3:
         raise InvalidInput("generate_reconstruction needs n >= 3")
@@ -213,20 +214,7 @@ def generate_reconstruction(n: int, seed: int = 0, coord_bound: int = 10) -> Rec
         aprime, bprime = _camera_center(amat), _camera_center(bmat)
         if aprime is None or bprime is None or aprime == bprime:
             continue
-        zs = []
-        ok = True
-        for _ in range(n):
-            for _ in range(50):
-                z = ProjectivePoint(_random_point(rng, 4, coord_bound))
-                if not collinear(aprime, bprime, z):
-                    zs.append(z)
-                    break
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        z = Configuration(zs)
+        z = Configuration([_random_point(rng, 4, coord_bound) for _ in range(n)])
         try:
             x = Configuration([apply_matrix(amat, p) for p in z])
             y = Configuration([apply_matrix(bmat, p) for p in z])
@@ -329,12 +317,8 @@ def generate_degenerate(kind: str, seed: int = 0, n: int | None = None):
             cs = rng.sample(range(-9, 10), 4)
             rest = [_random_point(rng, 2, 9) for _ in range(n - 4)]
             cfg = Configuration([(1, 0, c) for c in cs] + rest)
-            if len(set(cfg.points)) != n:
-                continue
-            from .projective import _max_collinear
-            if _max_collinear(cfg.points) != 4:
-                continue
-            if stability_class(cfg) != StabilityClass.STABLE:
+            # seven distinct points, at most four on a line: STABLE by definition
+            if len(set(cfg.points)) != n or _max_collinear(cfg.points) != 4:
                 continue
             values = fano15(cfg).values
             nonzero = [v for v in values if v != 0]

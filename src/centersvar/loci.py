@@ -44,7 +44,7 @@ from .forms import (BinaryForm, Form, moment_positions, monomial_indices,
 from .invariants import _EVEN_FANO_SORTED, t6_factors, t6_relation, weddle_quartic
 from .numeric import (NumericPoint, _distances, _unit_rows, certify_rational,
                       solve_quadric_system)
-from .projective import (Configuration, ProjectivePoint, _det3, _frame_weights, apply_matrix,
+from .projective import (Configuration, ProjectivePoint, _frame_weights, apply_matrix,
                          bracket, canonical_coords, center_admissible, cofactors,
                          collinear, cross, homography_fit, no_three_collinear,
                          normalizing_transform, outer_sum, project)
@@ -92,13 +92,12 @@ def _general_position_image(p: Configuration) -> bool:
 
 def _frame_fill(points: Sequence[ProjectivePoint]) -> list[tuple[int, ...]]:
     """The columns of an integer 3 x 3 matrix of rank 3: the given <= 3
-    independent points, completed greedily by standard unit vectors."""
+    independent points, completed greedily by standard unit vectors, which
+    span the plane: a pass that kept fewer than three would have kept one."""
     cols = [p.coords for p in points]
     for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         if len(cols) < 3 and linalg.rank(cols + [unit]) == len(cols) + 1:
             cols.append(unit)
-    if linalg.rank(cols) != 3:
-        raise DegenerateInput("cannot complete the points to a frame")
     return cols
 
 
@@ -190,16 +189,23 @@ def cubic_locus_n5(x: Configuration, y: Configuration, a: ProjectivePoint) -> Tw
 
 
 def restrict_to_param(q: Form, param: Sequence[BinaryForm]) -> BinaryForm:
-    """The binary sextic q(P(t)) for a quadric q and a degree-3 parametrization."""
-    total: BinaryForm | None = None
-    for c, (i, j) in zip(q.coeffs, monomial_indices(2)):
-        if c == 0:
-            continue
-        term = (param[i] * param[j]).scaled(c)
-        total = term if total is None else total + term
-    if total is None:
+    """The binary sextic q(P(t)) for a quadric q and a degree-3 parametrization.
+
+    With p_r the vector of the four cubics' coefficients r, q(P(t)) is
+    sum_{r, s} B(p_r, p_s) t_0^(r+s) t_1^(6-r-s), B the polar form of q, and
+    2 B(u, v) = q(u + v) - q(u) - q(v): ten values of q (_quadric_at) and no
+    products of binary forms."""
+    if not any(q.coeffs):
         raise InvalidInput("cannot restrict the zero form")
-    return total
+    p = list(zip(*(f.coeffs for f in param)))
+    values = [_quadric_at(q.coeffs, u) for u in p]
+    out = [0] * (2 * len(p) - 1)
+    for r, v in enumerate(values):
+        out[2 * r] += v
+    for r, s in combinations(range(len(p)), 2):
+        out[r + s] += (_quadric_at(q.coeffs, [c + d for c, d in zip(p[r], p[s])])
+                       - values[r] - values[s])
+    return BinaryForm(out)
 
 
 def cubic_param_n5(curve: TwistedCubic) -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
@@ -421,7 +427,10 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     The kernel is unrolled on the frame: the four frame images and the
     weights w_k . y_j of each other point are unpacked once, each row is a
     4-tuple, and the four leave-one-out products of lambda come from
-    lambda_0 lambda_1 and lambda_2 lambda_3."""
+    lambda_0 lambda_1 and lambda_2 lambda_3. Each M_k is read as the lifted
+    bracket [x_{f_i} x_{f_j} x_{f_l} a] of its three points, off x's cofactor
+    table: on the chart dropping coordinate c, M_k is (-1)^(c+1) a_c^2 times
+    it, one factor for all four."""
     ac, world = a.coords, [p.coords for p in x.points]
     if ac in world:
         raise InadmissibleCenter("the center map is undefined at a world point")
@@ -450,8 +459,10 @@ def _resected_center(x: Configuration, y: Configuration, a: ProjectivePoint) -> 
     if any(r0 * l0 + r1 * l1 + r2 * l2 + r3 * l3 for r0, r1, r2, r3 in rows):
         raise NoRationalImage("the resection has a 0-dimensional solution space")
     l01, l23 = l0 * l1, l2 * l3
-    b0, b1, b2, b3 = (_det3((q1, q2, q3)) * l1 * l23, _det3((q0, q2, q3)) * l0 * l23,
-                      _det3((q0, q1, q3)) * l01 * l3, _det3((q0, q1, q2)) * l01 * l2)
+    f0, f1, f2, f3 = f
+    m0, m1, m2, m3 = (sum(map(mul, x.cofactors_of(*t), ac))
+                      for t in ((f1, f2, f3), (f0, f2, f3), (f0, f1, f3), (f0, f1, f2)))
+    b0, b1, b2, b3 = m0 * l1 * l23, m1 * l0 * l23, m2 * l01 * l3, m3 * l01 * l2
     center = [b0 * s + b1 * t + b2 * u + b3 * v
               for s, t, u, v in zip(*(y.points[g].coords for g in f))]
     if not any(center):
@@ -744,25 +755,15 @@ def _span_common_zero(kernel: Sequence[int]) -> ProjectivePoint:
     return ProjectivePoint(next(row for row in m if any(row)))
 
 
-def _colex(k: int, n: int):
-    """The k-subsets of range(n) in colex order (by largest element, then the
-    next, ...), generated lazily: c + (m,) for m = k - 1 .. n - 1 over the
-    colex (k - 1)-subsets c of range(m)."""
-    if not k:
-        yield ()
-        return
-    for m in range(k - 1, n):
-        for c in _colex(k - 1, m):
-            yield c + (m,)
-
-
 def _subset_walk(n: int):
     """Every 6-subset of range(n) once, as a sorted tuple: first the cyclic
     windows {i, i + 1, .., i + 5 mod n} for i = 0 .. n - 1, then the rest in
-    colex order. No list of the C(n, 6) subsets is built."""
+    itertools.combinations order. No list of the C(n, 6) subsets is built.
+    The order is free: centers_n_ge8's verdict and span_rank do not depend on
+    it, and its refusal for no usable subset is window 0's."""
     windows = dict.fromkeys(tuple(sorted((i + j) % n for j in range(6))) for i in range(n))
     yield from windows
-    yield from (c for c in _colex(6, n) if c not in windows)
+    yield from (c for c in combinations(range(n), 6) if c not in windows)
 
 
 def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
@@ -772,8 +773,8 @@ def centers_n_ge8(x: Configuration, y: Configuration) -> EmptyN8:
     quadric_pair_n6 raises no DegenerateInput), and every valid b on its
     S_alpha. The walk (_subset_walk) takes the n cyclic windows first, so
     that every point enters within n subsets, then the other 6-subsets in
-    colex order, generated lazily; a quadric joins its side's span only off
-    the span's dual kernel (off a one-dimensional one, it leaves rank 10).
+    combinations order, generated lazily; a quadric joins its side's span
+    only off the span's dual kernel (off a one-dimensional one, it leaves rank 10).
     It stops at the first proof: rank 10 on either side leaves no center; at
     rank 9 the side's one possible zero (_span_common_zero) is resected
     across over all n points, and a pair that passes is the only one, while

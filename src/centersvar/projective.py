@@ -379,7 +379,8 @@ def stability_class(p: Configuration) -> StabilityClass:
 @dataclass(frozen=True)
 class Equivalence:
     """A verdict on two plane configurations: ``certainty`` names the route
-    ("ExactWitness" or "InvariantSeparation"), ``witness`` the homography."""
+    ("ExactWitness" or "InvariantSeparation"), ``witness`` the homography,
+    which every True verdict carries."""
 
     equivalent: bool
     certainty: str
@@ -398,11 +399,13 @@ def _general_quadruple(c: Configuration) -> tuple[int, ...] | None:
 def decide_equivalence(p: Configuration, q: Configuration) -> Equivalence:
     """Exact equivalence verdict for two labelled plane configurations.
 
-    Prefers the witness-homography route, which is decisive whenever some
-    four corresponding points are in general position; stable five- and
-    six-point configurations can also be separated by their invariants.
-    Seven-point invariant agreement alone is never accepted as a proof of
-    equivalence (configurations on conics share the all-ones direction).
+    The witness-homography route is decisive whenever some four
+    corresponding points are in general position (a frame), and it decides
+    every True verdict, each with its witness. Without a frame on either
+    side, five, six or seven points can still be separated by their
+    invariants, whose agreement is never a proof. A STABLE five- or six-point
+    set always has a frame: with three of five points on a line L, the other
+    two, d and e, and two points of L off the line de form one.
     """
     from .invariants import fano15, g5, t6  # invariants imports this module
     if p.n != q.n:
@@ -423,8 +426,6 @@ def decide_equivalence(p: Configuration, q: Configuration) -> Equivalence:
         kind = {5: g5, 6: t6, 7: fano15}[n]
         if not kind(p).proportional(kind(q)):
             return Equivalence(False, "InvariantSeparation")
-        if n in (5, 6) and stability_class(p) == stability_class(q) == StabilityClass.STABLE:
-            return Equivalence(True, "InvariantSeparation")
     raise Inconclusive("neither a witness nor invariant separation is available")
 
 

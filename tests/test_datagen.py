@@ -6,11 +6,13 @@ from itertools import product
 import pytest
 
 from centersvar import linalg
-from centersvar.datagen import (_PLANE_BOX_POINTS, DEGENERATE_KINDS, _random_point,
-                                generate_degenerate, generate_reconstruction)
+from centersvar.datagen import (_PLANE_BOX_POINTS, DEGENERATE_KINDS, _bracket_table,
+                                _random_point, _side_generic, generate_degenerate,
+                                generate_reconstruction)
 from centersvar.errors import InvalidInput
 from centersvar.invariants import fano15, fano15_lifted, g5_lifted, t6, t6_lifted
-from centersvar.projective import ProjectivePoint, StabilityClass, stability_class
+from centersvar.projective import (Configuration, ProjectivePoint, StabilityClass,
+                                   apply_matrix, stability_class)
 
 
 class TestReconstruction:
@@ -25,6 +27,26 @@ class TestReconstruction:
         for z in rec.z:
             assert linalg.rank([rec.aprime_center.coords, rec.bprime_center.coords,
                                 z.coords]) == 3
+
+    def test_a_scene_point_on_the_center_line_fails_the_side_check(self):
+        # z = s a' + t b' images to t a on X's side and to s b on Y's: a zero
+        # image is refused, and an image at the center zeroes its lifted
+        # brackets, so the generator needs no collinearity redraw
+        for seed in range(4):
+            rec = generate_reconstruction(6, seed=seed)
+            for s, t in ((1, 0), (0, 1), (2, -3), (-1, 4)):
+                z = ProjectivePoint([s * p + t * q for p, q in zip(rec.aprime_center.coords,
+                                                                   rec.bprime_center.coords)])
+                scene = rec.z.points[:5] + (z,)
+                for m, center, weight in ((rec.aprime, rec.a_true, t),
+                                          (rec.bprime, rec.b_true, s)):
+                    if weight == 0:
+                        with pytest.raises(InvalidInput):
+                            apply_matrix(m, z)
+                        continue
+                    side = Configuration([apply_matrix(m, p) for p in scene])
+                    assert side[5] == center
+                    assert not _side_generic(_bracket_table(side, center))
 
     def test_world_points_are_the_scene_projections(self):
         from centersvar.projective import apply_matrix
@@ -63,11 +85,14 @@ class TestDegenerate:
             assert t6(cfg.drop(drop)).values[5] == 0
 
     def test_four_collinear_is_stable_with_goepel_pattern(self):
-        cfg = generate_degenerate("FourCollinear", seed=1)
-        assert stability_class(cfg) == StabilityClass.STABLE
-        values = fano15(cfg).values
-        nonzero = [v for v in values if v != 0]
-        assert len(nonzero) == 3 and len(set(nonzero)) == 1
+        # the generator checks seven distinct points with at most four on a
+        # line, and no stability class: those are STABLE by definition
+        for seed in range(20):
+            cfg = generate_degenerate("FourCollinear", seed=seed)
+            assert stability_class(cfg) == StabilityClass.STABLE
+            values = fano15(cfg).values
+            nonzero = [v for v in values if v != 0]
+            assert len(nonzero) == 3 and len(set(nonzero)) == 1
 
     def test_coincident_pair_kills_fano(self):
         cfg = generate_degenerate("CoincidentPair", seed=1)

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import prod
 from operator import mul
 
 import pytest
 
-from centersvar import linalg
+from centersvar import linalg, loci
 from centersvar.datagen import CENTER_KINDS, generate_degenerate, generate_reconstruction
 from centersvar.errors import (DegenerateInput, InadmissibleCenter, Inconsistent,
                                ToolkitError)
@@ -15,8 +15,9 @@ from centersvar.invariants import g5_lifted
 from centersvar.loci import (CubicFibrationN5, DegenerationTag, TwistedCubic, centers_n_le4,
                              centers_variety, classify_degeneration_n5, cubic_locus_n5,
                              cubic_param_n5, restrict_to_param)
-from centersvar.projective import (Configuration, apply_matrix, center_admissible,
-                                   normalizing_transform, pp, project)
+from centersvar.projective import (Configuration, ProjectivePoint, apply_matrix,
+                                   center_admissible, collinear, normalizing_transform, pp,
+                                   project)
 from test_loci_n7 import _unimodular
 
 STD5 = Configuration([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
@@ -365,6 +366,23 @@ class TestLinePlusConicStructure:
                 continue
             assert all(qf(coords) == 0 for qf in curve.quadrics)
             found += 1
+
+
+def test_frame_fill_completes_every_general_position_set_of_at_most_three():
+    # the greedy completion needs no rank check after it: every ordered set
+    # of one to three independent points of P^2 ends as three independent
+    # columns, the points first
+    box = sorted({ProjectivePoint(v) for v in product(range(-2, 3), repeat=3)
+                  if any(v)}, key=lambda p: p.coords)
+    filled = 0
+    for k in (1, 2, 3):
+        for points in permutations(box[::3] if k == 3 else box, k):
+            if k == 3 and collinear(*points):
+                continue
+            cols = loci._frame_fill(points)
+            assert cols[:k] == [p.coords for p in points] and linalg.rank(cols) == 3
+            filled += 1
+    assert filled > 5000
 
 
 def ref_frame_fill(points):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from centersvar import linalg
 from centersvar.errors import CenterHit, DegenerateInput, InvalidInput, ToolkitError
 from centersvar.projective import (Configuration, ProjectivePoint,
-                                   StabilityClass, apply_matrix, bracket,
-                                   center_admissible,
-                                   collinear, gale_transform,
+                                   StabilityClass, _general_quadruple, apply_matrix,
+                                   bracket, center_admissible,
+                                   collinear, decide_equivalence, gale_transform,
                                    homography_fit, normalizing_transform,
                                    pp, project, stability_class)
 
@@ -353,6 +354,51 @@ class TestStability:
                 rng.shuffle(order)
                 assert stability_class(Configuration([p[i] for i in order])) == cls
                 assert stability_class(p.transformed(rand_h(rng))) == cls
+
+
+# the 13 points of P^2 with coordinates in {-1, 0, 1}: many lines hold three
+# or four of them, so many of their subsets have collinear triples
+BOX13 = sorted({ProjectivePoint(v) for v in product((-1, 0, 1), repeat=3) if any(v)},
+               key=lambda p: p.coords)
+
+
+class TestFramesDecideEquivalence:
+    def test_every_stable_five_or_six_point_set_has_a_frame(self):
+        # decide_equivalence reads every True verdict off a frame, four points
+        # with no three collinear; a STABLE 5- or 6-point set always has one
+        stable = 0
+        for n in (5, 6):
+            for points in combinations(BOX13, n):
+                p = Configuration(points)
+                if stability_class(p) == StabilityClass.STABLE:
+                    stable += 1
+                    assert _general_quadruple(p) is not None
+        rng = random.Random(5)
+        for _ in range(300):
+            p = rand_config(rng, rng.choice((5, 6)), bound=2)
+            if stability_class(p) == StabilityClass.STABLE:
+                stable += 1
+                assert _general_quadruple(p) is not None
+        assert stable > 1000
+
+    def test_every_true_verdict_carries_its_witness(self):
+        rng = random.Random(8)
+        verdicts = {True: 0, False: 0}
+        for n in (4, 5, 6, 7):
+            for points in list(combinations(BOX13, n))[::37]:
+                p = Configuration(points)
+                moved = list(points)
+                moved[-1] = ProjectivePoint([c + 1 for c in moved[-1].coords])
+                for q in (p.transformed(rand_h(rng)), p, Configuration(moved)):
+                    try:
+                        verdict = decide_equivalence(p, q)
+                    except ToolkitError:
+                        continue
+                    verdicts[verdict.equivalent] += 1
+                    if verdict.equivalent:
+                        assert verdict.certainty == "ExactWitness"
+                        assert [apply_matrix(verdict.witness, pi) for pi in p] == list(q.points)
+        assert verdicts[True] > 100 and verdicts[False] > 10
 
 
 class TestAdmissibility:
